@@ -71,32 +71,36 @@ def _check_match(g: Graph, p: Placement) -> None:
         raise ValueError(f"placement has {p.n} points but graph has {g.n} vertices")
 
 
-def _unit_edge_directions(g: Graph, p: Placement) -> np.ndarray:
-    """(m, d) array of d_uv for each edge (u, v), u < v; zero rows for coincidences."""
+def _edge_geometry(g: Graph, p: Placement) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d) array of d_uv and (m,) array of |p(u) - p(v)| for each edge (u, v),
+    u < v; coincident endpoints give a zero row and length 0."""
     if g.m == 0:
-        return np.zeros((0, p.d))
+        return np.zeros((0, p.d)), np.zeros(0)
     uv = np.asarray(g.edges)
     diffs = p.points[uv[:, 0]] - p.points[uv[:, 1]]
     coincident = np.all(diffs == 0.0, axis=1)
-    norms = np.linalg.norm(diffs, axis=1)
-    norms[coincident] = 1.0
-    unit = diffs / norms[:, None]
+    lengths = np.linalg.norm(diffs, axis=1)
+    unit = diffs / np.where(coincident, 1.0, lengths)[:, None]
     unit[coincident] = 0.0
-    return unit
+    return unit, lengths
+
+
+def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
+    """The rigidity matrix from the (m, d) edge directions of _edge_geometry."""
+    n, d, m = g.n, unit.shape[1], g.m
+    R = np.zeros((n, d, m))
+    if m:
+        uv = np.asarray(g.edges)
+        cols = np.arange(m)
+        R[uv[:, 0], :, cols] = unit
+        R[uv[:, 1], :, cols] = -unit
+    return R.reshape(n * d, m)
 
 
 def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:
     """dn x |E| matrix whose column for edge {u, v} is (1_u - 1_v) (x) d_uv."""
     _check_match(g, p)
-    n, d, m = g.n, p.d, g.m
-    R = np.zeros((n, d, m))
-    if m:
-        uv = np.asarray(g.edges)
-        unit = _unit_edge_directions(g, p)
-        cols = np.arange(m)
-        R[uv[:, 0], :, cols] = unit
-        R[uv[:, 1], :, cols] = -unit
-    return R.reshape(n * d, m)
+    return _rigidity_from_directions(g, _edge_geometry(g, p)[0])
 
 
 def stiffness(g: Graph, p: Placement) -> np.ndarray:
@@ -122,7 +126,7 @@ def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     _check_match(g, p)
     m = g.m
     L = np.zeros((m, m))
-    unit = _unit_edge_directions(g, p)
+    unit = _edge_geometry(g, p)[0]
     coincident = np.all(unit == 0.0, axis=1) if m else np.zeros(0, bool)
     incident: dict[int, list[int]] = {}
     for k, (u, v) in enumerate(g.edges):
@@ -178,10 +182,7 @@ def is_infinitesimally_rigid(g: Graph, p: Placement, tol: float = 1e-9) -> bool:
 def edge_lengths(g: Graph, p: Placement) -> np.ndarray:
     """Length of each placed edge, in canonical edge order."""
     _check_match(g, p)
-    if g.m == 0:
-        return np.zeros(0)
-    uv = np.asarray(g.edges)
-    return np.linalg.norm(p.points[uv[:, 0]] - p.points[uv[:, 1]], axis=1)
+    return _edge_geometry(g, p)[1]
 
 
 def placement_to_json(p: Placement) -> str:

@@ -3,11 +3,17 @@
 The search is a multi-restart first-order ascent on a smoothed objective: a
 softmin over the eigenvalue cluster sitting at the first non-trivial position,
 which tames the non-smoothness caused by the high multiplicity of the gap
-eigenvalue near optima.  The gradient contract is a central finite difference
-of that objective; the gauge freedom (translation, scale) is projected out
-after every accepted step.  Restarts mix jittered canonical placements with
-uniform sphere starts and draw from per-restart seeded streams, so results are
-independent of execution order and thread count.
+eigenvalue near optima.  The gradient is analytic, the derivative of a
+spectral function (Lewis, Math. Oper. Res. 1996): the softmax-weighted sum of
+the cluster eigenvalues' gradients, read off the eigenvectors of the one
+eigensolve each trial point gets.  The gauge freedom (translation, scale) is
+projected out after every accepted step.  A rejected step shrinks the step
+length and an accepted one grows it back, up to its initial value, so a
+restart whose steps shrank at a multiple gap eigenvalue (Overton, SIAM J.
+Optim. 1992) can lengthen them again once it is past it.  Restarts mix
+jittered canonical placements with uniform sphere starts and draw from
+per-restart seeded streams, so results are independent of execution order and
+thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .framework import Placement, placement_to_json
+from .framework import Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
 from .graphs import Graph
 from .placements import (
     crosspolytope_placement,
@@ -113,45 +119,68 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
     return Placement(pts)
 
 
-def _normalize_points(pts: np.ndarray, gauge: str) -> np.ndarray:
-    pts = pts - pts.mean(axis=0)
-    if gauge == "center-scale":
-        rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
-        if rms > 0:
-            pts /= rms
-        return pts
-    norms = np.linalg.norm(pts, axis=1)
-    safe = norms > 0
-    pts[safe] /= norms[safe, None]
-    return pts
-
-
-def _stiffness_eigs(uv: np.ndarray, n: int, d: int, pts: np.ndarray) -> np.ndarray:
-    m = uv.shape[0]
-    R = np.zeros((n, d, m))
-    if m:
-        diffs = pts[uv[:, 0]] - pts[uv[:, 1]]
-        coincident = np.all(diffs == 0.0, axis=1)
-        norms = np.linalg.norm(diffs, axis=1)
-        norms[coincident] = 1.0
-        unit = diffs / norms[:, None]
-        unit[coincident] = 0.0
-        cols = np.arange(m)
-        R[uv[:, 0], :, cols] = unit
-        R[uv[:, 1], :, cols] = -unit
-    R = R.reshape(n * d, m)
-    return np.linalg.eigvalsh(R @ R.T)
-
-
-def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> float:
-    """Softmin over the eigenvalue cluster starting at index t; equals eigs[t]
-    as the width shrinks or when the cluster is a singleton."""
+def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
+    """Softmin over the eigenvalue cluster starting at index t, and its softmax
+    weights over eigs[t:t + len(weights)]; equals eigs[t] as the width shrinks
+    or when the cluster is a singleton."""
     lam_t = float(eigs[t])
     if width <= 0:
-        return lam_t
+        return lam_t, np.ones(1)
     cluster = eigs[t:][eigs[t:] <= lam_t + width]
     z = np.exp(-(cluster - lam_t) / width)
-    return lam_t - width * float(np.log(np.sum(z)))
+    total = float(np.sum(z))
+    return lam_t - width * math.log(total), z / total
+
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """A placement with its edge geometry, stiffness eigensystem and objective."""
+
+    placement: Placement
+    unit: np.ndarray      # (m, d) edge directions
+    lengths: np.ndarray   # (m,) edge lengths
+    eigs: np.ndarray
+    vecs: np.ndarray      # eigenvectors as columns
+    gap: float
+    value: float          # the softmin objective
+    weights: np.ndarray   # its softmax weights over eigs[t:t + len(weights)]
+
+
+def _evaluate(g: Graph, p: Placement, t: int, smoothing: float) -> _Evaluation:
+    unit, lengths = _edge_geometry(g, p)
+    R = _rigidity_from_directions(g, unit)
+    eigs, vecs = np.linalg.eigh(R @ R.T)
+    gap = float(eigs[t])
+    value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
+    return _Evaluation(p, unit, lengths, eigs, vecs, gap, value, weights)
+
+
+def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
+    """Gradient of ev.value with respect to the points, as an (n, d) array.
+
+    A cluster eigenvalue with unit eigenvector v has gradient
+    2 s_e (w_e - s_e d_e) / l_e at u and its negative at v, summed over the
+    edges e = (u, v), where w_e = v_u - v_v and s_e = d_e . w_e.  Edges with
+    coincident endpoints contribute zero.  The objective weights these by its
+    softmax weights, plus a term for the softmin width, which is proportional
+    to the gap eigs[t].
+    """
+    k = len(ev.weights)
+    coef = ev.weights.copy()
+    if ev.gap > 1e-9:
+        coef[0] += (ev.value - float(ev.weights @ ev.eigs[t:t + k])) / ev.gap
+    n, d = ev.placement.n, ev.placement.d
+    uv = np.asarray(g.edges).reshape(g.m, 2)
+    vecs = ev.vecs[:, t:t + k].T.reshape(k, n, d)
+    w = vecs[:, uv[:, 0]] - vecs[:, uv[:, 1]]
+    s = np.einsum("kmd,md->km", w, ev.unit)
+    inv_len = np.divide(1.0, ev.lengths, out=np.zeros(g.m), where=ev.lengths > 0)
+    per_edge = np.einsum("km,kmd->md", (2.0 * coef)[:, None] * s, w - s[..., None] * ev.unit)
+    per_edge *= inv_len[:, None]
+    grad = np.zeros((n, d))
+    np.add.at(grad, uv[:, 0], per_edge)
+    np.add.at(grad, uv[:, 1], -per_edge)
+    return grad
 
 
 def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement]:
@@ -191,45 +220,29 @@ class _RestartOutcome:
 
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
-    uv = np.asarray(g.edges).reshape(g.m, 2)
-    n = g.n
     t = trivial_motion_count(d)
-
-    def objective(pts: np.ndarray) -> tuple[float, float]:
-        eigs = _stiffness_eigs(uv, n, d, pts)
-        gap = float(eigs[t])
-        width = config.smoothing * max(gap, 1e-9)
-        return _smoothed_objective(eigs, t, width), gap
-
-    x = _normalize_points(start.points.copy(), config.gauge)
-    f_cur, gap_cur = objective(x)
-    best_gap, best_pts = gap_cur, x.copy()
+    cur = _evaluate(g, normalize_placement(start, config.gauge), t, config.smoothing)
+    grad = _objective_gradient(g, cur, t)
+    best_gap, best_placement = cur.gap, cur.placement
     trace = [(0, best_gap)]
     step = config.step_init
-    fd_step = 1e-5
     snapshot, stalled = best_gap, 0
 
     for it in range(1, config.max_iters + 1):
-        grad = np.zeros((n, d))
-        for vtx in range(n):
-            for c in range(d):
-                bump = np.zeros((n, d))
-                bump[vtx, c] = fd_step
-                f_plus, _ = objective(x + bump)
-                f_minus, _ = objective(x - bump)
-                grad[vtx, c] = (f_plus - f_minus) / (2 * fd_step)
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 1e-14:
-            x_try = _normalize_points(x + (step / gnorm) * grad, config.gauge)
-            f_try, gap_try = objective(x_try)
-            if f_try > f_cur:
-                x, f_cur, gap_cur = x_try, f_try, gap_try
+            moved = Placement(cur.placement.points + (step / gnorm) * grad)
+            trial = _evaluate(g, normalize_placement(moved, config.gauge), t, config.smoothing)
+            if trial.value > cur.value:
+                cur = trial
+                grad = _objective_gradient(g, cur, t)
+                step = min(step / config.step_decay, config.step_init)
             else:
                 step *= config.step_decay
         else:
             step *= config.step_decay
-        if gap_cur > best_gap:
-            best_gap, best_pts = gap_cur, x.copy()
+        if cur.gap > best_gap:
+            best_gap, best_placement = cur.gap, cur.placement
             trace.append((it, best_gap))
         if best_gap >= snapshot + config.tol:
             snapshot, stalled = best_gap, 0
@@ -238,7 +251,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
         if stalled >= config.patience or step < 1e-13:
             break
 
-    return _RestartOutcome(index, best_gap, Placement(best_pts), trace)
+    return _RestartOutcome(index, best_gap, best_placement, trace)
 
 
 def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None, threads: int = 1) -> OptimizeResult:

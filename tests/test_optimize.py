@@ -3,17 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adconn.framework import Placement
+from adconn.framework import Placement, stiffness
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
     OptimizerConfig,
+    _evaluate,
+    _objective_gradient,
+    _smoothed_objective,
     gap_ascent,
     normalize_placement,
     seeded_restarts,
 )
-from adconn.placements import regular_simplex
-from adconn.spectral import spectral_gap
+from adconn.placements import crosspolytope_placement, regular_simplex
+from adconn.spectral import spectral_gap, trivial_motion_count
 
 from conftest import random_placement
 
@@ -144,7 +149,63 @@ def test_result_json_shape():
     assert len(payload["traces"]) == 2
 
 
-def test_gap_ascent_reaches_crosspolytope_bound_on_k12():
+@pytest.mark.parametrize("seed", range(5))
+def test_gap_ascent_reaches_crosspolytope_bound_on_k12(seed):
     # the jittered crosspolytope start recovers the n/(2d) = 2 floor
-    result = gap_ascent(complete_graph(12), 3, OptimizerConfig(restarts=2, seed=1))
+    result = gap_ascent(complete_graph(12), 3, OptimizerConfig(restarts=2, seed=seed))
     assert result.best_gap >= 2.0 - 1e-3
+
+
+def _objective(g, pts, smoothing):
+    """The ascent objective at pts, from the public stiffness matrix."""
+    t = trivial_motion_count(pts.shape[1])
+    eigs = np.linalg.eigvalsh(stiffness(g, Placement(pts)))
+    return _smoothed_objective(eigs, t, smoothing * max(float(eigs[t]), 1e-9))[0]
+
+
+def _gradient_error(g, pts, smoothing, h=1e-6):
+    """Max deviation of the analytic gradient from a central difference, and
+    the size of the softmin cluster."""
+    t = trivial_motion_count(pts.shape[1])
+    ev = _evaluate(g, Placement(pts), t, smoothing)
+    analytic = _objective_gradient(g, ev, t)
+    central = np.zeros_like(pts)
+    for idx in np.ndindex(*pts.shape):
+        bump = np.zeros_like(pts)
+        bump[idx] = h
+        central[idx] = (_objective(g, pts + bump, smoothing) - _objective(g, pts - bump, smoothing)) / (2 * h)
+    return float(np.max(np.abs(analytic - central))), len(ev.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=8),
+    d=st.sampled_from([2, 3]),
+    smoothing=st.sampled_from([1e-6, 1e-2]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_objective_gradient_matches_central_difference(n, d, smoothing, seed):
+    pts = np.random.default_rng(seed).standard_normal((n, d))
+    err, _ = _gradient_error(complete_graph(n), pts, smoothing)
+    assert err <= 1e-6
+
+
+def test_objective_gradient_over_a_softmin_cluster():
+    # near the crosspolytope the gap eigenvalue splits into a cluster that a
+    # wide softmin spans, so the weights and the width term both count
+    pts = crosspolytope_placement(6, 3).points + 3e-3 * np.random.default_rng(1).standard_normal((6, 3))
+    err, k = _gradient_error(complete_graph(6), pts, 1e-2)
+    assert k >= 3
+    assert err <= 1e-6
+
+
+def test_objective_gradient_ignores_coincident_edges():
+    # points 0 and 1 coincide: their edge has no direction and adds nothing
+    g = complete_graph(5)
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.3, 1.1], [0.4, -0.9]])
+    h = make_graph(5, [e for e in g.edges if e != (0, 1)])
+    t = trivial_motion_count(2)
+    with_edge = _objective_gradient(g, _evaluate(g, Placement(pts), t, 1e-6), t)
+    without_edge = _objective_gradient(h, _evaluate(h, Placement(pts), t, 1e-6), t)
+    assert np.all(np.isfinite(with_edge))
+    np.testing.assert_allclose(with_edge, without_edge, atol=1e-12)

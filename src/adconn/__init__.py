@@ -36,7 +36,6 @@ from .framework import (
     direction,
     edge_lengths,
     framework_matrices,
-    is_infinitesimally_rigid,
     lower_stiffness_direct,
     lower_stiffness_product,
     placement_from_json,
@@ -63,6 +62,7 @@ from .spectral import (
     cluster_multiplicities,
     clustered_spectrum,
     interlacing_check,
+    is_infinitesimally_rigid,
     numeric_rank,
     spectral_gap,
     stiffness_spectrum,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -154,12 +153,6 @@ def parse_grid(text: str | None) -> dict | None:
     return grid
 
 
-def _default_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    return max(1, int(os.environ.get("ADCONN_THREADS", "1")))
-
-
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2) + "\n")
@@ -217,7 +210,6 @@ def cmd_verify(args) -> int:
         grid=grid,
         samples=args.samples,
         seed=args.seed,
-        threads=_default_threads(args.threads),
     )
     outdir = Path(args.outdir)
     report_path = outdir / "verify_report.json"
@@ -242,7 +234,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(str(exc)) from None
     if args.observe:
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        result = gap_ascent(complete_graph(args.n), args.d, config, threads=_default_threads(args.threads))
+        result = gap_ascent(complete_graph(args.n), args.d, config)
         report = dataclasses.replace(report, gap_observed=result.best_gap)
     outdir = Path(args.outdir)
     path = outdir / "bounds.json"
@@ -264,7 +256,7 @@ def cmd_optimize(args) -> int:
         gauge=args.gauge,
     )
     try:
-        result = gap_ascent(g, args.d, config, threads=_default_threads(args.threads))
+        result = gap_ascent(g, args.d, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     outdir = Path(args.outdir)
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--outdir", default=".", help="directory for result files and the run manifest")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None, help="worker cap (default: $ADCONN_THREADS or 1)")
 
     sp = sub.add_parser("spectrum", help="clustered stiffness spectrum of a framework")
     sp.add_argument("--graph", required=True)

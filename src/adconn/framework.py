@@ -11,7 +11,6 @@ tolerance.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,31 +117,25 @@ def lower_stiffness_product(g: Graph, p: Placement) -> np.ndarray:
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     """Edge-basis stiffness matrix from its entry rule, bypassing R.
 
-    Diagonal is exactly 2 for edges with distinct endpoint images and exactly 0
-    otherwise; entries for edges sharing a vertex are the cosine of the angle
-    at the shared vertex (0 if either direction degenerates); disjoint edges
-    give 0.
+    Assembled one vertex star at a time: the directions of the edges at a
+    vertex, each pointing away from it, give the cosines of the angles there
+    (0 if either direction degenerates) as their Gram matrix, written into the
+    rows and columns of those edges.  The diagonal is then set to exactly 2 for
+    edges with distinct endpoint images and exactly 0 otherwise; disjoint
+    edges give 0.
     """
     _check_match(g, p)
-    m = g.m
-    L = np.zeros((m, m))
+    L = np.zeros((g.m, g.m))
     unit = _edge_geometry(g, p)[0]
-    coincident = np.all(unit == 0.0, axis=1) if m else np.zeros(0, bool)
-    incident: dict[int, list[int]] = {}
-    for k, (u, v) in enumerate(g.edges):
-        L[k, k] = 0.0 if coincident[k] else 2.0
-        incident.setdefault(u, []).append(k)
-        incident.setdefault(v, []).append(k)
-    for s, ks in incident.items():
-        for a_pos, k1 in enumerate(ks):
-            u1, v1 = g.edges[k1]
-            d1 = unit[k1] if u1 == s else -unit[k1]
-            for k2 in ks[a_pos + 1:]:
-                u2, v2 = g.edges[k2]
-                d2 = unit[k2] if u2 == s else -unit[k2]
-                c = float(d1 @ d2)
-                L[k1, k2] = c
-                L[k2, k1] = c
+    uv = np.asarray(g.edges).reshape(g.m, 2)
+    # Two distinct edges of a simple graph share at most one vertex, so the
+    # off-diagonal entries written for different stars never overlap.
+    for s in range(g.n):
+        at_u, at_v = np.flatnonzero(uv[:, 0] == s), np.flatnonzero(uv[:, 1] == s)
+        star = np.concatenate((at_u, at_v))
+        D = np.concatenate((-unit[at_u], unit[at_v]))
+        L[np.ix_(star, star)] = D @ D.T
+    np.fill_diagonal(L, np.where(np.all(unit == 0.0, axis=1), 0.0, 2.0))
     return L
 
 
@@ -162,21 +155,6 @@ class FrameworkMatrices:
 def framework_matrices(g: Graph, p: Placement) -> FrameworkMatrices:
     R = rigidity_matrix(g, p)
     return FrameworkMatrices(R=R, L=R @ R.T, Lminus=lower_stiffness_direct(g, p))
-
-
-def is_infinitesimally_rigid(g: Graph, p: Placement, tol: float = 1e-9) -> bool:
-    """True iff the numeric rank of R equals dn - (d+1 choose 2)."""
-    _check_match(g, p)
-    d = p.d
-    if g.n <= d:
-        raise ValueError(f"need n > d, got n={g.n}, d={d}")
-    R = rigidity_matrix(g, p)
-    if R.size == 0:
-        rank = 0
-    else:
-        sv = np.linalg.svd(R, compute_uv=False)
-        rank = 0 if sv[0] == 0.0 else int(np.count_nonzero(sv > tol * sv[0]))
-    return rank == d * g.n - math.comb(d + 1, 2)
 
 
 def edge_lengths(g: Graph, p: Placement) -> np.ndarray:

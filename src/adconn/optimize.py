@@ -12,8 +12,7 @@ length and an accepted one grows it back, up to its initial value, so a
 restart whose steps shrank at a multiple gap eigenvalue (Overton, SIAM J.
 Optim. 1992) can lengthen them again once it is past it.  Restarts mix
 jittered canonical placements with uniform sphere starts and draw from
-per-restart seeded streams, so results are independent of execution order and
-thread count.
+per-restart seeded streams, so a seed fixes the result.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,7 +252,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
     return _RestartOutcome(index, best_gap, best_placement, trace)
 
 
-def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None, threads: int = 1) -> OptimizeResult:
+def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> OptimizeResult:
     """Maximize the spectral gap of (g, p) over placements p in R^d.
 
     Returns the best gap seen over all restarts together with the placement
@@ -265,13 +263,7 @@ def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None, threads:
     if g.n <= d:
         raise ValueError(f"need n > d, got n={g.n}, d={d}")
     t0 = time.perf_counter()
-    starts = seeded_restarts(g, d, config)
-    jobs = list(enumerate(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda job: _ascend(g, d, config, *job), jobs))
-    else:
-        outcomes = [_ascend(g, d, config, i, s) for i, s in jobs]
+    outcomes = [_ascend(g, d, config, i, s) for i, s in enumerate(seeded_restarts(g, d, config))]
     best = max(outcomes, key=lambda r: (r.gap, -r.index))
     wall = time.perf_counter() - t0
     recomputed = spectral_gap(g, best.placement)

@@ -2,7 +2,7 @@
 
 Every randomized routine draws from a PCG64 generator seeded by the pair
 (seed, tag), so independent call sites get independent streams and results do
-not depend on execution order or thread schedule.
+not depend on execution order.
 """
 
 from __future__ import annotations

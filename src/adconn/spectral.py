@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, stiffness
+from .framework import Placement, rigidity_matrix, stiffness
 from .graphs import Edge, Graph, remove_edge
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
@@ -152,6 +152,13 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
+
+
+def is_infinitesimally_rigid(g: Graph, p: Placement, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """True iff the numeric rank of R equals dn - (d+1 choose 2)."""
+    if g.n <= p.d:
+        raise ValueError(f"need n > d, got n={g.n}, d={p.d}")
+    return numeric_rank(rigidity_matrix(g, p), tol) == p.d * g.n - trivial_motion_count(p.d)
 
 
 def interlacing_check(

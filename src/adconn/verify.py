@@ -10,7 +10,6 @@ so a single JSON schema covers all suites.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,21 +100,20 @@ def _grid_pairs(grid: dict | None, default_pairs, divisor_of_n) -> list[tuple[in
     return [(d, n) for d in ds for n in ns if n >= divisor_of_n(d) and n % divisor_of_n(d) == 0]
 
 
-def suite_simplex(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
+def suite_simplex(grid=None, samples=None, seed=0) -> list[dict]:
     ds = _grid_range(grid, "d", range(2, 11))
-    jobs = [
-        lambda d=d: _spectrum_entry(
+    return [
+        _spectrum_entry(
             "simplex", {"d": d}, simplex_spectrum_closed_form(d), complete_graph(d + 1), regular_simplex(d)
         )
         for d in ds
     ]
-    return _run_jobs(jobs, threads)
 
 
-def suite_turan(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
+def suite_turan(grid=None, samples=None, seed=0) -> list[dict]:
     pairs = _grid_pairs(grid, TURAN_GRID, lambda d: d + 1)
-    jobs = [
-        lambda d=d, n=n: _spectrum_entry(
+    return [
+        _spectrum_entry(
             "turan-simplex",
             {"n": n, "d": d},
             turan_simplex_spectrum_closed_form(n, d),
@@ -124,13 +122,12 @@ def suite_turan(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
         )
         for d, n in pairs
     ]
-    return _run_jobs(jobs, threads)
 
 
-def suite_cross(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
+def suite_cross(grid=None, samples=None, seed=0) -> list[dict]:
     pairs = _grid_pairs(grid, CROSS_GRID, lambda d: 2 * d)
-    jobs = [
-        lambda d=d, n=n: _spectrum_entry(
+    return [
+        _spectrum_entry(
             "crosspolytope",
             {"n": n, "d": d},
             crosspolytope_spectrum_closed_form(n, d),
@@ -139,10 +136,9 @@ def suite_cross(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
         )
         for d, n in pairs
     ]
-    return _run_jobs(jobs, threads)
 
 
-def suite_tetra(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
+def suite_tetra(grid=None, samples=None, seed=0) -> list[dict]:
     hs = _grid_range(grid, "h", PYRAMID_HEIGHTS)
     entries = []
     for h in hs:
@@ -156,7 +152,7 @@ def suite_tetra(grid=None, samples=None, seed=0, threads=1) -> list[dict]:
     return entries
 
 
-def suite_circle(grid=None, samples=5, seed=0, threads=1) -> list[dict]:
+def suite_circle(grid=None, samples=5, seed=0) -> list[dict]:
     ns = _grid_range(grid, "n", range(3, 21))
     samples = 5 if samples is None else int(samples)
 
@@ -169,16 +165,16 @@ def suite_circle(grid=None, samples=5, seed=0, threads=1) -> list[dict]:
         entry["pass"] = entry["pass"] and circle.centered and circle.injective and residual <= RESIDUAL_TOL
         return entry
 
-    jobs = []
+    entries = []
     for n in ns:
-        jobs.append(lambda n=n: one(n, "roots-of-unity", roots_of_unity_angles(n)))
+        entries.append(one(n, "roots-of-unity", roots_of_unity_angles(n)))
         for s in range(samples):
             angles = centered_circle_angles(n, rng_stream(seed, f"circle:{n}:{s}"))
-            jobs.append(lambda n=n, s=s, a=angles: one(n, f"random-{s}", a))
-    return _run_jobs(jobs, threads)
+            entries.append(one(n, f"random-{s}", angles))
+    return entries
 
 
-def suite_interlacing(grid=None, samples=100, seed=0, threads=1) -> list[dict]:
+def suite_interlacing(grid=None, samples=100, seed=0) -> list[dict]:
     ns = _grid_range(grid, "n", range(4, 11))
     ds = _grid_range(grid, "d", range(2, 5))
     samples = 100 if samples is None else int(samples)
@@ -205,10 +201,10 @@ def suite_interlacing(grid=None, samples=100, seed=0, threads=1) -> list[dict]:
             ok,
         )
 
-    return _run_jobs([lambda s=s: one(s) for s in range(samples)], threads)
+    return [one(s) for s in range(samples)]
 
 
-def suite_kyfan(grid=None, samples=500, seed=0, threads=1) -> list[dict]:
+def suite_kyfan(grid=None, samples=500, seed=0) -> list[dict]:
     ns = _grid_range(grid, "n", range(3, 21))
     samples = 500 if samples is None else int(samples)
     entries = []
@@ -250,7 +246,7 @@ def suite_kyfan(grid=None, samples=500, seed=0, threads=1) -> list[dict]:
             check.margin >= -1e-9,
         )
 
-    entries.extend(_run_jobs([lambda s=s: one(s) for s in range(samples)], threads))
+    entries.extend(one(s) for s in range(samples))
 
     equilateral = top_eigenvalue_sum_check(regular_simplex(2))
     entries.append(
@@ -304,9 +300,8 @@ def _family_entries(theorem, instance, g, p, families, expected_counts, joint_lo
     return entries
 
 
-def suite_families(grid=None, samples=20, seed=0, threads=1) -> list[dict]:
+def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
     samples = 20 if samples is None else int(samples)
-    entries = []
 
     def turan_job(d, n):
         fam = turan_simplex_families(n, d)
@@ -343,17 +338,15 @@ def suite_families(grid=None, samples=20, seed=0, threads=1) -> list[dict]:
             f = rng.standard_normal(n)
             f -= f.mean()
             worst = max(worst, eigen_residual(C, weighted_length_vector(p, f), n / 2.0))
-        return [
-            _entry(
-                "weighted-length-eigenvectors",
-                {"instance": label, "n": n, "samples": samples},
-                {"eigenvalue": n / 2.0, "residual": "<= 1e-10"},
-                {"max_residual": worst},
-                worst,
-                True,
-                worst <= RESIDUAL_TOL,
-            )
-        ]
+        return _entry(
+            "weighted-length-eigenvectors",
+            {"instance": label, "n": n, "samples": samples},
+            {"eigenvalue": n / 2.0, "residual": "<= 1e-10"},
+            {"max_residual": worst},
+            worst,
+            True,
+            worst <= RESIDUAL_TOL,
+        )
 
     def length_job(s):
         rng = rng_stream(seed, f"length-vec:{s}")
@@ -362,33 +355,23 @@ def suite_families(grid=None, samples=20, seed=0, threads=1) -> list[dict]:
         p = Placement(rng.standard_normal((n, d)))
         C = lower_stiffness_direct(complete_graph(n), p)
         worst = eigen_residual(C, edge_length_eigenvector(p), float(n))
-        return [
-            _entry(
-                "edge-length-eigenvector",
-                {"sample": s, "n": n, "d": d},
-                {"eigenvalue": n, "residual": "<= 1e-10"},
-                {"max_residual": worst},
-                worst,
-                True,
-                worst <= RESIDUAL_TOL,
-            )
-        ]
+        return _entry(
+            "edge-length-eigenvector",
+            {"sample": s, "n": n, "d": d},
+            {"eigenvalue": n, "residual": "<= 1e-10"},
+            {"max_residual": worst},
+            worst,
+            True,
+            worst <= RESIDUAL_TOL,
+        )
 
     turan_pairs = _grid_pairs(grid, TURAN_GRID, lambda d: d + 1)
     cross_pairs = _grid_pairs(grid, CROSS_GRID, lambda d: 2 * d)
-    jobs = [lambda d=d, n=n: turan_job(d, n) for d, n in turan_pairs]
-    jobs += [lambda d=d, n=n: cross_job(d, n) for d, n in cross_pairs]
-    jobs += [
-        lambda n=n, d=d: spherical_job(f"turan-simplex:{n},{d}", n, turan_simplex_placement(n, d))
-        for d, n in turan_pairs
-    ]
-    jobs += [
-        lambda n=n, d=d: spherical_job(f"crosspolytope:{n},{d}", n, crosspolytope_placement(n, d))
-        for d, n in cross_pairs
-    ]
-    jobs += [lambda s=s: length_job(s) for s in range(10)]
-    for group in _run_jobs(jobs, threads):
-        entries.extend(group)
+    entries = [e for d, n in turan_pairs for e in turan_job(d, n)]
+    entries += [e for d, n in cross_pairs for e in cross_job(d, n)]
+    entries += [spherical_job(f"turan-simplex:{n},{d}", n, turan_simplex_placement(n, d)) for d, n in turan_pairs]
+    entries += [spherical_job(f"crosspolytope:{n},{d}", n, crosspolytope_placement(n, d)) for d, n in cross_pairs]
+    entries += [length_job(s) for s in range(10)]
     return entries
 
 
@@ -404,17 +387,10 @@ _SUITE_FUNCS = {
 }
 
 
-def _run_jobs(jobs, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
-def run_suite(name: str, grid=None, samples=None, seed: int = 0, threads: int = 1) -> dict:
+def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
     """Run one named sweep (or 'all') and aggregate a pass/fail report."""
     if name == "all":
-        reports = [run_suite(s, grid=None, samples=samples, seed=seed, threads=threads) for s in SUITES]
+        reports = [run_suite(s, grid=None, samples=samples, seed=seed) for s in SUITES]
         return {
             "suite": "all",
             "suites": reports,
@@ -424,7 +400,7 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0, threads: int = 
         }
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)} or 'all'")
-    entries = _SUITE_FUNCS[name](grid=grid, samples=samples, seed=seed, threads=threads)
+    entries = _SUITE_FUNCS[name](grid=grid, samples=samples, seed=seed)
     failures = [e for e in entries if not e["pass"]]
     return {
         "suite": name,

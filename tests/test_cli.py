@@ -238,23 +238,3 @@ def test_manifest_reproduces_run(tmp_path, capsys):
     r2 = json.loads((outdir2 / "optimize_result.json").read_text())
     assert r1["best_gap"] == r2["best_gap"]
     assert r1["best_placement"] == r2["best_placement"]
-
-
-def test_threads_env_var_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ADCONN_THREADS", "4")
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--suite", "interlacing", "--samples", "20", "--seed", "5",
-        "--outdir", str(tmp_path / "env"),
-    )
-    assert code == 0
-    monkeypatch.delenv("ADCONN_THREADS")
-    code2, out2, _ = run_cli(
-        capsys,
-        "verify", "--suite", "interlacing", "--samples", "20", "--seed", "5",
-        "--outdir", str(tmp_path / "noenv"),
-    )
-    assert code2 == 0
-    r1 = json.loads((tmp_path / "env" / "verify_report.json").read_text())
-    r2 = json.loads((tmp_path / "noenv" / "verify_report.json").read_text())
-    assert r1 == r2  # thread cap never changes results

@@ -8,7 +8,6 @@ from adconn.framework import (
     direction,
     edge_lengths,
     framework_matrices,
-    is_infinitesimally_rigid,
     lower_stiffness_direct,
     lower_stiffness_product,
     placement_from_json,
@@ -16,8 +15,15 @@ from adconn.framework import (
     rigidity_matrix,
     stiffness,
 )
-from adconn.graphs import complete_graph, make_graph, remove_edge
-from adconn.placements import regular_simplex
+from adconn.graphs import complete_graph, make_graph, remove_edge, turan_graph
+from adconn.placements import (
+    crosspolytope_placement,
+    regular_simplex,
+    roots_of_unity_angles,
+    turan_simplex_placement,
+    unit_circle_placement,
+)
+from adconn.spectral import is_infinitesimally_rigid
 
 from conftest import random_placement
 
@@ -122,15 +128,28 @@ def test_lower_stiffness_direct_diagonal_exact():
 
 
 def test_direct_agrees_with_product_on_random_frameworks(rng):
-    worst = 0.0
-    for _ in range(200):
+    cases = []
+    for k in range(300):
         n = int(rng.integers(2, 13))
         d = int(rng.integers(1, 5))
-        g = random_graph(rng, n)
-        p = random_placement(rng, n, d)
-        diff = lower_stiffness_direct(g, p) - lower_stiffness_product(g, p)
+        pts = rng.standard_normal((n, d))
+        if k % 3 == 0:  # make one or two pairs of points coincide exactly
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.choice(n, 2, replace=False)
+                pts[i] = pts[j]
+        cases.append((random_graph(rng, n), Placement(pts)))
+    cases += [
+        (turan_graph(48, 6)[0], crosspolytope_placement(48, 3)),
+        (turan_graph(48, 4)[0], turan_simplex_placement(48, 3)),
+        (complete_graph(48), unit_circle_placement(roots_of_unity_angles(48)).placement),
+    ]
+    worst = 0.0
+    for g, p in cases:
+        direct = lower_stiffness_direct(g, p)
+        diff = direct - lower_stiffness_product(g, p)
         if diff.size:
             worst = max(worst, float(np.max(np.abs(diff))))
+        assert set(np.diag(direct).tolist()) <= {0.0, 2.0}
     assert worst <= 1e-12
 
 

@@ -126,18 +126,14 @@ def test_traces_monotone_and_sound():
     )
 
 
-def test_gap_ascent_deterministic_and_thread_invariant():
+def test_gap_ascent_deterministic():
     cfg = OptimizerConfig(restarts=4, max_iters=60, seed=7)
-    runs = [
-        gap_ascent(complete_graph(5), 3, cfg),
-        gap_ascent(complete_graph(5), 3, cfg),
-        gap_ascent(complete_graph(5), 3, cfg, threads=4),
-    ]
+    runs = [gap_ascent(complete_graph(5), 3, cfg) for _ in range(2)]
     payloads = [
         json.dumps({k: v for k, v in r.to_json_dict().items() if k != "wall_time_s"})
         for r in runs
     ]
-    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0] == payloads[1]
 
 
 def test_result_json_shape():

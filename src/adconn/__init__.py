@@ -13,7 +13,6 @@ from .bounds import (
 )
 from .closedform import (
     BoundReport,
-    PredictedSpectrum,
     bound_report,
     circle_spectrum_closed_form,
     crosspolytope_spectrum_closed_form,

@@ -27,19 +27,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .closedform import bound_report
+from .closedform import CANONICAL, bound_report
 from .framework import Placement, lower_stiffness_direct, read_placement, stiffness
 from .graphs import Graph, complete_graph, read_edge_list, turan_graph
 from .optimize import GAUGES, OptimizerConfig, gap_ascent
-from .placements import (
-    crosspolytope_placement,
-    random_sphere_placement,
-    regular_simplex,
-    roots_of_unity_angles,
-    triangular_pyramid,
-    turan_simplex_placement,
-    unit_circle_placement,
-)
+from .placements import random_sphere_placement, triangular_pyramid
 from .probes import PROBE_TAGS, conjecture_probe
 from .spectral import clustered_spectrum
 from .verify import SUITES, run_suite
@@ -79,20 +71,17 @@ def parse_graph_spec(spec: str) -> Graph:
     raise UsageError(f"unknown graph kind {kind!r} (use complete, turan or file)")
 
 
+# Spec fields of the CANONICAL placement kinds; simplex:d has n = d+1 and circle:n has d = 2.
+_CANONICAL_SPECS = {"simplex": "d", "turan-simplex": "n,d", "crosspolytope": "n,d", "circle": "n"}
+
+
 def parse_placement_spec(spec: str) -> Placement:
     kind, rest = _split_fields(spec, "placement")
-    if kind == "simplex":
-        (d,) = _ints(rest, 1, "simplex:d")
-        return regular_simplex(d)
-    if kind == "turan-simplex":
-        n, d = _ints(rest, 2, "turan-simplex:n,d")
-        return turan_simplex_placement(n, d)
-    if kind == "crosspolytope":
-        n, d = _ints(rest, 2, "crosspolytope:n,d")
-        return crosspolytope_placement(n, d)
-    if kind == "circle":
-        (n,) = _ints(rest, 1, "circle:n")
-        return unit_circle_placement(roots_of_unity_angles(n)).placement
+    if kind in _CANONICAL_SPECS:
+        names = _CANONICAL_SPECS[kind].split(",")
+        fields = dict(zip(names, _ints(rest, len(names), f"{kind}:{_CANONICAL_SPECS[kind]}")))
+        d = fields.get("d", 2)
+        return CANONICAL[kind].placement(fields.get("n", d + 1), d)
     if kind == "tetra":
         try:
             h = float(rest)
@@ -145,11 +134,13 @@ def parse_grid(text: str | None) -> dict | None:
                 grid.setdefault(key, []).extend(range(int(lo), int(hi) + 1))
             except ValueError:
                 raise UsageError(f"grid range must be int..int, got {value!r}") from None
-        else:
-            try:
-                grid.setdefault(key, []).append(int(value) if value.isdigit() else float(value))
-            except ValueError:
-                raise UsageError(f"grid value must be numeric, got {value!r}") from None
+            continue
+        try:  # only the pyramid height h may be a non-integer
+            number = int(value) if key != "h" or value.lstrip("+-").isdigit() else float(value)
+        except ValueError:
+            kind = "a number" if key == "h" else "an integer"
+            raise UsageError(f"grid value for {key} must be {kind}, got {value!r}") from None
+        grid.setdefault(key, []).append(number)
     return grid
 
 
@@ -268,23 +259,21 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+# Probe parameters that take a list from --n or --d; every other tag takes
+# a single integer under the flag's own name.
+_LIST_PARAMS = {"top-n-sum": {"n": "ns", "d": "ds"}, "regular-2d": {"n": "ns"}}
+
+
 def cmd_conjecture(args) -> int:
     t0 = time.perf_counter()
     params: dict = {}
-    if args.n is not None:
-        ns = parse_int_range(args.n)
-        if args.tag in ("top-n-sum",):
-            params["ns"] = ns
-        elif args.tag in ("regular-2d",):
-            params["ns"] = ns
-        else:
-            params["n"] = _scalar(ns, "--n")
-    if args.d is not None:
-        ds = parse_int_range(args.d)
-        if args.tag == "top-n-sum":
-            params["ds"] = ds
-        else:
-            params["d"] = _scalar(ds, "--d")
+    for flag in ("n", "d"):
+        if getattr(args, flag) is not None:
+            values = parse_int_range(getattr(args, flag))
+            key = _LIST_PARAMS.get(args.tag, {}).get(flag)
+            if not key and len(values) != 1:
+                raise UsageError(f"--{flag} must be a single integer for this tag, got {values}")
+            params[key or flag] = values if key else values[0]
     if args.samples is not None:
         params["samples"] = args.samples
     if args.k is not None:
@@ -303,12 +292,6 @@ def cmd_conjecture(args) -> int:
     _write_manifest(outdir, "conjecture", _params(args), args.seed, [path], t0)
     print(json.dumps({"name": record["name"], "summary": record["summary"]}, indent=2))
     return 0
-
-
-def _scalar(values: list[int], flag: str) -> int:
-    if len(values) != 1:
-        raise UsageError(f"{flag} must be a single integer for this tag, got {values}")
-    return values[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,41 +1,38 @@
-"""Closed-form stiffness spectra for the canonical frameworks, and the
-lower/upper bound formulas for the d-dimensional algebraic connectivity of
-complete graphs.
+"""Closed-form stiffness spectra for the canonical frameworks, the table of
+those frameworks, and the lower/upper bound formulas for the d-dimensional
+algebraic connectivity of complete graphs.
+
+CANONICAL lists each canonical framework once, with its admissibility on
+(n, d), graph, placement and closed-form spectrum.  The verify suites, the
+optimizer's starts, the probes and the CLI placement specs read it, so a new
+family costs one row plus its closed form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
+from .framework import Placement
+from .graphs import Graph, complete_graph, turan_graph
+from .placements import (
+    crosspolytope_placement,
+    regular_simplex,
+    roots_of_unity_angles,
+    triangular_pyramid,
+    turan_simplex_placement,
+    unit_circle_placement,
+)
 from .spectral import MultiplicitySpectrum
 
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PredictedSpectrum:
-    """A predicted (value, multiplicity) clustering with its formula tag.
-
-    Clusters are sorted, nonnegative, free of zero multiplicities, and values
-    closer than 1e-12 are merged before any comparison.
-    """
-
-    clusters: tuple[tuple[float, int], ...]
-    source: str
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.clusters)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.clusters)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.clusters)
-
-
-def _predicted(source: str, pairs, expected_total: int) -> PredictedSpectrum:
+def _predicted(tag: str, pairs, expected_total: int) -> MultiplicitySpectrum:
+    """Sorted clusters of the pairs, zero multiplicities dropped, values within MERGE_TOL merged."""
     live = sorted((float(v), int(m)) for v, m in pairs if m > 0)
     merged: list[list] = []
     for v, m in live:
@@ -45,14 +42,14 @@ def _predicted(source: str, pairs, expected_total: int) -> PredictedSpectrum:
             merged.append([v, m])
     clusters = tuple((v, m) for v, m in merged)
     if any(v < 0 for v, _ in clusters):
-        raise AssertionError(f"{source}: negative predicted eigenvalue")
+        raise AssertionError(f"{tag}: negative predicted eigenvalue")
     total = sum(m for _, m in clusters)
     if total != expected_total:
-        raise AssertionError(f"{source}: multiplicities sum to {total}, expected {expected_total}")
-    return PredictedSpectrum(clusters, source)
+        raise AssertionError(f"{tag}: multiplicities sum to {total}, expected {expected_total}")
+    return MultiplicitySpectrum(clusters, total, MERGE_TOL)
 
 
-def simplex_spectrum_closed_form(d: int) -> PredictedSpectrum:
+def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the complete graph on d+1 vertices at the regular simplex."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -65,7 +62,7 @@ def simplex_spectrum_closed_form(d: int) -> PredictedSpectrum:
     return _predicted("simplex", pairs, d * (d + 1))
 
 
-def turan_simplex_spectrum_closed_form(n: int, d: int) -> PredictedSpectrum:
+def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -81,7 +78,7 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> PredictedSpectrum:
     return _predicted("turan-simplex", pairs, d * n)
 
 
-def crosspolytope_spectrum_closed_form(n: int, d: int) -> PredictedSpectrum:
+def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -97,7 +94,7 @@ def crosspolytope_spectrum_closed_form(n: int, d: int) -> PredictedSpectrum:
     return _predicted("crosspolytope", pairs, d * n)
 
 
-def pyramid_spectrum_closed_form(apex_height: float) -> PredictedSpectrum:
+def pyramid_spectrum_closed_form(apex_height: float) -> MultiplicitySpectrum:
     """Stiffness spectrum of the 4-point pyramid family, parameterized by apex height.
 
     With ell^2 = h^2 + 1/3 the squared apex-edge length, the nonzero part is
@@ -118,12 +115,73 @@ def pyramid_spectrum_closed_form(apex_height: float) -> PredictedSpectrum:
     return _predicted("pyramid", pairs, 12)
 
 
-def circle_spectrum_closed_form(n: int) -> PredictedSpectrum:
+def circle_spectrum_closed_form(n: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of K_n at any injective centered unit-circle placement."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     pairs = [(0.0, 3), (n / 2, 2 * n - 4), (float(n), 1)]
     return _predicted("circle", pairs, 2 * n)
+
+
+PYRAMID_START_HEIGHT = 1.0 / math.sqrt(6.0)
+
+
+@dataclass(frozen=True)
+class CanonicalFramework:
+    """A canonical framework family, each field a function of (n, d); admits
+    says where graph and placement exist, and the closed form also needs d >= 2."""
+
+    admits: Callable[[int, int], bool]
+    graph: Callable[[int, int], Graph]
+    placement: Callable[[int, int], Placement]
+    spectrum: Callable[[int, int], MultiplicitySpectrum]
+
+
+# Row names are the closed-form tags; row order is the optimizer's start order.
+CANONICAL: dict[str, CanonicalFramework] = {
+    "simplex": CanonicalFramework(
+        lambda n, d: n == d + 1,
+        lambda n, d: complete_graph(n),
+        lambda n, d: regular_simplex(d),
+        lambda n, d: simplex_spectrum_closed_form(d),
+    ),
+    "pyramid": CanonicalFramework(
+        lambda n, d: (n, d) == (4, 3),
+        lambda n, d: complete_graph(4),
+        lambda n, d: triangular_pyramid(PYRAMID_START_HEIGHT),
+        lambda n, d: pyramid_spectrum_closed_form(PYRAMID_START_HEIGHT),
+    ),
+    "crosspolytope": CanonicalFramework(
+        lambda n, d: n >= 2 * d and n % (2 * d) == 0,
+        lambda n, d: turan_graph(n, 2 * d)[0],
+        crosspolytope_placement,
+        crosspolytope_spectrum_closed_form,
+    ),
+    "turan-simplex": CanonicalFramework(
+        lambda n, d: n >= d + 1 and n % (d + 1) == 0,
+        lambda n, d: turan_graph(n, d + 1)[0],
+        turan_simplex_placement,
+        turan_simplex_spectrum_closed_form,
+    ),
+    "circle": CanonicalFramework(
+        lambda n, d: d == 2 and n >= 3,
+        lambda n, d: complete_graph(n),
+        lambda n, d: unit_circle_placement(roots_of_unity_angles(n)).placement,
+        lambda n, d: circle_spectrum_closed_form(n),
+    ),
+}
+
+
+def canonical_placements(n: int, d: int) -> list[tuple[str, Placement]]:
+    """(row name, placement) of the rows admitting (n, d), in table order, less
+    repeats: at n = d+1 the Turán simplex placement is the regular simplex."""
+    out: list[tuple[str, Placement]] = []
+    for name, row in CANONICAL.items():
+        if row.admits(n, d):
+            p = row.placement(n, d)
+            if not any(np.array_equal(p.points, q.points) for _, q in out):
+                out.append((name, p))
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,7 +192,7 @@ class SpectrumMatch:
 
 
 def spectrum_matches(
-    predicted: PredictedSpectrum,
+    predicted: MultiplicitySpectrum,
     computed: MultiplicitySpectrum,
     value_tol: float = 1e-9,
 ) -> SpectrumMatch:

@@ -174,7 +174,12 @@ def placement_from_json(text: str) -> Placement:
         raise ValueError(f"placement JSON is malformed: {exc}") from None
     if not isinstance(obj, dict) or "d" not in obj or "points" not in obj:
         raise ValueError("placement JSON must be an object with fields 'd' and 'points'")
-    pts = np.asarray(obj["points"], dtype=float)
+    if type(obj["d"]) is not int or obj["d"] < 1:
+        raise ValueError(f"field 'd' must be a positive integer, got {obj['d']!r}")
+    try:
+        pts = np.asarray(obj["points"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("field 'points' must be an n x d array of numbers") from None
     if pts.ndim != 2 or pts.shape[1] != obj["d"]:
         raise ValueError(
             f"field 'points' must be an n x d array with d={obj['d']}, got shape {pts.shape}"

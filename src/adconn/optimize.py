@@ -24,16 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closedform import canonical_placements
 from .framework import Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
 from .graphs import Graph
-from .placements import (
-    crosspolytope_placement,
-    regular_simplex,
-    roots_of_unity_angles,
-    triangular_pyramid,
-    turan_simplex_placement,
-    unit_circle_placement,
-)
 from .seeding import rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
@@ -182,20 +175,11 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
 
 
 def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement]:
-    """Initial placements: jittered canonical configurations first (whenever
-    the divisibility conditions admit them), then uniform sphere starts."""
+    """Initial placements: jittered canonical configurations first (the
+    distinct placements of the CANONICAL rows admitting (n, d), in table
+    order), then uniform sphere starts."""
     n = g.n
-    canonical: list[Placement] = []
-    if n == d + 1:
-        canonical.append(regular_simplex(d))
-        if d == 3:
-            canonical.append(triangular_pyramid(1.0 / math.sqrt(6.0)))
-    if n % (2 * d) == 0:
-        canonical.append(crosspolytope_placement(n, d))
-    if n > d + 1 and n % (d + 1) == 0:
-        canonical.append(turan_simplex_placement(n, d))
-    if d == 2 and n >= 3:
-        canonical.append(unit_circle_placement(roots_of_unity_angles(n)).placement)
+    canonical = [p for _, p in canonical_placements(n, d)]
 
     starts: list[Placement] = []
     for i in range(config.restarts):

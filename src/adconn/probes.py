@@ -12,44 +12,14 @@ import math
 
 import networkx as nx
 
+from .bounds import top_eigenvalue_sum_check
+from .closedform import canonical_placements
 from .framework import Placement
 from .graphs import complete_graph, make_graph
 from .optimize import OptimizerConfig, gap_ascent
-from .placements import (
-    centered_sphere_points,
-    crosspolytope_placement,
-    regular_simplex,
-    replicate_placement,
-    roots_of_unity_angles,
-    unit_circle_placement,
-)
+from .placements import centered_sphere_points, replicate_placement
 from .seeding import rng_stream
 from .spectral import spectral_gap, stiffness_spectrum
-from .bounds import top_eigenvalue_sum_check
-
-PROBE_TAGS = (
-    "spherical-second-eig",
-    "top-n-sum",
-    "kn-upper",
-    "regular-2d",
-    "repeated-points",
-)
-
-
-def conjecture_probe(name: str, params: dict | None = None, seed: int = 0) -> dict:
-    """Run the named conjecture sweep; see PROBE_TAGS for the valid names."""
-    params = dict(params or {})
-    if name == "spherical-second-eig":
-        return _probe_spherical_second_eig(params, seed)
-    if name == "top-n-sum":
-        return _probe_top_n_sum(params, seed)
-    if name == "kn-upper":
-        return _probe_kn_upper(params, seed)
-    if name == "regular-2d":
-        return _probe_regular_2d(params, seed)
-    if name == "repeated-points":
-        return _probe_repeated_points(params, seed)
-    raise ValueError(f"unknown conjecture tag {name!r}; valid tags: {', '.join(PROBE_TAGS)}")
 
 
 def _record(name: str, params: dict, seed: int, instances: list, summary: dict, candidates: list) -> dict:
@@ -70,6 +40,8 @@ def _probe_spherical_second_eig(params: dict, seed: int) -> dict:
     n = int(params.get("n", 8))
     d = int(params.get("d", 3))
     samples = int(params.get("samples", 50))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     g = complete_graph(n)
     instances, candidates = [], []
     for s in range(samples):
@@ -102,17 +74,6 @@ def _probe_spherical_second_eig(params: dict, seed: int) -> dict:
     return _record("spherical-second-eig", {"n": n, "d": d, "samples": samples}, seed, instances, summary, candidates)
 
 
-def _injective_canonical_instances(n: int, d: int) -> list[tuple[str, Placement]]:
-    out = []
-    if n == d + 1:
-        out.append(("regular-simplex", regular_simplex(d)))
-    if d == 2 and n >= 3:
-        out.append(("roots-of-unity", unit_circle_placement(roots_of_unity_angles(n)).placement))
-    if n == 2 * d:
-        out.append(("crosspolytope", crosspolytope_placement(n, d)))
-    return out
-
-
 def _probe_top_n_sum(params: dict, seed: int) -> dict:
     """Sum of the n largest stiffness eigenvalues of K_n at injective
     placements, against the conjectured floor n(n+1)/2."""
@@ -122,7 +83,7 @@ def _probe_top_n_sum(params: dict, seed: int) -> dict:
     instances, candidates = [], []
     for n in ns:
         for d in ds:
-            pool = _injective_canonical_instances(n, d)
+            pool = [(name, p) for name, p in canonical_placements(n, d) if p.is_injective()]
             for s in range(samples):
                 rng = rng_stream(seed, f"topsum:{n}:{d}:{s}")
                 pool.append((f"random-{s}", Placement(rng.standard_normal((n, d)))))
@@ -140,6 +101,8 @@ def _probe_top_n_sum(params: dict, seed: int) -> dict:
                 instances.append(inst)
                 if inst["margin"] < -1e-9:
                     candidates.append(inst)
+    if not instances:
+        raise ValueError("top-n-sum has no instances: samples is 0 and no canonical framework fits ns and ds")
     worst = min(instances, key=lambda i: i["margin"])
     summary = {
         "min_margin": worst["margin"],
@@ -185,6 +148,8 @@ def _probe_regular_2d(params: dict, seed: int) -> dict:
     d = int(params.get("d", 2))
     ns = [int(x) for x in params.get("ns", (8, 12, 16))]
     samples = int(params.get("samples", 3))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     restarts = int(params.get("restarts", 4))
     instances = []
     for n in ns:
@@ -243,3 +208,20 @@ def _probe_repeated_points(params: dict, seed: int) -> dict:
         summary,
         candidates,
     )
+
+
+PROBES = {
+    "spherical-second-eig": _probe_spherical_second_eig,
+    "top-n-sum": _probe_top_n_sum,
+    "kn-upper": _probe_kn_upper,
+    "regular-2d": _probe_regular_2d,
+    "repeated-points": _probe_repeated_points,
+}
+PROBE_TAGS = tuple(PROBES)
+
+
+def conjecture_probe(name: str, params: dict | None = None, seed: int = 0) -> dict:
+    """Run the named conjecture sweep; see PROBE_TAGS for the valid names."""
+    if name not in PROBES:
+        raise ValueError(f"unknown conjecture tag {name!r}; valid tags: {', '.join(PROBE_TAGS)}")
+    return PROBES[name](dict(params or {}), seed)

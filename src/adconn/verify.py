@@ -1,6 +1,9 @@
 """Verification sweeps: every closed-form spectrum, eigenvector family,
 interlacing relation, and projection identity checked on a grid of instances.
 
+The simplex, Turán-simplex and crosspolytope sweeps take their instances from
+the closedform.CANONICAL rows; a custom (d, n) grid keeps the pairs a row admits.
+
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
      multiplicity_match, pass}
@@ -20,12 +23,10 @@ from .bounds import (
     vertex_star_vector,
 )
 from .closedform import (
+    CANONICAL,
     circle_spectrum_closed_form,
-    crosspolytope_spectrum_closed_form,
     pyramid_spectrum_closed_form,
-    simplex_spectrum_closed_form,
     spectrum_matches,
-    turan_simplex_spectrum_closed_form,
 )
 from .families import (
     crosspolytope_families,
@@ -35,7 +36,7 @@ from .families import (
     weighted_length_vector,
 )
 from .framework import Placement, lower_stiffness_direct, stiffness
-from .graphs import Graph, complete_graph, turan_graph
+from .graphs import Graph, complete_graph
 from .placements import (
     centered_circle_angles,
     crosspolytope_placement,
@@ -90,52 +91,38 @@ def _grid_range(grid: dict | None, key: str, default) -> list:
     return list(default)
 
 
-def _grid_pairs(grid: dict | None, default_pairs, divisor_of_n) -> list[tuple[int, int]]:
-    """(d, n) pairs either straight from the default grid or as the divisibility-
-    filtered product of explicit d and n ranges."""
+def _grid_pairs(grid: dict | None, default_pairs, row: str) -> list[tuple[int, int]]:
+    """(d, n) pairs either straight from the default grid or as the product of
+    explicit d and n ranges, filtered by the CANONICAL row's admissibility."""
     if not grid or ("d" not in grid and "n" not in grid):
         return list(default_pairs)
     ds = _grid_range(grid, "d", sorted({d for d, _ in default_pairs}))
     ns = _grid_range(grid, "n", sorted({n for _, n in default_pairs}))
-    return [(d, n) for d in ds for n in ns if n >= divisor_of_n(d) and n % divisor_of_n(d) == 0]
+    return [(d, n) for d in ds for n in ns if CANONICAL[row].admits(n, d)]
+
+
+def _canonical_entries(row: str, pairs, instance) -> list[dict]:
+    """One closed-form spectrum entry per (d, n) pair of a CANONICAL row."""
+    fw = CANONICAL[row]
+    return [
+        _spectrum_entry(row, instance(n, d), fw.spectrum(n, d), fw.graph(n, d), fw.placement(n, d))
+        for d, n in pairs
+    ]
 
 
 def suite_simplex(grid=None, samples=None, seed=0) -> list[dict]:
-    ds = _grid_range(grid, "d", range(2, 11))
-    return [
-        _spectrum_entry(
-            "simplex", {"d": d}, simplex_spectrum_closed_form(d), complete_graph(d + 1), regular_simplex(d)
-        )
-        for d in ds
-    ]
+    pairs = [(d, d + 1) for d in _grid_range(grid, "d", range(2, 11))]
+    return _canonical_entries("simplex", pairs, lambda n, d: {"d": d})
 
 
 def suite_turan(grid=None, samples=None, seed=0) -> list[dict]:
-    pairs = _grid_pairs(grid, TURAN_GRID, lambda d: d + 1)
-    return [
-        _spectrum_entry(
-            "turan-simplex",
-            {"n": n, "d": d},
-            turan_simplex_spectrum_closed_form(n, d),
-            turan_graph(n, d + 1)[0],
-            turan_simplex_placement(n, d),
-        )
-        for d, n in pairs
-    ]
+    pairs = _grid_pairs(grid, TURAN_GRID, "turan-simplex")
+    return _canonical_entries("turan-simplex", pairs, lambda n, d: {"n": n, "d": d})
 
 
 def suite_cross(grid=None, samples=None, seed=0) -> list[dict]:
-    pairs = _grid_pairs(grid, CROSS_GRID, lambda d: 2 * d)
-    return [
-        _spectrum_entry(
-            "crosspolytope",
-            {"n": n, "d": d},
-            crosspolytope_spectrum_closed_form(n, d),
-            turan_graph(n, 2 * d)[0],
-            crosspolytope_placement(n, d),
-        )
-        for d, n in pairs
-    ]
+    pairs = _grid_pairs(grid, CROSS_GRID, "crosspolytope")
+    return _canonical_entries("crosspolytope", pairs, lambda n, d: {"n": n, "d": d})
 
 
 def suite_tetra(grid=None, samples=None, seed=0) -> list[dict]:
@@ -365,8 +352,8 @@ def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
             worst <= RESIDUAL_TOL,
         )
 
-    turan_pairs = _grid_pairs(grid, TURAN_GRID, lambda d: d + 1)
-    cross_pairs = _grid_pairs(grid, CROSS_GRID, lambda d: 2 * d)
+    turan_pairs = _grid_pairs(grid, TURAN_GRID, "turan-simplex")
+    cross_pairs = _grid_pairs(grid, CROSS_GRID, "crosspolytope")
     entries = [e for d, n in turan_pairs for e in turan_job(d, n)]
     entries += [e for d, n in cross_pairs for e in cross_job(d, n)]
     entries += [spherical_job(f"turan-simplex:{n},{d}", n, turan_simplex_placement(n, d)) for d, n in turan_pairs]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from adconn.cli import main, parse_graph_spec, parse_grid, parse_int_range, parse_placement_spec
+from adconn.cli import UsageError, main, parse_graph_spec, parse_grid, parse_int_range, parse_placement_spec
+from adconn.closedform import CANONICAL
 from adconn.graphs import complete_graph
 
 
@@ -35,12 +36,47 @@ def test_parse_placement_specs(tmp_path):
     assert parse_placement_spec(f"file:{path}").d == 2
 
 
+@pytest.mark.parametrize(
+    "spec,name,n,d",
+    [
+        ("simplex:3", "simplex", 4, 3),
+        ("turan-simplex:8,3", "turan-simplex", 8, 3),
+        ("crosspolytope:12,3", "crosspolytope", 12, 3),
+        ("circle:5", "circle", 5, 2),
+    ],
+)
+def test_parse_canonical_placement_spec(spec, name, n, d):
+    np.testing.assert_array_equal(parse_placement_spec(spec).points, CANONICAL[name].placement(n, d).points)
+
+
+@pytest.mark.parametrize("spec", ["simplex:3,4", "circle:", "crosspolytope:12", "turan-simplex:8,x"])
+def test_canonical_placement_spec_needs_its_integer_fields(spec):
+    with pytest.raises(UsageError):
+        parse_placement_spec(spec)
+
+
 def test_parse_ranges():
     assert parse_int_range("7") == [7]
     assert parse_int_range("3..6") == [3, 4, 5, 6]
     assert parse_int_range("1,4..5") == [1, 4, 5]
     assert parse_grid("d=2..4,n=8") == {"d": [2, 3, 4], "n": [8]}
     assert parse_grid(None) is None
+
+
+def test_parse_grid_keeps_integers_and_allows_reals_only_for_h():
+    grid = parse_grid("n=-3,d=4,h=0.5,h=1,h=-2")
+    assert grid == {"n": [-3], "d": [4], "h": [0.5, 1, -2]}
+    assert [type(v) for v in grid["n"] + grid["h"]] == [int, float, int, int]
+    for text in ("n=4.0", "d=1e3", "n=x", "h=x"):
+        with pytest.raises(UsageError):
+            parse_grid(text)
+
+
+def test_verify_non_integer_grid_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "circle", "--grid", "n=4.0", "--outdir", str(tmp_path),
+    )
+    assert code == 2 and "must be an integer" in err
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -106,6 +142,36 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"d": 2, "points": {"a": 1}}, "array of numbers"),
+        ({"d": 2, "points": [[0.0, 1.0], [2.0]]}, "array of numbers"),
+        ({"d": 2, "points": [["a", "b"]] * 3}, "array of numbers"),
+        ({"d": "2", "points": [[0.0, 0.0]] * 3}, "positive integer"),
+        ({"d": 2.0, "points": [[0.0, 0.0]] * 3}, "positive integer"),
+        ({"d": True, "points": [[0.0]] * 3}, "positive integer"),
+        ({"d": 0, "points": [[0.0, 0.0]] * 3}, "positive integer"),
+    ],
+)
+def test_malformed_placement_file_is_usage_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        capsys,
+        "spectrum", "--graph", "complete:3", "--placement", f"file:{path}",
+        "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("tag", ["spherical-second-eig", "regular-2d"])
+def test_conjecture_zero_samples_is_usage_error(tmp_path, capsys, tag):
+    code, _, err = run_cli(capsys, "conjecture", tag, "--samples", "0", "--outdir", str(tmp_path))
+    assert code == 2 and "samples must be >= 1" in err
 
 
 def test_verify_command_pass_and_report(tmp_path, capsys):

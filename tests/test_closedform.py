@@ -3,7 +3,10 @@ import math
 import pytest
 
 from adconn.closedform import (
+    CANONICAL,
+    MERGE_TOL,
     bound_report,
+    canonical_placements,
     circle_spectrum_closed_form,
     crosspolytope_spectrum_closed_form,
     pyramid_spectrum_closed_form,
@@ -17,7 +20,7 @@ from adconn.placements import (
     regular_simplex,
     triangular_pyramid,
 )
-from adconn.spectral import stiffness_spectrum
+from adconn.spectral import MultiplicitySpectrum, stiffness_spectrum
 
 
 def test_simplex_closed_form_values():
@@ -122,8 +125,28 @@ def test_circle_closed_form_values():
 )
 def test_multiplicities_sum_to_dimension(builder, args, total):
     pred = builder(*args)
+    assert isinstance(pred, MultiplicitySpectrum) and pred.cluster_tol == MERGE_TOL
     assert pred.total == total
     assert all(v >= 0 for v, _ in pred.clusters)
+
+
+@pytest.mark.parametrize("name", list(CANONICAL))
+def test_canonical_row_matches_its_closed_form(name):
+    row = CANONICAL[name]
+    # the smallest admissible (n, d) where the closed forms are stated, d >= 2
+    n, d = min((n, d) for n in range(2, 13) for d in range(2, 7) if row.admits(n, d))
+    computed = stiffness_spectrum(row.graph(n, d), row.placement(n, d))
+    assert computed.total == n * d
+    assert spectrum_matches(row.spectrum(n, d), computed).ok, (name, n, d)
+
+
+def test_canonical_table_order_and_repeats():
+    assert list(CANONICAL) == ["simplex", "pyramid", "crosspolytope", "turan-simplex", "circle"]
+    # at n = d+1 the Turán simplex placement repeats the simplex and is listed once
+    assert CANONICAL["turan-simplex"].admits(4, 3)
+    assert [name for name, _ in canonical_placements(4, 3)] == ["simplex", "pyramid"]
+    assert [name for name, _ in canonical_placements(2, 1)] == ["simplex", "crosspolytope"]
+    assert canonical_placements(5, 3) == []
 
 
 def test_spectrum_matches_detects_mismatch():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adconn.closedform import CANONICAL
 from adconn.framework import Placement, stiffness
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
@@ -71,6 +72,26 @@ def test_seeded_restarts_include_crosspolytope():
     cfg = OptimizerConfig(restarts=4, seed=0)
     starts = seeded_restarts(complete_graph(12), 3, cfg)
     assert np.max(np.abs(starts[0].points - crosspolytope_placement(12, 3).points)) < 1e-2
+
+
+@pytest.mark.parametrize(
+    "n,d,names",
+    [
+        (4, 3, ["simplex", "pyramid"]),
+        (6, 2, ["turan-simplex", "circle"]),
+        (8, 2, ["crosspolytope", "circle"]),
+        (12, 3, ["crosspolytope", "turan-simplex"]),
+        (12, 2, ["crosspolytope", "turan-simplex", "circle"]),
+    ],
+)
+def test_seeded_restarts_canonical_order(n, d, names):
+    cfg = OptimizerConfig(restarts=len(names) + 1, seed=2)
+    starts = seeded_restarts(complete_graph(n), d, cfg)
+    for start, name in zip(starts, names):
+        canonical = CANONICAL[name].placement(n, d).points
+        assert np.max(np.abs(start.points - canonical)) < 1e-2, name
+    # the start after the canonical ones is a uniform sphere start
+    np.testing.assert_allclose(np.linalg.norm(starts[-1].points, axis=1), 1.0, atol=1e-12)
 
 
 def test_seeded_restarts_deterministic():

@@ -31,8 +31,26 @@ def test_top_n_sum_probe():
     )
     assert record["summary"]["min_margin"] >= -1e-9
     hits = {(h["n"], h["d"], h["instance"]) for h in record["summary"]["equality_hits"]}
-    assert (3, 2, "roots-of-unity") in hits  # equilateral triangle attains the floor
+    assert (3, 2, "circle") in hits  # equilateral triangle attains the floor
     assert json.dumps(record)  # fully serializable
+
+
+@pytest.mark.parametrize("tag", ["spherical-second-eig", "regular-2d"])
+def test_sampling_probes_reject_zero_samples(tag):
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        conjecture_probe(tag, {"samples": 0}, seed=0)
+
+
+def test_top_n_sum_without_samples_keeps_canonical_instances():
+    record = conjecture_probe("top-n-sum", {"ns": [3, 4], "ds": [2, 3], "samples": 0}, seed=0)
+    labels = [(i["n"], i["d"], i["instance"]) for i in record["instances"]]
+    assert labels == [
+        (3, 2, "simplex"), (3, 2, "circle"),
+        (4, 2, "crosspolytope"), (4, 2, "circle"),
+        (4, 3, "simplex"), (4, 3, "pyramid"),
+    ]
+    with pytest.raises(ValueError, match="no instances"):
+        conjecture_probe("top-n-sum", {"ns": [5], "ds": [3], "samples": 0}, seed=0)
 
 
 def test_kn_upper_probe():

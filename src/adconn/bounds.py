@@ -19,12 +19,7 @@ def vertex_star_vector(n: int, i: int) -> np.ndarray:
     """Indicator over the edges of K_n of the star at vertex i."""
     if not 0 <= i < n:
         raise ValueError(f"vertex {i} out of range 0..{n - 1}")
-    g = complete_graph(n)
-    vec = np.zeros(g.m)
-    for k, (u, v) in enumerate(g.edges):
-        if i in (u, v):
-            vec[k] = 1.0
-    return vec
+    return complete_graph(n).incidence[i].copy()
 
 
 def vertex_star_projection(n: int) -> np.ndarray:
@@ -36,18 +31,11 @@ def vertex_star_projection(n: int) -> np.ndarray:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    g = complete_graph(n)
-    diag = 2.0 / (n - 1)
+    B = complete_graph(n).incidence
     adj = (n - 3) / ((n - 1) * (n - 2))
     disj = -1.0 / math.comb(n - 1, 2)
-    P = np.full((g.m, g.m), disj)
-    for k1, (u1, v1) in enumerate(g.edges):
-        P[k1, k1] = diag
-        for k2 in range(k1 + 1, g.m):
-            u2, v2 = g.edges[k2]
-            if len({u1, v1, u2, v2}) == 3:
-                P[k1, k2] = adj
-                P[k2, k1] = adj
+    P = np.where(B.T @ B == 1.0, adj, disj)  # B^t B counts the vertices two edges share
+    np.fill_diagonal(P, 2.0 / (n - 1))
     return P
 
 

@@ -101,16 +101,24 @@ def parse_placement_spec(spec: str) -> Placement:
     raise UsageError(f"unknown placement kind {kind!r}")
 
 
+def _inclusive_range(text: str, what: str) -> range:
+    """'lo..hi' as the integers lo through hi; an empty range (lo > hi) is an error."""
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise UsageError(f"{what} must be int..int, got {text!r}") from None
+    if lo > hi:
+        raise UsageError(f"{what} {text!r} is empty: {lo} > {hi}")
+    return range(lo, hi + 1)
+
+
 def parse_int_range(text: str) -> list[int]:
     """Accept '7' or '3..10' (inclusive) or comma lists of either."""
     out: list[int] = []
     for piece in text.split(","):
         if ".." in piece:
-            lo, _, hi = piece.partition("..")
-            try:
-                out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise UsageError(f"range must be int..int, got {piece!r}") from None
+            out.extend(_inclusive_range(piece, "range"))
         else:
             try:
                 out.append(int(piece))
@@ -129,11 +137,7 @@ def parse_grid(text: str | None) -> dict | None:
         if not sep:
             raise UsageError(f"grid field {field!r} must look like key=value or key=lo..hi")
         if ".." in value:
-            lo, _, hi = value.partition("..")
-            try:
-                grid.setdefault(key, []).extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise UsageError(f"grid range must be int..int, got {value!r}") from None
+            grid.setdefault(key, []).extend(_inclusive_range(value, "grid range"))
             continue
         try:  # only the pyramid height h may be a non-integer
             number = int(value) if key != "h" or value.lstrip("+-").isdigit() else float(value)
@@ -219,10 +223,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    try:
-        report = bound_report(args.n, args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = bound_report(args.n, args.d)
     if args.observe:
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
         result = gap_ascent(complete_graph(args.n), args.d, config)
@@ -246,10 +247,7 @@ def cmd_optimize(args) -> int:
         seed=args.seed,
         gauge=args.gauge,
     )
-    try:
-        result = gap_ascent(g, args.d, config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = gap_ascent(g, args.d, config)
     outdir = Path(args.outdir)
     path = outdir / "optimize_result.json"
     payload = result.to_json_dict()
@@ -282,10 +280,7 @@ def cmd_conjecture(args) -> int:
         params["restarts"] = args.restarts
     if args.base_seed is not None:
         params["base_seed"] = args.base_seed
-    try:
-        record = conjecture_probe(args.tag, params, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    record = conjecture_probe(args.tag, params, seed=args.seed)
     outdir = Path(args.outdir)
     path = outdir / f"conjecture_{args.tag}.json"
     _write_json(path, record)
@@ -356,10 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -223,14 +223,7 @@ class BoundReport:
     gap_observed: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lower_divisible": self.lower_divisible,
-            "lower_general": self.lower_general,
-            "upper": self.upper,
-            "gap_observed": self.gap_observed,
-        }
+        return asdict(self)
 
 
 def bound_report(n: int, d: int) -> BoundReport:

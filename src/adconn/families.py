@@ -107,10 +107,7 @@ def eigenvector_condition_check(
     if np.any(edge_lengths(g, p) == 0.0):
         raise ValueError("every edge must have distinct endpoint images")
     C = lower_stiffness_direct(g, p)
-    B = np.zeros((g.n, g.m))
-    for k, (u, v) in enumerate(g.edges):
-        B[u, k] = 1.0
-        B[v, k] = 1.0
+    B = g.incidence
     shared = B.T @ B
     adjacent = shared == 1.0
 
@@ -145,22 +142,23 @@ def eigenvector_condition_check(
 # Combinatorial family vectors over a balanced partition
 
 
+def _part_pair_vector(g: Graph, partition: TuranPartition, signs: dict) -> np.ndarray:
+    """Edge vector carrying signs[(a, b)] on every edge between parts a and b, either way round,
+    and 0 on the edges between parts that name no pair."""
+    table = np.zeros((partition.r, partition.r))
+    for (a, b), sign in signs.items():
+        table[a, b] = table[b, a] = sign
+    parts = np.asarray(partition.part_of)[np.asarray(g.edges, dtype=np.intp).reshape(g.m, 2)]
+    return table[parts[:, 0], parts[:, 1]]
+
+
 def part_quad_vector(g: Graph, partition: TuranPartition, quad: tuple[int, int, int, int]) -> np.ndarray:
     """+1 on edges between parts (q1, q2) and (q3, q4), -1 on (q2, q3) and (q1, q4)."""
     q1, q2, q3, q4 = quad
     if len({q1, q2, q3, q4}) != 4:
         raise ValueError(f"quad indices must be distinct, got {quad}")
-    part_of = partition.part_of
-    vec = np.zeros(g.m)
-    plus = {frozenset((q1, q2)), frozenset((q3, q4))}
-    minus = {frozenset((q2, q3)), frozenset((q1, q4))}
-    for k, (u, v) in enumerate(g.edges):
-        key = frozenset((part_of[u], part_of[v]))
-        if key in plus:
-            vec[k] = 1.0
-        elif key in minus:
-            vec[k] = -1.0
-    return vec
+    signs = {(q1, q2): 1.0, (q3, q4): 1.0, (q2, q3): -1.0, (q1, q4): -1.0}
+    return _part_pair_vector(g, partition, signs)
 
 
 def star_difference_vector(
@@ -176,14 +174,11 @@ def star_difference_vector(
         raise ValueError("u and v must be distinct vertices of a common part")
     if j == k or i in (j, k):
         raise ValueError("parts j and k must be distinct and different from the part of u, v")
-    vec = np.zeros(g.m)
-    for w in partition.parts[j]:
-        vec[g.index_of(u, w)] += 1.0
-        vec[g.index_of(v, w)] -= 1.0
-    for w in partition.parts[k]:
-        vec[g.index_of(v, w)] += 1.0
-        vec[g.index_of(u, w)] -= 1.0
-    return vec
+    B = g.incidence
+    in_j, in_k = B[list(partition.parts[j])].sum(axis=0), B[list(partition.parts[k])].sum(axis=0)
+    if (B[u] + B[v]) @ (in_j + in_k) != 2 * (len(partition.parts[j]) + len(partition.parts[k])):
+        raise ValueError("g must join u and v to every vertex of parts j and k")
+    return (B[u] - B[v]) * (in_j - in_k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +192,12 @@ class EigenvectorFamily:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
+
+
+def _family(eigenvalue: float, g: Graph, labels: list, vector) -> EigenvectorFamily:
+    """The rows vector(label) over labels, shaped (0, m) when labels is empty."""
+    vectors = np.array([vector(label) for label in labels]).reshape(len(labels), g.m)
+    return EigenvectorFamily(eigenvalue, vectors, tuple(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +232,6 @@ def turan_simplex_families(n: int, d: int) -> TuranSimplexFamilies:
                 quad_labels.append((1, 2, j, k))
     else:
         note = "quad vectors need four distinct parts, so the family is empty for d < 3"
-    quad_vecs = (
-        np.array([part_quad_vector(g, partition, q) for q in quad_labels])
-        if quad_labels
-        else np.zeros((0, g.m))
-    )
 
     star_labels: list[tuple[int, int, int, int]] = []
     for i in range(r):
@@ -245,17 +241,14 @@ def turan_simplex_families(n: int, d: int) -> TuranSimplexFamilies:
             for k in range(r):
                 if k not in (i, j_i):
                     star_labels.append((anchor, v, j_i, k))
-    star_vecs = (
-        np.array([star_difference_vector(g, partition, *lab) for lab in star_labels])
-        if star_labels
-        else np.zeros((0, g.m))
-    )
 
     return TuranSimplexFamilies(
         graph=g,
         partition=partition,
-        quads=EigenvectorFamily(n / (d + 1), quad_vecs, tuple(quad_labels)),
-        star_differences=EigenvectorFamily(n / (2 * (d + 1)), star_vecs, tuple(star_labels)),
+        quads=_family(n / (d + 1), g, quad_labels, lambda q: part_quad_vector(g, partition, q)),
+        star_differences=_family(
+            n / (2 * (d + 1)), g, star_labels, lambda s: star_difference_vector(g, partition, *s)
+        ),
         note=note,
     )
 
@@ -279,17 +272,10 @@ def block_sign_vector(g: Graph, partition: TuranPartition, i: int, j: int) -> np
     """+1 on edges from axis i into the positive block of axis j, -1 into the negative."""
     if i == j:
         raise ValueError("axes must be distinct")
-    part_of = partition.part_of
     ip, im = _axis_parts(i)
     jp, jm = _axis_parts(j)
-    vec = np.zeros(g.m)
-    for k, (u, v) in enumerate(g.edges):
-        a, b = part_of[u], part_of[v]
-        if a in (ip, im) and b in (jp, jm):
-            vec[k] = 1.0 if b == jp else -1.0
-        elif b in (ip, im) and a in (jp, jm):
-            vec[k] = 1.0 if a == jp else -1.0
-    return vec
+    signs = {(ip, jp): 1.0, (im, jp): 1.0, (ip, jm): -1.0, (im, jm): -1.0}
+    return _part_pair_vector(g, partition, signs)
 
 
 def sign_split_vector(g: Graph, partition: TuranPartition, i: int, j: int, k: int) -> np.ndarray:
@@ -310,15 +296,7 @@ def vertex_shift_vector(g: Graph, partition: TuranPartition, u: int, v: int, j: 
         raise ValueError("u and v must be distinct vertices of a common block")
     if part_of[u] // 2 == j:
         raise ValueError("axis j must differ from the axis of u, v")
-    jp, jm = _axis_parts(j)
-    vec = np.zeros(g.m)
-    for w in partition.parts[jp]:
-        vec[g.index_of(u, w)] += 1.0
-        vec[g.index_of(v, w)] -= 1.0
-    for w in partition.parts[jm]:
-        vec[g.index_of(u, w)] -= 1.0
-        vec[g.index_of(v, w)] += 1.0
-    return vec
+    return star_difference_vector(g, partition, u, v, *_axis_parts(j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +321,6 @@ def crosspolytope_families(n: int, d: int) -> CrosspolytopeFamilies:
     g, partition = turan_graph(n, 2 * d)
 
     quad_labels = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    quad_vecs = (
-        np.array([axis_quad_vector(g, partition, i, j) for i, j in quad_labels])
-        if quad_labels
-        else np.zeros((0, g.m))
-    )
 
     split_labels = []
     for j in range(d):
@@ -355,11 +328,6 @@ def crosspolytope_families(n: int, d: int) -> CrosspolytopeFamilies:
         for k in range(d):
             if k not in (j, i_j):
                 split_labels.append((i_j, j, k))
-    split_vecs = (
-        np.array([sign_split_vector(g, partition, *lab) for lab in split_labels])
-        if split_labels
-        else np.zeros((0, g.m))
-    )
 
     shift_labels = []
     for part, members in enumerate(partition.parts):
@@ -369,16 +337,15 @@ def crosspolytope_families(n: int, d: int) -> CrosspolytopeFamilies:
             if j != axis:
                 for v in members[1:]:
                     shift_labels.append((anchor, v, j))
-    shift_vecs = (
-        np.array([vertex_shift_vector(g, partition, *lab) for lab in shift_labels])
-        if shift_labels
-        else np.zeros((0, g.m))
-    )
 
     return CrosspolytopeFamilies(
         graph=g,
         partition=partition,
-        axis_quads=EigenvectorFamily(n / d, quad_vecs, tuple(quad_labels)),
-        sign_splits=EigenvectorFamily(n / (2 * d), split_vecs, tuple(split_labels)),
-        vertex_shifts=EigenvectorFamily(n / (2 * d), shift_vecs, tuple(shift_labels)),
+        axis_quads=_family(n / d, g, quad_labels, lambda lab: axis_quad_vector(g, partition, *lab)),
+        sign_splits=_family(
+            n / (2 * d), g, split_labels, lambda lab: sign_split_vector(g, partition, *lab)
+        ),
+        vertex_shifts=_family(
+            n / (2 * d), g, shift_labels, lambda lab: vertex_shift_vector(g, partition, *lab)
+        ),
     )

@@ -13,6 +13,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -38,6 +40,14 @@ class Graph:
     def edge_index(self) -> dict[Edge, int]:
         """Bijection edge -> position in the canonical order."""
         return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only n x m 0/1 matrix whose column k marks the two endpoints of edge k."""
+        B = np.zeros((self.n, self.m))
+        B[np.asarray(self.edges, dtype=np.intp).reshape(self.m, 2).T, np.arange(self.m)] = 1.0
+        B.flags.writeable = False
+        return B
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,18 +57,7 @@ class OptimizerConfig:
             raise ValueError(f"gauge must be one of {GAUGES}, got {self.gauge!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "step_init": self.step_init,
-            "step_decay": self.step_decay,
-            "seed": self.seed,
-            "gauge": self.gauge,
-            "smoothing": self.smoothing,
-            "tol": self.tol,
-            "patience": self.patience,
-            "jitter": self.jitter,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

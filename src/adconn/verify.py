@@ -387,7 +387,12 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
         }
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)} or 'all'")
+    for key in ("d", "n"):
+        if grid and any(v < 1 for v in grid.get(key, ())):
+            raise ValueError(f"grid {key} values must be >= 1, got {grid[key]}")
     entries = _SUITE_FUNCS[name](grid=grid, samples=samples, seed=seed)
+    if not entries:
+        raise ValueError(f"suite {name!r} has no instances for this grid and sample count")
     failures = [e for e in entries if not e["pass"]]
     return {
         "suite": name,

@@ -41,6 +41,11 @@ def test_vertex_star_projection_small_cases():
 @pytest.mark.parametrize("n", range(3, 21))
 def test_vertex_star_projection_properties(n):
     P = vertex_star_projection(n)
+    # entries are exactly the constant of how the two edges meet
+    E = np.array(complete_graph(n).edges)
+    shared = sum((E[:, None, a] == E[None, :, b]).astype(int) for a in (0, 1) for b in (0, 1))
+    constants = [-1.0 / math.comb(n - 1, 2), (n - 3) / ((n - 1) * (n - 2)), 2.0 / (n - 1)]
+    np.testing.assert_array_equal(P, np.choose(shared, constants))
     assert np.max(np.abs(P - P.T)) == 0.0
     assert np.max(np.abs(P @ P - P)) <= 1e-12
     assert np.trace(P) == pytest.approx(n, abs=1e-10)

@@ -61,6 +61,9 @@ def test_parse_ranges():
     assert parse_int_range("1,4..5") == [1, 4, 5]
     assert parse_grid("d=2..4,n=8") == {"d": [2, 3, 4], "n": [8]}
     assert parse_grid(None) is None
+    for parse, text in ((parse_int_range, "5..4"), (parse_int_range, "2,5..4"), (parse_grid, "d=5..4")):
+        with pytest.raises(UsageError, match="is empty"):
+            parse(text)
 
 
 def test_parse_grid_keeps_integers_and_allows_reals_only_for_h():
@@ -77,6 +80,33 @@ def test_verify_non_integer_grid_is_usage_error(tmp_path, capsys):
         capsys, "verify", "--suite", "circle", "--grid", "n=4.0", "--outdir", str(tmp_path),
     )
     assert code == 2 and "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "suite,grid,field",
+    [("cross", "d=0,n=4", "grid d"), ("turan", "d=-1", "grid d"), ("circle", "n=0", "grid n")],
+)
+def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, field):
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", grid, "--outdir", str(tmp_path))
+    assert code == 2 and f"{field} values must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--suite", "cross", "--grid", "d=5..4"], "is empty"),
+        (["verify", "--suite", "simplex", "--grid", "n=30..20"], "is empty"),
+        (["verify", "--suite", "turan", "--grid", "n=31"], "no instances"),
+        (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
+        (["conjecture", "repeated-points", "--k", "5..4"], "is empty"),
+        (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
+    ],
+    ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "conjecture-k-range",
+         "conjecture-n-range"],
+)
+def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 2 and message in err and "pass" not in out
 
 
 def test_spectrum_command(tmp_path, capsys):

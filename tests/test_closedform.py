@@ -155,6 +155,17 @@ def test_spectrum_matches_detects_mismatch():
     assert not spectrum_matches(pred, wrong).ok
 
 
+def test_bound_report_json_dict_keys_in_field_order():
+    assert list(bound_report(12, 3).to_json_dict().items()) == [
+        ("n", 12),
+        ("d", 3),
+        ("lower_divisible", 2.0),
+        ("lower_general", -3.0),
+        ("upper", 2 * 12 / (3 * 2) + 1.0 / 3.0),
+        ("gap_observed", None),
+    ]
+
+
 def test_bound_report_values():
     r = bound_report(12, 3)
     assert (r.lower_divisible, r.lower_general) == (2.0, -3.0)

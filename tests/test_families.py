@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from adconn.families import (
     eigen_residual,
     eigenvector_condition_check,
     part_quad_vector,
+    sign_split_vector,
     star_difference_vector,
     turan_simplex_families,
+    vertex_shift_vector,
     weighted_length_vector,
 )
 from adconn.framework import Placement, lower_stiffness_direct
-from adconn.graphs import complete_graph, turan_graph
+from adconn.graphs import complete_graph, remove_edge, turan_graph
 from adconn.placements import (
     unit_circle_placement,
     centered_sphere_points,
@@ -165,6 +169,14 @@ def test_quad_vector_identity():
         np.testing.assert_array_equal(lhs, rhs)
 
 
+def test_star_difference_needs_every_star_edge():
+    g, partition = turan_graph(12, 4)
+    star_difference_vector(g, partition, 0, 1, 1, 3)
+    for missing in ((0, 4), (1, 11)):
+        with pytest.raises(ValueError, match="every vertex of parts j and k"):
+            star_difference_vector(remove_edge(g, missing), partition, 0, 1, 1, 3)
+
+
 def test_star_difference_vertex_sums_vanish():
     g, partition = turan_graph(12, 4)
     vec = star_difference_vector(g, partition, 0, 1, 1, 3)
@@ -192,6 +204,78 @@ def test_crosspolytope_family_counts_residuals_rank(n, d):
     assert numeric_rank(joint) == n * (d - 1) - d * d
     if fam.axis_quads.count:
         assert numeric_rank(fam.axis_quads.vectors) == fam.axis_quads.count
+
+
+def per_edge(g, rule):
+    """Oracle: the edge vector whose entry at edge (u, v) is rule(u, v)."""
+    return np.array([float(rule(u, v)) for u, v in g.edges])
+
+
+def star_rule(part_of, a, b, j, k):
+    """+1 on a-edges and -1 on b-edges into part j, reversed into part k."""
+    def rule(u, v):
+        return sum(
+            ((x == a) - (x == b)) * ((part_of[y] == j) - (part_of[y] == k))
+            for x, y in ((u, v), (v, u))
+        )
+    return rule
+
+
+def block_rule(part_of, i, j):
+    """+1 on edges from axis i into the positive block of axis j, -1 into the negative."""
+    def rule(u, v):
+        for x, y in ((u, v), (v, u)):
+            if part_of[x] // 2 == i and part_of[y] // 2 == j:
+                return 1 if part_of[y] % 2 == 0 else -1
+        return 0
+    return rule
+
+
+def same_part_pairs(partition):
+    return [(a, b) for part in partition.parts for a in part for b in part if a != b]
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (8, 4), (10, 5), (12, 4)])
+def test_turan_vector_builders_match_per_edge_rules(n, r):
+    g, partition = turan_graph(n, r)
+    part_of = partition.part_of
+    for q1, q2, q3, q4 in itertools.permutations(range(r), 4):
+        plus, minus = ({q1, q2}, {q3, q4}), ({q2, q3}, {q1, q4})
+
+        def quad_rule(u, v):
+            key = {part_of[u], part_of[v]}
+            return 1 if key in plus else -1 if key in minus else 0
+
+        expected = per_edge(g, quad_rule)
+        np.testing.assert_array_equal(part_quad_vector(g, partition, (q1, q2, q3, q4)), expected)
+    for a, b in same_part_pairs(partition):
+        for j, k in itertools.permutations(set(range(r)) - {part_of[a]}, 2):
+            expected = per_edge(g, star_rule(part_of, a, b, j, k))
+            np.testing.assert_array_equal(star_difference_vector(g, partition, a, b, j, k), expected)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (8, 2), (6, 3), (12, 3), (8, 4)])
+def test_crosspolytope_vector_builders_match_per_edge_rules(n, d):
+    g, partition = turan_graph(n, 2 * d)
+    part_of = partition.part_of
+    for i, j in itertools.permutations(range(d), 2):
+
+        def axis_rule(u, v):
+            if {part_of[u] // 2, part_of[v] // 2} != {i, j}:
+                return 0
+            return 1 if part_of[u] % 2 == part_of[v] % 2 else -1
+
+        np.testing.assert_array_equal(axis_quad_vector(g, partition, i, j), per_edge(g, axis_rule))
+        expected = per_edge(g, block_rule(part_of, i, j))
+        np.testing.assert_array_equal(block_sign_vector(g, partition, i, j), expected)
+    for i, j, k in itertools.permutations(range(d), 3):
+        into_j = block_rule(part_of, i, j), block_rule(part_of, k, j)
+        expected = per_edge(g, lambda u, v: into_j[0](u, v) - into_j[1](u, v))
+        np.testing.assert_array_equal(sign_split_vector(g, partition, i, j, k), expected)
+    for a, b in same_part_pairs(partition):
+        for j in set(range(d)) - {part_of[a] // 2}:
+            expected = per_edge(g, star_rule(part_of, a, b, 2 * j, 2 * j + 1))
+            np.testing.assert_array_equal(vertex_shift_vector(g, partition, a, b, j), expected)
 
 
 def test_crosspolytope_minimal_has_no_vertex_shifts():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from adconn.graphs import (
@@ -82,6 +83,27 @@ def test_turan_edges_cross_parts_only():
     g, part = turan_graph(12, 4)
     for u, v in g.edges:
         assert part.part_of[u] != part.part_of[v]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), turan_graph(6, 3)[0], make_graph(6, [(4, 1), (0, 5), (2, 3)])],
+    ids=["K5", "turan-6-3", "matching"],
+)
+def test_incidence_marks_the_two_endpoints_of_each_edge(g):
+    B = g.incidence
+    assert B.shape == (g.n, g.m)
+    np.testing.assert_array_equal(B.sum(axis=0), np.full(g.m, 2.0))
+    for k, (u, v) in enumerate(g.edges):
+        assert np.flatnonzero(B[:, k]).tolist() == [u, v]
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0] = 0.0
+
+
+def test_incidence_without_edges():
+    assert complete_graph(1).incidence.shape == (1, 0)
+    assert Graph(3, ()).incidence.shape == (3, 0)
 
 
 def test_turan_rejects_non_divisor():

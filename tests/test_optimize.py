@@ -24,6 +24,21 @@ from adconn.spectral import spectral_gap, trivial_motion_count
 from conftest import random_placement
 
 
+def test_config_json_dict_keys_in_field_order():
+    assert list(OptimizerConfig(restarts=3, seed=5).to_json_dict().items()) == [
+        ("restarts", 3),
+        ("max_iters", 400),
+        ("step_init", 0.1),
+        ("step_decay", 0.7),
+        ("seed", 5),
+        ("gauge", "center-scale"),
+        ("smoothing", 1e-6),
+        ("tol", 1e-8),
+        ("patience", 50),
+        ("jitter", 1e-3),
+    ]
+
+
 def test_normalize_placement_fixed_point():
     p = regular_simplex(3)  # already centered with rms norm 1
     q = normalize_placement(p)

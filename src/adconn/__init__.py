@@ -30,13 +30,9 @@ from .families import (
     weighted_length_vector,
 )
 from .framework import (
-    FrameworkMatrices,
     Placement,
-    direction,
     edge_lengths,
-    framework_matrices,
     lower_stiffness_direct,
-    lower_stiffness_product,
     placement_from_json,
     placement_to_json,
     rigidity_matrix,
@@ -66,6 +62,5 @@ from .spectral import (
     spectral_gap,
     stiffness_spectrum,
     symmetric_eigenvalues,
-    symmetric_eigensystem,
 )
 from .verify import run_suite

@@ -43,7 +43,7 @@ def weighted_length_vector(p: Placement, f) -> np.ndarray:
     _require_spherical(p, min_image=3)
     g = complete_graph(p.n)
     lengths = edge_lengths(g, p)
-    uv = np.asarray(g.edges)
+    uv = g.endpoints
     return (f[uv[:, 0]] + f[uv[:, 1]]) * lengths
 
 
@@ -148,7 +148,7 @@ def _part_pair_vector(g: Graph, partition: TuranPartition, signs: dict) -> np.nd
     table = np.zeros((partition.r, partition.r))
     for (a, b), sign in signs.items():
         table[a, b] = table[b, a] = sign
-    parts = np.asarray(partition.part_of)[np.asarray(g.edges, dtype=np.intp).reshape(g.m, 2)]
+    parts = np.asarray(partition.part_of)[g.endpoints]
     return table[parts[:, 0], parts[:, 1]]
 
 

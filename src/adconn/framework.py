@@ -1,11 +1,12 @@
-"""Placements of graph vertices in R^d and the three matrices of a framework.
+"""Placements of graph vertices in R^d and the matrices of a framework.
 
 A framework is a graph together with a placement p of its vertices in R^d.
 Its rigidity matrix R has one column per edge, built from the normalized
 direction between the placed endpoints; the stiffness matrix is R R^t and the
-edge-basis (lower) stiffness matrix is R^t R.  Coincident endpoints contribute
-zero columns: coincidence is detected by exact coordinate equality, never by a
-tolerance.
+edge-basis (lower) stiffness matrix R^t R is assembled from its entry rule.
+Coincident endpoints contribute zero columns: coincidence is detected by exact
+coordinate equality, never by a tolerance.  Directions do not depend on the
+scale of the placement, down to the smallest and up to the largest floats.
 """
 
 from __future__ import annotations
@@ -55,44 +56,60 @@ class Placement:
         return bool(np.all(self.points == self.points[0]))
 
 
-def direction(p: Placement, u: int, v: int) -> np.ndarray:
-    """Unit vector from p(v) toward p(u); zero when the points coincide exactly."""
-    if u == v:
-        raise ValueError(f"direction needs distinct vertices, got u=v={u}")
-    diff = p.points[u] - p.points[v]
-    if np.all(diff == 0.0):
-        return np.zeros(p.d)
-    return diff / np.linalg.norm(diff)
-
-
 def _check_match(g: Graph, p: Placement) -> None:
     if p.n != g.n:
         raise ValueError(f"placement has {p.n} points but graph has {g.n} vertices")
 
 
+# Edge lengths in this range are computed from the sum of squared coordinate
+# differences, which neither overflows nor underflows there.
+_SAFE_LENGTHS = (1e-150, 1e150)
+
+
 def _edge_geometry(g: Graph, p: Placement) -> tuple[np.ndarray, np.ndarray]:
     """(m, d) array of d_uv and (m,) array of |p(u) - p(v)| for each edge (u, v),
     u < v; coincident endpoints give a zero row and length 0."""
-    if g.m == 0:
-        return np.zeros((0, p.d)), np.zeros(0)
-    uv = np.asarray(g.edges)
-    diffs = p.points[uv[:, 0]] - p.points[uv[:, 1]]
+    uv = g.endpoints
+    pu, pv = p.points[uv[:, 0]], p.points[uv[:, 1]]
+    with np.errstate(over="ignore"):
+        diffs = pu - pv
+        lengths = np.linalg.norm(diffs, axis=1)
+    lo, hi = _SAFE_LENGTHS
+    if lengths.min(initial=lo) >= lo and lengths.max(initial=hi) <= hi:
+        return diffs / lengths[:, None], lengths
+    # Some edge has coincident endpoints, or a length outside the safe range.
     coincident = np.all(diffs == 0.0, axis=1)
-    lengths = np.linalg.norm(diffs, axis=1)
-    unit = diffs / np.where(coincident, 1.0, lengths)[:, None]
-    unit[coincident] = 0.0
+    far = ~coincident & ((lengths < lo) | (lengths > hi))
+    safe = ~coincident & ~far
+    unit = np.zeros_like(diffs)
+    unit[safe] = diffs[safe] / lengths[safe, None]
+    unit[far], lengths[far] = _rescaled_geometry(pu[far], pv[far])
     return unit, lengths
+
+
+def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and lengths of p(u) - p(v) for distinct points whose squared
+    distance would overflow or underflow: each difference is scaled by a power
+    of two to a largest coordinate in [1/2, 1) before it is normalized.  A
+    difference that overflows is taken as twice the difference of the halves."""
+    with np.errstate(over="ignore"):  # a length above the largest float is inf
+        diffs = pu - pv
+        overflow = ~np.all(np.isfinite(diffs), axis=1)
+        diffs[overflow] = 0.5 * pu[overflow] - 0.5 * pv[overflow]
+        _, exps = np.frexp(np.max(np.abs(diffs), axis=1))
+        scaled = np.ldexp(diffs, -exps[:, None])
+        norms = np.linalg.norm(scaled, axis=1)
+        return scaled / norms[:, None], np.ldexp(norms, exps + overflow)
 
 
 def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
     """The rigidity matrix from the (m, d) edge directions of _edge_geometry."""
     n, d, m = g.n, unit.shape[1], g.m
     R = np.zeros((n, d, m))
-    if m:
-        uv = np.asarray(g.edges)
-        cols = np.arange(m)
-        R[uv[:, 0], :, cols] = unit
-        R[uv[:, 1], :, cols] = -unit
+    uv = g.endpoints
+    cols = np.arange(m)
+    R[uv[:, 0], :, cols] = unit
+    R[uv[:, 1], :, cols] = -unit
     return R.reshape(n * d, m)
 
 
@@ -108,14 +125,8 @@ def stiffness(g: Graph, p: Placement) -> np.ndarray:
     return R @ R.T
 
 
-def lower_stiffness_product(g: Graph, p: Placement) -> np.ndarray:
-    """R^t R: |E| x |E| in canonical edge order."""
-    R = rigidity_matrix(g, p)
-    return R.T @ R
-
-
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
-    """Edge-basis stiffness matrix from its entry rule, bypassing R.
+    """Edge-basis stiffness matrix R^t R from its entry rule, bypassing R.
 
     Assembled one vertex star at a time: the directions of the edges at a
     vertex, each pointing away from it, give the cosines of the angles there
@@ -127,7 +138,7 @@ def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     _check_match(g, p)
     L = np.zeros((g.m, g.m))
     unit = _edge_geometry(g, p)[0]
-    uv = np.asarray(g.edges).reshape(g.m, 2)
+    uv = g.endpoints
     # Two distinct edges of a simple graph share at most one vertex, so the
     # off-diagonal entries written for different stars never overlap.
     for s in range(g.n):
@@ -137,24 +148,6 @@ def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
         L[np.ix_(star, star)] = D @ D.T
     np.fill_diagonal(L, np.where(np.all(unit == 0.0, axis=1), 0.0, 2.0))
     return L
-
-
-@dataclass(frozen=True, eq=False)
-class FrameworkMatrices:
-    """The three matrices of a framework, in canonical vertex/edge order.
-
-    Lminus is assembled from the entry rule (so its diagonal is exactly 0 or 2)
-    and agrees with R^t R entrywise to 1e-12.
-    """
-
-    R: np.ndarray
-    L: np.ndarray
-    Lminus: np.ndarray
-
-
-def framework_matrices(g: Graph, p: Placement) -> FrameworkMatrices:
-    R = rigidity_matrix(g, p)
-    return FrameworkMatrices(R=R, L=R @ R.T, Lminus=lower_stiffness_direct(g, p))
 
 
 def edge_lengths(g: Graph, p: Placement) -> np.ndarray:
@@ -193,8 +186,3 @@ def read_placement(path: str | Path) -> Placement:
 
 def write_placement(p: Placement, path: str | Path) -> None:
     Path(path).write_text(placement_to_json(p) + "\n")
-
-
-def matrix_to_csv(M: np.ndarray, path: str | Path) -> None:
-    """Dense CSV, row-major, full-precision scientific notation."""
-    np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt="%.17e")

@@ -42,10 +42,17 @@ class Graph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
+    def endpoints(self) -> np.ndarray:
+        """Read-only (m, 2) index array whose row k is edge k as (u, v), u < v."""
+        uv = np.array(self.edges, dtype=np.intp).reshape(self.m, 2)
+        uv.flags.writeable = False
+        return uv
+
+    @cached_property
     def incidence(self) -> np.ndarray:
         """Read-only n x m 0/1 matrix whose column k marks the two endpoints of edge k."""
         B = np.zeros((self.n, self.m))
-        B[np.asarray(self.edges, dtype=np.intp).reshape(self.m, 2).T, np.arange(self.m)] = 1.0
+        B[self.endpoints.T, np.arange(self.m)] = 1.0
         B.flags.writeable = False
         return B
 

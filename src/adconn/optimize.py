@@ -5,14 +5,15 @@ softmin over the eigenvalue cluster sitting at the first non-trivial position,
 which tames the non-smoothness caused by the high multiplicity of the gap
 eigenvalue near optima.  The gradient is analytic, the derivative of a
 spectral function (Lewis, Math. Oper. Res. 1996): the softmax-weighted sum of
-the cluster eigenvalues' gradients, read off the eigenvectors of the one
-eigensolve each trial point gets.  The gauge freedom (translation, scale) is
-projected out after every accepted step.  A rejected step shrinks the step
-length and an accepted one grows it back, up to its initial value, so a
-restart whose steps shrank at a multiple gap eigenvalue (Overton, SIAM J.
-Optim. 1992) can lengthen them again once it is past it.  Restarts mix
-jittered canonical placements with uniform sphere starts and draw from
-per-restart seeded streams, so a seed fixes the result.
+the cluster eigenvalues' gradients.  Every trial point gets the eigenvalues of
+its stiffness matrix, which decide whether the step is accepted; only an
+accepted point gets its eigenvectors, from which the gradient is read off.
+The gauge freedom (translation, scale) is projected out after every accepted
+step.  A rejected step shrinks the step length and an accepted one grows it
+back, up to its initial value, so a restart whose steps shrank at a multiple
+gap eigenvalue (Overton, SIAM J. Optim. 1992) can lengthen them again once it
+is past it.  Restarts mix jittered canonical placements with uniform sphere
+starts and draw from per-restart seeded streams, so a seed fixes the result.
 """
 
 from __future__ import annotations
@@ -114,13 +115,15 @@ def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, 
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """A placement with its edge geometry, stiffness eigensystem and objective."""
+    """A trial placement with its edge geometry, stiffness matrix, eigenvalues
+    and objective; eigenvectors are computed from the stored matrix only for
+    the gradient at an accepted point."""
 
     placement: Placement
-    unit: np.ndarray      # (m, d) edge directions
-    lengths: np.ndarray   # (m,) edge lengths
+    unit: np.ndarray       # (m, d) edge directions
+    lengths: np.ndarray    # (m,) edge lengths
+    stiffness: np.ndarray  # R R^t
     eigs: np.ndarray
-    vecs: np.ndarray      # eigenvectors as columns
     gap: float
     value: float          # the softmin objective
     weights: np.ndarray   # its softmax weights over eigs[t:t + len(weights)]
@@ -129,16 +132,18 @@ class _Evaluation:
 def _evaluate(g: Graph, p: Placement, t: int, smoothing: float) -> _Evaluation:
     unit, lengths = _edge_geometry(g, p)
     R = _rigidity_from_directions(g, unit)
-    eigs, vecs = np.linalg.eigh(R @ R.T)
+    L = R @ R.T
+    eigs = np.linalg.eigvalsh(L)
     gap = float(eigs[t])
     value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
-    return _Evaluation(p, unit, lengths, eigs, vecs, gap, value, weights)
+    return _Evaluation(p, unit, lengths, L, eigs, gap, value, weights)
 
 
 def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     """Gradient of ev.value with respect to the points, as an (n, d) array.
 
-    A cluster eigenvalue with unit eigenvector v has gradient
+    The eigenvectors come from one eigensolve of ev.stiffness.  A cluster
+    eigenvalue with unit eigenvector v has gradient
     2 s_e (w_e - s_e d_e) / l_e at u and its negative at v, summed over the
     edges e = (u, v), where w_e = v_u - v_v and s_e = d_e . w_e.  Edges with
     coincident endpoints contribute zero.  The objective weights these by its
@@ -150,8 +155,8 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     if ev.gap > 1e-9:
         coef[0] += (ev.value - float(ev.weights @ ev.eigs[t:t + k])) / ev.gap
     n, d = ev.placement.n, ev.placement.d
-    uv = np.asarray(g.edges).reshape(g.m, 2)
-    vecs = ev.vecs[:, t:t + k].T.reshape(k, n, d)
+    uv = g.endpoints
+    vecs = np.linalg.eigh(ev.stiffness)[1][:, t:t + k].T.reshape(k, n, d)
     w = vecs[:, uv[:, 0]] - vecs[:, uv[:, 1]]
     s = np.einsum("kmd,md->km", w, ev.unit)
     inv_len = np.divide(1.0, ev.lengths, out=np.zeros(g.m), where=ev.lengths > 0)

@@ -36,14 +36,6 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
-def symmetric_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors as columns."""
-    M = _require_symmetric(M)
-    if M.size == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    return np.linalg.eigh(M)
-
-
 @dataclass(frozen=True)
 class MultiplicitySpectrum:
     """Eigenvalues grouped into (value, multiplicity) clusters.

@@ -289,6 +289,8 @@ def _family_entries(theorem, instance, g, p, families, expected_counts, joint_lo
 
 def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
     samples = 20 if samples is None else int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
     def turan_job(d, n):
         fam = turan_simplex_families(n, d)

@@ -204,6 +204,12 @@ def test_conjecture_zero_samples_is_usage_error(tmp_path, capsys, tag):
     assert code == 2 and "samples must be >= 1" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_families_without_samples_is_usage_error(tmp_path, capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--suite", "families", "--samples", samples, "--outdir", str(tmp_path))
+    assert code == 2 and f"samples must be >= 1, got {samples}" in err and "pass" not in out
+
+
 def test_verify_command_pass_and_report(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

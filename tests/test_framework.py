@@ -5,11 +5,9 @@ import pytest
 
 from adconn.framework import (
     Placement,
-    direction,
+    _edge_geometry,
     edge_lengths,
-    framework_matrices,
     lower_stiffness_direct,
-    lower_stiffness_product,
     placement_from_json,
     placement_to_json,
     rigidity_matrix,
@@ -23,7 +21,7 @@ from adconn.placements import (
     turan_simplex_placement,
     unit_circle_placement,
 )
-from adconn.spectral import is_infinitesimally_rigid
+from adconn.spectral import clustered_spectrum, is_infinitesimally_rigid
 
 from conftest import random_placement
 
@@ -36,26 +34,64 @@ def random_graph(rng, n):
     return make_graph(n, [e for e, k in zip(full.edges, keep) if k])
 
 
+def lower_stiffness_product(g, p):
+    """R^t R: the reference for the entry-rule assembly."""
+    R = rigidity_matrix(g, p)
+    return R.T @ R
+
+
 def test_direction_basic():
+    # the direction of edge (u, v), u < v, points from p(v) toward p(u)
     p = Placement([[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(direction(p, 0, 1), [1.0, 0.0])
-    np.testing.assert_array_equal(direction(p, 1, 0), [-1.0, 0.0])
+    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), p)[0], [[1.0, 0.0]])
+    q = Placement([[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), q)[0], [[-1.0, 0.0]])
 
 
 def test_direction_coincident_is_exact_zero():
-    p = Placement([[0.3, -0.2], [0.3, -0.2]])
-    np.testing.assert_array_equal(direction(p, 0, 1), [0.0, 0.0])
+    p = Placement([[0.3, -0.2], [0.3, -0.2], [1.0, 0.0]])
+    unit, lengths = _edge_geometry(complete_graph(3), p)
+    np.testing.assert_array_equal(unit[0], [0.0, 0.0])
+    assert lengths[0] == 0.0
 
 
 def test_direction_normalizes():
     p = Placement([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(direction(p, 0, 1), [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0])
+    unit, lengths = _edge_geometry(complete_graph(2), p)
+    np.testing.assert_allclose(unit, [[1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
+    np.testing.assert_allclose(lengths, [math.sqrt(2)])
 
 
-def test_direction_rejects_equal_vertices():
-    p = Placement([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        direction(p, 1, 1)
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 2)])
+def test_spectra_do_not_depend_on_scale(n, d, scale):
+    g = complete_graph(n)
+    p = random_placement(np.random.default_rng(n), n, d)
+    q = Placement(scale * p.points)
+    for matrix in (stiffness, lower_stiffness_direct):
+        want, got = clustered_spectrum(matrix(g, p)), clustered_spectrum(matrix(g, q))
+        assert got.multiplicities() == want.multiplicities()
+        np.testing.assert_allclose(got.values(), want.values(), rtol=0, atol=1e-9)
+
+
+def test_far_edges_leave_other_rows_bit_identical():
+    # edge (1, 2) is 1e-200 long and the edges at vertex 3 are longer than the
+    # largest float; the in-range rows must be the plain normalized differences
+    p = Placement([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-200], [-1.5e308, 1.5e308]])
+    g = complete_graph(4)
+    unit, lengths = _edge_geometry(g, p)
+    for u, v in ((0, 1), (0, 2)):
+        k, diff = g.index_of(u, v), p.points[u] - p.points[v]
+        assert lengths[k] == np.linalg.norm(diff)
+        np.testing.assert_array_equal(unit[k], diff / np.linalg.norm(diff))
+    np.testing.assert_array_equal(unit[g.index_of(1, 2)], [0.0, -1.0])
+    assert lengths[g.index_of(1, 2)] == 1e-200
+    np.testing.assert_allclose(unit[g.index_of(2, 3)], [1 / math.sqrt(2), -1 / math.sqrt(2)], rtol=1e-15)
+    assert lengths[g.index_of(2, 3)] == np.inf
+    # the difference itself overflows; its halves do not
+    unit, lengths = _edge_geometry(complete_graph(2), Placement([[9e307, 0.0], [-9e307, 0.0]]))
+    np.testing.assert_array_equal(unit, [[1.0, 0.0]])
+    assert lengths[0] == np.inf
 
 
 def test_rigidity_matrix_k2_column_sign():
@@ -153,18 +189,6 @@ def test_direct_agrees_with_product_on_random_frameworks(rng):
     assert worst <= 1e-12
 
 
-def test_framework_matrices_invariants(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        d = int(rng.integers(1, 4))
-        g = random_graph(rng, n)
-        p = random_placement(rng, n, d)
-        fm = framework_matrices(g, p)
-        assert np.max(np.abs(fm.L - fm.R @ fm.R.T)) <= 1e-12
-        assert np.max(np.abs(fm.Lminus - fm.R.T @ fm.R)) <= 1e-12
-        assert set(np.diag(fm.Lminus).tolist()) <= {0.0, 2.0}
-
-
 def test_similarity_invariance(rng):
     # the edge-basis matrix has cosine entries, so it is unchanged by any
     # similarity; the vertex-basis matrix is unchanged by translation and
@@ -258,14 +282,3 @@ def test_edge_lengths():
     g = complete_graph(3)
     p = Placement([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     np.testing.assert_allclose(edge_lengths(g, p), [3.0, 4.0, 5.0])
-
-
-def test_matrix_csv_export(tmp_path):
-    from adconn.framework import matrix_to_csv
-
-    g = complete_graph(3)
-    L = stiffness(g, regular_simplex(2))
-    path = tmp_path / "L.csv"
-    matrix_to_csv(L, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, L)  # full-precision round trip

@@ -106,6 +106,27 @@ def test_incidence_without_edges():
     assert Graph(3, ()).incidence.shape == (3, 0)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), turan_graph(6, 3)[0], make_graph(6, [(4, 1), (0, 5), (2, 3)])],
+    ids=["K5", "turan-6-3", "matching"],
+)
+def test_endpoints_list_the_edges_in_canonical_order(g):
+    uv = g.endpoints
+    assert uv.shape == (g.m, 2) and uv.dtype == np.intp
+    np.testing.assert_array_equal(uv, np.array(g.edges))
+    assert g.endpoints is uv
+    assert not uv.flags.writeable
+    with pytest.raises(ValueError):
+        uv[0, 0] = 0
+
+
+def test_endpoints_without_edges():
+    g = complete_graph(1)
+    assert g.endpoints.shape == (0, 2) and g.endpoints.dtype == np.intp
+    assert g.endpoints is g.endpoints
+
+
 def test_turan_rejects_non_divisor():
     with pytest.raises(ValueError):
         turan_graph(10, 4)

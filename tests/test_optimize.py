@@ -19,7 +19,7 @@ from adconn.optimize import (
     seeded_restarts,
 )
 from adconn.placements import crosspolytope_placement, regular_simplex
-from adconn.spectral import spectral_gap, trivial_motion_count
+from adconn.spectral import spectral_gap, symmetric_eigenvalues, trivial_motion_count
 
 from conftest import random_placement
 
@@ -241,3 +241,19 @@ def test_objective_gradient_ignores_coincident_edges():
     without_edge = _objective_gradient(h, _evaluate(h, Placement(pts), t, 1e-6), t)
     assert np.all(np.isfinite(with_edge))
     np.testing.assert_allclose(with_edge, without_edge, atol=1e-12)
+
+
+def test_evaluation_reads_the_public_spectrum(rng):
+    # the objective must see exactly the eigenvalues that spectral_gap and the
+    # verify suites read, also when points coincide
+    cases = [(complete_graph(n), random_placement(rng, n, d)) for n, d in ((4, 3), (7, 2), (12, 3))]
+    pts = rng.standard_normal((6, 3))
+    pts[1] = pts[0]
+    pts[4] = pts[2]
+    cases.append((complete_graph(6), Placement(pts)))
+    cases.append((complete_graph(12), crosspolytope_placement(12, 3)))
+    for g, p in cases:
+        t = trivial_motion_count(p.d)
+        ev = _evaluate(g, p, t, 1e-6)
+        assert np.array_equal(ev.eigs, symmetric_eigenvalues(stiffness(g, p)))
+        assert ev.gap == spectral_gap(g, p)

@@ -13,7 +13,6 @@ from adconn.spectral import (
     numeric_rank,
     spectral_gap,
     stiffness_spectrum,
-    symmetric_eigensystem,
     symmetric_eigenvalues,
 )
 
@@ -41,16 +40,6 @@ def test_symmetric_eigenvalues_equilateral_lower_stiffness():
 def test_symmetric_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_eigensystem_reconstruction_residual(rng):
-    for _ in range(10):
-        k = int(rng.integers(2, 40))
-        A = rng.standard_normal((k, k))
-        M = A + A.T
-        w, Q = symmetric_eigensystem(M)
-        resid = np.max(np.abs(M - Q @ np.diag(w) @ Q.T))
-        assert resid <= 1e-9 * np.max(np.abs(M))
 
 
 def test_cluster_multiplicities_examples():

@@ -13,6 +13,11 @@ Graph specs: complete:n | turan:n,r | file:path (edge-list format "n m" +
 crosspolytope:n,d | circle:n | tetra:h | random:n,d,seed[,centered] |
 file:path (placement JSON {"d": ..., "points": [[...], ...]}).
 
+verify passes --grid and --samples to the suite's function, and conjecture
+passes --n, --d, --samples, --k and --restarts to the probe's function (--n,
+--d and --k fill its list parameters ns, ds and ks where it has them).  A
+value that the function does not read is a usage error.
+
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  Every command writes a run manifest next to its outputs.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -32,7 +38,7 @@ from .framework import Placement, lower_stiffness_direct, read_placement, stiffn
 from .graphs import Graph, complete_graph, read_edge_list, turan_graph
 from .optimize import GAUGES, OptimizerConfig, gap_ascent
 from .placements import random_sphere_placement, triangular_pyramid
-from .probes import PROBE_TAGS, conjecture_probe
+from .probes import PROBE_TAGS, PROBES, conjecture_probe
 from .spectral import clustered_spectrum
 from .verify import SUITES, run_suite
 
@@ -257,29 +263,23 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-# Probe parameters that take a list from --n or --d; every other tag takes
-# a single integer under the flag's own name.
-_LIST_PARAMS = {"top-n-sum": {"n": "ns", "d": "ds"}, "regular-2d": {"n": "ns"}}
-
-
 def cmd_conjecture(args) -> int:
     t0 = time.perf_counter()
+    takes = inspect.signature(PROBES[args.tag]).parameters
     params: dict = {}
-    for flag in ("n", "d"):
+    for flag in ("n", "d", "k"):
+        if getattr(args, flag) is None:
+            continue
+        values = parse_int_range(getattr(args, flag))
+        if f"{flag}s" in takes:  # the probe sweeps a list of values
+            params[f"{flag}s"] = values
+        elif len(values) == 1 or flag not in takes:
+            params[flag] = values[0]
+        else:
+            raise UsageError(f"--{flag} must be a single integer for this tag, got {values}")
+    for flag in ("samples", "restarts"):
         if getattr(args, flag) is not None:
-            values = parse_int_range(getattr(args, flag))
-            key = _LIST_PARAMS.get(args.tag, {}).get(flag)
-            if not key and len(values) != 1:
-                raise UsageError(f"--{flag} must be a single integer for this tag, got {values}")
-            params[key or flag] = values if key else values[0]
-    if args.samples is not None:
-        params["samples"] = args.samples
-    if args.k is not None:
-        params["ks"] = parse_int_range(args.k)
-    if args.restarts is not None:
-        params["restarts"] = args.restarts
-    if args.base_seed is not None:
-        params["base_seed"] = args.base_seed
+            params[flag] = getattr(args, flag)
     record = conjecture_probe(args.tag, params, seed=args.seed)
     outdir = Path(args.outdir)
     path = outdir / f"conjecture_{args.tag}.json"
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--k", default=None, help="replication counts, e.g. 2..4")
     sp.add_argument("--restarts", type=int, default=None)
-    sp.add_argument("--base-seed", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_conjecture)
 

@@ -182,7 +182,3 @@ def placement_from_json(text: str) -> Placement:
 
 def read_placement(path: str | Path) -> Placement:
     return placement_from_json(Path(path).read_text())
-
-
-def write_placement(p: Placement, path: str | Path) -> None:
-    Path(path).write_text(placement_to_json(p) + "\n")

@@ -64,9 +64,6 @@ class Graph:
         u, v = e
         return (u, v) if u < v else (v, u)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.normalize_edge((u, v)) in self.edge_index
-
     def index_of(self, u: int, v: int) -> int:
         e = self.normalize_edge((u, v))
         try:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closedform import canonical_placements
-from .framework import Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
+from .framework import _SAFE_LENGTHS, Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
 from .graphs import Graph
 from .seeding import rng_stream
 from .spectral import spectral_gap, trivial_motion_count
@@ -91,13 +91,30 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
     if p.is_constant():
         raise ValueError("cannot normalize a constant placement")
     pts = p.points - p.points.mean(axis=0)
+    lo, hi = _SAFE_LENGTHS
     if gauge == "center-scale":
-        rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+        with np.errstate(over="ignore"):
+            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+        if not lo <= rms <= hi:
+            pts = _pow2_prescaled(pts, None)
+            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
         return Placement(pts / rms)
-    norms = np.linalg.norm(pts, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    if not (lo <= norms.min() and norms.max() <= hi):
+        pts = _pow2_prescaled(pts, 1)
+        norms = np.linalg.norm(pts, axis=1)
     safe = norms > 0
     pts[safe] /= norms[safe, None]
     return Placement(pts)
+
+
+def _pow2_prescaled(pts: np.ndarray, axis) -> np.ndarray:
+    """pts scaled by a power of two, exactly, to a largest |coordinate| in
+    [1/2, 1) overall (axis None) or per row (axis 1); zero rows stay zero.
+    Norms computed from the result neither overflow nor underflow."""
+    _, exps = np.frexp(np.max(np.abs(pts), axis=axis, keepdims=True))
+    return np.ldexp(pts, -exps)
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:

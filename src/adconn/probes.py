@@ -4,6 +4,12 @@ Each probe samples instances, evaluates both sides of the conjectured
 statement, and reports per-instance margins together with reproduction data
 for any counterexample candidate.  Probes never assert truth; they only
 measure.
+
+A probe is a function of keyword parameters whose signature holds the only
+default of each one, plus the run-level seed; it returns its instances,
+summary and counterexample candidates.  conjecture_probe binds the caller's
+parameters against that signature, refuses any the probe does not read, and
+records the bound values as the record's params.
 """
 
 from __future__ import annotations
@@ -20,26 +26,13 @@ from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points, replicate_placement
 from .seeding import rng_stream
 from .spectral import spectral_gap, stiffness_spectrum
+from .verify import bind_params
 
 
-def _record(name: str, params: dict, seed: int, instances: list, summary: dict, candidates: list) -> dict:
-    return {
-        "name": name,
-        "params": params,
-        "seed": seed,
-        "instances": instances,
-        "summary": summary,
-        "counterexample_candidates": candidates,
-    }
-
-
-def _probe_spherical_second_eig(params: dict, seed: int) -> dict:
+def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, dict, list]:
     """Second-largest stiffness eigenvalue of K_n at centered spherical
     placements: conjectured to be n/2 with multiplicity exactly n-1 (the n/2
     cluster is guaranteed to have multiplicity at least n-1)."""
-    n = int(params.get("n", 8))
-    d = int(params.get("d", 3))
-    samples = int(params.get("samples", 50))
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     g = complete_graph(n)
@@ -71,15 +64,12 @@ def _probe_spherical_second_eig(params: dict, seed: int) -> dict:
         "max_margin": max(margins),
         "min_half_n_multiplicity": min(i["half_n_cluster_multiplicity"] for i in instances),
     }
-    return _record("spherical-second-eig", {"n": n, "d": d, "samples": samples}, seed, instances, summary, candidates)
+    return instances, summary, candidates
 
 
-def _probe_top_n_sum(params: dict, seed: int) -> dict:
+def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tuple[list, dict, list]:
     """Sum of the n largest stiffness eigenvalues of K_n at injective
     placements, against the conjectured floor n(n+1)/2."""
-    ns = [int(x) for x in params.get("ns", range(3, 11))]
-    ds = [int(x) for x in params.get("ds", range(2, 5))]
-    samples = int(params.get("samples", 20))
     instances, candidates = [], []
     for n in ns:
         for d in ds:
@@ -114,16 +104,11 @@ def _probe_top_n_sum(params: dict, seed: int) -> dict:
             if abs(i["margin"]) <= 1e-9
         ],
     }
-    return _record(
-        "top-n-sum", {"ns": ns, "ds": ds, "samples": samples}, seed, instances, summary, candidates
-    )
+    return instances, summary, candidates
 
 
-def _probe_kn_upper(params: dict, seed: int) -> dict:
+def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gap for K_n in R^d against the conjectured ceiling n/(2d)."""
-    n = int(params.get("n", 12))
-    d = int(params.get("d", 3))
-    restarts = int(params.get("restarts", 8))
     config = OptimizerConfig(restarts=restarts, seed=seed)
     result = gap_ascent(complete_graph(n), d, config)
     ceiling = n / (2 * d)
@@ -137,20 +122,18 @@ def _probe_kn_upper(params: dict, seed: int) -> dict:
     }
     summary = {"min_margin": inst["margin"], "max_margin": inst["margin"]}
     candidates = [inst] if inst["margin"] < -1e-9 else []
-    return _record(
-        "kn-upper", {"n": n, "d": d, "restarts": restarts}, seed, [inst], summary, candidates
-    )
+    return [inst], summary, candidates
 
 
-def _probe_regular_2d(params: dict, seed: int) -> dict:
+def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gaps of random 2d-regular graphs; the conjecture is that
     the achievable gap vanishes as the vertex count grows."""
-    d = int(params.get("d", 2))
-    ns = [int(x) for x in params.get("ns", (8, 12, 16))]
-    samples = int(params.get("samples", 3))
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    restarts = int(params.get("restarts", 4))
+    if not ns:
+        raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
+    if min(ns) <= 2 * d:
+        raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
     instances = []
     for n in ns:
         for s in range(samples):
@@ -162,24 +145,15 @@ def _probe_regular_2d(params: dict, seed: int) -> dict:
     summary = {
         "max_gap_by_n": {str(n): max(i["best_gap"] for i in instances if i["n"] == n) for n in ns},
     }
-    return _record(
-        "regular-2d",
-        {"d": d, "ns": ns, "samples": samples, "restarts": restarts},
-        seed,
-        instances,
-        summary,
-        [],
-    )
+    return instances, summary, []
 
 
-def _probe_repeated_points(params: dict, seed: int) -> dict:
+def _probe_repeated_points(n=4, d=3, ks=(2, 3, 4), *, seed) -> tuple[list, dict, list]:
     """Gap of K_{kn} with k vertices per image point of a base injective
     placement, against (k/2) times the k=2 gap."""
-    n = int(params.get("n", 4))
-    d = int(params.get("d", 3))
-    ks = [int(x) for x in params.get("ks", (2, 3, 4))]
-    base_seed = int(params.get("base_seed", seed))
-    rng = rng_stream(base_seed, f"repeated-base:{n}:{d}")
+    if not ks:
+        raise ValueError("repeated-points needs at least one replication count k, got ks = []")
+    rng = rng_stream(seed, f"repeated-base:{n}:{d}")
     base = Placement(rng.standard_normal((n, d)))
     gap2 = spectral_gap(complete_graph(2 * n), replicate_placement(base, 2))
     instances, candidates = [], []
@@ -200,14 +174,7 @@ def _probe_repeated_points(params: dict, seed: int) -> dict:
         "min_margin": min(i["margin"] for i in instances),
         "max_margin": max(i["margin"] for i in instances),
     }
-    return _record(
-        "repeated-points",
-        {"n": n, "d": d, "ks": ks, "base_seed": base_seed},
-        seed,
-        instances,
-        summary,
-        candidates,
-    )
+    return instances, summary, candidates
 
 
 PROBES = {
@@ -221,7 +188,17 @@ PROBE_TAGS = tuple(PROBES)
 
 
 def conjecture_probe(name: str, params: dict | None = None, seed: int = 0) -> dict:
-    """Run the named conjecture sweep; see PROBE_TAGS for the valid names."""
+    """Run the named conjecture sweep; see PROBE_TAGS for the valid names.
+    A parameter the probe does not read is a ValueError."""
     if name not in PROBES:
         raise ValueError(f"unknown conjecture tag {name!r}; valid tags: {', '.join(PROBE_TAGS)}")
-    return PROBES[name](dict(params or {}), seed)
+    bound = bind_params(PROBES[name], params or {}, f"conjecture {name!r}")
+    instances, summary, candidates = PROBES[name](**bound, seed=seed)
+    return {
+        "name": name,
+        "params": bound,
+        "seed": seed,
+        "instances": instances,
+        "summary": summary,
+        "counterexample_candidates": candidates,
+    }

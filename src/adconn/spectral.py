@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -73,9 +72,6 @@ class MultiplicitySpectrum:
             "total": self.total,
             "cluster_tol": self.cluster_tol,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:

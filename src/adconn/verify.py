@@ -1,8 +1,11 @@
 """Verification sweeps: every closed-form spectrum, eigenvector family,
 interlacing relation, and projection identity checked on a grid of instances.
 
-The simplex, Turán-simplex and crosspolytope sweeps take their instances from
-the closedform.CANONICAL rows; a custom (d, n) grid keeps the pairs a row admits.
+Each sweep is a function of keyword parameters, and its signature holds the
+only default of each one.  run_suite binds a grid and a sample count against
+that signature and refuses any value the sweep does not read.  The simplex,
+Turán-simplex and crosspolytope sweeps take their instances from the
+closedform.CANONICAL rows; a custom (d, n) grid keeps the pairs a row admits.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -12,6 +15,7 @@ so a single JSON schema covers all suites.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -85,19 +89,14 @@ def _spectrum_entry(theorem, instance, predicted, g, p):
     )
 
 
-def _grid_range(grid: dict | None, key: str, default) -> list:
-    if grid and key in grid:
-        return list(grid[key])
-    return list(default)
-
-
-def _grid_pairs(grid: dict | None, default_pairs, row: str) -> list[tuple[int, int]]:
+def _grid_pairs(ds, ns, default_pairs, row: str) -> list[tuple[int, int]]:
     """(d, n) pairs either straight from the default grid or as the product of
-    explicit d and n ranges, filtered by the CANONICAL row's admissibility."""
-    if not grid or ("d" not in grid and "n" not in grid):
+    the given d and n values (a missing one takes the default grid's values),
+    filtered by the CANONICAL row's admissibility."""
+    if ds is None and ns is None:
         return list(default_pairs)
-    ds = _grid_range(grid, "d", sorted({d for d, _ in default_pairs}))
-    ns = _grid_range(grid, "n", sorted({n for _, n in default_pairs}))
+    ds = sorted({d for d, _ in default_pairs}) if ds is None else ds
+    ns = sorted({n for _, n in default_pairs}) if ns is None else ns
     return [(d, n) for d in ds for n in ns if CANONICAL[row].admits(n, d)]
 
 
@@ -110,28 +109,27 @@ def _canonical_entries(row: str, pairs, instance) -> list[dict]:
     ]
 
 
-def suite_simplex(grid=None, samples=None, seed=0) -> list[dict]:
-    pairs = [(d, d + 1) for d in _grid_range(grid, "d", range(2, 11))]
+def suite_simplex(d=range(2, 11), *, seed) -> list[dict]:
+    pairs = [(k, k + 1) for k in d]
     return _canonical_entries("simplex", pairs, lambda n, d: {"d": d})
 
 
-def suite_turan(grid=None, samples=None, seed=0) -> list[dict]:
-    pairs = _grid_pairs(grid, TURAN_GRID, "turan-simplex")
+def suite_turan(d=None, n=None, *, seed) -> list[dict]:
+    pairs = _grid_pairs(d, n, TURAN_GRID, "turan-simplex")
     return _canonical_entries("turan-simplex", pairs, lambda n, d: {"n": n, "d": d})
 
 
-def suite_cross(grid=None, samples=None, seed=0) -> list[dict]:
-    pairs = _grid_pairs(grid, CROSS_GRID, "crosspolytope")
+def suite_cross(d=None, n=None, *, seed) -> list[dict]:
+    pairs = _grid_pairs(d, n, CROSS_GRID, "crosspolytope")
     return _canonical_entries("crosspolytope", pairs, lambda n, d: {"n": n, "d": d})
 
 
-def suite_tetra(grid=None, samples=None, seed=0) -> list[dict]:
-    hs = _grid_range(grid, "h", PYRAMID_HEIGHTS)
+def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
     entries = []
-    for h in hs:
-        g, p = complete_graph(4), triangular_pyramid(h)
-        entry = _spectrum_entry("pyramid", {"h": h}, pyramid_spectrum_closed_form(h), g, p)
-        if h >= 1.0 / math.sqrt(6.0) - 1e-12:
+    for height in h:
+        g, p = complete_graph(4), triangular_pyramid(height)
+        entry = _spectrum_entry("pyramid", {"h": height}, pyramid_spectrum_closed_form(height), g, p)
+        if height >= 1.0 / math.sqrt(6.0) - 1e-12:
             lam7 = float(symmetric_eigenvalues(stiffness(g, p))[6])
             entry["computed_gap"] = lam7
             entry["pass"] = entry["pass"] and abs(lam7 - 1.0) <= VALUE_TOL
@@ -139,32 +137,27 @@ def suite_tetra(grid=None, samples=None, seed=0) -> list[dict]:
     return entries
 
 
-def suite_circle(grid=None, samples=5, seed=0) -> list[dict]:
-    ns = _grid_range(grid, "n", range(3, 21))
-    samples = 5 if samples is None else int(samples)
-
-    def one(n, label, angles):
+def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
+    def one(k, label, angles):
         circle = unit_circle_placement(angles)
-        predicted = circle_spectrum_closed_form(n)
-        entry = _spectrum_entry("circle", {"n": n, "instance": label}, predicted, complete_graph(n), circle.placement)
+        predicted = circle_spectrum_closed_form(k)
+        entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, complete_graph(k), circle.placement)
         residual = circle_identity_residual(circle.placement)
         entry["identity_residual"] = residual
         entry["pass"] = entry["pass"] and circle.centered and circle.injective and residual <= RESIDUAL_TOL
         return entry
 
     entries = []
-    for n in ns:
-        entries.append(one(n, "roots-of-unity", roots_of_unity_angles(n)))
+    for k in n:
+        entries.append(one(k, "roots-of-unity", roots_of_unity_angles(k)))
         for s in range(samples):
-            angles = centered_circle_angles(n, rng_stream(seed, f"circle:{n}:{s}"))
-            entries.append(one(n, f"random-{s}", angles))
+            angles = centered_circle_angles(k, rng_stream(seed, f"circle:{k}:{s}"))
+            entries.append(one(k, f"random-{s}", angles))
     return entries
 
 
-def suite_interlacing(grid=None, samples=100, seed=0) -> list[dict]:
-    ns = _grid_range(grid, "n", range(4, 11))
-    ds = _grid_range(grid, "d", range(2, 5))
-    samples = 100 if samples is None else int(samples)
+def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> list[dict]:
+    ns, ds = list(n), list(d)
 
     def one(s):
         rng = rng_stream(seed, f"interlacing:{s}")
@@ -191,24 +184,22 @@ def suite_interlacing(grid=None, samples=100, seed=0) -> list[dict]:
     return [one(s) for s in range(samples)]
 
 
-def suite_kyfan(grid=None, samples=500, seed=0) -> list[dict]:
-    ns = _grid_range(grid, "n", range(3, 21))
-    samples = 500 if samples is None else int(samples)
+def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
     entries = []
-    for n in ns:
-        P = vertex_star_projection(n)
+    for k in n:
+        P = vertex_star_projection(k)
         idem = float(np.max(np.abs(P @ P - P)))
         sym = float(np.max(np.abs(P - P.T)))
         star_err = max(
-            float(np.max(np.abs(P @ vertex_star_vector(n, i) - vertex_star_vector(n, i))))
-            for i in range(n)
+            float(np.max(np.abs(P @ vertex_star_vector(k, i) - vertex_star_vector(k, i))))
+            for i in range(k)
         )
-        trace_err = abs(float(np.trace(P)) - n)
+        trace_err = abs(float(np.trace(P)) - k)
         worst = max(idem, sym, star_err, trace_err)
         entries.append(
             _entry(
                 "vertex-star-projection",
-                {"n": n},
+                {"n": k},
                 "projection fixing all vertex stars, trace n",
                 {"idempotency": idem, "symmetry": sym, "star_error": star_err, "trace_error": trace_err},
                 worst,
@@ -287,8 +278,7 @@ def _family_entries(theorem, instance, g, p, families, expected_counts, joint_lo
     return entries
 
 
-def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
-    samples = 20 if samples is None else int(samples)
+def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -354,8 +344,8 @@ def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
             worst <= RESIDUAL_TOL,
         )
 
-    turan_pairs = _grid_pairs(grid, TURAN_GRID, "turan-simplex")
-    cross_pairs = _grid_pairs(grid, CROSS_GRID, "crosspolytope")
+    turan_pairs = _grid_pairs(d, n, TURAN_GRID, "turan-simplex")
+    cross_pairs = _grid_pairs(d, n, CROSS_GRID, "crosspolytope")
     entries = [e for d, n in turan_pairs for e in turan_job(d, n)]
     entries += [e for d, n in cross_pairs for e in cross_job(d, n)]
     entries += [spherical_job(f"turan-simplex:{n},{d}", n, turan_simplex_placement(n, d)) for d, n in turan_pairs]
@@ -364,22 +354,36 @@ def suite_families(grid=None, samples=20, seed=0) -> list[dict]:
     return entries
 
 
-_SUITE_FUNCS = {
-    "simplex": suite_simplex,
-    "turan": suite_turan,
-    "cross": suite_cross,
-    "tetra": suite_tetra,
-    "circle": suite_circle,
-    "interlacing": suite_interlacing,
-    "kyfan": suite_kyfan,
-    "families": suite_families,
-}
+# Each name in SUITES runs the function suite_<name>.
+_SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
+
+
+def bind_params(fn, values: dict, what: str) -> dict:
+    """The parameters of fn other than the run-level seed, in signature order,
+    each with its value from values or else its signature default; tuples and
+    ranges come back as lists.  A value that fn does not take is a ValueError
+    that names it and the parameters fn takes."""
+    params = inspect.signature(fn).parameters
+    names = [k for k in params if k != "seed"]
+    refused = [k for k in values if k not in names]
+    if refused:
+        raise ValueError(f"{what} does not read {', '.join(refused)}; it reads {', '.join(names)}")
+    bound = {k: values.get(k, params[k].default) for k in names}
+    return {k: list(v) if isinstance(v, (tuple, range)) else v for k, v in bound.items()}
 
 
 def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
-    """Run one named sweep (or 'all') and aggregate a pass/fail report."""
+    """Run one named sweep (or 'all') and aggregate a pass/fail report.
+
+    The grid maps parameters of the suite's function to value lists, and
+    samples sets its sample count; either one is a ValueError for a suite
+    that does not read it.  'all' runs every suite at its default grid,
+    passing samples to the suites that read it, and refuses a grid."""
     if name == "all":
-        reports = [run_suite(s, grid=None, samples=samples, seed=seed) for s in SUITES]
+        if grid:
+            raise ValueError(f"suite 'all' does not read {', '.join(grid)}; it reads samples")
+        takes = {s: inspect.signature(_SUITE_FUNCS[s]).parameters for s in SUITES}
+        reports = [run_suite(s, samples=samples if "samples" in takes[s] else None, seed=seed) for s in SUITES]
         return {
             "suite": "all",
             "suites": reports,
@@ -389,10 +393,15 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
         }
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)} or 'all'")
+    grid = grid or {}
+    if "samples" in grid:
+        raise ValueError("samples is not a grid key; pass it as samples (--samples)")
+    given = grid if samples is None else {**grid, "samples": samples}
+    params = bind_params(_SUITE_FUNCS[name], given, f"suite {name!r}")
     for key in ("d", "n"):
-        if grid and any(v < 1 for v in grid.get(key, ())):
+        if any(v < 1 for v in grid.get(key, ())):
             raise ValueError(f"grid {key} values must be >= 1, got {grid[key]}")
-    entries = _SUITE_FUNCS[name](grid=grid, samples=samples, seed=seed)
+    entries = _SUITE_FUNCS[name](**params, seed=seed)
     if not entries:
         raise ValueError(f"suite {name!r} has no instances for this grid and sample count")
     failures = [e for e in entries if not e["pass"]]

@@ -6,6 +6,8 @@ import pytest
 from adconn.cli import UsageError, main, parse_graph_spec, parse_grid, parse_int_range, parse_placement_spec
 from adconn.closedform import CANONICAL
 from adconn.graphs import complete_graph
+from adconn.probes import conjecture_probe
+from adconn.verify import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -100,13 +102,72 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
         (["conjecture", "repeated-points", "--k", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
+        (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "conjecture-k-range",
-         "conjecture-n-range"],
+         "conjecture-n-range", "conjecture-n-at-2d"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
     assert code == 2 and message in err and "pass" not in out
+
+
+# What each suite and probe reads; every other value is refused with exit 2.
+SUITE_READS = {
+    "simplex": ["d"],
+    "turan": ["d", "n"],
+    "cross": ["d", "n"],
+    "tetra": ["h"],
+    "circle": ["n", "samples"],
+    "interlacing": ["n", "d", "samples"],
+    "kyfan": ["n", "samples"],
+    "families": ["d", "n", "samples"],
+    "all": ["samples"],  # no single grid fits every suite
+}
+PROBE_READS = {
+    "spherical-second-eig": ["n", "d", "samples"],
+    "top-n-sum": ["ns", "ds", "samples"],
+    "kn-upper": ["n", "d", "restarts"],
+    "regular-2d": ["d", "ns", "samples", "restarts"],
+    "repeated-points": ["n", "d", "ks"],
+}
+
+
+@pytest.mark.parametrize(
+    "suite,key",
+    [(suite, key) for suite, reads in SUITE_READS.items() for key in ("d", "n", "h", "x", "samples") if key not in reads],
+)
+def test_verify_refuses_what_the_suite_does_not_read(tmp_path, capsys, suite, key):
+    given = ["--samples", "3"] if key == "samples" else ["--grid", f"{key}=3"]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *given, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert f"suite '{suite}' does not read {key}; it reads {', '.join(SUITE_READS[suite])}" in err
+    with pytest.raises(ValueError, match=f"does not read {key};"):
+        run_suite(suite, **({"samples": 3} if key == "samples" else {"grid": {key: [3]}}))
+
+
+def test_verify_grid_cannot_set_samples(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "circle", "--grid", "samples=3", "--outdir", str(tmp_path))
+    assert code == 2 and "samples is not a grid key" in err and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "tag,flag",
+    [(tag, flag) for tag, reads in PROBE_READS.items() for flag in ("n", "d", "samples", "k", "restarts")
+     if flag not in reads and f"{flag}s" not in reads],
+)
+def test_conjecture_refuses_what_the_probe_does_not_read(tmp_path, capsys, tag, flag):
+    code, out, err = run_cli(capsys, "conjecture", tag, f"--{flag}", "3", "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert f"conjecture '{tag}' does not read {flag}; it reads {', '.join(PROBE_READS[tag])}" in err
+    with pytest.raises(ValueError, match=f"does not read {flag};"):
+        conjecture_probe(tag, {flag: 3}, seed=0)
+
+
+def test_base_seed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "repeated-points", "--base-seed", "5", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -294,7 +355,7 @@ def test_optimize_flexible_graph(tmp_path, capsys):
 def test_conjecture_command(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
-        "conjecture", "repeated-points", "--base-seed", "5", "--n", "4", "--d", "3",
+        "conjecture", "repeated-points", "--seed", "5", "--n", "4", "--d", "3",
         "--k", "2..4", "--outdir", str(tmp_path),
     )
     assert code == 0

@@ -63,6 +63,23 @@ def test_normalize_placement_unit_sphere_gauge(rng):
     np.testing.assert_allclose(np.linalg.norm(q.points, axis=1), 1.0, atol=1e-12)
 
 
+# The regular triangle with its centroid as a fourth point, which lies at the
+# origin after centering.
+TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
+@pytest.mark.parametrize("points", [regular_simplex(3).points, TRIANGLE_AND_CENTROID], ids=["simplex", "centroid"])
+def test_normalize_placement_does_not_depend_on_scale(points, gauge, scale):
+    want = normalize_placement(Placement(points), gauge).points
+    got = normalize_placement(Placement(scale * points), gauge).points
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    if gauge == "unit-sphere":
+        assert np.all((np.linalg.norm(got, axis=1) == 0) == np.all(points == 0, axis=1))
+
+
 def test_normalize_placement_rejects_constant():
     with pytest.raises(ValueError):
         normalize_placement(Placement(np.ones((3, 2))))

@@ -35,10 +35,35 @@ def test_top_n_sum_probe():
     assert json.dumps(record)  # fully serializable
 
 
-@pytest.mark.parametrize("tag", ["spherical-second-eig", "regular-2d"])
-def test_sampling_probes_reject_zero_samples(tag):
-    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
-        conjecture_probe(tag, {"samples": 0}, seed=0)
+@pytest.mark.parametrize(
+    "tag,params,message",
+    [
+        ("spherical-second-eig", {"samples": 0}, "samples must be >= 1, got 0"),
+        ("regular-2d", {"samples": 0}, "samples must be >= 1, got 0"),
+        ("regular-2d", {"ns": []}, "at least one vertex count"),
+        ("regular-2d", {"d": 2, "ns": [8, 4]}, "n > 2d .* got n = 4, d = 2"),
+        ("repeated-points", {"ks": []}, "at least one replication count"),
+    ],
+    ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "repeated-points-no-k"],
+)
+def test_sampling_probes_reject_zero_samples(tag, params, message):
+    with pytest.raises(ValueError, match=message):
+        conjecture_probe(tag, params, seed=0)
+
+
+@pytest.mark.parametrize(
+    "tag,given,params",
+    [
+        ("spherical-second-eig", {"samples": 2}, {"n": 8, "d": 3, "samples": 2}),
+        ("top-n-sum", {"samples": 1, "ds": [2]}, {"ns": [3, 4, 5, 6, 7, 8, 9, 10], "ds": [2], "samples": 1}),
+        ("kn-upper", {"restarts": 1, "n": 4}, {"n": 4, "d": 3, "restarts": 1}),
+        ("regular-2d", {"ns": (5,), "samples": 1, "restarts": 1}, {"d": 2, "ns": [5], "samples": 1, "restarts": 1}),
+        ("repeated-points", {"ks": range(2, 4), "n": 3}, {"n": 3, "d": 3, "ks": [2, 3]}),
+    ],
+)
+def test_record_params_are_the_defaults_under_the_given_values(tag, given, params):
+    record = conjecture_probe(tag, given, seed=0)
+    assert list(record["params"].items()) == list(params.items())  # signature order
 
 
 def test_top_n_sum_without_samples_keeps_canonical_instances():
@@ -72,7 +97,7 @@ def test_regular_2d_probe():
 
 def test_repeated_points_probe():
     record = conjecture_probe(
-        "repeated-points", {"n": 4, "d": 3, "ks": [2, 3, 4], "base_seed": 5}, seed=5
+        "repeated-points", {"n": 4, "d": 3, "ks": [2, 3, 4]}, seed=5
     )
     by_k = {i["k"]: i for i in record["instances"]}
     assert by_k[2]["ratio"] == pytest.approx(1.0, abs=1e-12)  # identity at k=2 by definition

@@ -16,7 +16,8 @@ file:path (placement JSON {"d": ..., "points": [[...], ...]}).
 verify passes --grid and --samples to the suite's function, and conjecture
 passes --n, --d, --samples, --k and --restarts to the probe's function (--n,
 --d and --k fill its list parameters ns, ds and ks where it has them).  A
-value that the function does not read is a usage error.
+value that the function does not read is a usage error, and so is a
+--restarts or --seed given to bounds without --observe.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  Every command writes a run manifest next to its outputs.
@@ -198,7 +199,7 @@ def cmd_spectrum(args) -> int:
         (outdir / "lower_spectrum.csv").write_text(lower.to_csv())
         outputs.append(outdir / "lower_spectrum.csv")
     _write_json(outputs[0], result)
-    _write_manifest(outdir, "spectrum", _params(args), args.seed, outputs, t0)
+    _write_manifest(outdir, "spectrum", _params(args), None, outputs, t0)
     print(json.dumps(result, indent=2))
     return 0
 
@@ -229,8 +230,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
+    given = [f"--{k}" for k in ("restarts", "seed") if getattr(args, k) is not None]
+    if given and not args.observe:
+        raise UsageError(f"bounds reads {' and '.join(given)} only with --observe")
     report = bound_report(args.n, args.d)
     if args.observe:
+        args.restarts = 16 if args.restarts is None else args.restarts
+        args.seed = 0 if args.seed is None else args.seed
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
         result = gap_ascent(complete_graph(args.n), args.d, config)
         report = dataclasses.replace(report, gap_observed=result.best_gap)
@@ -245,14 +251,7 @@ def cmd_bounds(args) -> int:
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
     g = parse_graph_spec(args.graph)
-    config = OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        step_init=args.step_init,
-        step_decay=args.step_decay,
-        seed=args.seed,
-        gauge=args.gauge,
-    )
+    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed, gauge=args.gauge)
     result = gap_ascent(g, args.d, config)
     outdir = Path(args.outdir)
     path = outdir / "optimize_result.json"
@@ -294,16 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=True):
         sp.add_argument("--outdir", default=".", help="directory for result files and the run manifest")
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("spectrum", help="clustered stiffness spectrum of a framework")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--placement", required=True)
     sp.add_argument("--tol", type=float, default=None, help="clustering tolerance (default 1e-8 * max(1, |L|_max))")
     sp.add_argument("--lower", action="store_true", help="also emit the edge-basis spectrum")
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("verify", help="run a verification sweep")
@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=int)
     sp.add_argument("d", type=int)
     sp.add_argument("--observe", action="store_true", help="run the optimizer and attach the observed gap")
-    sp.add_argument("--restarts", type=int, default=16)
-    common(sp)
+    sp.add_argument("--restarts", type=int, default=None, help="with --observe only (default 16)")
+    sp.add_argument("--seed", type=int, default=None, help="with --observe only (default 0)")
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("optimize", help="maximize the spectral gap over placements")
@@ -326,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--max-iters", type=int, default=400)
-    sp.add_argument("--step-init", type=float, default=0.1)
-    sp.add_argument("--step-decay", type=float, default=0.7)
     sp.add_argument("--gauge", choices=GAUGES, default="center-scale")
     common(sp)
     sp.set_defaults(func=cmd_optimize)

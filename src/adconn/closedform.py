@@ -26,27 +26,20 @@ from .placements import (
     turan_simplex_placement,
     unit_circle_placement,
 )
-from .spectral import MultiplicitySpectrum
+from .spectral import MultiplicitySpectrum, cluster_multiplicities
 
 MERGE_TOL = 1e-12
 
 
 def _predicted(tag: str, pairs, expected_total: int) -> MultiplicitySpectrum:
-    """Sorted clusters of the pairs, zero multiplicities dropped, values within MERGE_TOL merged."""
-    live = sorted((float(v), int(m)) for v, m in pairs if m > 0)
-    merged: list[list] = []
-    for v, m in live:
-        if merged and abs(v - merged[-1][0]) <= MERGE_TOL:
-            merged[-1][1] += m
-        else:
-            merged.append([v, m])
-    clusters = tuple((v, m) for v, m in merged)
-    if any(v < 0 for v, _ in clusters):
+    """Sorted clusters of the (value, multiplicity) pairs, values within MERGE_TOL merged."""
+    values, mults = zip(*pairs)
+    spectrum = cluster_multiplicities(np.sort(np.repeat(values, mults)), MERGE_TOL)
+    if spectrum.clusters[0][0] < 0:
         raise AssertionError(f"{tag}: negative predicted eigenvalue")
-    total = sum(m for _, m in clusters)
-    if total != expected_total:
-        raise AssertionError(f"{tag}: multiplicities sum to {total}, expected {expected_total}")
-    return MultiplicitySpectrum(clusters, total, MERGE_TOL)
+    if spectrum.total != expected_total:
+        raise AssertionError(f"{tag}: multiplicities sum to {spectrum.total}, expected {expected_total}")
+    return spectrum
 
 
 def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
@@ -175,6 +168,8 @@ CANONICAL: dict[str, CanonicalFramework] = {
 def canonical_placements(n: int, d: int) -> list[tuple[str, Placement]]:
     """(row name, placement) of the rows admitting (n, d), in table order, less
     repeats: at n = d+1 the Turán simplex placement is the regular simplex."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     out: list[tuple[str, Placement]] = []
     for name, row in CANONICAL.items():
         if row.admits(n, d):

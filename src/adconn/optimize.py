@@ -14,6 +14,9 @@ back, up to its initial value, so a restart whose steps shrank at a multiple
 gap eigenvalue (Overton, SIAM J. Optim. 1992) can lengthen them again once it
 is past it.  Restarts mix jittered canonical placements with uniform sphere
 starts and draw from per-restart seeded streams, so a seed fixes the result.
+OptimizerConfig holds what a caller sets (restarts, max_iters, seed, gauge);
+the module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and
+JITTER fix the rest.
 """
 
 from __future__ import annotations
@@ -32,28 +35,24 @@ from .seeding import rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
 GAUGES = ("center-scale", "unit-sphere")
+STEP_INIT = 0.1     # first and longest step length
+STEP_DECAY = 0.7    # step factor after a rejected step; its inverse after an accepted one
+SMOOTHING = 1e-6    # softmin width as a fraction of the current gap
+TOL = 1e-8          # minimum gap improvement that counts as progress
+PATIENCE = 50       # iterations without progress before a restart stops
+JITTER = 1e-3       # applied to canonical starts to restore injectivity
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 8
     max_iters: int = 400
-    step_init: float = 0.1
-    step_decay: float = 0.7
     seed: int = 0
     gauge: str = "center-scale"
-    smoothing: float = 1e-6   # softmin width as a fraction of the current gap
-    tol: float = 1e-8         # minimum gap improvement that counts as progress
-    patience: int = 50        # iterations without progress before a restart stops
-    jitter: float = 1e-3      # applied to canonical starts to restore injectivity
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.patience < 1:
-            raise ValueError("restarts, max_iters and patience must be positive")
-        if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.step_decay <= 1:
-            raise ValueError("step_decay must lie in (0, 1]")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be positive")
         if self.gauge not in GAUGES:
             raise ValueError(f"gauge must be one of {GAUGES}, got {self.gauge!r}")
 
@@ -118,12 +117,10 @@ def _pow2_prescaled(pts: np.ndarray, axis) -> np.ndarray:
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
-    """Softmin over the eigenvalue cluster starting at index t, and its softmax
-    weights over eigs[t:t + len(weights)]; equals eigs[t] as the width shrinks
-    or when the cluster is a singleton."""
+    """Softmin of positive width over the eigenvalue cluster starting at index
+    t, and its softmax weights over eigs[t:t + len(weights)]; equals eigs[t]
+    as the width shrinks or when the cluster is a singleton."""
     lam_t = float(eigs[t])
-    if width <= 0:
-        return lam_t, np.ones(1)
     cluster = eigs[t:][eigs[t:] <= lam_t + width]
     z = np.exp(-(cluster - lam_t) / width)
     total = float(np.sum(z))
@@ -196,7 +193,7 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
     for i in range(config.restarts):
         rng = rng_stream(config.seed, f"restart-{i}")
         if i < len(canonical):
-            pts = canonical[i].points + config.jitter * rng.standard_normal((n, d))
+            pts = canonical[i].points + JITTER * rng.standard_normal((n, d))
         else:
             pts = rng.standard_normal((n, d))
             pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -214,34 +211,34 @@ class _RestartOutcome:
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
     t = trivial_motion_count(d)
-    cur = _evaluate(g, normalize_placement(start, config.gauge), t, config.smoothing)
+    cur = _evaluate(g, normalize_placement(start, config.gauge), t, SMOOTHING)
     grad = _objective_gradient(g, cur, t)
     best_gap, best_placement = cur.gap, cur.placement
     trace = [(0, best_gap)]
-    step = config.step_init
+    step = STEP_INIT
     snapshot, stalled = best_gap, 0
 
     for it in range(1, config.max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 1e-14:
             moved = Placement(cur.placement.points + (step / gnorm) * grad)
-            trial = _evaluate(g, normalize_placement(moved, config.gauge), t, config.smoothing)
+            trial = _evaluate(g, normalize_placement(moved, config.gauge), t, SMOOTHING)
             if trial.value > cur.value:
                 cur = trial
                 grad = _objective_gradient(g, cur, t)
-                step = min(step / config.step_decay, config.step_init)
+                step = min(step / STEP_DECAY, STEP_INIT)
             else:
-                step *= config.step_decay
+                step *= STEP_DECAY
         else:
-            step *= config.step_decay
+            step *= STEP_DECAY
         if cur.gap > best_gap:
             best_gap, best_placement = cur.gap, cur.placement
             trace.append((it, best_gap))
-        if best_gap >= snapshot + config.tol:
+        if best_gap >= snapshot + TOL:
             snapshot, stalled = best_gap, 0
         else:
             stalled += 1
-        if stalled >= config.patience or step < 1e-13:
+        if stalled >= PATIENCE or step < 1e-13:
             break
 
     return _RestartOutcome(index, best_gap, best_placement, trace)

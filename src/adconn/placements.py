@@ -156,24 +156,19 @@ def random_sphere_placement(n: int, d: int, seed: int, centered: bool = False) -
         raise ValueError(f"centered sampling needs even n, got {n}")
     rng = rng_stream(seed, f"sphere:{n}:{d}:{int(centered)}")
     if centered:
-        half = _unit_rows(rng.standard_normal((n // 2, d)))
-        pts = np.empty((n, d))
-        pts[0::2] = half
-        pts[1::2] = -half
-        return Placement(pts)
+        return centered_sphere_points(n, d, rng)
     return Placement(_unit_rows(rng.standard_normal((n, d))))
 
 
 def centered_sphere_points(n: int, d: int, rng: np.random.Generator) -> Placement:
-    """Random unit-norm points with exactly zero sum, for any n >= 3.
+    """Random unit-norm points with exactly zero sum, for even n >= 2 and d >= 1
+    or odd n >= 3 and d >= 2.
 
     Even n uses antipodal pairs; odd n adds one equilateral triple inside a
     random 2-plane (three unit vectors summing to zero must be coplanar).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    if n < 2 or d < 1 or (n % 2 and d < 2):
+        raise ValueError(f"need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n={n}, d={d}")
     rows = []
     if n % 2 != 0:
         frame = np.linalg.qr(rng.standard_normal((d, 2)))[0]

@@ -26,15 +26,16 @@ from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points, replicate_placement
 from .seeding import rng_stream
 from .spectral import spectral_gap, stiffness_spectrum
-from .verify import bind_params
+from .verify import bind_params, check_samples
 
 
 def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, dict, list]:
     """Second-largest stiffness eigenvalue of K_n at centered spherical
     placements: conjectured to be n/2 with multiplicity exactly n-1 (the n/2
     cluster is guaranteed to have multiplicity at least n-1)."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_samples(samples, least=1)
+    if n < 3 or d < 2:
+        raise ValueError(f"spherical-second-eig needs n >= 3 and d >= 2, got n = {n}, d = {d}")
     g = complete_graph(n)
     instances, candidates = [], []
     for s in range(samples):
@@ -70,6 +71,7 @@ def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, di
 def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tuple[list, dict, list]:
     """Sum of the n largest stiffness eigenvalues of K_n at injective
     placements, against the conjectured floor n(n+1)/2."""
+    check_samples(samples, least=0)
     instances, candidates = [], []
     for n in ns:
         for d in ds:
@@ -128,8 +130,7 @@ def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
 def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gaps of random 2d-regular graphs; the conjecture is that
     the achievable gap vanishes as the vertex count grows."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_samples(samples, least=1)
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
     if min(ns) <= 2 * d:
@@ -153,6 +154,9 @@ def _probe_repeated_points(n=4, d=3, ks=(2, 3, 4), *, seed) -> tuple[list, dict,
     placement, against (k/2) times the k=2 gap."""
     if not ks:
         raise ValueError("repeated-points needs at least one replication count k, got ks = []")
+    k = min(2, *ks)  # the k = 2 gap is the reference
+    if k * n <= d:
+        raise ValueError(f"repeated-points needs k*n > d, got k*n = {k * n} at k = {k}, n = {n}, d = {d}")
     rng = rng_stream(seed, f"repeated-base:{n}:{d}")
     base = Placement(rng.standard_normal((n, d)))
     gap2 = spectral_gap(complete_graph(2 * n), replicate_placement(base, 2))

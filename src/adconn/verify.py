@@ -138,6 +138,8 @@ def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
 
 
 def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
+    check_samples(samples, least=0)
+
     def one(k, label, angles):
         circle = unit_circle_placement(angles)
         predicted = circle_spectrum_closed_form(k)
@@ -157,6 +159,7 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
 
 
 def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> list[dict]:
+    check_samples(samples, least=0)
     ns, ds = list(n), list(d)
 
     def one(s):
@@ -185,6 +188,7 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
 
 
 def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
+    check_samples(samples, least=0)
     entries = []
     for k in n:
         P = vertex_star_projection(k)
@@ -279,8 +283,7 @@ def _family_entries(theorem, instance, g, p, families, expected_counts, joint_lo
 
 
 def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_samples(samples, least=1)
 
     def turan_job(d, n):
         fam = turan_simplex_families(n, d)
@@ -356,6 +359,12 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
 
 # Each name in SUITES runs the function suite_<name>.
 _SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
+
+
+def check_samples(samples: int, least: int) -> None:
+    """A sample count below least is a ValueError."""
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}, got {samples}")
 
 
 def bind_params(fn, values: dict, what: str) -> dict:

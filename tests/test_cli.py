@@ -170,6 +170,36 @@ def test_base_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--graph", "complete:4", "--d", "3", "--step-init", "0.2"],
+        ["optimize", "--graph", "complete:4", "--d", "3", "--step-decay", "0.5"],
+        ["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--seed", "1"],
+    ],
+    ids=["optimize-step-init", "optimize-step-decay", "spectrum-seed"],
+)
+def test_removed_flags_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2 and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--graph", "complete:4", "--d", "0"],
+        ["conjecture", "kn-upper", "--n", "4", "--d", "0"],
+        ["conjecture", "regular-2d", "--d", "0", "--n", "5"],
+        ["conjecture", "top-n-sum", "--n", "3", "--d", "0"],
+    ],
+    ids=["optimize", "kn-upper", "regular-2d", "top-n-sum"],
+)
+def test_dimension_below_one_is_usage_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and "need d >= 1, got d=0" in err
+
+
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -184,6 +214,7 @@ def test_spectrum_command(tmp_path, capsys):
     assert (tmp_path / "spectrum.csv").exists()
     manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
     assert manifest["command"] == "spectrum" and manifest["version"]
+    assert manifest["seed"] is None and "seed" not in manifest["params"]
 
 
 def test_spectrum_command_lower_and_crosspolytope(tmp_path, capsys):
@@ -271,6 +302,31 @@ def test_verify_families_without_samples_is_usage_error(tmp_path, capsys, sample
     assert code == 2 and f"samples must be >= 1, got {samples}" in err and "pass" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "circle"],
+        ["verify", "--suite", "kyfan"],
+        ["verify", "--suite", "interlacing"],
+        ["conjecture", "top-n-sum", "--n", "3", "--d", "2"],
+        ["conjecture", "spherical-second-eig"],
+        ["conjecture", "regular-2d"],
+    ],
+    ids=["circle", "kyfan", "interlacing", "top-n-sum", "spherical-second-eig", "regular-2d"],
+)
+def test_negative_samples_is_usage_error(tmp_path, capsys, argv):
+    least = 1 if argv[1] in ("spherical-second-eig", "regular-2d") else 0
+    code, out, err = run_cli(capsys, *argv, "--samples", "-2", "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and f"samples must be >= {least}, got -2" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("suite", ["circle", "kyfan"])
+def test_zero_samples_still_runs_the_fixed_instances(tmp_path, capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--samples", "0", "--outdir", str(tmp_path))
+    assert code == 0 and f"{suite}: pass" in out
+
+
 def test_verify_command_pass_and_report(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -306,6 +362,26 @@ def test_bounds_command(tmp_path, capsys):
     assert payload["lower_general"] == -3.0
     assert payload["upper"] == pytest.approx(13 / 3)
     assert payload["gap_observed"] is None
+
+
+@pytest.mark.parametrize(
+    "given,named",
+    [(["--restarts", "5"], "--restarts"), (["--seed", "1"], "--seed"), (["--seed", "1", "--restarts", "5"], "--restarts and --seed")],
+    ids=["restarts", "seed", "both"],
+)
+def test_bounds_refuses_optimizer_settings_without_observe(tmp_path, capsys, given, named):
+    code, out, err = run_cli(capsys, "bounds", "12", "3", *given, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert f"bounds reads {named} only with --observe" in err
+
+
+def test_bounds_manifest_records_the_settings_it_read(tmp_path, capsys):
+    run_cli(capsys, "bounds", "12", "3", "--outdir", str(tmp_path / "plain"))
+    plain = json.loads((tmp_path / "plain" / "bounds_manifest.json").read_text())
+    assert plain["seed"] is None and plain["params"]["restarts"] is None
+    code, _, _ = run_cli(capsys, "bounds", "4", "3", "--observe", "--outdir", str(tmp_path / "observed"))
+    observed = json.loads((tmp_path / "observed" / "bounds_manifest.json").read_text())
+    assert code == 0 and observed["seed"] == 0 and observed["params"]["restarts"] == 16
 
 
 def test_bounds_out_of_range_is_usage_error(tmp_path, capsys):
@@ -388,14 +464,12 @@ def test_manifest_reproduces_run(tmp_path, capsys):
     run_cli(capsys, "optimize", "--graph", "complete:4", "--d", "3",
             "--restarts", "2", "--max-iters", "30", "--seed", "9", "--outdir", str(outdir))
     manifest = json.loads((outdir / "optimize_manifest.json").read_text())
-    params = manifest["params"]
     outdir2 = tmp_path / "run2"
-    code, _, _ = run_cli(
-        capsys,
-        "optimize", "--graph", params["graph"], "--d", str(params["d"]),
-        "--restarts", str(params["restarts"]), "--max-iters", str(params["max_iters"]),
-        "--seed", str(params["seed"]), "--outdir", str(outdir2),
-    )
+    params = {**manifest["params"], "outdir": str(outdir2)}
+    argv = [params.pop("command")]
+    for key, value in params.items():  # every recorded setting must be a flag
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     r1 = json.loads((outdir / "optimize_result.json").read_text())
     r2 = json.loads((outdir2 / "optimize_result.json").read_text())

@@ -168,6 +168,14 @@ def test_centered_sphere_points_any_parity():
         assert p.image_size() >= 3
 
 
+def test_centered_sphere_points_domain():
+    rng = rng_stream(5, "cs-domain")
+    np.testing.assert_array_equal(np.sort(centered_sphere_points(2, 1, rng).points.ravel()), [-1.0, 1.0])
+    for n, d in ((1, 3), (0, 3), (3, 1), (4, 0)):
+        with pytest.raises(ValueError, match="need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2"):
+            centered_sphere_points(n, d, rng)
+
+
 def test_spherical_placements_satisfy_half_n_multiplicity(rng):
     # centered unit-norm placements with image >= 3 put an eigenvalue cluster
     # of multiplicity at least n-1 at n/2

@@ -20,7 +20,10 @@ value that the function does not read is a usage error, and so is a
 --restarts or --seed given to bounds without --observe.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error.  Every command writes a run manifest next to its outputs.
+error.  A command only computes: it returns its exit code, its result files
+and its summary.  One writer, _run_and_record, times it, writes those files
+and <command>_manifest.json into --outdir, and prints the summary.  The
+manifest records the command once; its params hold the subcommand's flags.
 """
 
 from __future__ import annotations
@@ -155,31 +158,12 @@ def parse_grid(text: str | None) -> dict | None:
     return grid
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+# What a command returns: its exit code, {file name: JSON object or CSV text}
+# in the order the manifest lists them, and its summary for stdout.
+Outcome = tuple[int, dict, str]
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _write_manifest(outdir: Path, command: str, params: dict, seed, outputs: list[Path], t0: float) -> Path:
-    manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": [str(p) for p in outputs],
-    }
-    path = outdir / f"{command}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum(args) -> Outcome:
     g = parse_graph_spec(args.graph)
     p = parse_placement_spec(args.placement)
     if p.n != g.n:
@@ -187,49 +171,29 @@ def cmd_spectrum(args) -> int:
             f"placement ({p.n} points) does not match graph ({g.n} vertices): "
             f"check --graph and --placement"
         )
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     spectrum = clustered_spectrum(stiffness(g, p), args.tol)
     result = {"graph": args.graph, "placement": args.placement, "stiffness": spectrum.to_json_dict()}
-    outputs = [outdir / "spectrum.json", outdir / "spectrum.csv"]
-    (outdir / "spectrum.csv").write_text(spectrum.to_csv())
+    files = {"spectrum.json": result, "spectrum.csv": spectrum.to_csv()}
     if args.lower:
         lower = clustered_spectrum(lower_stiffness_direct(g, p), args.tol)
         result["lower_stiffness"] = lower.to_json_dict()
-        (outdir / "lower_spectrum.csv").write_text(lower.to_csv())
-        outputs.append(outdir / "lower_spectrum.csv")
-    _write_json(outputs[0], result)
-    _write_manifest(outdir, "spectrum", _params(args), None, outputs, t0)
-    print(json.dumps(result, indent=2))
-    return 0
+        files["lower_spectrum.csv"] = lower.to_csv()
+    return 0, files, json.dumps(result, indent=2)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    grid = parse_grid(args.grid)
-    report = run_suite(
-        args.suite,
-        grid=grid,
-        samples=args.samples,
-        seed=args.seed,
+def cmd_verify(args) -> Outcome:
+    report = run_suite(args.suite, grid=parse_grid(args.grid), samples=args.samples, seed=args.seed)
+    summary = "\n".join(
+        f"{sub['suite']}: {'pass' if sub['pass'] else 'FAIL'} "
+        f"({sub['count']} instances, {len(sub['failures'])} failures)"
+        for sub in report.get("suites", [report])
     )
-    outdir = Path(args.outdir)
-    report_path = outdir / "verify_report.json"
-    _write_json(report_path, report)
-    _write_manifest(outdir, "verify", _params(args), args.seed, [report_path], t0)
-    suites = report.get("suites", [report])
-    for sub in suites:
-        status = "pass" if sub["pass"] else "FAIL"
-        print(f"{sub['suite']}: {status} ({sub['count']} instances, {len(sub['failures'])} failures)")
     if not report["pass"]:
-        worst = report["failures"][0]
-        print(f"first failure: {json.dumps(worst)[:400]}", file=sys.stderr)
-        return 1
-    return 0
+        print(f"first failure: {json.dumps(report['failures'][0])[:400]}", file=sys.stderr)
+    return int(not report["pass"]), {"verify_report.json": report}, summary
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args) -> Outcome:
     given = [f"--{k}" for k in ("restarts", "seed") if getattr(args, k) is not None]
     if given and not args.observe:
         raise UsageError(f"bounds reads {' and '.join(given)} only with --observe")
@@ -240,30 +204,19 @@ def cmd_bounds(args) -> int:
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
         result = gap_ascent(complete_graph(args.n), args.d, config)
         report = dataclasses.replace(report, gap_observed=result.best_gap)
-    outdir = Path(args.outdir)
-    path = outdir / "bounds.json"
-    _write_json(path, report.to_json_dict())
-    _write_manifest(outdir, "bounds", _params(args), args.seed, [path], t0)
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return 0
+    payload = report.to_json_dict()
+    return 0, {"bounds.json": payload}, json.dumps(payload, indent=2)
 
 
-def cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_optimize(args) -> Outcome:
     g = parse_graph_spec(args.graph)
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed, gauge=args.gauge)
-    result = gap_ascent(g, args.d, config)
-    outdir = Path(args.outdir)
-    path = outdir / "optimize_result.json"
-    payload = result.to_json_dict()
-    _write_json(path, payload)
-    _write_manifest(outdir, "optimize", _params(args), args.seed, [path], t0)
-    print(json.dumps({k: payload[k] for k in ("best_gap", "best_restart", "best_placement")}, indent=2))
-    return 0
+    payload = gap_ascent(g, args.d, config).to_json_dict()
+    summary = {k: payload[k] for k in ("best_gap", "best_restart", "best_placement")}
+    return 0, {"optimize_result.json": payload}, json.dumps(summary, indent=2)
 
 
-def cmd_conjecture(args) -> int:
-    t0 = time.perf_counter()
+def cmd_conjecture(args) -> Outcome:
     takes = inspect.signature(PROBES[args.tag]).parameters
     params: dict = {}
     for flag in ("n", "d", "k"):
@@ -280,12 +233,34 @@ def cmd_conjecture(args) -> int:
         if getattr(args, flag) is not None:
             params[flag] = getattr(args, flag)
     record = conjecture_probe(args.tag, params, seed=args.seed)
+    summary = {"name": record["name"], "summary": record["summary"]}
+    return 0, {f"conjecture_{args.tag}.json": record}, json.dumps(summary, indent=2)
+
+
+def _run_and_record(args) -> int:
+    """Run the subcommand; write its files and <command>_manifest.json under
+    --outdir, print its summary, and return its exit code.
+
+    The manifest's params are the subcommand's flags; its seed is the --seed
+    the command read, which bounds fills in only with --observe.
+    """
+    t0 = time.perf_counter()
+    code, files, summary = args.func(args)
     outdir = Path(args.outdir)
-    path = outdir / f"conjecture_{args.tag}.json"
-    _write_json(path, record)
-    _write_manifest(outdir, "conjecture", _params(args), args.seed, [path], t0)
-    print(json.dumps({"name": record["name"], "summary": record["summary"]}, indent=2))
-    return 0
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (outdir / name).write_text(content if isinstance(content, str) else json.dumps(content, indent=2) + "\n")
+    manifest = {
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": [str(outdir / name) for name in files],
+    }
+    (outdir / f"{args.command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    print(summary)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run_and_record(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

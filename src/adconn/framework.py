@@ -66,11 +66,12 @@ def _check_match(g: Graph, p: Placement) -> None:
 _SAFE_LENGTHS = (1e-150, 1e150)
 
 
-def _edge_geometry(g: Graph, p: Placement) -> tuple[np.ndarray, np.ndarray]:
+def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, d) array of d_uv and (m,) array of |p(u) - p(v)| for each edge (u, v),
-    u < v; coincident endpoints give a zero row and length 0."""
+    u < v, from the (n, d) points p; coincident endpoints give a zero row and
+    length 0."""
     uv = g.endpoints
-    pu, pv = p.points[uv[:, 0]], p.points[uv[:, 1]]
+    pu, pv = points[uv[:, 0]], points[uv[:, 1]]
     with np.errstate(over="ignore"):
         diffs = pu - pv
         lengths = np.linalg.norm(diffs, axis=1)
@@ -116,7 +117,7 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
 def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:
     """dn x |E| matrix whose column for edge {u, v} is (1_u - 1_v) (x) d_uv."""
     _check_match(g, p)
-    return _rigidity_from_directions(g, _edge_geometry(g, p)[0])
+    return _rigidity_from_directions(g, _edge_geometry(g, p.points)[0])
 
 
 def stiffness(g: Graph, p: Placement) -> np.ndarray:
@@ -137,7 +138,7 @@ def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     """
     _check_match(g, p)
     L = np.zeros((g.m, g.m))
-    unit = _edge_geometry(g, p)[0]
+    unit = _edge_geometry(g, p.points)[0]
     uv = g.endpoints
     # Two distinct edges of a simple graph share at most one vertex, so the
     # off-diagonal entries written for different stars never overlap.
@@ -153,7 +154,7 @@ def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
 def edge_lengths(g: Graph, p: Placement) -> np.ndarray:
     """Length of each placed edge, in canonical edge order."""
     _check_match(g, p)
-    return _edge_geometry(g, p)[1]
+    return _edge_geometry(g, p.points)[1]
 
 
 def placement_to_json(p: Placement) -> str:

@@ -87,9 +87,17 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
     inputs that already lie on a common sphere)."""
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
-    if p.is_constant():
+    return Placement(_normalized_points(p.points, gauge))
+
+
+def _normalized_points(points: np.ndarray, gauge: str) -> np.ndarray:
+    """normalize_placement on a bare (n, d) array, so that the ascent's trial
+    points need no Placement; the points must be finite and not all equal."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    if np.all(points == points[0]):
         raise ValueError("cannot normalize a constant placement")
-    pts = p.points - p.points.mean(axis=0)
+    pts = points - points.mean(axis=0)
     lo, hi = _SAFE_LENGTHS
     if gauge == "center-scale":
         with np.errstate(over="ignore"):
@@ -97,7 +105,7 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
         if not lo <= rms <= hi:
             pts = _pow2_prescaled(pts, None)
             rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
-        return Placement(pts / rms)
+        return pts / rms
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(pts, axis=1)
     if not (lo <= norms.min() and norms.max() <= hi):
@@ -105,7 +113,7 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
         norms = np.linalg.norm(pts, axis=1)
     safe = norms > 0
     pts[safe] /= norms[safe, None]
-    return Placement(pts)
+    return pts
 
 
 def _pow2_prescaled(pts: np.ndarray, axis) -> np.ndarray:
@@ -129,11 +137,11 @@ def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, 
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """A trial placement with its edge geometry, stiffness matrix, eigenvalues
-    and objective; eigenvectors are computed from the stored matrix only for
-    the gradient at an accepted point."""
+    """The (n, d) points of a trial placement with their edge geometry,
+    stiffness matrix, eigenvalues and objective; eigenvectors are computed from
+    the stored matrix only for the gradient at an accepted point."""
 
-    placement: Placement
+    points: np.ndarray
     unit: np.ndarray       # (m, d) edge directions
     lengths: np.ndarray    # (m,) edge lengths
     stiffness: np.ndarray  # R R^t
@@ -143,14 +151,14 @@ class _Evaluation:
     weights: np.ndarray   # its softmax weights over eigs[t:t + len(weights)]
 
 
-def _evaluate(g: Graph, p: Placement, t: int, smoothing: float) -> _Evaluation:
-    unit, lengths = _edge_geometry(g, p)
+def _evaluate(g: Graph, points: np.ndarray, t: int, smoothing: float) -> _Evaluation:
+    unit, lengths = _edge_geometry(g, points)
     R = _rigidity_from_directions(g, unit)
     L = R @ R.T
     eigs = np.linalg.eigvalsh(L)
     gap = float(eigs[t])
     value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
-    return _Evaluation(p, unit, lengths, L, eigs, gap, value, weights)
+    return _Evaluation(points, unit, lengths, L, eigs, gap, value, weights)
 
 
 def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
@@ -168,7 +176,7 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     coef = ev.weights.copy()
     if ev.gap > 1e-9:
         coef[0] += (ev.value - float(ev.weights @ ev.eigs[t:t + k])) / ev.gap
-    n, d = ev.placement.n, ev.placement.d
+    n, d = ev.points.shape
     uv = g.endpoints
     vecs = np.linalg.eigh(ev.stiffness)[1][:, t:t + k].T.reshape(k, n, d)
     w = vecs[:, uv[:, 0]] - vecs[:, uv[:, 1]]
@@ -211,9 +219,9 @@ class _RestartOutcome:
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
     t = trivial_motion_count(d)
-    cur = _evaluate(g, normalize_placement(start, config.gauge), t, SMOOTHING)
+    cur = _evaluate(g, _normalized_points(start.points, config.gauge), t, SMOOTHING)
     grad = _objective_gradient(g, cur, t)
-    best_gap, best_placement = cur.gap, cur.placement
+    best_gap, best_points = cur.gap, cur.points
     trace = [(0, best_gap)]
     step = STEP_INIT
     snapshot, stalled = best_gap, 0
@@ -221,8 +229,8 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
     for it in range(1, config.max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 1e-14:
-            moved = Placement(cur.placement.points + (step / gnorm) * grad)
-            trial = _evaluate(g, normalize_placement(moved, config.gauge), t, SMOOTHING)
+            moved = cur.points + (step / gnorm) * grad
+            trial = _evaluate(g, _normalized_points(moved, config.gauge), t, SMOOTHING)
             if trial.value > cur.value:
                 cur = trial
                 grad = _objective_gradient(g, cur, t)
@@ -232,7 +240,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
         else:
             step *= STEP_DECAY
         if cur.gap > best_gap:
-            best_gap, best_placement = cur.gap, cur.placement
+            best_gap, best_points = cur.gap, cur.points
             trace.append((it, best_gap))
         if best_gap >= snapshot + TOL:
             snapshot, stalled = best_gap, 0
@@ -241,7 +249,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
         if stalled >= PATIENCE or step < 1e-13:
             break
 
-    return _RestartOutcome(index, best_gap, best_placement, trace)
+    return _RestartOutcome(index, best_gap, Placement(best_points), trace)
 
 
 def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> OptimizeResult:

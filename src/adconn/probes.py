@@ -70,8 +70,10 @@ def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, di
 
 def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tuple[list, dict, list]:
     """Sum of the n largest stiffness eigenvalues of K_n at injective
-    placements, against the conjectured floor n(n+1)/2."""
+    placements, against the conjectured floor n(n+1)/2, stated for n >= 3."""
     check_samples(samples, least=0)
+    if min(ns, default=3) < 3:
+        raise ValueError(f"top-n-sum needs n >= 3 for the floor n(n+1)/2, got n = {min(ns)}")
     instances, candidates = [], []
     for n in ns:
         for d in ds:

@@ -161,6 +161,8 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
 def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> list[dict]:
     check_samples(samples, least=0)
     ns, ds = list(n), list(d)
+    if min(ns, default=2) < 2:  # each sample removes an edge of a graph on n vertices
+        raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
 
     def one(s):
         rng = rng_stream(seed, f"interlacing:{s}")

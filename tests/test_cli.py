@@ -100,12 +100,13 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "simplex", "--grid", "n=30..20"], "is empty"),
         (["verify", "--suite", "turan", "--grid", "n=31"], "no instances"),
         (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
+        (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "suite 'interlacing' needs n >= 2, got n = 1"),
         (["conjecture", "repeated-points", "--k", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
     ],
-    ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "conjecture-k-range",
-         "conjecture-n-range", "conjecture-n-at-2d"],
+    ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
+         "conjecture-k-range", "conjecture-n-range", "conjecture-n-at-2d"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
@@ -466,7 +467,7 @@ def test_manifest_reproduces_run(tmp_path, capsys):
     manifest = json.loads((outdir / "optimize_manifest.json").read_text())
     outdir2 = tmp_path / "run2"
     params = {**manifest["params"], "outdir": str(outdir2)}
-    argv = [params.pop("command")]
+    argv = [manifest["command"]]
     for key, value in params.items():  # every recorded setting must be a flag
         argv += [f"--{key.replace('_', '-')}", str(value)]
     code, _, _ = run_cli(capsys, *argv)
@@ -475,3 +476,25 @@ def test_manifest_reproduces_run(tmp_path, capsys):
     r2 = json.loads((outdir2 / "optimize_result.json").read_text())
     assert r1["best_gap"] == r2["best_gap"]
     assert r1["best_placement"] == r2["best_placement"]
+
+
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        (["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--lower"], None),
+        (["verify", "--suite", "simplex", "--grid", "d=2..3", "--seed", "4"], 4),
+        (["bounds", "6", "3"], None),
+        (["bounds", "4", "3", "--observe", "--restarts", "1"], 0),
+        (["optimize", "--graph", "complete:4", "--d", "3", "--restarts", "1", "--max-iters", "5", "--seed", "3"], 3),
+        (["conjecture", "top-n-sum", "--n", "3", "--d", "2", "--samples", "1", "--seed", "5"], 5),
+    ],
+    ids=["spectrum", "verify", "bounds", "bounds-observe", "optimize", "conjecture"],
+)
+def test_manifest_lists_the_files_written_and_the_seed_read(tmp_path, capsys, argv, seed):
+    code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    manifest_path = tmp_path / f"{argv[0]}_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert code == 0 and out and manifest["command"] == argv[0]
+    assert sorted(manifest["outputs"]) == sorted(str(p) for p in tmp_path.iterdir() if p != manifest_path)
+    assert "command" not in manifest["params"] and "func" not in manifest["params"]
+    assert manifest["seed"] == seed

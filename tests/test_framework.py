@@ -43,21 +43,21 @@ def lower_stiffness_product(g, p):
 def test_direction_basic():
     # the direction of edge (u, v), u < v, points from p(v) toward p(u)
     p = Placement([[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), p)[0], [[1.0, 0.0]])
+    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), p.points)[0], [[1.0, 0.0]])
     q = Placement([[0.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), q)[0], [[-1.0, 0.0]])
+    np.testing.assert_array_equal(_edge_geometry(complete_graph(2), q.points)[0], [[-1.0, 0.0]])
 
 
 def test_direction_coincident_is_exact_zero():
     p = Placement([[0.3, -0.2], [0.3, -0.2], [1.0, 0.0]])
-    unit, lengths = _edge_geometry(complete_graph(3), p)
+    unit, lengths = _edge_geometry(complete_graph(3), p.points)
     np.testing.assert_array_equal(unit[0], [0.0, 0.0])
     assert lengths[0] == 0.0
 
 
 def test_direction_normalizes():
     p = Placement([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    unit, lengths = _edge_geometry(complete_graph(2), p)
+    unit, lengths = _edge_geometry(complete_graph(2), p.points)
     np.testing.assert_allclose(unit, [[1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
     np.testing.assert_allclose(lengths, [math.sqrt(2)])
 
@@ -79,7 +79,7 @@ def test_far_edges_leave_other_rows_bit_identical():
     # largest float; the in-range rows must be the plain normalized differences
     p = Placement([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-200], [-1.5e308, 1.5e308]])
     g = complete_graph(4)
-    unit, lengths = _edge_geometry(g, p)
+    unit, lengths = _edge_geometry(g, p.points)
     for u, v in ((0, 1), (0, 2)):
         k, diff = g.index_of(u, v), p.points[u] - p.points[v]
         assert lengths[k] == np.linalg.norm(diff)
@@ -89,7 +89,7 @@ def test_far_edges_leave_other_rows_bit_identical():
     np.testing.assert_allclose(unit[g.index_of(2, 3)], [1 / math.sqrt(2), -1 / math.sqrt(2)], rtol=1e-15)
     assert lengths[g.index_of(2, 3)] == np.inf
     # the difference itself overflows; its halves do not
-    unit, lengths = _edge_geometry(complete_graph(2), Placement([[9e307, 0.0], [-9e307, 0.0]]))
+    unit, lengths = _edge_geometry(complete_graph(2), np.array([[9e307, 0.0], [-9e307, 0.0]]))
     np.testing.assert_array_equal(unit, [[1.0, 0.0]])
     assert lengths[0] == np.inf
 

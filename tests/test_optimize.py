@@ -207,7 +207,7 @@ def _gradient_error(g, pts, smoothing, h=1e-6):
     """Max deviation of the analytic gradient from a central difference, and
     the size of the softmin cluster."""
     t = trivial_motion_count(pts.shape[1])
-    ev = _evaluate(g, Placement(pts), t, smoothing)
+    ev = _evaluate(g, pts, t, smoothing)
     analytic = _objective_gradient(g, ev, t)
     central = np.zeros_like(pts)
     for idx in np.ndindex(*pts.shape):
@@ -245,8 +245,8 @@ def test_objective_gradient_ignores_coincident_edges():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.3, 1.1], [0.4, -0.9]])
     h = make_graph(5, [e for e in g.edges if e != (0, 1)])
     t = trivial_motion_count(2)
-    with_edge = _objective_gradient(g, _evaluate(g, Placement(pts), t, 1e-6), t)
-    without_edge = _objective_gradient(h, _evaluate(h, Placement(pts), t, 1e-6), t)
+    with_edge = _objective_gradient(g, _evaluate(g, pts, t, 1e-6), t)
+    without_edge = _objective_gradient(h, _evaluate(h, pts, t, 1e-6), t)
     assert np.all(np.isfinite(with_edge))
     np.testing.assert_allclose(with_edge, without_edge, atol=1e-12)
 
@@ -262,6 +262,6 @@ def test_evaluation_reads_the_public_spectrum(rng):
     cases.append((complete_graph(12), crosspolytope_placement(12, 3)))
     for g, p in cases:
         t = trivial_motion_count(p.d)
-        ev = _evaluate(g, p, t, 1e-6)
+        ev = _evaluate(g, p.points, t, 1e-6)
         assert np.array_equal(ev.eigs, symmetric_eigenvalues(stiffness(g, p)))
         assert ev.gap == spectral_gap(g, p)

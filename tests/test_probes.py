@@ -46,9 +46,10 @@ def test_top_n_sum_probe():
         ("repeated-points", {"n": 1, "d": 2}, r"k\*n > d, got k\*n = 2 at k = 2, n = 1, d = 2"),
         ("repeated-points", {"n": 3, "ks": [1, 2]}, r"k\*n > d, got k\*n = 3 at k = 1, n = 3, d = 3"),
         ("spherical-second-eig", {"n": 2}, "n >= 3 and d >= 2, got n = 2, d = 3"),
+        ("top-n-sum", {"ns": [4, 1, 2], "ds": [2]}, r"n >= 3 for the floor n\(n\+1\)/2, got n = 1"),
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "repeated-points-no-k",
-         "repeated-points-kn-at-d", "repeated-points-k1", "spherical-second-eig-n2"],
+         "repeated-points-kn-at-d", "repeated-points-k1", "spherical-second-eig-n2", "top-n-sum-n-below-3"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):

@@ -3,7 +3,8 @@ those frameworks, and the lower/upper bound formulas for the d-dimensional
 algebraic connectivity of complete graphs.
 
 CANONICAL lists each canonical framework once, with its admissibility on
-(n, d), graph, placement and closed-form spectrum.  The verify suites, the
+(n, d), graph, placement, closed-form spectrum and, where a row has them, the
+eigenvector families behind its multiplicities.  The verify suites, the
 optimizer's starts, the probes and the CLI placement specs read it, so a new
 family costs one row plus its closed form.
 """
@@ -16,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .families import EigenvectorFamily, crosspolytope_families, turan_simplex_families
 from .framework import Placement
 from .graphs import Graph, complete_graph, turan_graph
 from .placements import (
@@ -122,15 +124,18 @@ PYRAMID_START_HEIGHT = 1.0 / math.sqrt(6.0)
 @dataclass(frozen=True)
 class CanonicalFramework:
     """A canonical framework family, each field a function of (n, d); admits
-    says where graph and placement exist, and the closed form also needs d >= 2."""
+    says where graph and placement exist, and the closed form and the
+    families (None for a row without eigenvector families) also need d >= 2."""
 
     admits: Callable[[int, int], bool]
     graph: Callable[[int, int], Graph]
     placement: Callable[[int, int], Placement]
     spectrum: Callable[[int, int], MultiplicitySpectrum]
+    families: Callable[[int, int], tuple[EigenvectorFamily, ...]] | None = None
 
 
 # Row names are the closed-form tags; row order is the optimizer's start order.
+# The families lambdas look their builder up per call, as the benchmark tracer needs.
 CANONICAL: dict[str, CanonicalFramework] = {
     "simplex": CanonicalFramework(
         lambda n, d: n == d + 1,
@@ -149,12 +154,14 @@ CANONICAL: dict[str, CanonicalFramework] = {
         lambda n, d: turan_graph(n, 2 * d)[0],
         crosspolytope_placement,
         crosspolytope_spectrum_closed_form,
+        lambda n, d: crosspolytope_families(n, d),
     ),
     "turan-simplex": CanonicalFramework(
         lambda n, d: n >= d + 1 and n % (d + 1) == 0,
         lambda n, d: turan_graph(n, d + 1)[0],
         turan_simplex_placement,
         turan_simplex_spectrum_closed_form,
+        lambda n, d: turan_simplex_families(n, d),
     ),
     "circle": CanonicalFramework(
         lambda n, d: d == 2 and n >= 3,

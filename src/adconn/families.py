@@ -1,10 +1,12 @@
 """Explicit eigenvector families of the edge-basis stiffness matrix.
 
 Each family is a set of combinatorially defined edge vectors that are exact
-eigenvectors for the canonical simplex / crosspolytope placements, with
-deterministic index sets whose sizes equal the predicted multiplicities.  The
-sufficient-condition checker verifies eigenvector candidates directly from the
-entry rule, without an eigensolve.
+eigenvectors for the canonical Turán simplex / crosspolytope placements, with
+deterministic index sets whose sizes equal the predicted multiplicities, which
+each family carries as its expected count.  The two builders fill the families
+column of those closedform.CANONICAL rows.  The sufficient-condition checker
+verifies eigenvector candidates directly from the entry rule, without an
+eigensolve.
 """
 
 from __future__ import annotations
@@ -183,37 +185,29 @@ def star_difference_vector(
 
 @dataclass(frozen=True, eq=False)
 class EigenvectorFamily:
-    """Stacked family vectors (rows) sharing one eigenvalue, with their labels."""
+    """Stacked family vectors (rows) sharing one eigenvalue, their labels, and the predicted count."""
 
     eigenvalue: float
     vectors: np.ndarray
     labels: tuple
+    expected: int
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
 
 
-def _family(eigenvalue: float, g: Graph, labels: list, vector) -> EigenvectorFamily:
+def _family(eigenvalue: float, expected: int, g: Graph, labels: list, vector) -> EigenvectorFamily:
     """The rows vector(label) over labels, shaped (0, m) when labels is empty."""
     vectors = np.array([vector(label) for label in labels]).reshape(len(labels), g.m)
-    return EigenvectorFamily(eigenvalue, vectors, tuple(labels))
+    return EigenvectorFamily(eigenvalue, vectors, tuple(labels), expected)
 
 
-@dataclass(frozen=True, eq=False)
-class TuranSimplexFamilies:
-    """Eigenvector families of the balanced (d+1)-partite simplex framework."""
-
-    graph: Graph
-    partition: TuranPartition
-    quads: EigenvectorFamily           # eigenvalue n/(d+1), count (d-2)(d+1)/2
-    star_differences: EigenvectorFamily  # eigenvalue n/(2(d+1)), count (n-d-1)(d-1)
-    note: str | None = None
-
-
-def turan_simplex_families(n: int, d: int) -> TuranSimplexFamilies:
-    """The deterministic index sets realizing the two nontrivial multiplicities
-    of the simplex placement of the balanced (d+1)-partite graph."""
+def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
+    """The quad and star-difference families: deterministic index sets
+    realizing the two nontrivial multiplicities of the simplex placement of
+    the balanced (d+1)-partite graph.  Quads need four distinct parts, so they
+    are empty for d < 3."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if n < d + 1 or n % (d + 1) != 0:
@@ -221,17 +215,13 @@ def turan_simplex_families(n: int, d: int) -> TuranSimplexFamilies:
     g, partition = turan_graph(n, d + 1)
     r = d + 1
 
-    note = None
     quad_labels: list[tuple[int, int, int, int]] = []
-    if d >= 3:
-        for k in range(3, r):
-            quad_labels.append((0, 1, 2, k))
-            quad_labels.append((0, 2, 1, k))
-        for j in range(3, r):
-            for k in range(j + 1, r):
-                quad_labels.append((1, 2, j, k))
-    else:
-        note = "quad vectors need four distinct parts, so the family is empty for d < 3"
+    for k in range(3, r):
+        quad_labels.append((0, 1, 2, k))
+        quad_labels.append((0, 2, 1, k))
+    for j in range(3, r):
+        for k in range(j + 1, r):
+            quad_labels.append((1, 2, j, k))
 
     star_labels: list[tuple[int, int, int, int]] = []
     for i in range(r):
@@ -242,14 +232,15 @@ def turan_simplex_families(n: int, d: int) -> TuranSimplexFamilies:
                 if k not in (i, j_i):
                     star_labels.append((anchor, v, j_i, k))
 
-    return TuranSimplexFamilies(
-        graph=g,
-        partition=partition,
-        quads=_family(n / (d + 1), g, quad_labels, lambda q: part_quad_vector(g, partition, q)),
-        star_differences=_family(
-            n / (2 * (d + 1)), g, star_labels, lambda s: star_difference_vector(g, partition, *s)
+    return (
+        _family(n / (d + 1), (d - 2) * (d + 1) // 2, g, quad_labels, lambda q: part_quad_vector(g, partition, q)),
+        _family(
+            n / (2 * (d + 1)),
+            (n - d - 1) * (d - 1),
+            g,
+            star_labels,
+            lambda s: star_difference_vector(g, partition, *s),
         ),
-        note=note,
     )
 
 
@@ -299,21 +290,11 @@ def vertex_shift_vector(g: Graph, partition: TuranPartition, u: int, v: int, j: 
     return star_difference_vector(g, partition, u, v, *_axis_parts(j))
 
 
-@dataclass(frozen=True, eq=False)
-class CrosspolytopeFamilies:
-    """Eigenvector families of the balanced 2d-partite crosspolytope framework."""
-
-    graph: Graph
-    partition: TuranPartition
-    axis_quads: EigenvectorFamily     # eigenvalue n/d, count d(d-1)/2
-    sign_splits: EigenvectorFamily    # eigenvalue n/(2d), count d(d-2)
-    vertex_shifts: EigenvectorFamily  # eigenvalue n/(2d), count 2d(d-1)(n/(2d)-1)
-
-
-def crosspolytope_families(n: int, d: int) -> CrosspolytopeFamilies:
-    """The deterministic index sets realizing the two nontrivial multiplicities
-    of the crosspolytope placement; sign splits and vertex shifts are jointly
-    independent and share the eigenvalue n/(2d)."""
+def crosspolytope_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
+    """The axis-quad, sign-split and vertex-shift families: deterministic index
+    sets realizing the two nontrivial multiplicities of the crosspolytope
+    placement; sign splits and vertex shifts are jointly independent and
+    share the eigenvalue n/(2d)."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if n < 2 * d or n % (2 * d) != 0:
@@ -338,14 +319,14 @@ def crosspolytope_families(n: int, d: int) -> CrosspolytopeFamilies:
                 for v in members[1:]:
                     shift_labels.append((anchor, v, j))
 
-    return CrosspolytopeFamilies(
-        graph=g,
-        partition=partition,
-        axis_quads=_family(n / d, g, quad_labels, lambda lab: axis_quad_vector(g, partition, *lab)),
-        sign_splits=_family(
-            n / (2 * d), g, split_labels, lambda lab: sign_split_vector(g, partition, *lab)
-        ),
-        vertex_shifts=_family(
-            n / (2 * d), g, shift_labels, lambda lab: vertex_shift_vector(g, partition, *lab)
+    return (
+        _family(n / d, d * (d - 1) // 2, g, quad_labels, lambda lab: axis_quad_vector(g, partition, *lab)),
+        _family(n / (2 * d), d * (d - 2), g, split_labels, lambda lab: sign_split_vector(g, partition, *lab)),
+        _family(
+            n / (2 * d),
+            2 * d * (d - 1) * (n // (2 * d) - 1),
+            g,
+            shift_labels,
+            lambda lab: vertex_shift_vector(g, partition, *lab),
         ),
     )

@@ -193,8 +193,11 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
 def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement]:
     """Initial placements: jittered canonical configurations first (the
     distinct placements of the CANONICAL rows admitting (n, d), in table
-    order), then uniform sphere starts."""
+    order), then uniform sphere starts.  A sphere start whose points all
+    coincide, which only d = 1 makes likely, is drawn again from its stream."""
     n = g.n
+    if n <= d:
+        raise ValueError(f"need n > d, got n={n}, d={d}")
     canonical = [p for _, p in canonical_placements(n, d)]
 
     starts: list[Placement] = []
@@ -203,8 +206,10 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
         if i < len(canonical):
             pts = canonical[i].points + JITTER * rng.standard_normal((n, d))
         else:
-            pts = rng.standard_normal((n, d))
-            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            pts = np.ones((n, d))
+            while np.all(pts == pts[0]):
+                pts = rng.standard_normal((n, d))
+                pts /= np.linalg.norm(pts, axis=1)[:, None]
         starts.append(Placement(pts))
     return starts
 
@@ -260,8 +265,6 @@ def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> Optim
     that the supremum is attained.
     """
     config = config or OptimizerConfig()
-    if g.n <= d:
-        raise ValueError(f"need n > d, got n={g.n}, d={d}")
     t0 = time.perf_counter()
     outcomes = [_ascend(g, d, config, i, s) for i, s in enumerate(seeded_restarts(g, d, config))]
     best = max(outcomes, key=lambda r: (r.gap, -r.index))

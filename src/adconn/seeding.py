@@ -13,6 +13,8 @@ import numpy as np
 
 
 def rng_stream(seed: int, tag: str) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     digest = hashlib.sha256(tag.encode()).digest()[:8]
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), int.from_bytes(digest, "little")])

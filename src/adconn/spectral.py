@@ -80,6 +80,8 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     A value joins the current cluster iff it lies within tol of the cluster's
     running mean; the reported cluster value is the mean of its members.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"clustering tolerance must be finite and >= 0, got {tol}")
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d sequence")

@@ -5,7 +5,8 @@ Each sweep is a function of keyword parameters, and its signature holds the
 only default of each one.  run_suite binds a grid and a sample count against
 that signature and refuses any value the sweep does not read.  The simplex,
 Turán-simplex and crosspolytope sweeps take their instances from the
-closedform.CANONICAL rows; a custom (d, n) grid keeps the pairs a row admits.
+closedform.CANONICAL rows, the families sweep from the rows with families;
+a custom (d, n) grid keeps the pairs a row admits.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -32,22 +33,14 @@ from .closedform import (
     pyramid_spectrum_closed_form,
     spectrum_matches,
 )
-from .families import (
-    crosspolytope_families,
-    edge_length_eigenvector,
-    eigen_residual,
-    turan_simplex_families,
-    weighted_length_vector,
-)
+from .families import edge_length_eigenvector, eigen_residual, weighted_length_vector
 from .framework import Placement, lower_stiffness_direct, stiffness
 from .graphs import Graph, complete_graph
 from .placements import (
     centered_circle_angles,
-    crosspolytope_placement,
     regular_simplex,
     roots_of_unity_angles,
     triangular_pyramid,
-    turan_simplex_placement,
     unit_circle_placement,
 )
 from .seeding import rng_stream
@@ -58,8 +51,10 @@ SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan"
 VALUE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 
-TURAN_GRID = ((2, 6), (2, 12), (3, 8), (3, 12), (3, 24), (4, 10), (4, 20), (5, 12))
-CROSS_GRID = ((2, 4), (2, 8), (3, 6), (3, 12), (3, 24), (4, 8), (4, 16))
+GRIDS = {
+    "turan-simplex": ((2, 6), (2, 12), (3, 8), (3, 12), (3, 24), (4, 10), (4, 20), (5, 12)),
+    "crosspolytope": ((2, 4), (2, 8), (3, 6), (3, 12), (3, 24), (4, 8), (4, 16)),
+}
 PYRAMID_HEIGHTS = (0.2, 1.0 / math.sqrt(6.0), math.sqrt(2.0 / 3.0), 1.0, 5.0)
 
 
@@ -89,14 +84,14 @@ def _spectrum_entry(theorem, instance, predicted, g, p):
     )
 
 
-def _grid_pairs(ds, ns, default_pairs, row: str) -> list[tuple[int, int]]:
-    """(d, n) pairs either straight from the default grid or as the product of
-    the given d and n values (a missing one takes the default grid's values),
-    filtered by the CANONICAL row's admissibility."""
+def _grid_pairs(ds, ns, row: str) -> list[tuple[int, int]]:
+    """(d, n) pairs either straight from the row's default grid or as the
+    product of the given d and n values (a missing one takes the default
+    grid's values), filtered by the CANONICAL row's admissibility."""
     if ds is None and ns is None:
-        return list(default_pairs)
-    ds = sorted({d for d, _ in default_pairs}) if ds is None else ds
-    ns = sorted({n for _, n in default_pairs}) if ns is None else ns
+        return list(GRIDS[row])
+    ds = sorted({d for d, _ in GRIDS[row]}) if ds is None else ds
+    ns = sorted({n for _, n in GRIDS[row]}) if ns is None else ns
     return [(d, n) for d in ds for n in ns if CANONICAL[row].admits(n, d)]
 
 
@@ -115,12 +110,12 @@ def suite_simplex(d=range(2, 11), *, seed) -> list[dict]:
 
 
 def suite_turan(d=None, n=None, *, seed) -> list[dict]:
-    pairs = _grid_pairs(d, n, TURAN_GRID, "turan-simplex")
+    pairs = _grid_pairs(d, n, "turan-simplex")
     return _canonical_entries("turan-simplex", pairs, lambda n, d: {"n": n, "d": d})
 
 
 def suite_cross(d=None, n=None, *, seed) -> list[dict]:
-    pairs = _grid_pairs(d, n, CROSS_GRID, "crosspolytope")
+    pairs = _grid_pairs(d, n, "crosspolytope")
     return _canonical_entries("crosspolytope", pairs, lambda n, d: {"n": n, "d": d})
 
 
@@ -247,75 +242,55 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
     return entries
 
 
-def _family_entries(theorem, instance, g, p, families, expected_counts, joint_low=None):
-    """Residual and rank entries shared by the two family suites."""
-    C = lower_stiffness_direct(g, p)
+def _family_entries(row: str, n: int, d: int) -> list[dict]:
+    """Residual and rank entries of a CANONICAL row's eigenvector families at
+    (n, d): one per family, then one joint-rank entry per eigenvalue that two
+    or more families share, expecting the sum of their counts."""
+    fw = CANONICAL[row]
+    families = fw.families(n, d)
+    C = lower_stiffness_direct(fw.graph(n, d), fw.placement(n, d))
+    theorem, instance = f"{row}-families", {"n": n, "d": d}
     entries = []
-    for family, expected in zip(families, expected_counts):
-        worst = max(
-            (eigen_residual(C, v, family.eigenvalue) for v in family.vectors), default=0.0
-        )
-        rank = numeric_rank(family.vectors) if family.count else 0
+    for family in families:
+        worst = max((eigen_residual(C, v, family.eigenvalue) for v in family.vectors), default=0.0)
+        rank = numeric_rank(family.vectors)
+        counts_ok = rank == family.expected == family.count
         entries.append(
             _entry(
                 theorem,
                 {**instance, "eigenvalue": family.eigenvalue, "count": family.count},
-                {"count": expected, "residual": "<= 1e-10"},
+                {"count": family.expected, "residual": "<= 1e-10"},
                 {"rank": rank, "max_residual": worst},
                 worst,
-                rank == expected == family.count,
-                family.count == expected and rank == expected and worst <= RESIDUAL_TOL,
+                counts_ok,
+                counts_ok and worst <= RESIDUAL_TOL,
             )
         )
-    if joint_low is not None:
-        stacked, expected = joint_low
-        rank = numeric_rank(stacked) if stacked.size else 0
-        entries.append(
-            _entry(
-                theorem,
-                {**instance, "joint": True},
-                {"joint_rank": expected},
-                {"joint_rank": rank},
-                0.0,
-                rank == expected,
-                rank == expected,
+    for value in dict.fromkeys(f.eigenvalue for f in families):
+        shared = [f for f in families if f.eigenvalue == value]
+        if len(shared) > 1:
+            expected = sum(f.expected for f in shared)
+            rank = numeric_rank(np.vstack([f.vectors for f in shared]))
+            entries.append(
+                _entry(
+                    theorem,
+                    {**instance, "joint": True},
+                    {"joint_rank": expected},
+                    {"joint_rank": rank},
+                    0.0,
+                    rank == expected,
+                    rank == expected,
+                )
             )
-        )
     return entries
 
 
 def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     check_samples(samples, least=1)
 
-    def turan_job(d, n):
-        fam = turan_simplex_families(n, d)
-        p = turan_simplex_placement(n, d)
-        return _family_entries(
-            "turan-simplex-families",
-            {"n": n, "d": d},
-            fam.graph,
-            p,
-            (fam.quads, fam.star_differences),
-            ((d - 2) * (d + 1) // 2, (n - d - 1) * (d - 1)),
-        )
-
-    def cross_job(d, n):
-        fam = crosspolytope_families(n, d)
-        p = crosspolytope_placement(n, d)
-        joint = np.vstack([fam.sign_splits.vectors, fam.vertex_shifts.vectors])
-        return _family_entries(
-            "crosspolytope-families",
-            {"n": n, "d": d},
-            fam.graph,
-            p,
-            (fam.axis_quads, fam.sign_splits, fam.vertex_shifts),
-            (d * (d - 1) // 2, d * (d - 2), 2 * d * (d - 1) * (n // (2 * d) - 1)),
-            joint_low=(joint, n * (d - 1) - d * d),
-        )
-
-    def spherical_job(label, n, p):
-        g = complete_graph(n)
-        C = lower_stiffness_direct(g, p)
+    def spherical_job(row, n, d):
+        label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
+        C = lower_stiffness_direct(complete_graph(n), p)
         worst = 0.0
         for s in range(samples):
             rng = rng_stream(seed, f"phi-f:{label}:{s}")
@@ -349,12 +324,9 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
             worst <= RESIDUAL_TOL,
         )
 
-    turan_pairs = _grid_pairs(d, n, TURAN_GRID, "turan-simplex")
-    cross_pairs = _grid_pairs(d, n, CROSS_GRID, "crosspolytope")
-    entries = [e for d, n in turan_pairs for e in turan_job(d, n)]
-    entries += [e for d, n in cross_pairs for e in cross_job(d, n)]
-    entries += [spherical_job(f"turan-simplex:{n},{d}", n, turan_simplex_placement(n, d)) for d, n in turan_pairs]
-    entries += [spherical_job(f"crosspolytope:{n},{d}", n, crosspolytope_placement(n, d)) for d, n in cross_pairs]
+    rows = [(row, _grid_pairs(d, n, row)) for row, fw in CANONICAL.items() if fw.families is not None]
+    entries = [e for row, pairs in rows for pd, pn in pairs for e in _family_entries(row, pn, pd)]
+    entries += [spherical_job(row, pn, pd) for row, pairs in rows for pd, pn in pairs]
     entries += [length_job(s) for s in range(10)]
     return entries
 

@@ -201,6 +201,42 @@ def test_dimension_below_one_is_usage_error(tmp_path, capsys, argv):
     assert code == 2 and out == "" and "need d >= 1, got d=0" in err
 
 
+BAD_TOL = "clustering tolerance must be finite and >= 0"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--tol", "-1"], f"{BAD_TOL}, got -1.0"),
+        (["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--tol", "nan"], f"{BAD_TOL}, got nan"),
+        (["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--tol", "inf"], f"{BAD_TOL}, got inf"),
+        (["optimize", "--graph", "complete:4", "--d", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["spectrum", "--graph", "complete:3", "--placement", "random:3,2,-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["tol-negative", "tol-nan", "tol-inf", "optimize-seed", "random-placement-seed"],
+)
+def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and message in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--graph", "complete:2", "--d", "1"],
+        ["optimize", "--graph", "complete:3", "--d", "1", "--restarts", "8"],
+        ["conjecture", "kn-upper", "--n", "2", "--d", "1"],
+    ],
+    ids=["optimize-k2", "optimize-k3", "kn-upper"],
+)
+def test_one_dimensional_runs_redraw_constant_sphere_starts(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 0
+    if argv[2] == "complete:2":
+        assert json.loads(out)["best_gap"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -99,14 +99,11 @@ def test_edge_length_eigenvector_constant_on_simplex():
 
 def test_condition_check_accepts_family_vector():
     n, d = 8, 3
-    fam = turan_simplex_families(n, d)
+    g, _ = turan_graph(n, d + 1)
     p = turan_simplex_placement(n, d)
-    for v in fam.quads.vectors:
-        assert eigenvector_condition_check(fam.graph, p, v, fam.quads.eigenvalue).all_ok
-    for v in fam.star_differences.vectors:
-        assert eigenvector_condition_check(
-            fam.graph, p, v, fam.star_differences.eigenvalue
-        ).all_ok
+    for family in turan_simplex_families(n, d):
+        for v in family.vectors:
+            assert eigenvector_condition_check(g, p, v, family.eigenvalue).all_ok
 
 
 def test_condition_check_zero_vector_vacuous(rng):
@@ -117,11 +114,12 @@ def test_condition_check_zero_vector_vacuous(rng):
 
 def test_condition_check_flags_corruption():
     n, d = 8, 3
-    fam = turan_simplex_families(n, d)
+    g, _ = turan_graph(n, d + 1)
+    quads, _ = turan_simplex_families(n, d)
     p = turan_simplex_placement(n, d)
-    vec = fam.quads.vectors[0].copy()
+    vec = quads.vectors[0].copy()
     vec[np.flatnonzero(vec)[0]] *= -1.0
-    report = eigenvector_condition_check(fam.graph, p, vec, fam.quads.eigenvalue)
+    report = eigenvector_condition_check(g, p, vec, quads.eigenvalue)
     assert not (report.vertex_sums_ok and report.eigen_relation_ok)
 
 
@@ -134,28 +132,28 @@ def test_condition_check_rejects_coincident_edges():
 
 @pytest.mark.parametrize("n,d", [(8, 3), (12, 3), (12, 5), (10, 4)])
 def test_turan_simplex_family_counts_residuals_rank(n, d):
-    fam = turan_simplex_families(n, d)
+    quads, stars = turan_simplex_families(n, d)
     p = turan_simplex_placement(n, d)
-    C = lower_stiffness_direct(fam.graph, p)
-    assert fam.quads.count == (d - 2) * (d + 1) // 2
-    assert fam.star_differences.count == (n - d - 1) * (d - 1)
-    assert fam.quads.eigenvalue == pytest.approx(n / (d + 1))
-    assert fam.star_differences.eigenvalue == pytest.approx(n / (2 * (d + 1)))
-    for family in (fam.quads, fam.star_differences):
+    C = lower_stiffness_direct(turan_graph(n, d + 1)[0], p)
+    assert quads.count == quads.expected == (d - 2) * (d + 1) // 2
+    assert stars.count == stars.expected == (n - d - 1) * (d - 1)
+    assert quads.eigenvalue == pytest.approx(n / (d + 1))
+    assert stars.eigenvalue == pytest.approx(n / (2 * (d + 1)))
+    for family in (quads, stars):
         for v in family.vectors:
             assert eigen_residual(C, v, family.eigenvalue) <= RESIDUAL_TOL
         if family.count:
             gram = family.vectors @ family.vectors.T
             assert numeric_rank(gram) == family.count
-    stacked = np.vstack([fam.quads.vectors, fam.star_differences.vectors])
-    assert numeric_rank(stacked) == fam.quads.count + fam.star_differences.count
+    stacked = np.vstack([quads.vectors, stars.vectors])
+    assert numeric_rank(stacked) == quads.count + stars.count
 
 
 def test_turan_simplex_quads_empty_for_d2():
-    fam = turan_simplex_families(6, 2)
-    assert fam.quads.count == 0
-    assert fam.note is not None
-    assert fam.star_differences.count == (6 - 3) * 1
+    quads, stars = turan_simplex_families(6, 2)
+    assert quads.count == quads.expected == 0
+    assert quads.vectors.shape == (0, turan_graph(6, 3)[0].m)
+    assert stars.count == (6 - 3) * 1
 
 
 def test_quad_vector_identity():
@@ -188,22 +186,22 @@ def test_star_difference_vertex_sums_vanish():
 
 @pytest.mark.parametrize("n,d", [(12, 3), (8, 2), (16, 4), (6, 3)])
 def test_crosspolytope_family_counts_residuals_rank(n, d):
-    fam = crosspolytope_families(n, d)
+    axis_quads, sign_splits, vertex_shifts = crosspolytope_families(n, d)
     p = crosspolytope_placement(n, d)
-    C = lower_stiffness_direct(fam.graph, p)
+    C = lower_stiffness_direct(turan_graph(n, 2 * d)[0], p)
     size = n // (2 * d)
-    assert fam.axis_quads.count == d * (d - 1) // 2
-    assert fam.sign_splits.count == d * (d - 2)
-    assert fam.vertex_shifts.count == 2 * d * (d - 1) * (size - 1)
-    assert fam.axis_quads.eigenvalue == pytest.approx(n / d)
-    assert fam.sign_splits.eigenvalue == fam.vertex_shifts.eigenvalue == pytest.approx(n / (2 * d))
-    for family in (fam.axis_quads, fam.sign_splits, fam.vertex_shifts):
+    assert axis_quads.count == axis_quads.expected == d * (d - 1) // 2
+    assert sign_splits.count == sign_splits.expected == d * (d - 2)
+    assert vertex_shifts.count == vertex_shifts.expected == 2 * d * (d - 1) * (size - 1)
+    assert axis_quads.eigenvalue == pytest.approx(n / d)
+    assert sign_splits.eigenvalue == vertex_shifts.eigenvalue == pytest.approx(n / (2 * d))
+    for family in (axis_quads, sign_splits, vertex_shifts):
         for v in family.vectors:
             assert eigen_residual(C, v, family.eigenvalue) <= RESIDUAL_TOL
-    joint = np.vstack([fam.sign_splits.vectors, fam.vertex_shifts.vectors])
+    joint = np.vstack([sign_splits.vectors, vertex_shifts.vectors])
     assert numeric_rank(joint) == n * (d - 1) - d * d
-    if fam.axis_quads.count:
-        assert numeric_rank(fam.axis_quads.vectors) == fam.axis_quads.count
+    if axis_quads.count:
+        assert numeric_rank(axis_quads.vectors) == axis_quads.count
 
 
 def per_edge(g, rule):
@@ -279,9 +277,9 @@ def test_crosspolytope_vector_builders_match_per_edge_rules(n, d):
 
 
 def test_crosspolytope_minimal_has_no_vertex_shifts():
-    fam = crosspolytope_families(6, 3)
-    assert fam.vertex_shifts.count == 0
-    assert fam.sign_splits.count == 3 * (3 - 2)
+    _, sign_splits, vertex_shifts = crosspolytope_families(6, 3)
+    assert vertex_shifts.count == 0
+    assert sign_splits.count == 3 * (3 - 2)
 
 
 def test_block_sign_vectors_orthogonal():

@@ -156,6 +156,15 @@ def test_gap_ascent_flexible_graph_stays_near_zero():
 def test_gap_ascent_rejects_small_n():
     with pytest.raises(ValueError):
         gap_ascent(complete_graph(3), 3, OptimizerConfig(restarts=1))
+    with pytest.raises(ValueError, match="need n > d, got n=1, d=1"):
+        seeded_restarts(complete_graph(1), 1, OptimizerConfig(restarts=1))
+
+
+def test_one_dimensional_sphere_starts_are_not_constant():
+    # each uniform start on K2 in R^1 is constant with probability 1/2
+    for seed in range(8):
+        for p in seeded_restarts(complete_graph(2), 1, OptimizerConfig(restarts=6, seed=seed)):
+            assert not p.is_constant()
 
 
 def test_traces_monotone_and_sound():

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from adconn.closedform import CANONICAL
 from adconn.verify import SUITES, run_suite
 
 ENTRY_KEYS = {"theorem", "instance", "predicted", "computed", "max_value_error", "multiplicity_match", "pass"}
@@ -25,6 +27,19 @@ def test_each_suite_passes_small(suite):
     for entry in report["entries"]:
         assert ENTRY_KEYS <= set(entry)
     json.dumps(report)
+
+
+@pytest.mark.parametrize("row", ["crosspolytope", "turan-simplex"])
+def test_families_suite_sweeps_the_rows_with_families(monkeypatch, row):
+    def of_row(entry):
+        label = str(entry["instance"].get("instance", ""))
+        return entry["theorem"] == f"{row}-families" or label.startswith(f"{row}:")
+
+    full = run_suite("families", samples=2)["entries"]
+    monkeypatch.setitem(CANONICAL, row, dataclasses.replace(CANONICAL[row], families=None))
+    kept = run_suite("families", samples=2)["entries"]
+    assert any(of_row(e) for e in full)
+    assert kept == [e for e in full if not of_row(e)]
 
 
 def test_run_suite_all_aggregates():

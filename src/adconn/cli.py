@@ -302,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--max-iters", type=int, default=400)
-    sp.add_argument("--gauge", choices=GAUGES, default="center-scale")
+    sp.add_argument(
+        "--gauge", choices=GAUGES, default="center-scale",
+        help="center-scale: center, then scale to RMS point norm 1; unit-sphere: center, then project "
+        "every point onto the unit sphere (in d = 1 onto +-1, so among three or more points two coincide)",
+    )
     common(sp)
     sp.set_defaults(func=cmd_optimize)
 

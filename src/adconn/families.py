@@ -185,11 +185,10 @@ def star_difference_vector(
 
 @dataclass(frozen=True, eq=False)
 class EigenvectorFamily:
-    """Stacked family vectors (rows) sharing one eigenvalue, their labels, and the predicted count."""
+    """Stacked family vectors (rows) sharing one eigenvalue, and the predicted count."""
 
     eigenvalue: float
     vectors: np.ndarray
-    labels: tuple
     expected: int
 
     @property
@@ -200,7 +199,7 @@ class EigenvectorFamily:
 def _family(eigenvalue: float, expected: int, g: Graph, labels: list, vector) -> EigenvectorFamily:
     """The rows vector(label) over labels, shaped (0, m) when labels is empty."""
     vectors = np.array([vector(label) for label in labels]).reshape(len(labels), g.m)
-    return EigenvectorFamily(eigenvalue, vectors, tuple(labels), expected)
+    return EigenvectorFamily(eigenvalue, vectors, expected)
 
 
 def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:

@@ -84,7 +84,8 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
     """Project out the gauge freedom: center at the origin, then rescale to
     root-mean-square point norm 1 (or radially project every point onto the
     unit sphere under the unit-sphere gauge, which is a similarity only for
-    inputs that already lie on a common sphere)."""
+    inputs that already lie on a common sphere, and in d = 1 sends every
+    point to +-1, so that among three or more points two coincide)."""
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
     return Placement(_normalized_points(p.points, gauge))
@@ -193,8 +194,9 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
 def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement]:
     """Initial placements: jittered canonical configurations first (the
     distinct placements of the CANONICAL rows admitting (n, d), in table
-    order), then uniform sphere starts.  A sphere start whose points all
-    coincide, which only d = 1 makes likely, is drawn again from its stream."""
+    order), then uniform sphere starts.  In d = 1 the 0-sphere has only the
+    two points +-1, so there a start keeps its Gaussian draw unprojected.  A
+    start whose points all coincide is drawn again from its stream."""
     n = g.n
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
@@ -209,7 +211,8 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
             pts = np.ones((n, d))
             while np.all(pts == pts[0]):
                 pts = rng.standard_normal((n, d))
-                pts /= np.linalg.norm(pts, axis=1)[:, None]
+                if d > 1:
+                    pts /= np.linalg.norm(pts, axis=1)[:, None]
         starts.append(Placement(pts))
     return starts
 

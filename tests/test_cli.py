@@ -5,8 +5,11 @@ import pytest
 
 from adconn.cli import UsageError, main, parse_graph_spec, parse_grid, parse_int_range, parse_placement_spec
 from adconn.closedform import CANONICAL
+from adconn.framework import lower_stiffness_direct
 from adconn.graphs import complete_graph
+from adconn.placements import roots_of_unity_angles, unit_circle_placement
 from adconn.probes import conjecture_probe
+from adconn.spectral import cluster_multiplicities, default_cluster_tol
 from adconn.verify import run_suite
 
 
@@ -233,8 +236,10 @@ def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, argv, message):
 def test_one_dimensional_runs_redraw_constant_sphere_starts(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
     assert code == 0
-    if argv[2] == "complete:2":
-        assert json.loads(out)["best_gap"] == pytest.approx(2.0, abs=1e-12)
+    # an injective placement of K_n on a line has gap n, the Laplacian's a_1(K_n)
+    expected = {"complete:2": 2.0, "complete:3": 3.0}
+    if argv[0] == "optimize":
+        assert json.loads(out)["best_gap"] == pytest.approx(expected[argv[2]], abs=1e-12)
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -266,6 +271,22 @@ def test_spectrum_command_lower_and_crosspolytope(tmp_path, capsys):
     lower = payload["lower_stiffness"]["clusters"]
     assert sum(m for _, m in lower) == 60  # edge count of T(12,6)
     assert (tmp_path / "lower_spectrum.csv").exists()
+
+
+def test_spectrum_command_large_lower_spectrum(tmp_path, capsys):
+    # the 1128 x 1128 lower matrix takes the certified low-rank eigensolve;
+    # its clusters must be those of the full eigensolve
+    code, out, _ = run_cli(
+        capsys,
+        "spectrum", "--graph", "complete:48", "--placement", "circle:48",
+        "--lower", "--outdir", str(tmp_path),
+    )
+    assert code == 0
+    clusters = json.loads(out)["lower_stiffness"]["clusters"]
+    M = lower_stiffness_direct(complete_graph(48), unit_circle_placement(roots_of_unity_angles(48)).placement)
+    full = cluster_multiplicities(np.linalg.eigvalsh(M), default_cluster_tol(M)).clusters
+    assert [m for _, m in clusters] == [m for _, m in full] == [1035, 92, 1]
+    np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in full], rtol=0, atol=1e-9)
 
 
 def test_spectrum_command_constant_placement(tmp_path, capsys):

@@ -167,6 +167,14 @@ def test_one_dimensional_sphere_starts_are_not_constant():
             assert not p.is_constant()
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_one_dimensional_random_starts_are_injective(n):
+    # projected onto the 0-sphere {-1, 1}, three or more points always share one
+    for seed in range(4):
+        for p in seeded_restarts(complete_graph(n), 1, OptimizerConfig(restarts=4, seed=seed)):
+            assert len(np.unique(p.points)) == n
+
+
 def test_traces_monotone_and_sound():
     result = gap_ascent(complete_graph(5), 2, OptimizerConfig(restarts=3, max_iters=100, seed=2))
     for trace in result.traces:

@@ -1,12 +1,22 @@
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import complete_graph, make_graph, turan_graph
-from adconn.placements import crosspolytope_placement, regular_simplex, turan_simplex_placement
+from adconn.placements import (
+    crosspolytope_placement,
+    regular_simplex,
+    roots_of_unity_angles,
+    turan_simplex_placement,
+    unit_circle_placement,
+)
 from adconn.spectral import (
+    LOW_RANK_MIN_SIZE,
+    LOW_RANK_PIVOT_DIVISOR,
     cluster_multiplicities,
     clustered_spectrum,
     interlacing_check,
@@ -40,6 +50,140 @@ def test_symmetric_eigenvalues_equilateral_lower_stiffness():
 def test_symmetric_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
+
+
+LARGE_LOWER_FRAMEWORKS = {
+    "turan:48,6@crosspolytope:48,3": lambda: (turan_graph(48, 6)[0], crosspolytope_placement(48, 3)),
+    "turan:48,4@turan-simplex:48,3": lambda: (turan_graph(48, 4)[0], turan_simplex_placement(48, 3)),
+    "complete:48@circle:48": lambda: (complete_graph(48), unit_circle_placement(roots_of_unity_angles(48)).placement),
+}
+
+
+@contextlib.contextmanager
+def eigvalsh_sizes():
+    """Records the size of every matrix handed to np.linalg.eigvalsh."""
+    sizes = []
+    full = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return full(a, *args, **kwargs)
+
+    np.linalg.eigvalsh = spy
+    try:
+        yield sizes
+    finally:
+        np.linalg.eigvalsh = full
+
+
+def _scale(M):
+    return max(1.0, float(np.max(np.abs(M))))
+
+
+@pytest.mark.parametrize("label", LARGE_LOWER_FRAMEWORKS)
+def test_low_rank_route_matches_eigvalsh_on_large_lower_stiffness(label):
+    M = lower_stiffness_direct(*LARGE_LOWER_FRAMEWORKS[label]())
+    reference = np.linalg.eigvalsh(M)
+    with eigvalsh_sizes() as sizes:
+        eigs = symmetric_eigenvalues(M)
+    # the route answered: no eigensolve of a matrix above the pivot budget
+    assert sizes and max(sizes) <= len(M) // LOW_RANK_PIVOT_DIVISOR
+    assert np.all(np.diff(eigs) >= 0)
+    np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12 * _scale(M))
+
+
+@settings(max_examples=25, deadline=None)
+# entries of M near 1e-14: a pivot floor of m eps max(1, max|M|) stopped at k = 0
+# and dropped an eigenvalue of 1.1e-12
+@example(m=256, rank_share=0.125, exponent=-24, seed=2)
+@given(
+    m=st.integers(LOW_RANK_MIN_SIZE, 400),
+    rank_share=st.floats(0, 1),
+    exponent=st.integers(-30, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_low_rank_route_matches_eigvalsh_on_random_psd(m, rank_share, exponent, seed):
+    rank = int(rank_share * (m // 5))
+    A = np.ldexp(np.random.default_rng(seed).standard_normal((m, rank)), exponent)
+    M = A @ A.T
+    reference = np.linalg.eigvalsh(M)
+    with eigvalsh_sizes() as sizes:
+        eigs = symmetric_eigenvalues(M)
+    assert sizes and max(sizes) <= m // LOW_RANK_PIVOT_DIVISOR
+    assert np.all(np.diff(eigs) >= 0)
+    np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12 * _scale(M))
+
+
+def test_low_rank_route_sorts_a_tiny_negative_gram_eigenvalue(monkeypatch):
+    # rounding may give the Gram matrix L^t L a tiny negative eigenvalue, which
+    # must land before the m - k zeros
+    full = np.linalg.eigvalsh
+
+    def rounded(a):
+        eigs = full(a)
+        if len(a) < 300:
+            eigs[0] = -1e-15
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rounded)
+    A = np.random.default_rng(5).standard_normal((300, 4))
+    eigs = symmetric_eigenvalues(A @ A.T)
+    assert eigs[0] == -1e-15 and np.all(np.diff(eigs) >= 0)
+    assert clustered_spectrum(A @ A.T).multiplicities()[0] == 297
+
+
+def _full_rank_psd(m=300):
+    A = np.random.default_rng(3).standard_normal((m, m))
+    return A @ A.T + np.eye(m)
+
+
+def _indefinite_plus_zero(m=300):
+    # the Cholesky steps "succeed" on [[1, 2], [2, 1]] + 0, leaving residual 3
+    M = np.zeros((m, m))
+    M[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    return M
+
+
+def _overflowing_gram(m=300):
+    # L L^t reproduces M exactly, but the 1 x 1 matrix L^t L = m 2^1016 overflows
+    return np.full((m, m), 2.0**1016)
+
+
+@pytest.mark.parametrize(
+    "build", [_full_rank_psd, _indefinite_plus_zero, _overflowing_gram], ids=["full-rank", "indefinite", "overflow"]
+)
+def test_uncertified_large_matrices_get_the_full_eigensolve(build):
+    M = build()
+    np.testing.assert_array_equal(symmetric_eigenvalues(M), np.linalg.eigvalsh(M))
+
+
+def test_large_zero_matrix_takes_the_route():
+    with eigvalsh_sizes() as sizes:
+        eigs = symmetric_eigenvalues(np.zeros((300, 300)))
+    np.testing.assert_array_equal(eigs, np.zeros(300))
+    assert 300 not in sizes
+
+
+def _nan_at_300():
+    M = np.eye(300)
+    M[150, 7] = M[7, 150] = np.nan
+    return M
+
+
+NONFINITE_MATRICES = {
+    "inf-diagonal": [[np.inf, 0.0], [0.0, 1.0]],
+    "minus-inf-diagonal": [[1.0, 0.0], [0.0, -np.inf]],
+    "nan-off-diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+    "all-nan": np.full((3, 3), np.nan),
+    "nan-at-300": _nan_at_300(),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_MATRICES)
+@pytest.mark.parametrize("function", [symmetric_eigenvalues, clustered_spectrum], ids=["eigenvalues", "clustered"])
+def test_nonfinite_matrices_are_refused(function, case):
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        function(NONFINITE_MATRICES[case])
 
 
 def test_cluster_multiplicities_examples():

@@ -1,10 +1,15 @@
 """Symmetric eigenvalue computation, multiplicity clustering, and interlacing checks.
 
-``symmetric_eigenvalues`` refuses non-finite and non-symmetric matrices.  A
-matrix of size at least LOW_RANK_MIN_SIZE first tries a certified low-rank
-route, built for edge-basis stiffness matrices R^t R, whose rank is at most
-dn - C(d+1, 2) and often far below their size.  A greedy diagonal-pivoted
-Cholesky factorization (Higham, "Analysis of the Cholesky decomposition of a
+``symmetric_eigenvalues`` reads its matrix once, in pairs of mirrored
+SYMMETRY_TILE x SYMMETRY_TILE tiles: the pass refuses a non-finite or
+non-symmetric matrix and finds max|M|, which the later steps reuse.  A matrix
+of size at least LOW_RANK_MIN_SIZE then tries a certified low-rank route,
+built for edge-basis stiffness matrices R^t R, whose rank is at most
+dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
+rank r has tr(M)^2 <= r ||M||_F^2, so the route is skipped when that ratio
+lies above its pivot budget (with a margin of LOW_RANK_SKIP_MARGIN): such a
+matrix would exhaust the budget.  A greedy diagonal-pivoted Cholesky
+factorization (Higham, "Analysis of the Cholesky decomposition of a
 semi-definite matrix", 1990) stops at the numerical rank k, when no
 remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t with L of
 shape (m, k).  The residual E = L L^t - M is then formed in full: by
@@ -33,47 +38,82 @@ DEFAULT_INTERLACING_SLACK = 1e-9
 # never try the route.
 LOW_RANK_MIN_SIZE = 256
 # The factorization gives up after m // LOW_RANK_PIVOT_DIVISOR pivots, so a
-# matrix of nearly full rank wastes little: on the K96/d3 stiffness matrix
-# (rank 282 of 288) the aborted attempt takes about a fifth of the full solve.
+# matrix of nearly full rank that the trace test below lets through wastes
+# little on an aborted attempt.
 LOW_RANK_PIVOT_DIVISOR = 4
+# The route is skipped when tr(M)^2 exceeds (1 + this) times the pivot budget
+# times ||M||_F^2.  Rounding moves that ratio of a matrix the route can answer
+# above its pivot count by far less; the K96/d3 stiffness matrix (rank 282 of
+# 288) has a ratio of 245 against a budget of 72 and goes straight to eigvalsh.
+LOW_RANK_SKIP_MARGIN = 0.01
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
+# Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
+# transpose with stride m; a pair of 128 x 128 tiles stays in cache.  A
+# matrix of size at most this is a single tile.
+SYMMETRY_TILE = 128
 
 
-def _require_symmetric(M: np.ndarray) -> np.ndarray:
+def _finite_peak(tile: np.ndarray) -> float:
+    # max propagates a NaN, and |inf| is inf, so one max finds both
+    peak = float(np.max(np.abs(tile)))
+    if not math.isfinite(peak):
+        raise ValueError("matrix must be finite")
+    return peak
+
+
+def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """M as a float array and max|M|, after refusing a non-square, non-finite
+    or non-symmetric matrix in one pass over pairs of mirrored tiles."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if M.size:
-        # max propagates a NaN, and |inf| is inf, so one pass finds both
-        peak = float(np.max(np.abs(M)))
-        if not math.isfinite(peak):
-            raise ValueError("matrix must be finite")
-        asym = float(np.max(np.abs(M - M.T)))
-        scale = max(1.0, peak)
-        if asym > 1e-12 * scale:
-            raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}")
-    return M
+    b = SYMMETRY_TILE
+    peak = asym = 0.0
+    for i in range(0, len(M), b):
+        for j in range(i, len(M), b):
+            upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
+            peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
+            asym = max(asym, float(np.max(np.abs(upper - lower.T))))
+    if asym > 1e-12 * max(1.0, peak):
+        raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}")
+    return M, peak
 
 
 def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     """All eigenvalues of a finite symmetric matrix, ascending; certified
     low-rank when that succeeds (see the module docstring)."""
-    M = _require_symmetric(M)
+    M, peak = _require_symmetric(M)
     if M.size == 0:
         return np.zeros(0)
-    if M.shape[0] >= LOW_RANK_MIN_SIZE:
-        eigs = _low_rank_eigenvalues(M)
+    if M.shape[0] >= LOW_RANK_MIN_SIZE and not _rank_exceeds_pivot_budget(M, peak):
+        eigs = _low_rank_eigenvalues(M, peak)
         if eigs is not None:
             return eigs
     return np.linalg.eigvalsh(M)
 
 
-def _low_rank_eigenvalues(M: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of M from a pivoted Cholesky factor L, or None unless the
-    residual bound ||L L^t - M||_F is certified small."""
+def _rank_exceeds_pivot_budget(M: np.ndarray, peak: float) -> bool:
+    """True when tr(M)^2 > (1 + LOW_RANK_SKIP_MARGIN) * budget * ||M||_F^2.
+
+    A semidefinite matrix of rank k has tr(M)^2 <= k ||M||_F^2 (Cauchy-Schwarz
+    on its eigenvalues), so the pivoted Cholesky factorization of a matrix past
+    this test would run out of its budget of m // LOW_RANK_PIVOT_DIVISOR
+    pivots.  Skipping the route only ever chooses the exact eigensolve.
+    """
+    if peak > 2.0**400 or 0.0 < peak < 2.0**-400:
+        # the ratio does not depend on the scale; on M / max|M| no square can
+        # overflow, and none that matters can underflow
+        M = M / peak
+    trace = float(np.trace(M))
+    squares = float(np.vdot(M, M))
+    return trace * trace > (1 + LOW_RANK_SKIP_MARGIN) * (M.shape[0] // LOW_RANK_PIVOT_DIVISOR) * squares
+
+
+def _low_rank_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray | None:
+    """Eigenvalues of M, whose largest |entry| is peak, from a pivoted Cholesky
+    factor L, or None unless the residual bound ||L L^t - M||_F is certified small."""
     m = M.shape[0]
-    peak = float(np.max(np.abs(M)))
     # relative to max|M| alone, so that a matrix of tiny entries keeps its rank
     stop = m * np.finfo(float).eps * peak
     Lt = np.empty((m // LOW_RANK_PIVOT_DIVISOR, m))  # rows are the columns of L
@@ -156,6 +196,9 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d sequence")
+    # a NaN would pass the sortedness test, which compares it to nothing
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
     clusters: list[tuple[float, int]] = []
@@ -176,7 +219,13 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
 
 def default_cluster_tol(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    if M.size == 0:
+        return DEFAULT_CLUSTER_TOL_FACTOR
+    # max|M| without an m x m temporary; a NaN makes both extremes NaN, so
+    # Python's max, which can drop a NaN, still returns one
+    peak = max(float(M.max()), -float(M.min()))
+    if not math.isfinite(peak):
+        raise ValueError("matrix must be finite")
     return DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, peak)
 
 
@@ -209,6 +258,8 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix must be finite")
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0:
         return 0

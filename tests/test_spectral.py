@@ -1,14 +1,17 @@
 import contextlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adconn import spectral
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import complete_graph, make_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
+    random_sphere_placement,
     regular_simplex,
     roots_of_unity_angles,
     turan_simplex_placement,
@@ -17,8 +20,10 @@ from adconn.placements import (
 from adconn.spectral import (
     LOW_RANK_MIN_SIZE,
     LOW_RANK_PIVOT_DIVISOR,
+    SYMMETRY_TILE,
     cluster_multiplicities,
     clustered_spectrum,
+    default_cluster_tol,
     interlacing_check,
     numeric_rank,
     spectral_gap,
@@ -50,6 +55,53 @@ def test_symmetric_eigenvalues_equilateral_lower_stiffness():
 def test_symmetric_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _random_symmetric(m):
+    A = np.random.default_rng(m).standard_normal((m, m))
+    return A + A.T
+
+
+# (row, column) pairs in a tile off the diagonal, and in the ragged last tile
+# (257 = 2 * 128 + 1, 300 = 2 * 128 + 44), on either side of the diagonal
+ASYMMETRIC_ENTRIES = {
+    "off-diagonal-tile": (5, 200),
+    "mirrored-off-diagonal-tile": (200, 5),
+    "ragged-row": (256, 40),
+    "ragged-column": (100, 256),
+}
+
+
+@pytest.mark.parametrize("m", [257, 300])
+@pytest.mark.parametrize("entry", ASYMMETRIC_ENTRIES)
+def test_tiled_symmetry_check_reports_the_exact_asymmetry(m, entry):
+    assert 2 * SYMMETRY_TILE < m < 3 * SYMMETRY_TILE
+    M = _random_symmetric(m)
+    M[ASYMMETRIC_ENTRIES[entry]] += 1e-6
+    asym = float(np.max(np.abs(M - M.T)))
+    with pytest.raises(ValueError, match=re.escape(f"max |M - M^t| = {asym:.3e}")):
+        symmetric_eigenvalues(M)
+
+
+@pytest.mark.parametrize("m", [257, 300])
+def test_tiled_symmetry_threshold_scales_with_the_peak_of_any_tile(m):
+    # the largest entry sits in a different tile from the asymmetry
+    M = _random_symmetric(m)
+    M[10, m - 1] = M[m - 1, 10] = 1e6
+    M[5, 200] += 0.9e-12 * 1e6
+    symmetric_eigenvalues(M)
+    M[5, 200] += 0.2e-12 * 1e6
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_eigenvalues(M)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("entry", ASYMMETRIC_ENTRIES)
+def test_tiled_check_refuses_a_nonfinite_entry_in_one_tile(value, entry):
+    M = _random_symmetric(300)
+    M[ASYMMETRIC_ENTRIES[entry]] = value
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        symmetric_eigenvalues(M)
 
 
 LARGE_LOWER_FRAMEWORKS = {
@@ -103,7 +155,9 @@ def test_low_rank_route_matches_eigvalsh_on_large_lower_stiffness(label):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_low_rank_route_matches_eigvalsh_on_random_psd(m, rank_share, exponent, seed):
-    rank = int(rank_share * (m // 5))
+    # up to the pivot budget, so the trace test never turns away a matrix the
+    # route can answer
+    rank = int(rank_share * (m // LOW_RANK_PIVOT_DIVISOR))
     A = np.ldexp(np.random.default_rng(seed).standard_normal((m, rank)), exponent)
     M = A @ A.T
     reference = np.linalg.eigvalsh(M)
@@ -112,6 +166,41 @@ def test_low_rank_route_matches_eigvalsh_on_random_psd(m, rank_share, exponent, 
     assert sizes and max(sizes) <= m // LOW_RANK_PIVOT_DIVISOR
     assert np.all(np.diff(eigs) >= 0)
     np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12 * _scale(M))
+
+
+@pytest.fixture
+def low_rank_calls(monkeypatch):
+    """Records the calls of the low-rank route, which still answers them."""
+    calls = []
+    route = spectral._low_rank_eigenvalues
+
+    def spy(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(spectral, "_low_rank_eigenvalues", spy)
+    return calls
+
+
+def _k96_stiffness():
+    # rank 282 of 288, far above the pivot budget of 72
+    return stiffness(complete_graph(96), random_sphere_placement(96, 3, 0))
+
+
+def test_nearly_full_rank_stiffness_skips_the_route(low_rank_calls):
+    M = _k96_stiffness()
+    eigs = symmetric_eigenvalues(M)
+    assert not low_rank_calls
+    np.testing.assert_array_equal(eigs, np.linalg.eigvalsh(M))
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+def test_trace_test_ignores_the_scale(low_rank_calls, scale):
+    symmetric_eigenvalues(scale * _k96_stiffness())
+    assert not low_rank_calls
+    A = np.random.default_rng(4).standard_normal((300, 10))
+    symmetric_eigenvalues(scale * (A @ A.T))
+    assert len(low_rank_calls) == 1
 
 
 def test_low_rank_route_sorts_a_tiny_negative_gram_eigenvalue(monkeypatch):
@@ -180,10 +269,20 @@ NONFINITE_MATRICES = {
 
 
 @pytest.mark.parametrize("case", NONFINITE_MATRICES)
-@pytest.mark.parametrize("function", [symmetric_eigenvalues, clustered_spectrum], ids=["eigenvalues", "clustered"])
+@pytest.mark.parametrize(
+    "function",
+    [symmetric_eigenvalues, clustered_spectrum, default_cluster_tol, numeric_rank],
+    ids=["eigenvalues", "clustered", "cluster-tol", "rank"],
+)
 def test_nonfinite_matrices_are_refused(function, case):
     with pytest.raises(ValueError, match="matrix must be finite"):
         function(NONFINITE_MATRICES[case])
+
+
+@pytest.mark.parametrize("eigs", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_cluster_multiplicities_refuses_nonfinite_eigenvalues(eigs):
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        cluster_multiplicities(eigs, 1e-8)
 
 
 def test_cluster_multiplicities_examples():

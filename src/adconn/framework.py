@@ -84,7 +84,8 @@ def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     safe = ~coincident & ~far
     unit = np.zeros_like(diffs)
     unit[safe] = diffs[safe] / lengths[safe, None]
-    unit[far], lengths[far] = _rescaled_geometry(pu[far], pv[far])
+    if far.any():
+        unit[far], lengths[far] = _rescaled_geometry(pu[far], pv[far])
     return unit, lengths
 
 

@@ -3,15 +3,18 @@
 Vertices are always the integers 0..n-1.  Edges are unordered pairs stored as
 (u, v) tuples with u < v, sorted lexicographically; every matrix in this
 package keys its edge axis off that order, so the layout is bit-stable across
-runs.
+runs.  A Graph and its cached indexes are immutable, so ``complete_graph``
+builds each K_n once per process and hands every caller the same object.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,9 +40,9 @@ class Graph:
             prev = (u, v)
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Bijection edge -> position in the canonical order."""
-        return {e: k for k, e in enumerate(self.edges)}
+    def edge_index(self) -> Mapping[Edge, int]:
+        """Read-only bijection edge -> position in the canonical order."""
+        return MappingProxyType({e: k for k, e in enumerate(self.edges)})
 
     @cached_property
     def endpoints(self) -> np.ndarray:
@@ -119,10 +122,20 @@ def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    """K_n, the same object on every call with the same n; n must be an integer
+    (a numpy integer becomes a Python int before the cache sees it)."""
+    return _complete_graph(operator.index(n))
+
+
+@cache
+def _complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
     return Graph(n, edges)
+
+
+complete_graph.cache_clear = _complete_graph.cache_clear
 
 
 def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:

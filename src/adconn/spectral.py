@@ -2,7 +2,10 @@
 
 ``symmetric_eigenvalues`` reads its matrix once, in pairs of mirrored
 SYMMETRY_TILE x SYMMETRY_TILE tiles: the pass refuses a non-finite or
-non-symmetric matrix and finds max|M|, which the later steps reuse.  A matrix
+non-symmetric matrix and finds max|M|, which the later steps reuse, and which
+``clustered_spectrum`` takes its default tolerance from.  A matrix of at most
+SYMMETRY_TILE rows is one tile, checked by two whole-array reductions, since
+per-call overhead, not reading the matrix, dominates at those sizes.  A matrix
 of size at least LOW_RANK_MIN_SIZE then tries a certified low-rank route,
 built for edge-basis stiffness matrices R^t R, whose rank is at most
 dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
@@ -56,7 +59,7 @@ SYMMETRY_TILE = 128
 
 def _finite_peak(tile: np.ndarray) -> float:
     # max propagates a NaN, and |inf| is inf, so one max finds both
-    peak = float(np.max(np.abs(tile)))
+    peak = float(np.abs(tile).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValueError("matrix must be finite")
     return peak
@@ -69,12 +72,16 @@ def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, float]:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     b = SYMMETRY_TILE
-    peak = asym = 0.0
-    for i in range(0, len(M), b):
-        for j in range(i, len(M), b):
-            upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
-            peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
-            asym = max(asym, float(np.max(np.abs(upper - lower.T))))
+    if len(M) <= b:
+        peak = _finite_peak(M)
+        asym = float(np.abs(M - M.T).max(initial=0.0))
+    else:
+        peak = asym = 0.0
+        for i in range(0, len(M), b):
+            for j in range(i, len(M), b):
+                upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
+                peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
+                asym = max(asym, float(np.max(np.abs(upper - lower.T))))
     if asym > 1e-12 * max(1.0, peak):
         raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}")
     return M, peak
@@ -83,7 +90,12 @@ def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, float]:
 def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     """All eigenvalues of a finite symmetric matrix, ascending; certified
     low-rank when that succeeds (see the module docstring)."""
-    M, peak = _require_symmetric(M)
+    return _eigenvalues(*_require_symmetric(M))
+
+
+def _eigenvalues(M: np.ndarray, peak: float) -> np.ndarray:
+    """symmetric_eigenvalues of a matrix that _require_symmetric has passed,
+    with its max|M|."""
     if M.size == 0:
         return np.zeros(0)
     if M.shape[0] >= LOW_RANK_MIN_SIZE and not _rank_exceeds_pivot_budget(M, peak):
@@ -230,10 +242,12 @@ def default_cluster_tol(M: np.ndarray) -> float:
 
 
 def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicitySpectrum:
-    """Eigenvalues of a symmetric matrix clustered at the default tolerance."""
+    """Eigenvalues of a symmetric matrix clustered at tol, by default
+    default_cluster_tol(M), here from the max|M| of the symmetry check."""
+    M, peak = _require_symmetric(M)
     if tol is None:
-        tol = default_cluster_tol(M)
-    return cluster_multiplicities(symmetric_eigenvalues(M), tol)
+        tol = DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, peak)
+    return cluster_multiplicities(_eigenvalues(M, peak), tol)
 
 
 def stiffness_spectrum(g: Graph, p: Placement, tol: float | None = None) -> MultiplicitySpectrum:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -34,6 +35,44 @@ def test_complete_graph_edge_count(n, expected):
 
 def test_complete_graph_k4_edges():
     assert complete_graph(4).edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_complete_graph_is_built_once_and_read_only():
+    g = complete_graph(6)
+    assert complete_graph(6) is g
+    assert not g.endpoints.flags.writeable
+    assert not g.incidence.flags.writeable
+    with pytest.raises(TypeError):
+        g.edge_index[(0, 1)] = 5
+    assert g.edge_index[(0, 1)] == 0
+
+
+def test_complete_graph_caches_a_numpy_integer_as_an_int():
+    complete_graph.cache_clear()
+    g = complete_graph(np.int64(5))
+    assert type(g.n) is int
+    assert complete_graph(5) is g
+
+
+def test_complete_graph_refuses_a_float_that_equals_a_cached_int():
+    complete_graph(3)
+    with pytest.raises(TypeError):
+        complete_graph(3.0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_complete_graph_refuses_n_below_one_on_every_call(n):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            complete_graph(n)
+
+
+@pytest.mark.parametrize(
+    "module", ["adconn"] + [f"adconn.{m}" for m in ("verify", "bounds", "families", "closedform", "probes", "cli")]
+)
+def test_every_module_binds_the_one_cached_complete_graph(module):
+    # the benchmark tracer counts calls by rebinding this one object everywhere
+    assert importlib.import_module(module).complete_graph is complete_graph
 
 
 def test_edges_sorted_with_consistent_index():

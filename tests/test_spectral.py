@@ -43,7 +43,7 @@ def test_symmetric_eigenvalues_2x2_closed_form():
 
 
 def test_symmetric_eigenvalues_zero_matrix():
-    for k in (1, 4, 7):
+    for k in (0, 1, 4, 7):
         np.testing.assert_array_equal(symmetric_eigenvalues(np.zeros((k, k))), np.zeros(k))
 
 
@@ -70,37 +70,64 @@ ASYMMETRIC_ENTRIES = {
     "ragged-row": (256, 40),
     "ragged-column": (100, 256),
 }
+# sizes of one tile (m <= SYMMETRY_TILE) and of three; a 1 x 1 matrix has no
+# entry off the diagonal, so the asymmetry tests start at 2
+ONE_TILE_SIZES = [2, 12, SYMMETRY_TILE]
+TILED_SIZES = [257, 300]
 
 
-@pytest.mark.parametrize("m", [257, 300])
+def _entry(entry, m):
+    """ASYMMETRIC_ENTRIES[entry] in an m x m matrix: in a smaller matrix the
+    larger index is clipped to m - 1 and the smaller to m - 2, so the entry
+    stays off the diagonal and on its side of it (at m = 1, on the diagonal)."""
+    r, c = ASYMMETRIC_ENTRIES[entry]
+    if r < c:
+        return max(min(r, m - 2), 0), min(c, m - 1)
+    return min(r, m - 1), max(min(c, m - 2), 0)
+
+
+def _asymmetry_message(M):
+    asym = float(np.max(np.abs(M - M.T)))
+    return "^" + re.escape(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}") + "$"
+
+
+@pytest.mark.parametrize("m", ONE_TILE_SIZES + TILED_SIZES)
 @pytest.mark.parametrize("entry", ASYMMETRIC_ENTRIES)
 def test_tiled_symmetry_check_reports_the_exact_asymmetry(m, entry):
-    assert 2 * SYMMETRY_TILE < m < 3 * SYMMETRY_TILE
+    assert m <= SYMMETRY_TILE or 2 * SYMMETRY_TILE < m < 3 * SYMMETRY_TILE
     M = _random_symmetric(m)
-    M[ASYMMETRIC_ENTRIES[entry]] += 1e-6
-    asym = float(np.max(np.abs(M - M.T)))
-    with pytest.raises(ValueError, match=re.escape(f"max |M - M^t| = {asym:.3e}")):
+    M[_entry(entry, m)] += 1e-6
+    with pytest.raises(ValueError, match=_asymmetry_message(M)):
         symmetric_eigenvalues(M)
 
 
-@pytest.mark.parametrize("m", [257, 300])
+@pytest.mark.parametrize("m", ONE_TILE_SIZES + TILED_SIZES)
 def test_tiled_symmetry_threshold_scales_with_the_peak_of_any_tile(m):
-    # the largest entry sits in a different tile from the asymmetry
+    # from three tiles on, the largest entry sits in a different tile from the asymmetry
     M = _random_symmetric(m)
-    M[10, m - 1] = M[m - 1, 10] = 1e6
-    M[5, 200] += 0.9e-12 * 1e6
+    M[min(10, m - 2), m - 1] = M[m - 1, min(10, m - 2)] = 1e6
+    at = _entry("off-diagonal-tile", m)
+    M[at] += 0.9e-12 * 1e6
     symmetric_eigenvalues(M)
-    M[5, 200] += 0.2e-12 * 1e6
-    with pytest.raises(ValueError, match="symmetric"):
+    M[at] += 0.2e-12 * 1e6
+    with pytest.raises(ValueError, match=_asymmetry_message(M)):
         symmetric_eigenvalues(M)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+_NONFINITE = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}
+# (value, m): three tiles, or one tile where the id names the size
+NONFINITE_ENTRIES = {name: (v, 300) for name, v in _NONFINITE.items()} | {
+    f"{name}-m{m}": (v, m) for name, v in _NONFINITE.items() for m in (1, 12, SYMMETRY_TILE)
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_ENTRIES)
 @pytest.mark.parametrize("entry", ASYMMETRIC_ENTRIES)
-def test_tiled_check_refuses_a_nonfinite_entry_in_one_tile(value, entry):
-    M = _random_symmetric(300)
-    M[ASYMMETRIC_ENTRIES[entry]] = value
-    with pytest.raises(ValueError, match="matrix must be finite"):
+def test_tiled_check_refuses_a_nonfinite_entry_in_one_tile(case, entry):
+    value, m = NONFINITE_ENTRIES[case]
+    M = _random_symmetric(m)
+    M[_entry(entry, m)] = value
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
         symmetric_eigenvalues(M)
 
 
@@ -324,6 +351,27 @@ def test_cluster_multiplicities_properties(values, tol):
     vals = ms.values()
     assert all(b - a > tol for a, b in zip(vals, vals[1:]))
     assert all(m >= 1 for m in ms.multiplicities())
+
+
+def _with_a_negative_peak(m):
+    M = _random_symmetric(m)
+    M[10, m - 1] = M[m - 1, 10] = -3e5
+    return M
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.zeros((0, 0)),
+        np.diag([0.25, -0.5]),
+        np.array([[-7.0, 1.0], [1.0, 2.0]]),
+        _with_a_negative_peak(12),
+        _with_a_negative_peak(300),
+    ],
+    ids=["empty", "below-one", "negative-peak", "one-tile", "tiled"],
+)
+def test_clustered_spectrum_default_tolerance_is_default_cluster_tol(M):
+    assert clustered_spectrum(M).cluster_tol == default_cluster_tol(M)
 
 
 def test_spectrum_csv_and_json():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from adconn.closedform import CANONICAL
+from adconn.graphs import complete_graph
 from adconn.verify import SUITES, run_suite
 
 ENTRY_KEYS = {"theorem", "instance", "predicted", "computed", "max_value_error", "multiplicity_match", "pass"}
@@ -47,6 +48,13 @@ def test_run_suite_all_aggregates():
     assert report["suite"] == "all"
     assert report["pass"]
     assert report["count"] == sum(r["count"] for r in report["suites"])
+
+
+def test_cold_and_warm_complete_graph_cache_give_the_same_report():
+    complete_graph.cache_clear()
+    cold = json.dumps(run_suite("all", seed=0), indent=2)
+    warm = json.dumps(run_suite("all", seed=0), indent=2)
+    assert cold == warm
 
 
 def test_unknown_suite_rejected():

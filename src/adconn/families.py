@@ -37,16 +37,23 @@ def weighted_length_vector(p: Placement, f) -> np.ndarray:
     weight vector f, this is an eigenvector of the edge-basis stiffness matrix
     with eigenvalue n/2.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (p.n,):
-        raise ValueError(f"weights must have shape ({p.n},), got {f.shape}")
-    if abs(float(f.sum())) > 1e-12:
-        raise ValueError(f"weights must sum to zero, got {f.sum():.3e}")
+    return weighted_length_vectors(p, [f])[0]
+
+
+def weighted_length_vectors(p: Placement, weights) -> list[np.ndarray]:
+    """weighted_length_vector(p, f) for each f in weights, with the hypotheses
+    on p checked and the edge lengths of p taken once."""
+    weights = [np.asarray(f, dtype=float) for f in weights]
+    for f in weights:
+        if f.shape != (p.n,):
+            raise ValueError(f"weights must have shape ({p.n},), got {f.shape}")
+        if abs(float(f.sum())) > 1e-12:
+            raise ValueError(f"weights must sum to zero, got {f.sum():.3e}")
     _require_spherical(p, min_image=3)
     g = complete_graph(p.n)
     lengths = edge_lengths(g, p)
-    uv = g.endpoints
-    return (f[uv[:, 0]] + f[uv[:, 1]]) * lengths
+    u, v = g.endpoints.T
+    return [(f[u] + f[v]) * lengths for f in weights]
 
 
 def edge_length_eigenvector(p: Placement) -> np.ndarray:

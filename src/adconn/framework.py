@@ -2,8 +2,10 @@
 
 A framework is a graph together with a placement p of its vertices in R^d.
 Its rigidity matrix R has one column per edge, built from the normalized
-direction between the placed endpoints; the stiffness matrix is R R^t and the
-edge-basis (lower) stiffness matrix R^t R is assembled from its entry rule.
+direction between the placed endpoints; the nonzero entries are written into
+a zeroed array through a flat index that the graph builds once per dimension
+(Graph.scatter_index).  The stiffness matrix is R R^t and the edge-basis
+(lower) stiffness matrix R^t R is assembled from its entry rule.
 Coincident endpoints contribute zero columns: coincidence is detected by exact
 coordinate equality, never by a tolerance.  Directions do not depend on the
 scale of the placement, down to the smallest and up to the largest floats.
@@ -70,11 +72,10 @@ def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(m, d) array of d_uv and (m,) array of |p(u) - p(v)| for each edge (u, v),
     u < v, from the (n, d) points p; coincident endpoints give a zero row and
     length 0."""
-    uv = g.endpoints
-    pu, pv = points[uv[:, 0]], points[uv[:, 1]]
+    pu, pv = points.take(g.endpoints.T, axis=0)
     with np.errstate(over="ignore"):
         diffs = pu - pv
-        lengths = np.linalg.norm(diffs, axis=1)
+        lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=1))  # np.linalg.norm without its wrapper
     lo, hi = _SAFE_LENGTHS
     if lengths.min(initial=lo) >= lo and lengths.max(initial=hi) <= hi:
         return diffs / lengths[:, None], lengths
@@ -105,13 +106,12 @@ def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
-    """The rigidity matrix from the (m, d) edge directions of _edge_geometry."""
+    """The rigidity matrix from the (m, d) edge directions of _edge_geometry:
+    d_uv at the rows of u and -d_uv at the rows of v, written into a zeroed
+    flat array in one assignment through g.scatter_index(d)."""
     n, d, m = g.n, unit.shape[1], g.m
-    R = np.zeros((n, d, m))
-    uv = g.endpoints
-    cols = np.arange(m)
-    R[uv[:, 0], :, cols] = unit
-    R[uv[:, 1], :, cols] = -unit
+    R = np.zeros(n * d * m)
+    R[g.scatter_index(d)[1]] = np.concatenate((unit, -unit)).ravel()
     return R.reshape(n * d, m)
 
 

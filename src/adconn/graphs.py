@@ -59,6 +59,30 @@ class Graph:
         B.flags.writeable = False
         return B
 
+    def scatter_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only flat index arrays for placements in R^d, built once per d.
+
+        Both list the coordinates of the endpoints of every edge: the first
+        endpoint u of each edge in canonical order, then the second endpoint v
+        of each, with coordinates 0..d-1 innermost.  The first array gives the
+        position of coordinate j of endpoint w in a flattened (n, d) array,
+        w d + j; the second the position of entry (w d + j, k) of edge k in a
+        flattened (n d, m) array with one column per edge.
+        """
+        index = self._scatter_indexes.get(d)
+        if index is None:
+            coords = self.endpoints.T.reshape(-1, 1) * d + np.arange(d)
+            entries = coords * self.m + np.tile(np.arange(self.m), 2)[:, None]
+            index = (coords.ravel(), entries.ravel())
+            for a in index:
+                a.flags.writeable = False
+            self._scatter_indexes[d] = index
+        return index
+
+    @cached_property
+    def _scatter_indexes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
     @property
     def m(self) -> int:
         return len(self.edges)

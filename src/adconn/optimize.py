@@ -94,24 +94,35 @@ def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
 def _normalized_points(points: np.ndarray, gauge: str) -> np.ndarray:
     """normalize_placement on a bare (n, d) array, so that the ascent's trial
     points need no Placement; the points must be finite and not all equal."""
-    if not np.all(np.isfinite(points)):
+    n, d = points.shape
+    big = np.abs(points).max()
+    if not big < math.inf:  # also NaN
         raise ValueError("points must be finite")
-    if np.all(points == points[0]):
+    if (points == points[0]).all():
         raise ValueError("cannot normalize a constant placement")
-    pts = points - points.mean(axis=0)
+    pts = points - points.sum(axis=0) / n  # points.mean(axis=0) without its wrapper
+    # Every |coordinate| of pts is at most 2 big, so below this bound neither a
+    # square nor a sum of d squares overflows.
+    if 2.0 * big * d <= _SAFE_LENGTHS[1]:
+        return _gauged(pts, gauge)
+    with np.errstate(over="ignore"):
+        return _gauged(pts, gauge)
+
+
+def _gauged(pts: np.ndarray, gauge: str) -> np.ndarray:
+    """The centered points pts scaled to the gauge; a root-mean-square or
+    point norm outside _SAFE_LENGTHS is taken after a power-of-two prescale."""
     lo, hi = _SAFE_LENGTHS
     if gauge == "center-scale":
-        with np.errstate(over="ignore"):
-            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+        rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
         if not lo <= rms <= hi:
             pts = _pow2_prescaled(pts, None)
-            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+            rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
         return pts / rms
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(pts, axis=1)
+    norms = np.sqrt((pts * pts).sum(axis=1))
     if not (lo <= norms.min() and norms.max() <= hi):
         pts = _pow2_prescaled(pts, 1)
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt((pts * pts).sum(axis=1))
     safe = norms > 0
     pts[safe] /= norms[safe, None]
     return pts
@@ -126,17 +137,19 @@ def _pow2_prescaled(pts: np.ndarray, axis) -> np.ndarray:
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
-    """Softmin of positive width over the eigenvalue cluster starting at index
-    t, and its softmax weights over eigs[t:t + len(weights)]; equals eigs[t]
-    as the width shrinks or when the cluster is a singleton."""
-    lam_t = float(eigs[t])
-    cluster = eigs[t:][eigs[t:] <= lam_t + width]
-    z = np.exp(-(cluster - lam_t) / width)
-    total = float(np.sum(z))
+    """Softmin of positive width over the cluster of the ascending eigenvalues
+    eigs that starts at index t, and its softmax weights over
+    eigs[t:t + len(weights)]; equals eigs[t] as the width shrinks or when the
+    cluster is a singleton."""
+    tail = eigs[t:]
+    lam_t = float(tail[0])
+    cluster = tail[:tail.searchsorted(lam_t + width, "right")]
+    z = np.exp((lam_t - cluster) / width)
+    total = float(z.sum())
     return lam_t - width * math.log(total), z / total
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class _Evaluation:
     """The (n, d) points of a trial placement with their edge geometry,
     stiffness matrix, eigenvalues and objective; eigenvectors are computed from
@@ -171,7 +184,10 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     edges e = (u, v), where w_e = v_u - v_v and s_e = d_e . w_e.  Edges with
     coincident endpoints contribute zero.  The objective weights these by its
     softmax weights, plus a term for the softmin width, which is proportional
-    to the gap eigs[t].
+    to the gap eigs[t].  The per-edge terms are summed into the points by one
+    bincount over the coordinates of the first endpoints, then of the second
+    (g.scatter_index(d)), which adds them in the same order as two
+    np.add.at calls would.
     """
     k = len(ev.weights)
     coef = ev.weights.copy()
@@ -185,10 +201,9 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     inv_len = np.divide(1.0, ev.lengths, out=np.zeros(g.m), where=ev.lengths > 0)
     per_edge = np.einsum("km,kmd->md", (2.0 * coef)[:, None] * s, w - s[..., None] * ev.unit)
     per_edge *= inv_len[:, None]
-    grad = np.zeros((n, d))
-    np.add.at(grad, uv[:, 0], per_edge)
-    np.add.at(grad, uv[:, 1], -per_edge)
-    return grad
+    coords = g.scatter_index(d)[0]
+    grad = np.bincount(coords, np.concatenate((per_edge, -per_edge)).ravel(), n * d)
+    return grad.reshape(n, d)
 
 
 def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement]:
@@ -235,7 +250,8 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
     snapshot, stalled = best_gap, 0
 
     for it in range(1, config.max_iters + 1):
-        gnorm = float(np.linalg.norm(grad))
+        flat = grad.ravel()
+        gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm(grad) without its wrapper
         if gnorm > 1e-14:
             moved = cur.points + (step / gnorm) * grad
             trial = _evaluate(g, _normalized_points(moved, config.gauge), t, SMOOTHING)

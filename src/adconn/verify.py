@@ -33,7 +33,7 @@ from .closedform import (
     pyramid_spectrum_closed_form,
     spectrum_matches,
 )
-from .families import edge_length_eigenvector, eigen_residual, weighted_length_vector
+from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
 from .framework import Placement, lower_stiffness_direct, stiffness
 from .graphs import Graph, complete_graph
 from .placements import (
@@ -291,12 +291,14 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
         C = lower_stiffness_direct(complete_graph(n), p)
-        worst = 0.0
+        weights = []
         for s in range(samples):
-            rng = rng_stream(seed, f"phi-f:{label}:{s}")
-            f = rng.standard_normal(n)
+            f = rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n)
             f -= f.mean()
-            worst = max(worst, eigen_residual(C, weighted_length_vector(p, f), n / 2.0))
+            weights.append(f)
+        worst = 0.0
+        for vec in weighted_length_vectors(p, weights):
+            worst = max(worst, eigen_residual(C, vec, n / 2.0))
         return _entry(
             "weighted-length-eigenvectors",
             {"instance": label, "n": n, "samples": samples},

@@ -16,6 +16,7 @@ from adconn.families import (
     turan_simplex_families,
     vertex_shift_vector,
     weighted_length_vector,
+    weighted_length_vectors,
 )
 from adconn.framework import Placement, lower_stiffness_direct
 from adconn.graphs import complete_graph, remove_edge, turan_graph
@@ -80,6 +81,26 @@ def test_weighted_length_vector_rejects_bad_hypotheses(rng):
     two_image = Placement(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="distinct"):
         weighted_length_vector(two_image, centered(rng, 4))
+
+
+def test_weighted_length_vectors_equal_one_call_per_weight_vector(rng):
+    for p in (crosspolytope_placement(12, 3), centered_sphere_points(9, 2, rng)):
+        weights = [centered(rng, p.n) for _ in range(7)]
+        got = weighted_length_vectors(p, weights)
+        assert len(got) == len(weights)
+        for f, vec in zip(weights, got):
+            assert vec.tobytes() == weighted_length_vector(p, f).tobytes()
+    assert weighted_length_vectors(regular_simplex(3), []) == []
+
+
+def test_weighted_length_vectors_reject_what_one_call_rejects(rng):
+    p = regular_simplex(3)
+    with pytest.raises(ValueError, match="sum to zero"):
+        weighted_length_vectors(p, [centered(rng, 4), np.ones(4)])
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        weighted_length_vectors(p, [centered(rng, 4), np.zeros(5)])
+    with pytest.raises(ValueError, match="unit-norm"):
+        weighted_length_vectors(Placement(2.0 * p.points), [centered(rng, 4)])
 
 
 def test_edge_length_eigenvector(rng):

@@ -6,6 +6,7 @@ import pytest
 from adconn.framework import (
     Placement,
     _edge_geometry,
+    _rigidity_from_directions,
     edge_lengths,
     lower_stiffness_direct,
     placement_from_json,
@@ -13,7 +14,7 @@ from adconn.framework import (
     rigidity_matrix,
     stiffness,
 )
-from adconn.graphs import complete_graph, make_graph, remove_edge, turan_graph
+from adconn.graphs import Graph, complete_graph, make_graph, remove_edge, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
     regular_simplex,
@@ -38,6 +39,66 @@ def lower_stiffness_product(g, p):
     """R^t R: the reference for the entry-rule assembly."""
     R = rigidity_matrix(g, p)
     return R.T @ R
+
+
+def fancy_index_rigidity(g, unit):
+    """R from a three-axis fancy index: the reference for the flat scatter."""
+    n, d, m = g.n, unit.shape[1], g.m
+    R = np.zeros((n, d, m))
+    cols = np.arange(m)
+    R[g.endpoints[:, 0], :, cols] = unit
+    R[g.endpoints[:, 1], :, cols] = -unit
+    return R.reshape(n * d, m)
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_rigidity_scatter_matches_the_fancy_index_bit_for_bit(d, rng):
+    graphs = [complete_graph(n) for n in (2, 5, 9)]
+    graphs += [turan_graph(n, r)[0] for n, r in ((6, 2), (6, 3), (8, 4))]
+    graphs += [Graph(4, ()), random_graph(rng, 7)]
+    for g in graphs:
+        for coincident in (0, 1, 2):
+            pts = rng.standard_normal((g.n, d))
+            pts[1:coincident + 1] = pts[0]  # up to two points exactly on p(0)
+            p = Placement(pts)
+            unit = _edge_geometry(g, p.points)[0]
+            want = fancy_index_rigidity(g, unit)
+            got = _rigidity_from_directions(g, unit)
+            assert bit_equal(got, want) and np.array_equal(got, want)
+            assert got.flags.c_contiguous  # so that R @ R.T takes one path
+            assert bit_equal(rigidity_matrix(g, p), want)
+            # R @ R.T of one C-contiguous array with its own transpose
+            assert bit_equal(stiffness(g, p), want @ want.T)
+
+
+def test_scatter_index_is_cached_and_read_only():
+    g = turan_graph(6, 3)[0]
+    for d in (1, 3):
+        coords, entries = g.scatter_index(d)
+        assert g.scatter_index(d) is g.scatter_index(d)
+        assert g.scatter_index(d)[0] is coords and g.scatter_index(d)[1] is entries
+        assert coords.shape == entries.shape == (2 * g.m * d,)
+        for a in (coords, entries):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    assert g.scatter_index(1)[0] is not g.scatter_index(3)[0]
+    assert Graph(3, ()).scatter_index(2)[1].shape == (0,)
+
+
+def test_edge_lengths_equal_numpy_norm_bit_for_bit(rng):
+    for _ in range(300):
+        n, d = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100)
+        if rng.random() < 0.3:
+            pts[-1] = pts[0]
+        g = complete_graph(n)
+        diffs = pts[g.endpoints[:, 0]] - pts[g.endpoints[:, 1]]
+        assert bit_equal(_edge_geometry(g, pts)[1], np.linalg.norm(diffs, axis=1))
 
 
 def test_direction_basic():

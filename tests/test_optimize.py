@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adconn.closedform import CANONICAL
-from adconn.framework import Placement, stiffness
+from adconn.framework import _SAFE_LENGTHS, Placement, stiffness
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
     OptimizerConfig,
     _evaluate,
+    _normalized_points,
     _objective_gradient,
     _smoothed_objective,
     gap_ascent,
@@ -72,6 +73,58 @@ def test_normalize_placement_does_not_depend_on_scale(points, gauge, scale):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     if gauge == "unit-sphere":
         assert np.all((np.linalg.norm(got, axis=1) == 0) == np.all(points == 0, axis=1))
+
+
+def reference_normalized_points(points, gauge):
+    """Centering and gauge scaling with np.mean, np.sum and np.linalg.norm
+    under np.errstate, and the power-of-two prescale: the reference for the
+    method-reduction arithmetic of _normalized_points."""
+
+    def prescaled(pts, axis):
+        _, exps = np.frexp(np.max(np.abs(pts), axis=axis, keepdims=True))
+        return np.ldexp(pts, -exps)
+
+    pts = points - points.mean(axis=0)
+    lo, hi = _SAFE_LENGTHS
+    if gauge == "center-scale":
+        with np.errstate(over="ignore"):
+            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+        if not lo <= rms <= hi:
+            pts = prescaled(pts, None)
+            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+        return pts / rms
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    if not (lo <= norms.min() and norms.max() <= hi):
+        pts = prescaled(pts, 1)
+        norms = np.linalg.norm(pts, axis=1)
+    safe = norms > 0
+    pts[safe] /= norms[safe, None]
+    return pts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
+def test_normalized_points_match_the_reference_bit_for_bit(gauge, rng):
+    cases = [rng.standard_normal((int(rng.integers(2, 14)), int(rng.integers(1, 5)))) for _ in range(200)]
+    cases += [scale * p for p in (regular_simplex(3).points, TRIANGLE_AND_CENTROID, rng.standard_normal((12, 3)))
+              for scale in (1e-200, 1e-160, 1e-5, 1e5, 1e160, 1e200)]
+    for points in cases:
+        got = _normalized_points(points, gauge)
+        want = reference_normalized_points(points, gauge)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
+def test_normalized_points_refuse_non_finite_and_constant_points(gauge):
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.ones((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            _normalized_points(pts, gauge)
+    for value in (0.0, 1.0, 1e200):
+        with pytest.raises(ValueError, match="cannot normalize a constant placement"):
+            _normalized_points(np.full((4, 2), value), gauge)
 
 
 def test_normalize_placement_rejects_constant():
@@ -266,6 +319,50 @@ def test_objective_gradient_ignores_coincident_edges():
     without_edge = _objective_gradient(h, _evaluate(h, pts, t, 1e-6), t)
     assert np.all(np.isfinite(with_edge))
     np.testing.assert_allclose(with_edge, without_edge, atol=1e-12)
+
+
+def add_at_gradient(g, ev, t):
+    """_objective_gradient with its per-edge terms summed by two np.add.at
+    calls: the reference for the single bincount."""
+    k = len(ev.weights)
+    coef = ev.weights.copy()
+    if ev.gap > 1e-9:
+        coef[0] += (ev.value - float(ev.weights @ ev.eigs[t:t + k])) / ev.gap
+    n, d = ev.points.shape
+    uv = g.endpoints
+    vecs = np.linalg.eigh(ev.stiffness)[1][:, t:t + k].T.reshape(k, n, d)
+    w = vecs[:, uv[:, 0]] - vecs[:, uv[:, 1]]
+    s = np.einsum("kmd,md->km", w, ev.unit)
+    inv_len = np.divide(1.0, ev.lengths, out=np.zeros(g.m), where=ev.lengths > 0)
+    per_edge = np.einsum("km,kmd->md", (2.0 * coef)[:, None] * s, w - s[..., None] * ev.unit)
+    per_edge *= inv_len[:, None]
+    grad = np.zeros((n, d))
+    np.add.at(grad, uv[:, 0], per_edge)
+    np.add.at(grad, uv[:, 1], -per_edge)
+    return grad
+
+
+def test_objective_gradient_matches_add_at_bit_for_bit(rng):
+    cases = []
+    for _ in range(60):
+        n, d = int(rng.integers(4, 13)), int(rng.integers(1, 5))
+        cases.append((complete_graph(n), rng.standard_normal((n, d)), 1e-6))
+    # softmin clusters of several eigenvalues near the crosspolytope
+    for seed in range(5):
+        jitter = 3e-3 * np.random.default_rng(seed).standard_normal((6, 3))
+        cases.append((complete_graph(6), crosspolytope_placement(6, 3).points + jitter, 1e-2))
+    cases.append((complete_graph(12), crosspolytope_placement(12, 3).points, 1e-6))
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.3, 1.1], [0.4, -0.9]])
+    cases.append((complete_graph(5), pts, 1e-6))  # the edge (0, 1) is coincident
+    cases.append((make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]), pts, 1e-6))
+    clusters = set()
+    for g, points, smoothing in cases:
+        t = trivial_motion_count(points.shape[1])
+        ev = _evaluate(g, points, t, smoothing)
+        got, want = _objective_gradient(g, ev, t), add_at_gradient(g, ev, t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        clusters.add(len(ev.weights))
+    assert max(clusters) >= 3
 
 
 def test_evaluation_reads_the_public_spectrum(rng):

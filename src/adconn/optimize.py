@@ -31,7 +31,7 @@ import numpy as np
 from .closedform import canonical_placements
 from .framework import _SAFE_LENGTHS, Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
 from .graphs import Graph
-from .seeding import rng_stream
+from .seeding import as_index, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
 GAUGES = ("center-scale", "unit-sphere")
@@ -51,6 +51,8 @@ class OptimizerConfig:
     gauge: str = "center-scale"
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         if self.gauge not in GAUGES:

@@ -10,13 +10,15 @@ default of each one, plus the run-level seed; it returns its instances,
 summary and counterexample candidates.  conjecture_probe binds the caller's
 parameters against that signature, refuses any the probe does not read, and
 records the bound values as the record's params.
+
+Only the regular-2d probe uses networkx, to sample its random regular graphs,
+and it imports networkx when it first runs, so importing adconn does not load
+it.
 """
 
 from __future__ import annotations
 
 import math
-
-import networkx as nx
 
 from .bounds import top_eigenvalue_sum_check
 from .closedform import canonical_placements
@@ -131,12 +133,17 @@ def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
 
 def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gaps of random 2d-regular graphs; the conjecture is that
-    the achievable gap vanishes as the vertex count grows."""
+    the achievable gap vanishes as the vertex count grows.  This is the only
+    code that uses networkx: it is imported here, when the probe first runs
+    and after its arguments are checked, so bad input fails without loading
+    it."""
     check_samples(samples, least=1)
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
+    import networkx as nx
+
     instances = []
     for n in ns:
         for s in range(samples):

@@ -2,20 +2,35 @@
 
 Every randomized routine draws from a PCG64 generator seeded by the pair
 (seed, tag), so independent call sites get independent streams and results do
-not depend on execution order.
+not depend on execution order.  A seed is an integer: a bool, a float or
+anything else that operator.index refuses is a ValueError, so no run records a
+seed other than the one its stream was drawn from.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
 
+def as_index(value, name: str) -> int:
+    """value as a Python int.  A bool, or a value operator.index refuses (a
+    float, a string, None), is a ValueError that names it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def rng_stream(seed: int, tag: str) -> np.random.Generator:
+    seed = as_index(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     digest = hashlib.sha256(tag.encode()).digest()[:8]
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int.from_bytes(digest, "little")])
+        np.random.SeedSequence([seed, int.from_bytes(digest, "little")])
     )

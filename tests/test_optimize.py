@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,36 @@ def test_config_validation():
             OptimizerConfig(**bad)
     with pytest.raises(ValueError):
         OptimizerConfig(gauge="nope")
+
+
+NOT_INTEGERS = [1.5, 2.0, True, False, np.float64(1.0), np.bool_(True), "3", None]
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_config_refuses_non_integer_fields(field, value):
+    # restarts=1.5 used to pass here and fail later inside gap_ascent, and a
+    # float or bool seed ran seed int(seed)'s stream under its own label.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_refuses_a_float_seed_before_any_restart_runs():
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        gap_ascent(complete_graph(5), 2, OptimizerConfig(seed=1.5, restarts=1, max_iters=3))
+
+
+def test_config_stores_numpy_integers_as_python_ints_with_the_same_result():
+    plain = OptimizerConfig(restarts=2, max_iters=20, seed=3)
+    numpy_ints = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(20), seed=np.uint8(3))
+    assert numpy_ints == plain
+    assert all(type(v) is int for k, v in numpy_ints.to_json_dict().items() if k != "gauge")
+    assert json.dumps(numpy_ints.to_json_dict()) == json.dumps(plain.to_json_dict())
+    a = gap_ascent(complete_graph(5), 2, plain)
+    b = gap_ascent(complete_graph(5), 2, numpy_ints)
+    assert repr(a.best_gap) == repr(b.best_gap)
+    assert a.best_placement.points.tobytes() == b.best_placement.points.tobytes()
+    assert a.traces == b.traces
 
 
 def test_gap_ascent_recovers_triangle():

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adconn
 from adconn.probes import PROBE_TAGS, conjecture_probe
 
 
@@ -98,6 +102,45 @@ def test_regular_2d_probe():
     assert len(record["instances"]) == 2
     assert all(i["best_gap"] >= -1e-12 for i in record["instances"])
     assert set(record["summary"]["max_gap_by_n"]) == {"8", "12"}
+
+
+def test_regular_2d_graph_seeds_are_pinned():
+    # The graph seeds fix which graphs networkx samples; networkx's edge lists
+    # are not pinned, since they may differ between networkx releases.
+    params = {"d": 2, "ns": [8, 12], "samples": 1, "restarts": 1}
+    record = conjecture_probe("regular-2d", params, seed=2)
+    assert [(i["n"], i["graph_seed"]) for i in record["instances"]] == [(8, 1823783805), (12, 858822877)]
+    assert conjecture_probe("regular-2d", params, seed=2) == record
+
+
+NETWORKX_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import adconn, adconn.cli
+from adconn import conjecture_probe, run_suite
+assert adconn.__file__.startswith(sys.argv[1]), adconn.__file__
+run_suite("simplex")
+try:
+    conjecture_probe("regular-2d", {"samples": 0})
+except ValueError:
+    pass
+else:
+    raise SystemExit("regular-2d accepted samples = 0")
+before = "networkx" in sys.modules
+if sys.argv[2] == "valid":
+    conjecture_probe("regular-2d", {"ns": [6], "samples": 1, "restarts": 1})
+print(before, "networkx" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("call,loaded", [("bad", False), ("valid", True)])
+def test_only_a_valid_regular_2d_call_imports_networkx(call, loaded):
+    src = str(Path(adconn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NETWORKX_CHECK, src, call], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", str(loaded)]
 
 
 def test_repeated_points_probe():

@@ -9,6 +9,13 @@ a zeroed array through a flat index that the graph builds once per dimension
 Coincident endpoints contribute zero columns: coincidence is detected by exact
 coordinate equality, never by a tolerance.  Directions do not depend on the
 scale of the placement, down to the smallest and up to the largest floats.
+
+The direction and rigidity kernels (_edge_geometry, _rigidity_from_directions)
+take one placement, (n, d), or a stack of placements of one shape,
+(..., n, d), so that callers with many small frameworks assemble them in one
+call.  One placement runs the same code with no leading axes, and no
+arithmetic mixes placements, so each member of a stack gets the bits it would
+get alone.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ class Placement:
 
     def is_injective(self) -> bool:
         """True iff no two points coincide exactly."""
-        return len({tuple(row) for row in self.points}) == self.n
+        return self.image_size() == self.n
 
     def image_size(self) -> int:
-        return len({tuple(row) for row in self.points})
+        """Number of distinct points; -0.0 and 0.0 are the same coordinate."""
+        return len(set(map(tuple, self.points.tolist())))
 
     def is_constant(self) -> bool:
         return bool(np.all(self.points == self.points[0]))
@@ -69,25 +77,31 @@ _SAFE_LENGTHS = (1e-150, 1e150)
 
 
 def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, d) array of d_uv and (m,) array of |p(u) - p(v)| for each edge (u, v),
-    u < v, from the (n, d) points p; coincident endpoints give a zero row and
-    length 0."""
-    pu, pv = points.take(g.endpoints.T, axis=0)
+    """(..., m, d) array of d_uv and (..., m) array of |p(u) - p(v)| for each
+    edge (u, v), u < v, from the (..., n, d) points p: one placement, or a stack
+    of placements on the leading axes.  Coincident endpoints give a zero row and
+    length 0.  Every row is computed on its own, so a placement gives the same
+    bits alone as in any stack."""
+    ends = points.take(g.endpoints.T, axis=-2)
+    pu, pv = ends[..., 0, :, :], ends[..., 1, :, :]
     with np.errstate(over="ignore"):
         diffs = pu - pv
-        lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=1))  # np.linalg.norm without its wrapper
+        lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))  # np.linalg.norm without its wrapper
     lo, hi = _SAFE_LENGTHS
     if lengths.min(initial=lo) >= lo and lengths.max(initial=hi) <= hi:
-        return diffs / lengths[:, None], lengths
-    # Some edge has coincident endpoints, or a length outside the safe range.
+        return diffs / lengths[..., None], lengths
+    # Some edge has coincident endpoints, or a length outside the safe range;
+    # the fallback works on the rows of all placements flattened into one list.
+    shape, d = diffs.shape, diffs.shape[-1]
+    diffs, lengths = diffs.reshape(-1, d), lengths.reshape(-1)
     coincident = np.all(diffs == 0.0, axis=1)
     far = ~coincident & ((lengths < lo) | (lengths > hi))
     safe = ~coincident & ~far
     unit = np.zeros_like(diffs)
     unit[safe] = diffs[safe] / lengths[safe, None]
     if far.any():
-        unit[far], lengths[far] = _rescaled_geometry(pu[far], pv[far])
-    return unit, lengths
+        unit[far], lengths[far] = _rescaled_geometry(pu.reshape(-1, d)[far], pv.reshape(-1, d)[far])
+    return unit.reshape(shape), lengths.reshape(shape[:-1])
 
 
 def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +120,17 @@ def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
-    """The rigidity matrix from the (m, d) edge directions of _edge_geometry:
-    d_uv at the rows of u and -d_uv at the rows of v, written into a zeroed
-    flat array in one assignment through g.scatter_index(d)."""
-    n, d, m = g.n, unit.shape[1], g.m
-    R = np.zeros(n * d * m)
-    R[g.scatter_index(d)[1]] = np.concatenate((unit, -unit)).ravel()
-    return R.reshape(n * d, m)
+    """The rigidity matrices, (..., n d, m), from the (..., m, d) edge
+    directions of _edge_geometry: d_uv at the rows of u and -d_uv at the rows
+    of v, written into zeroed flat arrays, one per placement, in one assignment
+    through g.scatter_index(d)."""
+    *lead, m, d = unit.shape
+    R = np.zeros((*lead, g.n * d * m))
+    # (idx,) alone for one placement: numpy's fast path for a flat fancy index
+    R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = (
+        np.concatenate((unit, -unit), axis=-2).reshape(*lead, -1)
+    )
+    return R.reshape(*lead, g.n * d, m)
 
 
 def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:

@@ -9,7 +9,6 @@ builds each K_n once per process and hands every caller the same object.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -17,6 +16,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .seeding import as_index
 
 Edge = tuple[int, int]
 
@@ -147,8 +148,9 @@ def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """K_n, the same object on every call with the same n; n must be an integer
-    (a numpy integer becomes a Python int before the cache sees it)."""
-    return _complete_graph(operator.index(n))
+    and not a bool (seeding.as_index), and a numpy integer becomes a Python int
+    before the cache sees it."""
+    return _complete_graph(as_index(n, "n"))
 
 
 @cache

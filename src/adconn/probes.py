@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .bounds import top_eigenvalue_sum_check
+from .bounds import top_eigenvalue_sum_checks
 from .closedform import canonical_placements
 from .framework import Placement
 from .graphs import complete_graph, make_graph
@@ -76,27 +76,27 @@ def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tu
     check_samples(samples, least=0)
     if min(ns, default=3) < 3:
         raise ValueError(f"top-n-sum needs n >= 3 for the floor n(n+1)/2, got n = {min(ns)}")
-    instances, candidates = [], []
+    pool = []
     for n in ns:
         for d in ds:
-            pool = [(name, p) for name, p in canonical_placements(n, d) if p.is_injective()]
+            pool += [(n, d, name, p) for name, p in canonical_placements(n, d) if p.is_injective()]
             for s in range(samples):
                 rng = rng_stream(seed, f"topsum:{n}:{d}:{s}")
-                pool.append((f"random-{s}", Placement(rng.standard_normal((n, d)))))
-            for label, p in pool:
-                check = top_eigenvalue_sum_check(p)
-                bound = n * (n + 1) / 2.0
-                inst = {
-                    "n": n,
-                    "d": d,
-                    "instance": label,
-                    "top_sum": check.total,
-                    "conjectured_bound": bound,
-                    "margin": check.total - bound,
-                }
-                instances.append(inst)
-                if inst["margin"] < -1e-9:
-                    candidates.append(inst)
+                pool.append((n, d, f"random-{s}", Placement(rng.standard_normal((n, d)))))
+    instances, candidates = [], []
+    for (n, d, label, _), check in zip(pool, top_eigenvalue_sum_checks([p for *_, p in pool])):
+        bound = n * (n + 1) / 2.0
+        inst = {
+            "n": n,
+            "d": d,
+            "instance": label,
+            "top_sum": check.total,
+            "conjectured_bound": bound,
+            "margin": check.total - bound,
+        }
+        instances.append(inst)
+        if inst["margin"] < -1e-9:
+            candidates.append(inst)
     if not instances:
         raise ValueError("top-n-sum has no instances: samples is 0 and no canonical framework fits ns and ds")
     worst = min(instances, key=lambda i: i["margin"])

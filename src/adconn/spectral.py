@@ -1,14 +1,18 @@
 """Symmetric eigenvalue computation, multiplicity clustering, and interlacing checks.
 
-``symmetric_eigenvalues`` reads its matrix once, in pairs of mirrored
-SYMMETRY_TILE x SYMMETRY_TILE tiles: the pass refuses a non-finite or
-non-symmetric matrix and finds max|M|, which the later steps reuse, and which
-``clustered_spectrum`` takes its default tolerance from.  A matrix of at most
-SYMMETRY_TILE rows is one tile, checked by two whole-array reductions, since
-per-call overhead, not reading the matrix, dominates at those sizes.  A matrix
-of size at least LOW_RANK_MIN_SIZE then tries a certified low-rank route,
-built for edge-basis stiffness matrices R^t R, whose rank is at most
-dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
+``symmetric_eigenvalues`` takes one matrix or a stack of matrices of one
+size, shape (..., m, m), and answers with the ascending eigenvalues of each.
+It reads its input once: the pass refuses a non-finite or non-symmetric
+member and finds max|M| of each, which the later steps reuse, and which
+``clustered_spectrum`` takes its default tolerance from.  When m is at most
+SYMMETRY_TILE the whole stack is checked by two reductions over its last two
+axes and solved by one eigvalsh call, since per-call overhead, not reading the
+matrices, dominates at those sizes; numpy solves each member of a stack as it
+would solve that matrix alone, so stacking changes no bit.  A larger matrix is
+read in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE tiles, one member at a
+time.  A matrix of size at least LOW_RANK_MIN_SIZE then tries a certified
+low-rank route, built for edge-basis stiffness matrices R^t R, whose rank is
+at most dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
 rank r has tr(M)^2 <= r ||M||_F^2, so the route is skipped when that ratio
 lies above its pivot budget (with a margin of LOW_RANK_SKIP_MARGIN): such a
 matrix would exhaust the budget.  A greedy diagonal-pivoted Cholesky
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Placement, rigidity_matrix, stiffness
-from .graphs import Edge, Graph, remove_edge
+from .graphs import Edge, Graph
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
 DEFAULT_RANK_TOL = 1e-9
@@ -65,40 +69,69 @@ def _finite_peak(tile: np.ndarray) -> float:
     return peak
 
 
-def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """M as a float array and max|M|, after refusing a non-square, non-finite
-    or non-symmetric matrix in one pass over pairs of mirrored tiles."""
+def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M as a float array of shape (..., m, m) and the max|M| of each matrix in
+    it, after refusing a non-square stack, or a non-finite or non-symmetric
+    member, in one pass: over the whole stack when m <= SYMMETRY_TILE, else over
+    pairs of mirrored tiles of each member."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    b = SYMMETRY_TILE
-    if len(M) <= b:
-        peak = _finite_peak(M)
-        asym = float(np.abs(M - M.T).max(initial=0.0))
+    if M.shape[-1] <= SYMMETRY_TILE:
+        axes = (-2, -1)
+        peak = np.abs(M).max(axis=axes, initial=0.0)
+        # max propagates a NaN, and |inf| is inf, so one max finds both
+        if not math.isfinite(peak.max(initial=0.0)):
+            raise ValueError("matrix must be finite")
+        asym = np.abs(M - M.swapaxes(-2, -1)).max(axis=axes, initial=0.0)
     else:
-        peak = asym = 0.0
-        for i in range(0, len(M), b):
-            for j in range(i, len(M), b):
-                upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
-                peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
-                asym = max(asym, float(np.max(np.abs(upper - lower.T))))
-    if asym > 1e-12 * max(1.0, peak):
-        raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}")
+        peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
+        for i in np.ndindex(M.shape[:-2]):
+            peak[i], asym[i] = _tiled_peak_and_asymmetry(M[i])
+    # each member's threshold 1e-12 max(1, max|M|) is at least 1e-12
+    if asym.max(initial=0.0) > 1e-12:
+        refused = asym > 1e-12 * np.maximum(1.0, peak)
+        if refused.any():
+            raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym[refused].flat[0]:.3e}")
     return M, peak
 
 
+def _tiled_peak_and_asymmetry(M: np.ndarray) -> tuple[float, float]:
+    """max|M| and max|M - M^t| of one matrix, read in pairs of mirrored tiles."""
+    b, peak, asym = SYMMETRY_TILE, 0.0, 0.0
+    for i in range(0, len(M), b):
+        for j in range(i, len(M), b):
+            upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
+            peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
+            asym = max(asym, float(np.max(np.abs(upper - lower.T))))
+    return peak, asym
+
+
 def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a finite symmetric matrix, ascending; certified
-    low-rank when that succeeds (see the module docstring)."""
+    """All eigenvalues of a finite symmetric matrix, ascending, or of each
+    matrix of a (..., m, m) stack as a (..., m) array; certified low-rank when
+    that succeeds (see the module docstring)."""
     return _eigenvalues(*_require_symmetric(M))
 
 
-def _eigenvalues(M: np.ndarray, peak: float) -> np.ndarray:
-    """symmetric_eigenvalues of a matrix that _require_symmetric has passed,
-    with its max|M|."""
-    if M.size == 0:
-        return np.zeros(0)
-    if M.shape[0] >= LOW_RANK_MIN_SIZE and not _rank_exceeds_pivot_budget(M, peak):
+def _eigenvalues(M: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """symmetric_eigenvalues of a stack that _require_symmetric has passed,
+    with the max|M| of each member.  Below LOW_RANK_MIN_SIZE the whole stack
+    is one eigvalsh call."""
+    m = M.shape[-1]
+    if m == 0:
+        return np.zeros(M.shape[:-1])
+    if m < LOW_RANK_MIN_SIZE:
+        return np.linalg.eigvalsh(M)
+    eigs = np.empty(M.shape[:-1])
+    for i in np.ndindex(M.shape[:-2]):
+        eigs[i] = _large_eigenvalues(M[i], float(peak[i]))
+    return eigs
+
+
+def _large_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray:
+    """Eigenvalues of one matrix of size at least LOW_RANK_MIN_SIZE."""
+    if not _rank_exceeds_pivot_budget(M, peak):
         eigs = _low_rank_eigenvalues(M, peak)
         if eigs is not None:
             return eigs
@@ -216,14 +249,14 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     clusters: list[tuple[float, int]] = []
     run_sum = 0.0
     run_count = 0
-    for x in eigs:
+    for x in eigs.tolist():
         if run_count and abs(x - run_sum / run_count) <= tol:
-            run_sum += float(x)
+            run_sum += x
             run_count += 1
         else:
             if run_count:
                 clusters.append((run_sum / run_count, run_count))
-            run_sum, run_count = float(x), 1
+            run_sum, run_count = x, 1
     if run_count:
         clusters.append((run_sum / run_count, run_count))
     return MultiplicitySpectrum(tuple(clusters), int(eigs.size), tol)
@@ -244,9 +277,12 @@ def default_cluster_tol(M: np.ndarray) -> float:
 def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicitySpectrum:
     """Eigenvalues of a symmetric matrix clustered at tol, by default
     default_cluster_tol(M), here from the max|M| of the symmetry check."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
     M, peak = _require_symmetric(M)
     if tol is None:
-        tol = DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, peak)
+        tol = DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, float(peak))
     return cluster_multiplicities(_eigenvalues(M, peak), tol)
 
 
@@ -294,10 +330,13 @@ def interlacing_check(
 
     With ascending stiffness eigenvalues lam (of g) and lam' (of g minus e) and
     lam_0 := 0, checks lam_{i-1} <= lam'_i <= lam_i for all i up to the given
-    slack.  Returns (holds, worst signed violation).
+    slack.  Returns (holds, worst signed violation).  The rigidity matrix of g
+    minus e is that of g without the column of e, and the two stiffness
+    matrices are solved as one stack of two.
     """
-    lam = symmetric_eigenvalues(stiffness(g, p))
-    lam_prime = symmetric_eigenvalues(stiffness(remove_edge(g, e), p))
+    R = rigidity_matrix(g, p)
+    R_minus = np.delete(R, g.index_of(*e), axis=1)
+    lam, lam_prime = symmetric_eigenvalues(np.stack((R @ R.T, R_minus @ R_minus.T)))
     lam_shift = np.concatenate(([0.0], lam[:-1]))
     worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
     return worst <= slack, worst

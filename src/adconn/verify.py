@@ -24,6 +24,7 @@ import numpy as np
 from .bounds import (
     circle_identity_residual,
     top_eigenvalue_sum_check,
+    top_eigenvalue_sum_checks,
     vertex_star_projection,
     vertex_star_vector,
 )
@@ -43,7 +44,7 @@ from .placements import (
     triangular_pyramid,
     unit_circle_placement,
 )
-from .seeding import rng_stream
+from .seeding import as_index, rng_stream
 from .spectral import interlacing_check, numeric_rank, stiffness_spectrum, symmetric_eigenvalues
 
 SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan", "families")
@@ -209,23 +210,25 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
             )
         )
 
-    def one(s):
+    def draw(s):
         rng = rng_stream(seed, f"topsum:{s}")
         n = int(rng.integers(3, 13))
         d = int(rng.integers(2, 5))
-        p = Placement(rng.standard_normal((n, d)))
-        check = top_eigenvalue_sum_check(p)
-        return _entry(
-            "top-n-eigenvalue-sum",
-            {"sample": s, "n": n, "d": d},
-            check.bound,
-            check.total,
-            max(-check.margin, 0.0),
-            True,
-            check.margin >= -1e-9,
-        )
+        return Placement(rng.standard_normal((n, d)))
 
-    entries.extend(one(s) for s in range(samples))
+    placements = [draw(s) for s in range(samples)]
+    for s, (p, check) in enumerate(zip(placements, top_eigenvalue_sum_checks(placements))):
+        entries.append(
+            _entry(
+                "top-n-eigenvalue-sum",
+                {"sample": s, "n": p.n, "d": p.d},
+                check.bound,
+                check.total,
+                max(-check.margin, 0.0),
+                True,
+                check.margin >= -1e-9,
+            )
+        )
 
     equilateral = top_eigenvalue_sum_check(regular_simplex(2))
     entries.append(
@@ -338,8 +341,9 @@ _SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
 def check_samples(samples: int, least: int) -> None:
-    """A sample count below least is a ValueError."""
-    if samples < least:
+    """A sample count that is not an integer (seeding.as_index), or is below
+    least, is a ValueError."""
+    if as_index(samples, "samples") < least:
         raise ValueError(f"samples must be >= {least}, got {samples}")
 
 

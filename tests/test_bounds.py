@@ -7,6 +7,7 @@ from adconn.bounds import (
     circle_identity_residual,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
+    top_eigenvalue_sum_checks,
     triangle_cosine_sum,
     vertex_star_projection,
     vertex_star_vector,
@@ -85,6 +86,34 @@ def test_top_sum_random_sweep(rng):
 def test_top_sum_rejects_non_injective():
     with pytest.raises(ValueError):
         top_eigenvalue_sum_check(Placement(np.zeros((4, 2))))
+
+
+def _top_sum_oracle(p):
+    """The top-n sum from one 2-D assembly and eigensolve."""
+    eigs = symmetric_eigenvalues(stiffness(complete_graph(p.n), p))
+    return float(np.sum(eigs[-p.n:]))
+
+
+def test_batched_top_sums_on_mixed_shapes_in_shuffled_order_equal_single_calls(rng):
+    shapes = [(n, d) for n in (3, 4, 7, 12) for d in (1, 2, 3, 4)] * 3 + [(27, 5), (27, 5)]
+    placements = []
+    for k in rng.permutation(len(shapes)):
+        n, d = shapes[k]
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.choice([-200, 0, 200])
+        placements.append(Placement(pts))
+    checks = top_eigenvalue_sum_checks(placements)
+    assert len(checks) == len(placements)
+    for p, check in zip(placements, checks):
+        assert repr(check.total) == repr(_top_sum_oracle(p))
+        assert check == top_eigenvalue_sum_check(p)
+        assert check.bound == p.n * p.n / 3.0 + p.n
+
+
+def test_batched_top_sums_refuse_any_non_injective_member(rng):
+    assert top_eigenvalue_sum_checks([]) == []
+    good = random_placement(rng, 4, 2)
+    with pytest.raises(ValueError, match="^placement must be injective$"):
+        top_eigenvalue_sum_checks([good, Placement(np.zeros((5, 3))), good])
 
 
 def test_triangle_cosine_sum_cases():

@@ -343,3 +343,46 @@ def test_edge_lengths():
     g = complete_graph(3)
     p = Placement([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     np.testing.assert_allclose(edge_lengths(g, p), [3.0, 4.0, 5.0])
+
+
+def _stack_members(rng, n, d, k):
+    """k placements of n points in R^d: plain, one with a coincident pair, one
+    with a pair 1e-200 apart, one scaled by 1e200, and more plain ones."""
+    pts = rng.standard_normal((k, n, d))
+    pts[1, 1] = pts[1, 0]
+    pts[2, 1] = pts[2, 0] + 1e-200 * rng.standard_normal(d)
+    pts[3] *= 1e200
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_kernels_equal_one_placement_at_a_time_bit_for_bit(d, rng):
+    graphs = [complete_graph(n) for n in (2, 5, 9)] + [turan_graph(8, 4)[0], random_graph(rng, 7), Graph(3, ())]
+    for g in graphs:
+        stack = _stack_members(rng, g.n, d, 5)
+        unit, lengths = _edge_geometry(g, stack)
+        R = _rigidity_from_directions(g, unit)
+        L = R @ R.swapaxes(-1, -2)
+        assert unit.shape == (5, g.m, d) and lengths.shape == (5, g.m) and R.shape == (5, g.n * d, g.m)
+        for i, pts in enumerate(stack):
+            unit_i, lengths_i = _edge_geometry(g, pts)
+            assert bit_equal(unit[i], unit_i) and bit_equal(lengths[i], lengths_i)
+            assert bit_equal(R[i], _rigidity_from_directions(g, unit_i))
+            assert bit_equal(L[i], stiffness(g, Placement(pts)))
+
+
+def test_kernels_take_any_number_of_leading_axes(rng):
+    g = complete_graph(6)
+    stack = _stack_members(rng, 6, 3, 6).reshape(2, 3, 6, 3)
+    unit, lengths = _edge_geometry(g, stack)
+    R = _rigidity_from_directions(g, unit)
+    assert R.shape == (2, 3, 18, g.m)
+    for i in np.ndindex(2, 3):
+        assert bit_equal(lengths[i], _edge_geometry(g, stack[i])[1])
+        assert bit_equal(R[i], rigidity_matrix(g, Placement(stack[i])))
+
+
+def test_image_size_counts_signed_zeros_as_one_coordinate():
+    p = Placement([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [2.0, 1.0]])
+    assert p.image_size() == 3 and not p.is_injective()
+    assert Placement([[0.0, 1.0], [1.0, 0.0]]).is_injective()

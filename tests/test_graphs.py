@@ -56,7 +56,7 @@ def test_complete_graph_caches_a_numpy_integer_as_an_int():
 
 def test_complete_graph_refuses_a_float_that_equals_a_cached_int():
     complete_graph(3)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
         complete_graph(3.0)
 
 

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from adconn.graphs import complete_graph
 from adconn.placements import random_sphere_placement
+from adconn.probes import conjecture_probe
 from adconn.seeding import rng_stream
 from adconn.verify import run_suite
 
@@ -27,3 +29,33 @@ def test_seeded_callers_refuse_float_and_bool_seeds():
         run_suite("circle", seed=True)
     numpy_seed = random_sphere_placement(5, 3, np.int64(2))
     assert numpy_seed.points.tobytes() == random_sphere_placement(5, 3, 2).points.tobytes()
+
+
+SUITES_WITH_SAMPLES = ["circle", "interlacing", "kyfan", "families"]
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, True, False, np.bool_(True), "2"], ids=repr)
+@pytest.mark.parametrize("suite", SUITES_WITH_SAMPLES)
+def test_sample_counts_must_be_integers(suite, samples):
+    # 2.5 used to fail as a TypeError from range, and True ran one sample
+    with pytest.raises(ValueError, match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
+        run_suite(suite, samples=samples)
+
+
+def test_probe_sample_counts_must_be_integers():
+    with pytest.raises(ValueError, match="^samples must be an integer, got True$"):
+        conjecture_probe("regular-2d", {"samples": True, "ns": [8]})
+    with pytest.raises(ValueError, match="^samples must be an integer, got 1.0$"):
+        conjecture_probe("top-n-sum", {"samples": 1.0})
+
+
+def test_numpy_integer_sample_counts_give_the_int_report():
+    want = run_suite("interlacing", samples=3, seed=4)
+    assert run_suite("interlacing", samples=np.int64(3), seed=4) == want
+
+
+@pytest.mark.parametrize("n", [True, False, np.bool_(True), 3.0, "3"], ids=repr)
+def test_complete_graph_sizes_must_be_integers(n):
+    # complete_graph(True) used to return K1
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        complete_graph(n)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adconn import spectral
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
-from adconn.graphs import complete_graph, make_graph, turan_graph
+from adconn.graphs import complete_graph, make_graph, remove_edge, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
     random_sphere_placement,
@@ -494,3 +494,108 @@ def test_gap_continuity_under_perturbation(rng):
         assert diffs[1e-3] >= diffs[1e-4] >= diffs[1e-5]
         slope = max(diffs[1e-3] / 1e-3, diffs[1e-4] / 1e-4)
         assert diffs[1e-5] <= 1.25 * slope * 1e-5
+
+
+def _low_rank_psd(m, rank, seed):
+    A = np.random.default_rng(seed).standard_normal((m, rank))
+    return A @ A.T
+
+
+# one member per path of each size class: the one-tile check (m <= 128), the
+# tiled check (129..255), and the tiled check with the low-rank route (>= 256)
+STACK_SIZES = [1, 12, SYMMETRY_TILE, SYMMETRY_TILE + 1, 200, LOW_RANK_MIN_SIZE, 300]
+
+
+@pytest.mark.parametrize("m", STACK_SIZES)
+def test_a_stack_gives_each_member_the_bits_it_gets_alone(m):
+    members = [_random_symmetric(m), _low_rank_psd(m, max(1, m // 10), m), np.zeros((m, m)),
+               1e200 * _low_rank_psd(m, 2, m + 1), 1e-200 * _random_symmetric(m)]
+    stack = np.stack(members)
+    eigs = symmetric_eigenvalues(stack)
+    assert eigs.shape == (len(members), m)
+    for got, M in zip(eigs, members):
+        assert got.tobytes() == symmetric_eigenvalues(M).tobytes()
+    nested = symmetric_eigenvalues(stack[:4].reshape(2, 2, m, m))
+    assert nested.tobytes() == eigs[:4].tobytes()
+
+
+def test_stacks_below_the_low_rank_size_are_one_eigensolve():
+    for m, calls in ((SYMMETRY_TILE, 1), (SYMMETRY_TILE + 1, 1), (LOW_RANK_MIN_SIZE, 3)):
+        with eigvalsh_sizes() as sizes:
+            symmetric_eigenvalues(np.stack([_random_symmetric(m)] * 3))
+        assert sizes.count(m) == calls
+
+
+def test_empty_stacks():
+    assert symmetric_eigenvalues(np.zeros((0, 5, 5))).shape == (0, 5)
+    assert symmetric_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
+
+
+@pytest.mark.parametrize("m", [2, 12, SYMMETRY_TILE, 200, 300])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_stack_with_one_nonfinite_member_is_refused(m, value):
+    stack = np.stack([_random_symmetric(m) for _ in range(3)])
+    stack[1, m - 1, 0] = value
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        symmetric_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("m", [2, 12, SYMMETRY_TILE, 200, 300])
+def test_a_stack_with_one_asymmetric_member_is_refused_with_its_asymmetry(m):
+    stack = np.stack([_random_symmetric(m) for _ in range(3)])
+    stack[2, 0, m - 1] += 1e-6
+    with pytest.raises(ValueError, match=_asymmetry_message(stack[2])):
+        symmetric_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("m", [12, 300])
+def test_each_member_is_held_to_its_own_peak(m):
+    # an asymmetry of 1e-9 passes next to max|M| = 1e6 (threshold 1e-6) but not
+    # in a member whose peak is below 1 (threshold 1e-12)
+    big = _random_symmetric(m)
+    big[0, 0] = 1e6
+    big[0, m - 1] += 1e-9
+    symmetric_eigenvalues(big)
+    small = 0.01 * _random_symmetric(m)
+    small[0, m - 1] += 1e-9
+    with pytest.raises(ValueError, match=_asymmetry_message(small)):
+        symmetric_eigenvalues(np.stack([big, small]))
+
+
+def test_clustered_spectrum_refuses_a_stack():
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3, 3\)$"):
+        clustered_spectrum(np.zeros((2, 3, 3)))
+
+
+def _interlacing_oracle(g, e, p):
+    """interlacing_check's worst violation from two separate assemblies and
+    eigensolves, one of them on the graph with e removed."""
+    lam = symmetric_eigenvalues(stiffness(g, p))
+    lam_prime = symmetric_eigenvalues(stiffness(remove_edge(g, e), p))
+    lam_shift = np.concatenate(([0.0], lam[:-1]))
+    return float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
+
+
+def test_interlacing_equals_removing_the_edge_bit_for_bit(rng):
+    cases = [(complete_graph(2), (1, 0), Placement([[0.0], [1.0]]))]
+    for _ in range(60):
+        n, d = int(rng.integers(2, 11)), int(rng.integers(1, 5))
+        g = random_graph(rng, n)
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.choice([-200, 0, 200])
+        if rng.random() < 0.3:
+            pts[-1] = pts[0]
+        e = g.edges[int(rng.integers(g.m))]
+        cases.append((g, e[::-1] if rng.random() < 0.5 else e, Placement(pts)))
+    # 27 x 5 = 135 rows: the two stiffness matrices take the tiled check
+    cases.append((complete_graph(27), (3, 20), random_placement(rng, 27, 5)))
+    for g, e, p in cases:
+        ok, worst = interlacing_check(g, e, p)
+        want = _interlacing_oracle(g, e, p)
+        assert repr(worst) == repr(want) and ok == (want <= 1e-9)
+
+
+def test_interlacing_names_the_missing_edge():
+    g = make_graph(4, [(0, 1), (2, 3)])
+    for u, v in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"edge {{{u}, {v}}} not in graph") + "$"):
+            interlacing_check(g, (u, v), Placement(np.zeros((4, 2))))

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from adconn.closedform import CANONICAL
-from adconn.graphs import complete_graph
+from adconn.framework import Placement, stiffness
+from adconn.graphs import Graph, complete_graph, remove_edge
+from adconn.seeding import rng_stream
+from adconn.spectral import symmetric_eigenvalues
 from adconn.verify import SUITES, run_suite
 
 ENTRY_KEYS = {"theorem", "instance", "predicted", "computed", "max_value_error", "multiplicity_match", "pass"}
@@ -81,3 +85,38 @@ def test_interlacing_default_ranges():
     for entry in report["entries"]:
         inst = entry["instance"]
         assert 4 <= inst["n"] <= 10 and 2 <= inst["d"] <= 4
+
+
+def test_kyfan_sweep_equals_one_placement_at_a_time():
+    entries = [e for e in run_suite("kyfan", samples=60, seed=8)["entries"] if "sample" in e["instance"]]
+    assert [e["instance"]["sample"] for e in entries] == list(range(60))
+    for s, entry in enumerate(entries):
+        rng = rng_stream(8, f"topsum:{s}")
+        n, d = int(rng.integers(3, 13)), int(rng.integers(2, 5))
+        p = Placement(rng.standard_normal((n, d)))
+        total = float(np.sum(symmetric_eigenvalues(stiffness(complete_graph(n), p))[-n:]))
+        bound = n * n / 3.0 + n
+        assert entry["instance"] == {"sample": s, "n": n, "d": d}
+        assert (repr(entry["computed"]), entry["predicted"]) == (repr(total), bound)
+        assert entry["max_value_error"] == max(bound - total, 0.0)
+        assert entry["pass"] == (total - bound >= -1e-9)
+
+
+def test_interlacing_sweep_equals_removing_each_edge():
+    entries = run_suite("interlacing", samples=60, seed=8)["entries"]
+    for s, entry in enumerate(entries):
+        rng = rng_stream(8, f"interlacing:{s}")
+        n, d = int(rng.choice([4, 5, 6, 7, 8, 9, 10])), int(rng.choice([2, 3, 4]))
+        full = complete_graph(n)
+        keep = rng.random(full.m) < 0.5
+        if not keep.any():
+            keep[:] = True
+        g = Graph(n, tuple(e for e, k in zip(full.edges, keep) if k))
+        e = g.edges[int(rng.integers(g.m))]
+        p = Placement(rng.standard_normal((n, d)))
+        lam = symmetric_eigenvalues(stiffness(g, p))
+        lam_prime = symmetric_eigenvalues(stiffness(remove_edge(g, e), p))
+        lam_shift = np.concatenate(([0.0], lam[:-1]))
+        worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
+        assert entry["instance"] == {"sample": s, "n": n, "d": d, "edge": list(e), "edges": g.m}
+        assert repr(entry["computed"]) == repr(worst) and entry["pass"] == (worst <= 1e-9)

@@ -45,7 +45,6 @@ from .placements import (
     crosspolytope_placement,
     random_sphere_placement,
     regular_simplex,
-    replicate_placement,
     roots_of_unity_angles,
     triangular_pyramid,
     turan_simplex_placement,

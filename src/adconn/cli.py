@@ -14,10 +14,10 @@ crosspolytope:n,d | circle:n | tetra:h | random:n,d,seed[,centered] |
 file:path (placement JSON {"d": ..., "points": [[...], ...]}).
 
 verify passes --grid and --samples to the suite's function, and conjecture
-passes --n, --d, --samples, --k and --restarts to the probe's function (--n,
---d and --k fill its list parameters ns, ds and ks where it has them).  A
-value that the function does not read is a usage error, and so is a
---restarts or --seed given to bounds without --observe.
+passes --n, --d, --samples and --restarts to the probe's function (--n and
+--d fill its list parameters ns and ds where it has them).  A value that the
+function does not read is a usage error, and so is a --restarts or --seed
+given to bounds without --observe.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  A command only computes: it returns its exit code, its result files
@@ -40,7 +40,7 @@ from . import __version__
 from .closedform import CANONICAL, bound_report
 from .framework import Placement, lower_stiffness_direct, read_placement, stiffness
 from .graphs import Graph, complete_graph, read_edge_list, turan_graph
-from .optimize import GAUGES, OptimizerConfig, gap_ascent
+from .optimize import OptimizerConfig, gap_ascent
 from .placements import random_sphere_placement, triangular_pyramid
 from .probes import PROBE_TAGS, PROBES, conjecture_probe
 from .spectral import clustered_spectrum
@@ -210,7 +210,7 @@ def cmd_bounds(args) -> Outcome:
 
 def cmd_optimize(args) -> Outcome:
     g = parse_graph_spec(args.graph)
-    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed, gauge=args.gauge)
+    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     payload = gap_ascent(g, args.d, config).to_json_dict()
     summary = {k: payload[k] for k in ("best_gap", "best_restart", "best_placement")}
     return 0, {"optimize_result.json": payload}, json.dumps(summary, indent=2)
@@ -219,7 +219,7 @@ def cmd_optimize(args) -> Outcome:
 def cmd_conjecture(args) -> Outcome:
     takes = inspect.signature(PROBES[args.tag]).parameters
     params: dict = {}
-    for flag in ("n", "d", "k"):
+    for flag in ("n", "d"):
         if getattr(args, flag) is None:
             continue
         values = parse_int_range(getattr(args, flag))
@@ -302,11 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--max-iters", type=int, default=400)
-    sp.add_argument(
-        "--gauge", choices=GAUGES, default="center-scale",
-        help="center-scale: center, then scale to RMS point norm 1; unit-sphere: center, then project "
-        "every point onto the unit sphere (in d = 1 onto +-1, so among three or more points two coincide)",
-    )
     common(sp)
     sp.set_defaults(func=cmd_optimize)
 
@@ -315,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default=None, help="integer or range like 3..10")
     sp.add_argument("--d", default=None, help="integer or range like 2..4")
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--k", default=None, help="replication counts, e.g. 2..4")
     sp.add_argument("--restarts", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_conjecture)

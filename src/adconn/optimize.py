@@ -8,15 +8,16 @@ spectral function (Lewis, Math. Oper. Res. 1996): the softmax-weighted sum of
 the cluster eigenvalues' gradients.  Every trial point gets the eigenvalues of
 its stiffness matrix, which decide whether the step is accepted; only an
 accepted point gets its eigenvectors, from which the gradient is read off.
-The gauge freedom (translation, scale) is projected out after every accepted
-step.  A rejected step shrinks the step length and an accepted one grows it
-back, up to its initial value, so a restart whose steps shrank at a multiple
-gap eigenvalue (Overton, SIAM J. Optim. 1992) can lengthen them again once it
-is past it.  Restarts mix jittered canonical placements with uniform sphere
-starts and draw from per-restart seeded streams, so a seed fixes the result.
-OptimizerConfig holds what a caller sets (restarts, max_iters, seed, gauge);
-the module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and
-JITTER fix the rest.
+Every start and trial point is centered and scaled to root-mean-square point
+norm 1, which projects out the gauge freedom (translation, scale).  A rejected
+step shrinks the step length and an accepted one grows it back, up to its
+initial value, so a restart whose steps shrank at a multiple gap eigenvalue
+(Overton, SIAM J. Optim. 1992) can lengthen them again once it is past it.
+Restarts mix jittered canonical placements with uniform sphere starts and
+draw from per-restart seeded streams, so a seed fixes the result.
+OptimizerConfig holds what a caller sets (restarts, max_iters, seed); the
+module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and JITTER
+fix the rest.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .graphs import Graph
 from .seeding import as_index, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
-GAUGES = ("center-scale", "unit-sphere")
 STEP_INIT = 0.1     # first and longest step length
 STEP_DECAY = 0.7    # step factor after a rejected step; its inverse after an accepted one
 SMOOTHING = 1e-6    # softmin width as a fraction of the current gap
@@ -48,15 +48,12 @@ class OptimizerConfig:
     restarts: int = 8
     max_iters: int = 400
     seed: int = 0
-    gauge: str = "center-scale"
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.gauge not in GAUGES:
-            raise ValueError(f"gauge must be one of {GAUGES}, got {self.gauge!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -82,18 +79,13 @@ class OptimizeResult:
         }
 
 
-def normalize_placement(p: Placement, gauge: str = "center-scale") -> Placement:
+def normalize_placement(p: Placement) -> Placement:
     """Project out the gauge freedom: center at the origin, then rescale to
-    root-mean-square point norm 1 (or radially project every point onto the
-    unit sphere under the unit-sphere gauge, which is a similarity only for
-    inputs that already lie on a common sphere, and in d = 1 sends every
-    point to +-1, so that among three or more points two coincide)."""
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
-    return Placement(_normalized_points(p.points, gauge))
+    root-mean-square point norm 1."""
+    return Placement(_normalized_points(p.points))
 
 
-def _normalized_points(points: np.ndarray, gauge: str) -> np.ndarray:
+def _normalized_points(points: np.ndarray) -> np.ndarray:
     """normalize_placement on a bare (n, d) array, so that the ascent's trial
     points need no Placement; the points must be finite and not all equal."""
     n, d = points.shape
@@ -106,36 +98,29 @@ def _normalized_points(points: np.ndarray, gauge: str) -> np.ndarray:
     # Every |coordinate| of pts is at most 2 big, so below this bound neither a
     # square nor a sum of d squares overflows.
     if 2.0 * big * d <= _SAFE_LENGTHS[1]:
-        return _gauged(pts, gauge)
+        return _gauged(pts)
     with np.errstate(over="ignore"):
-        return _gauged(pts, gauge)
+        return _gauged(pts)
 
 
-def _gauged(pts: np.ndarray, gauge: str) -> np.ndarray:
-    """The centered points pts scaled to the gauge; a root-mean-square or
-    point norm outside _SAFE_LENGTHS is taken after a power-of-two prescale."""
+def _gauged(pts: np.ndarray) -> np.ndarray:
+    """The centered points pts scaled to root-mean-square point norm 1; a
+    root-mean-square outside _SAFE_LENGTHS is taken after a power-of-two
+    prescale."""
     lo, hi = _SAFE_LENGTHS
-    if gauge == "center-scale":
+    rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
+    if not lo <= rms <= hi:
+        pts = _pow2_prescaled(pts)
         rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
-        if not lo <= rms <= hi:
-            pts = _pow2_prescaled(pts, None)
-            rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
-        return pts / rms
-    norms = np.sqrt((pts * pts).sum(axis=1))
-    if not (lo <= norms.min() and norms.max() <= hi):
-        pts = _pow2_prescaled(pts, 1)
-        norms = np.sqrt((pts * pts).sum(axis=1))
-    safe = norms > 0
-    pts[safe] /= norms[safe, None]
-    return pts
+    return pts / rms
 
 
-def _pow2_prescaled(pts: np.ndarray, axis) -> np.ndarray:
+def _pow2_prescaled(pts: np.ndarray) -> np.ndarray:
     """pts scaled by a power of two, exactly, to a largest |coordinate| in
-    [1/2, 1) overall (axis None) or per row (axis 1); zero rows stay zero.
-    Norms computed from the result neither overflow nor underflow."""
-    _, exps = np.frexp(np.max(np.abs(pts), axis=axis, keepdims=True))
-    return np.ldexp(pts, -exps)
+    [1/2, 1).  Norms computed from the result neither overflow nor
+    underflow."""
+    _, exp = np.frexp(np.abs(pts).max())
+    return np.ldexp(pts, -exp)
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
@@ -244,7 +229,7 @@ class _RestartOutcome:
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
     t = trivial_motion_count(d)
-    cur = _evaluate(g, _normalized_points(start.points, config.gauge), t, SMOOTHING)
+    cur = _evaluate(g, _normalized_points(start.points), t, SMOOTHING)
     grad = _objective_gradient(g, cur, t)
     best_gap, best_points = cur.gap, cur.points
     trace = [(0, best_gap)]
@@ -256,7 +241,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
         gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm(grad) without its wrapper
         if gnorm > 1e-14:
             moved = cur.points + (step / gnorm) * grad
-            trial = _evaluate(g, _normalized_points(moved, config.gauge), t, SMOOTHING)
+            trial = _evaluate(g, _normalized_points(moved), t, SMOOTHING)
             if trial.value > cur.value:
                 cur = trial
                 grad = _objective_gradient(g, cur, t)

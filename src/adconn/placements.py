@@ -1,5 +1,5 @@
 """Canonical placements: simplex and crosspolytope embeddings, circle and
-sphere configurations, the equilateral-base pyramid family, and replication.
+sphere configurations, and the equilateral-base pyramid family.
 
 All constructors are closed-form and deterministic; randomized ones take an
 explicit seed and draw from tag-separated streams.
@@ -133,13 +133,6 @@ def triangular_pyramid(apex_height: float) -> Placement:
     pts[:3, 1] = r * np.sin(base_angles)
     pts[3, 2] = h
     return Placement(pts)
-
-
-def replicate_placement(p: Placement, k: int) -> Placement:
-    """k*n points with vertex j*n + i placed at p(i)."""
-    if k < 1:
-        raise ValueError(f"replication count must be >= 1, got {k}")
-    return Placement(np.tile(p.points, (k, 1)))
 
 
 def random_sphere_placement(n: int, d: int, seed: int, centered: bool = False) -> Placement:

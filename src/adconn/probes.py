@@ -18,16 +18,14 @@ it.
 
 from __future__ import annotations
 
-import math
-
 from .bounds import top_eigenvalue_sum_checks
 from .closedform import canonical_placements
 from .framework import Placement
 from .graphs import complete_graph, make_graph
 from .optimize import OptimizerConfig, gap_ascent
-from .placements import centered_sphere_points, replicate_placement
+from .placements import centered_sphere_points
 from .seeding import rng_stream
-from .spectral import spectral_gap, stiffness_spectrum
+from .spectral import stiffness_spectrum
 from .verify import bind_params, check_samples
 
 
@@ -158,44 +156,11 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     return instances, summary, []
 
 
-def _probe_repeated_points(n=4, d=3, ks=(2, 3, 4), *, seed) -> tuple[list, dict, list]:
-    """Gap of K_{kn} with k vertices per image point of a base injective
-    placement, against (k/2) times the k=2 gap."""
-    if not ks:
-        raise ValueError("repeated-points needs at least one replication count k, got ks = []")
-    k = min(2, *ks)  # the k = 2 gap is the reference
-    if k * n <= d:
-        raise ValueError(f"repeated-points needs k*n > d, got k*n = {k * n} at k = {k}, n = {n}, d = {d}")
-    rng = rng_stream(seed, f"repeated-base:{n}:{d}")
-    base = Placement(rng.standard_normal((n, d)))
-    gap2 = spectral_gap(complete_graph(2 * n), replicate_placement(base, 2))
-    instances, candidates = [], []
-    for k in ks:
-        lhs = spectral_gap(complete_graph(k * n), replicate_placement(base, k))
-        rhs = (k / 2.0) * gap2
-        inst = {
-            "k": k,
-            "gap_repeated": lhs,
-            "scaled_k2_gap": rhs,
-            "ratio": lhs / rhs if rhs != 0 else math.inf,
-            "margin": lhs - rhs,
-        }
-        instances.append(inst)
-        if k >= 2 and abs(inst["margin"]) > 1e-8 * max(1.0, abs(rhs)):
-            candidates.append(inst)
-    summary = {
-        "min_margin": min(i["margin"] for i in instances),
-        "max_margin": max(i["margin"] for i in instances),
-    }
-    return instances, summary, candidates
-
-
 PROBES = {
     "spherical-second-eig": _probe_spherical_second_eig,
     "top-n-sum": _probe_top_n_sum,
     "kn-upper": _probe_kn_upper,
     "regular-2d": _probe_regular_2d,
-    "repeated-points": _probe_repeated_points,
 }
 PROBE_TAGS = tuple(PROBES)
 

@@ -1,16 +1,27 @@
+import argparse
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adconn.cli import UsageError, main, parse_graph_spec, parse_grid, parse_int_range, parse_placement_spec
+from adconn.cli import (
+    UsageError,
+    build_parser,
+    main,
+    parse_graph_spec,
+    parse_grid,
+    parse_int_range,
+    parse_placement_spec,
+)
 from adconn.closedform import CANONICAL
 from adconn.framework import lower_stiffness_direct
 from adconn.graphs import complete_graph
 from adconn.placements import roots_of_unity_angles, unit_circle_placement
-from adconn.probes import conjecture_probe
+from adconn.probes import PROBE_TAGS, PROBES, conjecture_probe
 from adconn.spectral import cluster_multiplicities, default_cluster_tol
-from adconn.verify import run_suite
+from adconn.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -104,12 +115,11 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "turan", "--grid", "n=31"], "no instances"),
         (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
         (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "suite 'interlacing' needs n >= 2, got n = 1"),
-        (["conjecture", "repeated-points", "--k", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
-         "conjecture-k-range", "conjecture-n-range", "conjecture-n-at-2d"],
+         "conjecture-n-range", "conjecture-n-at-2d"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
@@ -133,7 +143,6 @@ PROBE_READS = {
     "top-n-sum": ["ns", "ds", "samples"],
     "kn-upper": ["n", "d", "restarts"],
     "regular-2d": ["d", "ns", "samples", "restarts"],
-    "repeated-points": ["n", "d", "ks"],
 }
 
 
@@ -157,7 +166,7 @@ def test_verify_grid_cannot_set_samples(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "tag,flag",
-    [(tag, flag) for tag, reads in PROBE_READS.items() for flag in ("n", "d", "samples", "k", "restarts")
+    [(tag, flag) for tag, reads in PROBE_READS.items() for flag in ("n", "d", "samples", "restarts")
      if flag not in reads and f"{flag}s" not in reads],
 )
 def test_conjecture_refuses_what_the_probe_does_not_read(tmp_path, capsys, tag, flag):
@@ -168,10 +177,24 @@ def test_conjecture_refuses_what_the_probe_does_not_read(tmp_path, capsys, tag, 
         conjecture_probe(tag, {flag: 3}, seed=0)
 
 
-def test_base_seed_flag_is_gone(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["conjecture", "repeated-points", "--base-seed", "5", "--outdir", str(tmp_path)])
-    assert exc.value.code == 2
+def test_every_conjecture_flag_is_read_by_some_probe():
+    # a flag that no probe reads can only ever be refused
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["conjecture"]._actions if a.option_strings} - {"help", "outdir"}
+    params = {name for probe in PROBES.values() for name in inspect.signature(probe).parameters}
+    assert {"n", "d", "seed"} <= flags
+    assert [f for f in sorted(flags) if f not in params and f"{f}s" not in params] == []
+
+
+def test_readme_table_names_every_suite_and_probe():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| suite / probe | reads |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names += [name.strip(" `") for name in line.split("|")[1].split(",")]
+    assert sorted(names) == sorted(SUITES + ("all",) + PROBE_TAGS)
 
 
 @pytest.mark.parametrize(
@@ -180,8 +203,13 @@ def test_base_seed_flag_is_gone(tmp_path):
         ["optimize", "--graph", "complete:4", "--d", "3", "--step-init", "0.2"],
         ["optimize", "--graph", "complete:4", "--d", "3", "--step-decay", "0.5"],
         ["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--seed", "1"],
+        ["optimize", "--graph", "complete:4", "--d", "3", "--gauge", "center-scale"],
+        ["conjecture", "kn-upper", "--base-seed", "5"],
+        ["conjecture", "kn-upper", "--k", "2..4"],
+        ["conjecture", "repeated-points"],
     ],
-    ids=["optimize-step-init", "optimize-step-decay", "spectrum-seed"],
+    ids=["optimize-step-init", "optimize-step-decay", "spectrum-seed", "optimize-gauge", "conjecture-base-seed",
+         "conjecture-k", "conjecture-repeated-points"],
 )
 def test_removed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -489,13 +517,13 @@ def test_optimize_flexible_graph(tmp_path, capsys):
 def test_conjecture_command(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
-        "conjecture", "repeated-points", "--seed", "5", "--n", "4", "--d", "3",
-        "--k", "2..4", "--outdir", str(tmp_path),
+        "conjecture", "spherical-second-eig", "--seed", "5", "--n", "6", "--d", "3",
+        "--samples", "3", "--outdir", str(tmp_path),
     )
     assert code == 0
-    assert json.loads(out)["name"] == "repeated-points"
-    record = json.loads((tmp_path / "conjecture_repeated-points.json").read_text())
-    assert [i["k"] for i in record["instances"]] == [2, 3, 4]
+    assert json.loads(out)["name"] == "spherical-second-eig"
+    record = json.loads((tmp_path / "conjecture_spherical-second-eig.json").read_text())
+    assert [i["sample"] for i in record["instances"]] == [0, 1, 2]
     assert (tmp_path / "conjecture_manifest.json").exists()
 
 

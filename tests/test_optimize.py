@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adconn.closedform import CANONICAL
@@ -31,7 +31,6 @@ def test_config_json_dict_keys_in_field_order():
         ("restarts", 3),
         ("max_iters", 400),
         ("seed", 5),
-        ("gauge", "center-scale"),
     ]
 
 
@@ -53,12 +52,6 @@ def test_normalize_placement_undoes_shift_and_scale():
         assert spectral_gap(g, r) == pytest.approx(gap, abs=1e-10)
 
 
-def test_normalize_placement_unit_sphere_gauge(rng):
-    p = random_placement(rng, 6, 3)
-    q = normalize_placement(p, gauge="unit-sphere")
-    np.testing.assert_allclose(np.linalg.norm(q.points, axis=1), 1.0, atol=1e-12)
-
-
 # The regular triangle with its centroid as a fourth point, which lies at the
 # origin after centering.
 TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
@@ -66,66 +59,48 @@ TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
-@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
 @pytest.mark.parametrize("points", [regular_simplex(3).points, TRIANGLE_AND_CENTROID], ids=["simplex", "centroid"])
-def test_normalize_placement_does_not_depend_on_scale(points, gauge, scale):
-    want = normalize_placement(Placement(points), gauge).points
-    got = normalize_placement(Placement(scale * points), gauge).points
+def test_normalize_placement_does_not_depend_on_scale(points, scale):
+    want = normalize_placement(Placement(points)).points
+    got = normalize_placement(Placement(scale * points)).points
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    if gauge == "unit-sphere":
-        assert np.all((np.linalg.norm(got, axis=1) == 0) == np.all(points == 0, axis=1))
 
 
-def reference_normalized_points(points, gauge):
-    """Centering and gauge scaling with np.mean, np.sum and np.linalg.norm
-    under np.errstate, and the power-of-two prescale: the reference for the
-    method-reduction arithmetic of _normalized_points."""
-
-    def prescaled(pts, axis):
-        _, exps = np.frexp(np.max(np.abs(pts), axis=axis, keepdims=True))
-        return np.ldexp(pts, -exps)
-
+def reference_normalized_points(points):
+    """Centering and scaling to root-mean-square point norm 1 with np.mean
+    and np.sum under np.errstate, and the power-of-two prescale: the
+    reference for the method-reduction arithmetic of _normalized_points."""
     pts = points - points.mean(axis=0)
     lo, hi = _SAFE_LENGTHS
-    if gauge == "center-scale":
-        with np.errstate(over="ignore"):
-            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
-        if not lo <= rms <= hi:
-            pts = prescaled(pts, None)
-            rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
-        return pts / rms
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(pts, axis=1)
-    if not (lo <= norms.min() and norms.max() <= hi):
-        pts = prescaled(pts, 1)
-        norms = np.linalg.norm(pts, axis=1)
-    safe = norms > 0
-    pts[safe] /= norms[safe, None]
-    return pts
+        rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+    if not lo <= rms <= hi:
+        _, exps = np.frexp(np.max(np.abs(pts), axis=None, keepdims=True))
+        pts = np.ldexp(pts, -exps)
+        rms = math.sqrt(float(np.mean(np.sum(pts * pts, axis=1))))
+    return pts / rms
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
-def test_normalized_points_match_the_reference_bit_for_bit(gauge, rng):
+def test_normalized_points_match_the_reference_bit_for_bit(rng):
     cases = [rng.standard_normal((int(rng.integers(2, 14)), int(rng.integers(1, 5)))) for _ in range(200)]
     cases += [scale * p for p in (regular_simplex(3).points, TRIANGLE_AND_CENTROID, rng.standard_normal((12, 3)))
               for scale in (1e-200, 1e-160, 1e-5, 1e5, 1e160, 1e200)]
     for points in cases:
-        got = _normalized_points(points, gauge)
-        want = reference_normalized_points(points, gauge)
+        got = _normalized_points(points)
+        want = reference_normalized_points(points)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("gauge", ["center-scale", "unit-sphere"])
-def test_normalized_points_refuse_non_finite_and_constant_points(gauge):
+def test_normalized_points_refuse_non_finite_and_constant_points():
     for bad in (np.nan, np.inf, -np.inf):
         pts = np.ones((4, 2))
         pts[2, 1] = bad
         with pytest.raises(ValueError, match="points must be finite"):
-            _normalized_points(pts, gauge)
+            _normalized_points(pts)
     for value in (0.0, 1.0, 1e200):
         with pytest.raises(ValueError, match="cannot normalize a constant placement"):
-            _normalized_points(np.full((4, 2), value), gauge)
+            _normalized_points(np.full((4, 2), value))
 
 
 def test_normalize_placement_rejects_constant():
@@ -186,8 +161,8 @@ def test_config_validation():
     for bad in ({"restarts": 0}, {"max_iters": 0}):
         with pytest.raises(ValueError, match="restarts and max_iters must be positive"):
             OptimizerConfig(**bad)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gauge="nope")
+    with pytest.raises(TypeError, match="gauge"):  # the field is gone
+        OptimizerConfig(gauge="center-scale")
 
 
 NOT_INTEGERS = [1.5, 2.0, True, False, np.float64(1.0), np.bool_(True), "3", None]
@@ -211,7 +186,7 @@ def test_config_stores_numpy_integers_as_python_ints_with_the_same_result():
     plain = OptimizerConfig(restarts=2, max_iters=20, seed=3)
     numpy_ints = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(20), seed=np.uint8(3))
     assert numpy_ints == plain
-    assert all(type(v) is int for k, v in numpy_ints.to_json_dict().items() if k != "gauge")
+    assert all(type(v) is int for k, v in numpy_ints.to_json_dict().items())
     assert json.dumps(numpy_ints.to_json_dict()) == json.dumps(plain.to_json_dict())
     a = gap_ascent(complete_graph(5), 2, plain)
     b = gap_ascent(complete_graph(5), 2, numpy_ints)
@@ -305,17 +280,26 @@ def _objective(g, pts, smoothing):
 
 
 def _gradient_error(g, pts, smoothing, h=1e-6):
-    """Max deviation of the analytic gradient from a central difference, and
-    the size of the softmin cluster."""
+    """Max deviation of the analytic gradient from the Richardson
+    extrapolation (4 D(h/2) - D(h)) / 3 of the central difference D, and the
+    size of the softmin cluster.  The extrapolation cancels the h^2 term of
+    the truncation error, which a near-crossing of the gap eigenvalue makes
+    large: in the pinned example the plain central difference is off by
+    1.4e-5."""
     t = trivial_motion_count(pts.shape[1])
     ev = _evaluate(g, pts, t, smoothing)
     analytic = _objective_gradient(g, ev, t)
-    central = np.zeros_like(pts)
-    for idx in np.ndindex(*pts.shape):
-        bump = np.zeros_like(pts)
-        bump[idx] = h
-        central[idx] = (_objective(g, pts + bump, smoothing) - _objective(g, pts - bump, smoothing)) / (2 * h)
-    return float(np.max(np.abs(analytic - central))), len(ev.weights)
+
+    def central(step):
+        out = np.zeros_like(pts)
+        for idx in np.ndindex(*pts.shape):
+            bump = np.zeros_like(pts)
+            bump[idx] = step
+            out[idx] = (_objective(g, pts + bump, smoothing) - _objective(g, pts - bump, smoothing)) / (2 * step)
+        return out
+
+    extrapolated = (4.0 * central(h / 2) - central(h)) / 3.0
+    return float(np.max(np.abs(analytic - extrapolated))), len(ev.weights)
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,6 +309,7 @@ def _gradient_error(g, pts, smoothing, h=1e-6):
     smoothing=st.sampled_from([1e-6, 1e-2]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(n=6, d=2, smoothing=1e-6, seed=1291)  # a near-crossing: lambda_t = 0.5614, lambda_t+1 = 0.5692
 def test_objective_gradient_matches_central_difference(n, d, smoothing, seed):
     pts = np.random.default_rng(seed).standard_normal((n, d))
     err, _ = _gradient_error(complete_graph(n), pts, smoothing)

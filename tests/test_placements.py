@@ -10,7 +10,6 @@ from adconn.placements import (
     crosspolytope_placement,
     random_sphere_placement,
     regular_simplex,
-    replicate_placement,
     roots_of_unity_angles,
     triangular_pyramid,
     turan_simplex_placement,
@@ -123,20 +122,9 @@ def test_pyramid_at_unit_edge_matches_simplex_spectrum():
     np.testing.assert_allclose(ms_pyramid.values(), ms_simplex.values(), atol=1e-9)
 
 
-def test_replicate_placement():
-    base = regular_simplex(2)
-    rep = replicate_placement(base, 3)
-    assert rep.n == 9
-    for j in range(3):
-        np.testing.assert_array_equal(rep.points[3 * j : 3 * j + 3], base.points)
-    assert rep.image_size() == 3
-    np.testing.assert_array_equal(replicate_placement(base, 1).points, base.points)
-
-
-def test_replicate_matches_turan_simplex_image():
-    rep = replicate_placement(regular_simplex(3), 2)
+def test_turan_simplex_image_is_the_simplex():
     tur = turan_simplex_placement(8, 3)
-    assert {tuple(r) for r in rep.points} == {tuple(r) for r in tur.points}
+    assert {tuple(r) for r in tur.points} == {tuple(r) for r in regular_simplex(3).points}
 
 
 def test_random_sphere_placement_determinism():

@@ -46,14 +46,11 @@ def test_top_n_sum_probe():
         ("regular-2d", {"samples": 0}, "samples must be >= 1, got 0"),
         ("regular-2d", {"ns": []}, "at least one vertex count"),
         ("regular-2d", {"d": 2, "ns": [8, 4]}, "n > 2d .* got n = 4, d = 2"),
-        ("repeated-points", {"ks": []}, "at least one replication count"),
-        ("repeated-points", {"n": 1, "d": 2}, r"k\*n > d, got k\*n = 2 at k = 2, n = 1, d = 2"),
-        ("repeated-points", {"n": 3, "ks": [1, 2]}, r"k\*n > d, got k\*n = 3 at k = 1, n = 3, d = 3"),
         ("spherical-second-eig", {"n": 2}, "n >= 3 and d >= 2, got n = 2, d = 3"),
         ("top-n-sum", {"ns": [4, 1, 2], "ds": [2]}, r"n >= 3 for the floor n\(n\+1\)/2, got n = 1"),
     ],
-    ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "repeated-points-no-k",
-         "repeated-points-kn-at-d", "repeated-points-k1", "spherical-second-eig-n2", "top-n-sum-n-below-3"],
+    ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
+         "top-n-sum-n-below-3"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):
@@ -67,7 +64,6 @@ def test_sampling_probes_reject_zero_samples(tag, params, message):
         ("top-n-sum", {"samples": 1, "ds": [2]}, {"ns": [3, 4, 5, 6, 7, 8, 9, 10], "ds": [2], "samples": 1}),
         ("kn-upper", {"restarts": 1, "n": 4}, {"n": 4, "d": 3, "restarts": 1}),
         ("regular-2d", {"ns": (5,), "samples": 1, "restarts": 1}, {"d": 2, "ns": [5], "samples": 1, "restarts": 1}),
-        ("repeated-points", {"ks": range(2, 4), "n": 3}, {"n": 3, "d": 3, "ks": [2, 3]}),
     ],
 )
 def test_record_params_are_the_defaults_under_the_given_values(tag, given, params):
@@ -143,24 +139,12 @@ def test_only_a_valid_regular_2d_call_imports_networkx(call, loaded):
     assert proc.stdout.split() == ["False", str(loaded)]
 
 
-def test_repeated_points_probe():
-    record = conjecture_probe(
-        "repeated-points", {"n": 4, "d": 3, "ks": [2, 3, 4]}, seed=5
-    )
-    by_k = {i["k"]: i for i in record["instances"]}
-    assert by_k[2]["ratio"] == pytest.approx(1.0, abs=1e-12)  # identity at k=2 by definition
-    for k in (3, 4):
-        assert by_k[k]["ratio"] == pytest.approx(1.0, abs=1e-8)
-    assert record["counterexample_candidates"] == []
-
-
 def test_all_tags_run_to_completion():
     small = {
         "spherical-second-eig": {"n": 6, "d": 3, "samples": 2},
         "top-n-sum": {"ns": [3, 4], "ds": [2], "samples": 2},
         "kn-upper": {"n": 4, "d": 3, "restarts": 2},
         "regular-2d": {"d": 2, "ns": [8], "samples": 1, "restarts": 1},
-        "repeated-points": {"n": 3, "d": 2, "ks": [2, 3]},
     }
     for tag in PROBE_TAGS:
         record = conjecture_probe(tag, small[tag], seed=0)

@@ -408,6 +408,41 @@ def test_spectral_gap_similarity_invariance(rng):
     assert spectral_gap(g, q) == pytest.approx(gap, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), k=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_repeated_points_scale_the_spectrum_by_k_over_2(data, d, k, seed):
+    """K_kn with k copies of each of n generic base points p_i: the gap and
+    the set of nonzero eigenvalues are k/2 times those of K_2n.
+
+    Write a motion v as v_ia = m_i + w_ia (copy a of point i) with
+    sum_a w_ia = 0, and let u_ij be the unit direction from p_i to p_j.
+    Edges between copies of one point have no direction and add nothing, and
+    for every other pair of points the cross terms vanish:
+        sum_ab (u_ij . (v_ia - v_jb))^2
+            = k^2 (u_ij . (m_i - m_j))^2 + k sum_a (u_ij . w_ia)^2 + k sum_b (u_ij . w_jb)^2.
+    As |v|^2 = k |m|^2 + |w|^2, the spectrum is k spec(L_n(p)) together with
+    k spec(D_i), each k - 1 times, where D_i = sum_{j != i} u_ij u_ij^T.
+    Every part is k times a set that does not depend on k, and for k >= 2
+    every part is present, so the gap and the nonzero eigenvalues of K_kn are
+    k/2 times those of K_2n.  (At k = 1 the D_i are absent.)"""
+    n = data.draw(st.integers(d + 1, 6), label="n")
+    base = np.random.default_rng(seed).standard_normal((n, d))
+    t = spectral.trivial_motion_count(d)
+
+    def tiled(copies):
+        g, p = complete_graph(copies * n), Placement(np.tile(base, (copies, 1)))
+        return spectral_gap(g, p), symmetric_eigenvalues(stiffness(g, p))[t:]
+
+    gap2, nonzero2 = tiled(2)
+    gapk, nonzerok = tiled(k)
+    rhs = k / 2 * gap2
+    assert abs(gapk - rhs) <= 1e-8 * max(1.0, abs(rhs))
+    scaled = k / 2 * nonzero2
+    tol = 1e-8 * max(1.0, nonzerok[-1])
+    assert np.abs(nonzerok[:, None] - scaled[None, :]).min(axis=1).max() <= tol
+    assert np.abs(scaled[:, None] - nonzerok[None, :]).min(axis=1).max() <= tol
+
+
 def test_numeric_rank():
     assert numeric_rank(np.eye(5)) == 5
     assert numeric_rank(np.zeros((3, 4))) == 0

@@ -117,9 +117,15 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "suite 'interlacing' needs n >= 2, got n = 1"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
+        (["conjecture", "top-n-sum", "--d", "5..4"], "is empty"),
+        (["conjecture", "top-n-sum", "--n", "2..4"], "n >= 3 for the floor n(n+1)/2, got n = 2"),
+        (["conjecture", "top-n-sum", "--n", "5", "--d", "3", "--samples", "0"], "no instances"),
+        (["conjecture", "spherical-second-eig", "--d", "1"], "n >= 3 and d >= 2, got n = 8, d = 1"),
+        (["conjecture", "kn-upper", "--restarts", "0"], "restarts and max_iters must be positive"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
-         "conjecture-n-range", "conjecture-n-at-2d"],
+         "conjecture-n-range", "conjecture-n-at-2d", "conjecture-d-range", "conjecture-n-below-3",
+         "conjecture-no-instances", "conjecture-d-below-2", "conjecture-no-restarts"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
@@ -175,6 +181,17 @@ def test_conjecture_refuses_what_the_probe_does_not_read(tmp_path, capsys, tag, 
     assert f"conjecture '{tag}' does not read {flag}; it reads {', '.join(PROBE_READS[tag])}" in err
     with pytest.raises(ValueError, match=f"does not read {flag};"):
         conjecture_probe(tag, {flag: 3}, seed=0)
+
+
+@pytest.mark.parametrize("tag", PROBE_TAGS)
+def test_no_probe_reads_a_replication_count(tmp_path, tag):
+    # the repeated-points probe and its --k flag are gone: the CLI refuses the
+    # flag for every tag, and every probe refuses the parameter
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", tag, "--k", "2..4", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2 and not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="does not read ks;"):
+        conjecture_probe(tag, {"ks": [2, 3]}, seed=0)
 
 
 def test_every_conjecture_flag_is_read_by_some_probe():

@@ -59,7 +59,12 @@ TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
-@pytest.mark.parametrize("points", [regular_simplex(3).points, TRIANGLE_AND_CENTROID], ids=["simplex", "centroid"])
+@pytest.mark.parametrize(
+    "points",
+    [regular_simplex(3).points, TRIANGLE_AND_CENTROID, np.array([[0.0], [1.0], [3.0], [7.0]]),
+     np.random.default_rng(7).standard_normal((12, 3))],
+    ids=["simplex", "centroid", "line", "gaussian"],
+)
 def test_normalize_placement_does_not_depend_on_scale(points, scale):
     want = normalize_placement(Placement(points)).points
     got = normalize_placement(Placement(scale * points)).points

@@ -48,9 +48,12 @@ def test_top_n_sum_probe():
         ("regular-2d", {"d": 2, "ns": [8, 4]}, "n > 2d .* got n = 4, d = 2"),
         ("spherical-second-eig", {"n": 2}, "n >= 3 and d >= 2, got n = 2, d = 3"),
         ("top-n-sum", {"ns": [4, 1, 2], "ds": [2]}, r"n >= 3 for the floor n\(n\+1\)/2, got n = 1"),
+        ("top-n-sum", {"samples": -1}, "samples must be >= 0, got -1"),
+        ("spherical-second-eig", {"d": 1}, "n >= 3 and d >= 2, got n = 8, d = 1"),
+        ("kn-upper", {"restarts": 0}, "restarts and max_iters must be positive"),
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
-         "top-n-sum-n-below-3"],
+         "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "kn-upper-no-restarts"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):

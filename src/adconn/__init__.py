@@ -38,7 +38,7 @@ from .framework import (
     rigidity_matrix,
     stiffness,
 )
-from .graphs import Graph, TuranPartition, complete_graph, make_graph, remove_edge, turan_graph
+from .graphs import Graph, TuranPartition, complete_graph, make_graph, turan_graph
 from .optimize import OptimizeResult, OptimizerConfig, gap_ascent, normalize_placement, seeded_restarts
 from .placements import (
     CirclePlacement,

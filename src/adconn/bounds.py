@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, _edge_geometry, _rigidity_from_directions, stiffness
+from .framework import Placement, _edge_geometry, _rigidity_from_directions, edge_lengths, stiffness
 from .graphs import Graph, complete_graph
 from .spectral import symmetric_eigenvalues
 
@@ -94,20 +94,18 @@ def triangle_cosine_sum(p: Placement, i: int, j: int, k: int) -> float:
     triangle i, j, k; always at least 1."""
     if len({i, j, k}) != 3:
         raise ValueError(f"vertices must be distinct, got {(i, j, k)}")
-    pts = p.points
-    for a, b in ((i, j), (i, k), (j, k)):
-        if np.all(pts[a] == pts[b]):
+    # the unit directions d_ij, d_ik, d_jk, at any scale the points can take
+    (d_ij, d_ik, d_jk), lengths = _edge_geometry(complete_graph(3), p.points[[i, j, k]])
+    for (a, b), length in zip(((i, j), (i, k), (j, k)), lengths):
+        if length == 0.0:
             raise ValueError(f"points of vertices {a} and {b} coincide")
-
-    def cos_at(apex, x, y):
-        ax = pts[x] - pts[apex]
-        ay = pts[y] - pts[apex]
-        return float(ax @ ay) / (np.linalg.norm(ax) * np.linalg.norm(ay))
-
-    return cos_at(i, j, k) + cos_at(j, i, k) + cos_at(k, i, j)
+    # the cosines at i, j and k
+    return float(d_ij @ d_ik - d_ij @ d_jk + d_ik @ d_jk)
 
 
-_OPPOSITE_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+# the three pairings of K_4 into opposite edges, as positions in its canonical
+# edge order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+_OPPOSITE_PAIRINGS = ((0, 5), (1, 4), (2, 3))
 
 
 def k4_gap_upper_bound(p: Placement) -> float:
@@ -122,12 +120,11 @@ def k4_gap_upper_bound(p: Placement) -> float:
         raise ValueError(f"need 4 points in R^3, got n={p.n}, d={p.d}")
     if not p.is_injective():
         raise ValueError("placement must be injective")
-    sq = {}
-    for pair in _OPPOSITE_PAIRINGS:
-        (a, b), (c, e) = pair
-        sq[pair] = float(
-            np.sum((p.points[a] - p.points[b]) ** 2) + np.sum((p.points[c] - p.points[e]) ** 2)
-        )
+    # lengths relative to the longest edge, so that their squares neither
+    # overflow nor underflow to zero whatever the scale of the placement
+    lengths = edge_lengths(complete_graph(4), p)
+    lengths = lengths / lengths.max()
+    sq = {pair: float(lengths[pair[0]] ** 2 + lengths[pair[1]] ** 2) for pair in _OPPOSITE_PAIRINGS}
     dropped = min(_OPPOSITE_PAIRINGS, key=lambda pair: (sq[pair], pair))
     others = [pair for pair in _OPPOSITE_PAIRINGS if pair != dropped]
     return 2.0 * sq[dropped] / (sq[others[0]] + sq[others[1]])

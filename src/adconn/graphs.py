@@ -88,14 +88,9 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def normalize_edge(self, e: Edge) -> Edge:
-        u, v = e
-        return (u, v) if u < v else (v, u)
-
     def index_of(self, u: int, v: int) -> int:
-        e = self.normalize_edge((u, v))
         try:
-            return self.edge_index[e]
+            return self.edge_index[(u, v) if u < v else (v, u)]
         except KeyError:
             raise ValueError(f"edge {{{u}, {v}}} not in graph") from None
 
@@ -171,23 +166,15 @@ def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
     size = n // r
-    parts = tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r))
-    part_of = [v // size for v in range(n)]
+    partition = TuranPartition(r, tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r)))
+    part_of = partition.part_of
     edges = tuple(
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if part_of[u] != part_of[v]
     )
-    return Graph(n, edges), TuranPartition(r, parts)
-
-
-def remove_edge(g: Graph, e: Edge) -> Graph:
-    """Same vertex set with one edge removed; canonical order is preserved."""
-    e = g.normalize_edge(e)
-    if e not in g.edge_index:
-        raise ValueError(f"edge {e} not in graph")
-    return Graph(g.n, tuple(x for x in g.edges if x != e))
+    return Graph(n, edges), partition
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -221,8 +208,3 @@ def parse_edge_list(text: str) -> Graph:
 
 def read_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text())
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -79,9 +79,8 @@ class CirclePlacement:
 def unit_circle_placement(angles) -> CirclePlacement:
     """Points (cos t, sin t) for the given angles; reports centering and injectivity.
 
-    Centering (sum of points below 1e-10) is the caller's responsibility; the
-    antipodal helpers below generate angle sets that are centered by
-    construction.
+    Centering (sum of points below 1e-10) is the caller's responsibility;
+    centered_sphere_points draws random centered unit points in R^2 directly.
     """
     angles = np.asarray(angles, dtype=float)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -94,30 +93,6 @@ def roots_of_unity_angles(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def antipodal_pair_angles(base_angles) -> np.ndarray:
-    """Interleave each base angle with its antipode: t1, t1+pi, t2, t2+pi, ..."""
-    base = np.asarray(base_angles, dtype=float)
-    out = np.empty(2 * base.size)
-    out[0::2] = base
-    out[1::2] = base + np.pi
-    return out
-
-
-def centered_circle_angles(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random angle set whose circle points sum to zero.
-
-    Even n: n/2 random antipodal pairs.  Odd n: one random equilateral triple
-    plus (n-3)/2 antipodal pairs (a pure pairing cannot cover an odd count).
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if n % 2 == 0:
-        return antipodal_pair_angles(rng.uniform(0.0, 2.0 * np.pi, n // 2))
-    triple = rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-    pairs = antipodal_pair_angles(rng.uniform(0.0, 2.0 * np.pi, (n - 3) // 2))
-    return np.concatenate([triple, pairs])
 
 
 def triangular_pyramid(apex_height: float) -> Placement:
@@ -168,11 +143,9 @@ def centered_sphere_points(n: int, d: int, rng: np.random.Generator) -> Placemen
         for t in rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]):
             rows.append(frame[:, 0] * np.cos(t) + frame[:, 1] * np.sin(t))
         rows = [r / np.linalg.norm(r) for r in rows]
-    pairs = (n - len(rows)) // 2
-    half = _unit_rows(rng.standard_normal((pairs, d)))
-    for x in half:
-        rows.extend([x, -x])
-    return Placement(np.asarray(rows))
+    half = _unit_rows(rng.standard_normal(((n - len(rows)) // 2, d)))
+    pairs = np.stack((half, -half), axis=1).reshape(-1, d)  # x1, -x1, x2, -x2, ...
+    return Placement(np.concatenate((np.reshape(rows, (-1, d)), pairs)))
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:

@@ -262,21 +262,10 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     return MultiplicitySpectrum(tuple(clusters), int(eigs.size), tol)
 
 
-def default_cluster_tol(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return DEFAULT_CLUSTER_TOL_FACTOR
-    # max|M| without an m x m temporary; a NaN makes both extremes NaN, so
-    # Python's max, which can drop a NaN, still returns one
-    peak = max(float(M.max()), -float(M.min()))
-    if not math.isfinite(peak):
-        raise ValueError("matrix must be finite")
-    return DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, peak)
-
-
 def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicitySpectrum:
     """Eigenvalues of a symmetric matrix clustered at tol, by default
-    default_cluster_tol(M), here from the max|M| of the symmetry check."""
+    DEFAULT_CLUSTER_TOL_FACTOR * max(1, max|M|), with max|M| from the
+    symmetry check."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {M.shape}")

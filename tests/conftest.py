@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from adconn.framework import Placement
+from adconn.graphs import Graph
 
 
 @pytest.fixture
@@ -18,3 +19,11 @@ def rng():
 
 def random_placement(rng, n, d, scale=1.0):
     return Placement(scale * rng.standard_normal((n, d)))
+
+
+def without_edge(g, e):
+    """g with the edge {u, v} filtered out; the pair is put in order first,
+    since an unordered pair would match no edge and remove nothing."""
+    e = tuple(sorted(e))
+    assert e in g.edge_index, f"edge {e} not in graph"
+    return Graph(g.n, tuple(x for x in g.edges if x != e))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from adconn.bounds import (
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import complete_graph
 from adconn.placements import (
-    antipodal_pair_angles,
     regular_simplex,
     roots_of_unity_angles,
     unit_circle_placement,
@@ -177,6 +177,21 @@ def test_k4_bound_near_coplanar(rng):
         assert k4_gap_upper_bound(p) >= gap - 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_k4_bound_and_triangle_cosines_hold_at_extreme_scales(rng, scale):
+    # both are scale-invariant; squaring raw coordinate differences would
+    # underflow to zero or overflow to inf at these scales
+    for _ in range(20):
+        p = random_placement(rng, 4, 3)
+        scaled = Placement(scale * p.points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = k4_gap_upper_bound(scaled)
+            cosines = triangle_cosine_sum(scaled, 0, 2, 3)
+        assert bound == pytest.approx(k4_gap_upper_bound(p), rel=1e-12)
+        assert cosines == pytest.approx(triangle_cosine_sum(p, 0, 2, 3), rel=1e-12)
+
+
 def test_k4_bound_rejects_bad_inputs():
     with pytest.raises(ValueError):
         k4_gap_upper_bound(regular_simplex(2))
@@ -190,7 +205,7 @@ def test_circle_identity_roots_of_unity():
 
 
 def test_circle_identity_antipodal_pairs():
-    p = unit_circle_placement(antipodal_pair_angles([0.3, 1.1])).placement
+    p = unit_circle_placement([0.3, 0.3 + np.pi, 1.1, 1.1 + np.pi]).placement
     assert circle_identity_residual(p) <= 1e-12
 
 

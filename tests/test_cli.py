@@ -20,7 +20,7 @@ from adconn.framework import lower_stiffness_direct
 from adconn.graphs import complete_graph
 from adconn.placements import roots_of_unity_angles, unit_circle_placement
 from adconn.probes import PROBE_TAGS, PROBES, conjecture_probe
-from adconn.spectral import cluster_multiplicities, default_cluster_tol
+from adconn.spectral import cluster_multiplicities
 from adconn.verify import SUITES, run_suite
 
 
@@ -329,7 +329,7 @@ def test_spectrum_command_large_lower_spectrum(tmp_path, capsys):
     assert code == 0
     clusters = json.loads(out)["lower_stiffness"]["clusters"]
     M = lower_stiffness_direct(complete_graph(48), unit_circle_placement(roots_of_unity_angles(48)).placement)
-    full = cluster_multiplicities(np.linalg.eigvalsh(M), default_cluster_tol(M)).clusters
+    full = cluster_multiplicities(np.linalg.eigvalsh(M), 1e-8 * max(1, np.abs(M).max(initial=0.0))).clusters
     assert [m for _, m in clusters] == [m for _, m in full] == [1035, 92, 1]
     np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in full], rtol=0, atol=1e-9)
 

@@ -19,7 +19,7 @@ from adconn.families import (
     weighted_length_vectors,
 )
 from adconn.framework import Placement, lower_stiffness_direct
-from adconn.graphs import complete_graph, remove_edge, turan_graph
+from adconn.graphs import complete_graph, turan_graph
 from adconn.placements import (
     unit_circle_placement,
     centered_sphere_points,
@@ -30,7 +30,7 @@ from adconn.placements import (
 from adconn.seeding import rng_stream
 from adconn.spectral import numeric_rank
 
-from conftest import random_placement
+from conftest import random_placement, without_edge
 
 RESIDUAL_TOL = 1e-10
 
@@ -193,7 +193,7 @@ def test_star_difference_needs_every_star_edge():
     star_difference_vector(g, partition, 0, 1, 1, 3)
     for missing in ((0, 4), (1, 11)):
         with pytest.raises(ValueError, match="every vertex of parts j and k"):
-            star_difference_vector(remove_edge(g, missing), partition, 0, 1, 1, 3)
+            star_difference_vector(without_edge(g, missing), partition, 0, 1, 1, 3)
 
 
 def test_star_difference_vertex_sums_vanish():

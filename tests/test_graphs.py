@@ -10,9 +10,7 @@ from adconn.graphs import (
     make_graph,
     parse_edge_list,
     read_edge_list,
-    remove_edge,
     turan_graph,
-    write_edge_list,
 )
 
 
@@ -173,21 +171,6 @@ def test_turan_rejects_non_divisor():
         turan_graph(6, 1)
 
 
-def test_remove_edge():
-    g = remove_edge(complete_graph(3), (0, 1))
-    assert g.edges == ((0, 2), (1, 2))
-    g4 = remove_edge(complete_graph(4), (2, 3))
-    assert g4.m == 5
-    assert list(g4.edges) == sorted(g4.edges)
-    with pytest.raises(ValueError):
-        remove_edge(g4, (2, 3))
-
-
-def test_remove_edge_accepts_reversed_pair():
-    g = remove_edge(complete_graph(3), (1, 0))
-    assert g.edges == ((0, 2), (1, 2))
-
-
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))
@@ -206,7 +189,7 @@ def test_graph_validation():
 def test_edge_list_roundtrip(tmp_path):
     g, _ = turan_graph(6, 3)
     path = tmp_path / "g.edges"
-    write_edge_list(g, path)
+    path.write_text("6 12\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
     assert read_edge_list(path) == g
 
 

@@ -1,0 +1,81 @@
+"""Every public top-level function and class of the package has a caller.
+
+A name counts as used when code of the package other than its own definition
+names it (a re-export in __init__ does not count), or when the benchmark's
+code names it or holds it as a string literal, since the benchmark's tracer
+names its targets as strings.  Docstrings and comments never count: the
+modules are read with ast.  The suite_<name> sweeps count as used because
+verify dispatches them by name, and LIBRARY_ONLY holds the documented API
+that nothing in the package calls.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "adconn"
+
+LIBRARY_ONLY = {"k4_gap_upper_bound", "triangle_cosine_sum", "normalize_placement", "is_infinitesimally_rigid"}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def names_in_code(tree: ast.Module, strings: bool = False) -> set[str]:
+    """Identifiers and attribute names the code uses; with strings, also the
+    string literals other than docstrings."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            out.add(node.value)
+    return out
+
+
+def unused_definitions() -> list[str]:
+    """module.name of each public definition that nothing names, in file order."""
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    used = set()
+    for tree in modules.values():
+        used |= names_in_code(tree)
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        used |= names_in_code(_parse(path), strings=True)
+    return [
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name in sorted(public_definitions(tree))
+        if name not in used and not name.startswith("suite_")
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    unused = unused_definitions()
+    assert [u for u in unused if u.split(".")[1] not in LIBRARY_ONLY] == []
+    # an allow-listed name that gained a caller leaves the list
+    assert {u.split(".")[1] for u in unused} >= LIBRARY_ONLY
+
+
+def test_docstring_mentions_do_not_count():
+    tree = ast.parse('"""mentions helper"""\ndef f():\n    """calls helper"""\n    return 1\n')
+    assert "helper" not in names_in_code(tree, strings=True)
+    assert {"helper", "f"} <= names_in_code(ast.parse("x = f('helper')\n"), strings=True)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from adconn.placements import (
-    antipodal_pair_angles,
-    centered_circle_angles,
     centered_sphere_points,
     crosspolytope_placement,
     random_sphere_placement,
@@ -79,7 +77,7 @@ def test_unit_circle_placement_roots_of_unity():
 
 
 def test_unit_circle_placement_antipodal_pairs():
-    res = unit_circle_placement(antipodal_pair_angles([0.3, 1.1]))
+    res = unit_circle_placement([0.3, 0.3 + np.pi, 1.1, 1.1 + np.pi])
     assert res.placement.n == 4
     assert res.centered and res.injective
 
@@ -88,13 +86,6 @@ def test_unit_circle_placement_flags_non_injective():
     res = unit_circle_placement([0.7, 0.7, 0.7])
     assert not res.injective
     assert not res.centered
-
-
-def test_centered_circle_angles_even_and_odd():
-    for n in (4, 7, 12, 15):
-        res = unit_circle_placement(centered_circle_angles(n, rng_stream(3, f"t{n}")))
-        assert res.placement.n == n
-        assert res.centered and res.injective
 
 
 def test_triangular_pyramid_flat_and_regular():
@@ -154,6 +145,38 @@ def test_centered_sphere_points_any_parity():
         np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(p.points.sum(axis=0)) <= 1e-12
         assert p.image_size() >= 3
+
+
+def test_centered_sphere_points_on_the_circle_even_and_odd():
+    for n in (4, 7, 12, 15):
+        p = centered_sphere_points(n, 2, rng_stream(3, f"t{n}"))
+        assert p.n == n and p.is_injective()
+        np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.linalg.norm(p.points.sum(axis=0)) <= 1e-12
+
+
+def _looped_centered_sphere_points(n, d, rng):
+    """The construction of centered_sphere_points with a Python loop that
+    appends each pair x, -x in turn."""
+    rows = []
+    if n % 2 != 0:
+        frame = np.linalg.qr(rng.standard_normal((d, 2)))[0]
+        for t in rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]):
+            rows.append(frame[:, 0] * np.cos(t) + frame[:, 1] * np.sin(t))
+        rows = [r / np.linalg.norm(r) for r in rows]
+    half = rng.standard_normal(((n - len(rows)) // 2, d))
+    half /= np.linalg.norm(half, axis=1)[:, None]
+    for x in half:
+        rows.extend([x, -x])
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in (2, 3, 8, 11) for d in range(1, 5) if n % 2 == 0 or d >= 2])
+def test_centered_sphere_points_interleave_matches_the_loop_bit_for_bit(n, d):
+    got = centered_sphere_points(n, d, rng_stream(7, f"interleave:{n}:{d}")).points
+    want = _looped_centered_sphere_points(n, d, rng_stream(7, f"interleave:{n}:{d}"))
+    assert got.shape == want.shape == (n, d)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_centered_sphere_points_domain():

@@ -6,10 +6,12 @@ import pytest
 
 from adconn.closedform import CANONICAL
 from adconn.framework import Placement, stiffness
-from adconn.graphs import Graph, complete_graph, remove_edge
+from adconn.graphs import Graph, complete_graph
 from adconn.seeding import rng_stream
 from adconn.spectral import symmetric_eigenvalues
 from adconn.verify import SUITES, run_suite
+
+from conftest import without_edge
 
 ENTRY_KEYS = {"theorem", "instance", "predicted", "computed", "max_value_error", "multiplicity_match", "pass"}
 
@@ -115,8 +117,15 @@ def test_interlacing_sweep_equals_removing_each_edge():
         e = g.edges[int(rng.integers(g.m))]
         p = Placement(rng.standard_normal((n, d)))
         lam = symmetric_eigenvalues(stiffness(g, p))
-        lam_prime = symmetric_eigenvalues(stiffness(remove_edge(g, e), p))
+        lam_prime = symmetric_eigenvalues(stiffness(without_edge(g, e), p))
         lam_shift = np.concatenate(([0.0], lam[:-1]))
         worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
         assert entry["instance"] == {"sample": s, "n": n, "d": d, "edge": list(e), "edges": g.m}
         assert repr(entry["computed"]) == repr(worst) and entry["pass"] == (worst <= 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_circle_suite_passes_at_each_seed(seed):
+    report = run_suite("circle", seed=seed)
+    assert report["pass"], report["failures"]
+    assert max(e["identity_residual"] for e in report["entries"]) <= 1e-10

@@ -4,7 +4,7 @@ the d-dimensional algebraic connectivity."""
 __version__ = "0.1.0"
 
 from .bounds import (
-    circle_identity_residual,
+    circle_identity_matrix,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     triangle_cosine_sum,
@@ -59,7 +59,6 @@ from .spectral import (
     is_infinitesimally_rigid,
     numeric_rank,
     spectral_gap,
-    stiffness_spectrum,
     symmetric_eigenvalues,
 )
 from .verify import run_suite

@@ -1,6 +1,7 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
 the vertex-star projection, the top-n eigenvalue sum, triangle cosine sums,
-the 4-point gap witness, and the planar rank-one stiffness identity.
+the 4-point gap witness, and the planar rank-one form of the stiffness
+matrix of K_n at a centered unit-circle placement (circle_identity_matrix).
 
 The top-n eigenvalue sum is checked for many placements at once: those of one
 shape share one stacked assembly and one eigensolve (top_eigenvalue_sum_checks).
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, _edge_geometry, _rigidity_from_directions, edge_lengths, stiffness
+from .framework import Placement, _edge_geometry, _rigidity_from_directions, edge_lengths
 from .graphs import Graph, complete_graph
 from .spectral import symmetric_eigenvalues
 
@@ -130,11 +131,11 @@ def k4_gap_upper_bound(p: Placement) -> float:
     return 2.0 * sq[dropped] / (sq[others[0]] + sq[others[1]])
 
 
-def circle_identity_residual(p: Placement) -> float:
-    """Max-norm residual of the planar rank-one identity
-    L = (n/2) I + (p p^t - x x^t - y y^t - r r^t) / 2
-    for injective unit-circle placements with zero sum, where x and y indicate
-    the two coordinates and r is the quarter-turn rotation of p."""
+def circle_identity_matrix(p: Placement) -> np.ndarray:
+    """(n/2) I + (p p^t - x x^t - y y^t - r r^t) / 2, which equals the
+    stiffness matrix of K_n at an injective unit-circle placement with zero
+    sum, where x and y indicate the two coordinates and r is the quarter-turn
+    rotation of p.  A placement outside those hypotheses is a ValueError."""
     if p.d != 2:
         raise ValueError(f"identity requires d=2, got d={p.d}")
     norms = np.linalg.norm(p.points, axis=1)
@@ -145,12 +146,10 @@ def circle_identity_residual(p: Placement) -> float:
     if not p.is_injective():
         raise ValueError("hypothesis violated: placement must be injective")
     n = p.n
-    L = stiffness(complete_graph(n), p)
     pvec = p.points.reshape(-1)
     x = np.tile([1.0, 0.0], n)
     y = np.tile([0.0, 1.0], n)
     r = np.column_stack([-p.points[:, 1], p.points[:, 0]]).reshape(-1)
-    M = (n / 2.0) * np.eye(2 * n) + 0.5 * (
+    return (n / 2.0) * np.eye(2 * n) + 0.5 * (
         np.outer(pvec, pvec) - np.outer(x, x) - np.outer(y, y) - np.outer(r, r)
     )
-    return float(np.max(np.abs(L - M)))

@@ -69,24 +69,17 @@ def crosspolytope_placement(n: int, d: int) -> Placement:
 
 @dataclass(frozen=True)
 class CirclePlacement:
-    """A unit-circle placement plus the two hypothesis flags callers care about."""
+    """A unit-circle placement."""
 
     placement: Placement
-    centered: bool
-    injective: bool
 
 
 def unit_circle_placement(angles) -> CirclePlacement:
-    """Points (cos t, sin t) for the given angles; reports centering and injectivity.
-
-    Centering (sum of points below 1e-10) is the caller's responsibility;
-    centered_sphere_points draws random centered unit points in R^2 directly.
-    """
+    """Points (cos t, sin t) for the given angles.  Centering and injectivity
+    are the caller's responsibility; centered_sphere_points draws random
+    centered unit points in R^2 directly."""
     angles = np.asarray(angles, dtype=float)
-    pts = np.column_stack([np.cos(angles), np.sin(angles)])
-    p = Placement(pts)
-    centered = bool(np.linalg.norm(pts.sum(axis=0)) <= 1e-10)
-    return CirclePlacement(p, centered, p.is_injective())
+    return CirclePlacement(Placement(np.column_stack([np.cos(angles), np.sin(angles)])))
 
 
 def roots_of_unity_angles(n: int) -> np.ndarray:

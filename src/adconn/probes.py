@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from .bounds import top_eigenvalue_sum_checks
 from .closedform import canonical_placements
-from .framework import Placement
+from .framework import Placement, stiffness
 from .graphs import complete_graph, make_graph
 from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points
 from .seeding import rng_stream
-from .spectral import stiffness_spectrum
+from .spectral import clustered_spectrum
 from .verify import bind_params, check_samples
 
 
@@ -41,7 +41,7 @@ def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, di
     for s in range(samples):
         rng = rng_stream(seed, f"spherical:{n}:{d}:{s}")
         p = centered_sphere_points(n, d, rng)
-        spectrum = stiffness_spectrum(g, p)
+        spectrum = clustered_spectrum(stiffness(g, p))
         second_value, second_mult = spectrum.clusters[-2]
         half_mult = 0
         for value, mult in spectrum.clusters:

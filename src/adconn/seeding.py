@@ -26,10 +26,16 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def rng_stream(seed: int, tag: str) -> np.random.Generator:
+def as_seed(seed) -> int:
+    """seed as a Python int; a non-integer (as_index) or negative one is a ValueError."""
     seed = as_index(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def rng_stream(seed: int, tag: str) -> np.random.Generator:
+    seed = as_seed(seed)
     digest = hashlib.sha256(tag.encode()).digest()[:8]
     return np.random.default_rng(
         np.random.SeedSequence([seed, int.from_bytes(digest, "little")])

@@ -39,7 +39,7 @@ from .graphs import Edge, Graph
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
 DEFAULT_RANK_TOL = 1e-9
-DEFAULT_INTERLACING_SLACK = 1e-9
+INTERLACING_SLACK = 1e-9
 # Below this size a low-rank attempt costs about as much as the full solve
 # (twice it at 36 x 36), so the optimizer's and verify's many small matrices
 # never try the route.
@@ -275,10 +275,6 @@ def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicityS
     return cluster_multiplicities(_eigenvalues(M, peak), tol)
 
 
-def stiffness_spectrum(g: Graph, p: Placement, tol: float | None = None) -> MultiplicitySpectrum:
-    return clustered_spectrum(stiffness(g, p), tol)
-
-
 def trivial_motion_count(d: int) -> int:
     """Dimension of the space of infinitesimal translations and rotations in R^d."""
     return math.comb(d + 1, 2)
@@ -312,20 +308,18 @@ def is_infinitesimally_rigid(g: Graph, p: Placement, tol: float = DEFAULT_RANK_T
     return numeric_rank(rigidity_matrix(g, p), tol) == p.d * g.n - trivial_motion_count(p.d)
 
 
-def interlacing_check(
-    g: Graph, e: Edge, p: Placement, slack: float = DEFAULT_INTERLACING_SLACK
-) -> tuple[bool, float]:
+def interlacing_check(g: Graph, e: Edge, p: Placement) -> tuple[bool, float]:
     """Eigenvalue sandwich between a framework and the same framework minus one edge.
 
     With ascending stiffness eigenvalues lam (of g) and lam' (of g minus e) and
-    lam_0 := 0, checks lam_{i-1} <= lam'_i <= lam_i for all i up to the given
-    slack.  Returns (holds, worst signed violation).  The rigidity matrix of g
-    minus e is that of g without the column of e, and the two stiffness
-    matrices are solved as one stack of two.
+    lam_0 := 0, checks lam_{i-1} <= lam'_i <= lam_i for all i up to
+    INTERLACING_SLACK.  Returns (holds, worst signed violation).  The
+    rigidity matrix of g minus e is that of g without the column of e, and
+    the two stiffness matrices are solved as one stack of two.
     """
     R = rigidity_matrix(g, p)
     R_minus = np.delete(R, g.index_of(*e), axis=1)
     lam, lam_prime = symmetric_eigenvalues(np.stack((R @ R.T, R_minus @ R_minus.T)))
     lam_shift = np.concatenate(([0.0], lam[:-1]))
     worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
-    return worst <= slack, worst
+    return worst <= INTERLACING_SLACK, worst

@@ -4,9 +4,10 @@ interlacing relation, and projection identity checked on a grid of instances.
 Each sweep is a function of keyword parameters, and its signature holds the
 only default of each one.  run_suite binds a grid and a sample count against
 that signature and refuses any value the sweep does not read.  The simplex,
-Turán-simplex and crosspolytope sweeps take their instances from the
+Turán-simplex, crosspolytope and circle sweeps take their instances from the
 closedform.CANONICAL rows, the families sweep from the rows with families;
-a custom (d, n) grid keeps the pairs a row admits.
+a custom (d, n) grid keeps the pairs a row admits.  Each closed-form entry
+assembles its stiffness matrix once, and every check of it reads that matrix.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -22,31 +23,19 @@ import math
 import numpy as np
 
 from .bounds import (
-    circle_identity_residual,
+    circle_identity_matrix,
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
     vertex_star_projection,
     vertex_star_vector,
 )
-from .closedform import (
-    CANONICAL,
-    PYRAMID_START_HEIGHT,
-    circle_spectrum_closed_form,
-    pyramid_spectrum_closed_form,
-    spectrum_matches,
-)
+from .closedform import CANONICAL, PYRAMID_START_HEIGHT, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
 from .framework import Placement, lower_stiffness_direct, stiffness
 from .graphs import Graph, complete_graph
-from .placements import (
-    centered_sphere_points,
-    regular_simplex,
-    roots_of_unity_angles,
-    triangular_pyramid,
-    unit_circle_placement,
-)
-from .seeding import as_index, rng_stream
-from .spectral import interlacing_check, numeric_rank, stiffness_spectrum, symmetric_eigenvalues
+from .placements import centered_sphere_points, regular_simplex, triangular_pyramid
+from .seeding import as_index, as_seed, rng_stream
+from .spectral import clustered_spectrum, interlacing_check, numeric_rank, spectral_gap
 
 SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan", "families")
 
@@ -72,8 +61,9 @@ def _entry(theorem, instance, predicted, computed, max_value_error, multiplicity
     }
 
 
-def _spectrum_entry(theorem, instance, predicted, g, p):
-    computed = stiffness_spectrum(g, p)
+def _spectrum_entry(theorem, instance, predicted, L):
+    """predicted against the clustered spectrum of the stiffness matrix L."""
+    computed = clustered_spectrum(L)
     match = spectrum_matches(predicted, computed, VALUE_TOL)
     return _entry(
         theorem,
@@ -101,7 +91,7 @@ def _canonical_entries(row: str, pairs, instance) -> list[dict]:
     """One closed-form spectrum entry per (d, n) pair of a CANONICAL row."""
     fw = CANONICAL[row]
     return [
-        _spectrum_entry(row, instance(n, d), fw.spectrum(n, d), fw.graph(n, d), fw.placement(n, d))
+        _spectrum_entry(row, instance(n, d), fw.spectrum(n, d), stiffness(fw.graph(n, d), fw.placement(n, d)))
         for d, n in pairs
     ]
 
@@ -125,34 +115,31 @@ def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
     entries = []
     for height in h:
         g, p = complete_graph(4), triangular_pyramid(height)
-        entry = _spectrum_entry("pyramid", {"h": height}, pyramid_spectrum_closed_form(height), g, p)
+        entry = _spectrum_entry("pyramid", {"h": height}, pyramid_spectrum_closed_form(height), stiffness(g, p))
         if height >= PYRAMID_START_HEIGHT - 1e-12:
-            lam7 = float(symmetric_eigenvalues(stiffness(g, p))[6])
-            entry["computed_gap"] = lam7
-            entry["pass"] = entry["pass"] and abs(lam7 - 1.0) <= VALUE_TOL
+            entry["computed_gap"] = gap = spectral_gap(g, p)
+            entry["pass"] = entry["pass"] and abs(gap - 1.0) <= VALUE_TOL
         entries.append(entry)
     return entries
 
 
 def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
     check_samples(samples, least=0)
-
-    def one(k, label, p):
-        predicted = circle_spectrum_closed_form(k)
-        entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, complete_graph(k), p)
-        # circle_identity_residual raises on a placement that is not centered,
-        # unit-norm and injective, so a passing entry has all three
-        residual = circle_identity_residual(p)
-        entry["identity_residual"] = residual
-        entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
-        return entry
-
+    row = CANONICAL["circle"]
     entries = []
     for k in n:
-        entries.append(one(k, "roots-of-unity", unit_circle_placement(roots_of_unity_angles(k)).placement))
+        g, predicted = row.graph(k, 2), row.spectrum(k, 2)
+        instances = {"roots-of-unity": row.placement(k, 2)}
         for s in range(samples):
-            p = centered_sphere_points(k, 2, rng_stream(seed, f"circle:{k}:{s}"))
-            entries.append(one(k, f"random-{s}", p))
+            instances[f"random-{s}"] = centered_sphere_points(k, 2, rng_stream(seed, f"circle:{k}:{s}"))
+        for label, p in instances.items():
+            L = stiffness(g, p)
+            entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, L)
+            # circle_identity_matrix raises on a placement that is not centered,
+            # unit-norm and injective, so a passing entry has all three
+            entry["identity_residual"] = residual = float(np.max(np.abs(L - circle_identity_matrix(p))))
+            entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
+            entries.append(entry)
     return entries
 
 
@@ -290,29 +277,30 @@ def _family_entries(row: str, n: int, d: int) -> list[dict]:
     return entries
 
 
+def _residual_entry(theorem, instance, eigenvalue, worst) -> dict:
+    """An eigenvector family's worst residual against eigenvalue."""
+    return _entry(
+        theorem,
+        instance,
+        {"eigenvalue": eigenvalue, "residual": "<= 1e-10"},
+        {"max_residual": worst},
+        worst,
+        True,
+        worst <= RESIDUAL_TOL,
+    )
+
+
 def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     check_samples(samples, least=1)
 
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
         C = lower_stiffness_direct(complete_graph(n), p)
-        weights = []
-        for s in range(samples):
-            f = rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n)
-            f -= f.mean()
-            weights.append(f)
-        worst = 0.0
-        for vec in weighted_length_vectors(p, weights):
-            worst = max(worst, eigen_residual(C, vec, n / 2.0))
-        return _entry(
-            "weighted-length-eigenvectors",
-            {"instance": label, "n": n, "samples": samples},
-            {"eigenvalue": n / 2.0, "residual": "<= 1e-10"},
-            {"max_residual": worst},
-            worst,
-            True,
-            worst <= RESIDUAL_TOL,
-        )
+        draws = [rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n) for s in range(samples)]
+        weights = [f - f.mean() for f in draws]
+        worst = max(eigen_residual(C, vec, n / 2.0) for vec in weighted_length_vectors(p, weights))
+        instance = {"instance": label, "n": n, "samples": samples}
+        return _residual_entry("weighted-length-eigenvectors", instance, n / 2.0, worst)
 
     def length_job(s):
         rng = rng_stream(seed, f"length-vec:{s}")
@@ -321,15 +309,7 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
         p = Placement(rng.standard_normal((n, d)))
         C = lower_stiffness_direct(complete_graph(n), p)
         worst = eigen_residual(C, edge_length_eigenvector(p), float(n))
-        return _entry(
-            "edge-length-eigenvector",
-            {"sample": s, "n": n, "d": d},
-            {"eigenvalue": n, "residual": "<= 1e-10"},
-            {"max_residual": worst},
-            worst,
-            True,
-            worst <= RESIDUAL_TOL,
-        )
+        return _residual_entry("edge-length-eigenvector", {"sample": s, "n": n, "d": d}, n, worst)
 
     rows = [(row, _grid_pairs(d, n, row)) for row, fw in CANONICAL.items() if fw.families is not None]
     entries = [e for row, pairs in rows for pd, pn in pairs for e in _family_entries(row, pn, pd)]
@@ -369,7 +349,9 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
     The grid maps parameters of the suite's function to value lists, and
     samples sets its sample count; either one is a ValueError for a suite
     that does not read it.  'all' runs every suite at its default grid,
-    passing samples to the suites that read it, and refuses a grid."""
+    passing samples to the suites that read it, and refuses a grid.  A seed
+    that seeding.as_seed refuses is a ValueError even for a seedless suite."""
+    seed = as_seed(seed)
     if name == "all":
         if grid:
             raise ValueError(f"suite 'all' does not read {', '.join(grid)}; it reads samples")

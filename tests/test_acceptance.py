@@ -24,7 +24,7 @@ from adconn.placements import (
 )
 from adconn.probes import conjecture_probe
 from adconn.seeding import rng_stream
-from adconn.spectral import spectral_gap, stiffness_spectrum, symmetric_eigenvalues
+from adconn.spectral import clustered_spectrum, spectral_gap, symmetric_eigenvalues
 from adconn.verify import run_suite
 
 VALUE_TOL = 1e-9
@@ -45,7 +45,7 @@ def test_criterion_01_simplex_spectra():
     worst = 0.0
     ok = True
     for d in range(2, 11):
-        computed = stiffness_spectrum(complete_graph(d + 1), regular_simplex(d))
+        computed = clustered_spectrum(stiffness(complete_graph(d + 1), regular_simplex(d)))
         match = spectrum_matches(simplex_spectrum_closed_form(d), computed, VALUE_TOL)
         ok = ok and match.ok
         worst = max(worst, match.max_value_error)
@@ -58,7 +58,7 @@ def test_criterion_02_turan_simplex_spectra():
     ok = True
     worst = 0.0
     for d, n in TURAN_PAIRS:
-        computed = stiffness_spectrum(turan_graph(n, d + 1)[0], turan_simplex_placement(n, d))
+        computed = clustered_spectrum(stiffness(turan_graph(n, d + 1)[0], turan_simplex_placement(n, d)))
         match = spectrum_matches(turan_simplex_spectrum_closed_form(n, d), computed, VALUE_TOL)
         ok = ok and match.ok and match.multiplicity_match
         worst = max(worst, match.max_value_error)
@@ -71,7 +71,7 @@ def test_criterion_03_crosspolytope_spectra():
     ok = True
     worst = 0.0
     for d, n in CROSS_PAIRS:
-        computed = stiffness_spectrum(turan_graph(n, 2 * d)[0], crosspolytope_placement(n, d))
+        computed = clustered_spectrum(stiffness(turan_graph(n, 2 * d)[0], crosspolytope_placement(n, d)))
         match = spectrum_matches(crosspolytope_spectrum_closed_form(n, d), computed, VALUE_TOL)
         ok = ok and match.ok and match.multiplicity_match
         worst = max(worst, match.max_value_error)
@@ -84,7 +84,7 @@ def test_criterion_04_pyramid_family():
     detail = []
     for h in HEIGHTS:
         g, p = complete_graph(4), triangular_pyramid(h)
-        match = spectrum_matches(pyramid_spectrum_closed_form(h), stiffness_spectrum(g, p), VALUE_TOL)
+        match = spectrum_matches(pyramid_spectrum_closed_form(h), clustered_spectrum(stiffness(g, p)), VALUE_TOL)
         ok = ok and match.ok
         if h >= 1 / math.sqrt(6) - 1e-12:
             lam7 = symmetric_eigenvalues(stiffness(g, p))[6]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adconn.bounds import (
-    circle_identity_residual,
+    circle_identity_matrix,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
@@ -16,6 +16,7 @@ from adconn.bounds import (
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import complete_graph
 from adconn.placements import (
+    centered_sphere_points,
     regular_simplex,
     roots_of_unity_angles,
     unit_circle_placement,
@@ -199,27 +200,37 @@ def test_k4_bound_rejects_bad_inputs():
         k4_gap_upper_bound(Placement(np.zeros((4, 3))))
 
 
+def _identity_residual(p):
+    return float(np.max(np.abs(stiffness(complete_graph(p.n), p) - circle_identity_matrix(p))))
+
+
 def test_circle_identity_roots_of_unity():
     p = unit_circle_placement(roots_of_unity_angles(5)).placement
-    assert circle_identity_residual(p) <= 1e-12
+    assert _identity_residual(p) <= 1e-12
 
 
 def test_circle_identity_antipodal_pairs():
     p = unit_circle_placement([0.3, 0.3 + np.pi, 1.1, 1.1 + np.pi]).placement
-    assert circle_identity_residual(p) <= 1e-12
+    assert _identity_residual(p) <= 1e-12
+
+
+def test_circle_identity_random_centered_points(rng):
+    for s in range(20):
+        p = centered_sphere_points(3 + s % 10, 2, rng)
+        assert _identity_residual(p) <= 1e-12, s
 
 
 def test_circle_identity_rejects_violations():
     with pytest.raises(ValueError, match="unit norm"):
-        circle_identity_residual(Placement(2 * unit_circle_placement(roots_of_unity_angles(5)).placement.points))
+        circle_identity_matrix(Placement(2 * unit_circle_placement(roots_of_unity_angles(5)).placement.points))
     with pytest.raises(ValueError, match="sum to zero"):
-        circle_identity_residual(Placement(unit_circle_placement([0.0, 0.1, 0.2]).placement.points))
+        circle_identity_matrix(Placement(unit_circle_placement([0.0, 0.1, 0.2]).placement.points))
     with pytest.raises(ValueError, match="injective"):
-        circle_identity_residual(
+        circle_identity_matrix(
             Placement(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
         )
     with pytest.raises(ValueError, match="d=2"):
-        circle_identity_residual(regular_simplex(3))
+        circle_identity_matrix(regular_simplex(3))
 
 
 def test_dimension_reduction_gap_comparison(rng):

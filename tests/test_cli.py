@@ -260,8 +260,12 @@ BAD_TOL = "clustering tolerance must be finite and >= 0"
         (["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--tol", "inf"], f"{BAD_TOL}, got inf"),
         (["optimize", "--graph", "complete:4", "--d", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["spectrum", "--graph", "complete:3", "--placement", "random:3,2,-1"], "seed must be >= 0, got -1"),
+        # these suites draw no random stream, but a seed they ignore is refused all the same
+        *[(["verify", "--suite", s, "--seed", "-1"], "seed must be >= 0, got -1")
+          for s in ("simplex", "turan", "cross", "tetra")],
     ],
-    ids=["tol-negative", "tol-nan", "tol-inf", "optimize-seed", "random-placement-seed"],
+    ids=["tol-negative", "tol-nan", "tol-inf", "optimize-seed", "random-placement-seed",
+         "simplex-seed", "turan-seed", "cross-seed", "tetra-seed"],
 )
 def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))

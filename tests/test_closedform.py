@@ -14,13 +14,14 @@ from adconn.closedform import (
     spectrum_matches,
     turan_simplex_spectrum_closed_form,
 )
+from adconn.framework import stiffness
 from adconn.graphs import complete_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
     regular_simplex,
     triangular_pyramid,
 )
-from adconn.spectral import MultiplicitySpectrum, stiffness_spectrum
+from adconn.spectral import MultiplicitySpectrum, clustered_spectrum
 
 
 def test_simplex_closed_form_values():
@@ -64,14 +65,14 @@ def test_crosspolytope_closed_form_values():
 
 def test_crosspolytope_minimal_n_verified_by_eigensolve():
     g, _ = turan_graph(6, 6)
-    computed = stiffness_spectrum(g, crosspolytope_placement(6, 3))
+    computed = clustered_spectrum(stiffness(g, crosspolytope_placement(6, 3)))
     match = spectrum_matches(crosspolytope_spectrum_closed_form(6, 3), computed)
     assert match.ok
 
 
 def test_merged_crosspolytope_case_verified_by_eigensolve():
     g, _ = turan_graph(8, 4)
-    computed = stiffness_spectrum(g, crosspolytope_placement(8, 2))
+    computed = clustered_spectrum(stiffness(g, crosspolytope_placement(8, 2)))
     match = spectrum_matches(crosspolytope_spectrum_closed_form(8, 2), computed)
     assert match.ok and match.max_value_error <= 1e-9
 
@@ -100,7 +101,7 @@ def test_pyramid_closed_form_limits():
 
 @pytest.mark.parametrize("h", [0.2, 1 / math.sqrt(6), math.sqrt(2 / 3), 1.0, 5.0])
 def test_pyramid_closed_form_matches_eigensolve(h):
-    computed = stiffness_spectrum(complete_graph(4), triangular_pyramid(h))
+    computed = clustered_spectrum(stiffness(complete_graph(4), triangular_pyramid(h)))
     match = spectrum_matches(pyramid_spectrum_closed_form(h), computed)
     assert match.ok, (h, match)
 
@@ -135,7 +136,7 @@ def test_canonical_row_matches_its_closed_form(name):
     row = CANONICAL[name]
     # the smallest admissible (n, d) where the closed forms are stated, d >= 2
     n, d = min((n, d) for n in range(2, 13) for d in range(2, 7) if row.admits(n, d))
-    computed = stiffness_spectrum(row.graph(n, d), row.placement(n, d))
+    computed = clustered_spectrum(stiffness(row.graph(n, d), row.placement(n, d)))
     assert computed.total == n * d
     assert spectrum_matches(row.spectrum(n, d), computed).ok, (name, n, d)
 
@@ -151,7 +152,7 @@ def test_canonical_table_order_and_repeats():
 
 def test_spectrum_matches_detects_mismatch():
     pred = simplex_spectrum_closed_form(3)
-    wrong = stiffness_spectrum(complete_graph(3), regular_simplex(2))
+    wrong = clustered_spectrum(stiffness(complete_graph(3), regular_simplex(2)))
     assert not spectrum_matches(pred, wrong).ok
 
 

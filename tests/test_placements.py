@@ -14,7 +14,7 @@ from adconn.placements import (
     unit_circle_placement,
 )
 from adconn.seeding import rng_stream
-from adconn.spectral import stiffness_spectrum, symmetric_eigenvalues
+from adconn.spectral import clustered_spectrum, symmetric_eigenvalues
 from adconn.framework import stiffness
 from adconn.graphs import complete_graph
 
@@ -70,22 +70,26 @@ def test_crosspolytope_placement():
         crosspolytope_placement(9, 3)
 
 
+def _centered(p) -> bool:
+    return bool(np.linalg.norm(p.points.sum(axis=0)) <= 1e-10)
+
+
 def test_unit_circle_placement_roots_of_unity():
-    res = unit_circle_placement(roots_of_unity_angles(5))
-    assert res.centered and res.injective
-    np.testing.assert_allclose(np.linalg.norm(res.placement.points, axis=1), 1.0)
+    p = unit_circle_placement(roots_of_unity_angles(5)).placement
+    assert _centered(p) and p.is_injective()
+    np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0)
 
 
 def test_unit_circle_placement_antipodal_pairs():
-    res = unit_circle_placement([0.3, 0.3 + np.pi, 1.1, 1.1 + np.pi])
-    assert res.placement.n == 4
-    assert res.centered and res.injective
+    p = unit_circle_placement([0.3, 0.3 + np.pi, 1.1, 1.1 + np.pi]).placement
+    assert p.n == 4
+    assert _centered(p) and p.is_injective()
 
 
-def test_unit_circle_placement_flags_non_injective():
-    res = unit_circle_placement([0.7, 0.7, 0.7])
-    assert not res.injective
-    assert not res.centered
+def test_unit_circle_placement_repeated_angle_is_neither_injective_nor_centered():
+    p = unit_circle_placement([0.7, 0.7, 0.7]).placement
+    assert not p.is_injective()
+    assert not _centered(p)
 
 
 def test_triangular_pyramid_flat_and_regular():
@@ -107,8 +111,8 @@ def test_triangular_pyramid_apex_edge_length():
 
 
 def test_pyramid_at_unit_edge_matches_simplex_spectrum():
-    ms_pyramid = stiffness_spectrum(complete_graph(4), triangular_pyramid(math.sqrt(2 / 3)))
-    ms_simplex = stiffness_spectrum(complete_graph(4), regular_simplex(3))
+    ms_pyramid = clustered_spectrum(stiffness(complete_graph(4), triangular_pyramid(math.sqrt(2 / 3))))
+    ms_simplex = clustered_spectrum(stiffness(complete_graph(4), regular_simplex(3)))
     assert ms_pyramid.multiplicities() == ms_simplex.multiplicities()
     np.testing.assert_allclose(ms_pyramid.values(), ms_simplex.values(), atol=1e-9)
 

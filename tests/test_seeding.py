@@ -31,6 +31,12 @@ def test_seeded_callers_refuse_float_and_bool_seeds():
     assert numpy_seed.points.tobytes() == random_sphere_placement(5, 3, 2).points.tobytes()
 
 
+@pytest.mark.parametrize("suite,seed", [("simplex", True), ("tetra", 2.5)])
+def test_suites_that_draw_no_stream_refuse_float_and_bool_seeds(suite, seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        run_suite(suite, seed=seed)
+
+
 SUITES_WITH_SAMPLES = ["circle", "interlacing", "kyfan", "families"]
 
 

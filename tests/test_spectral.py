@@ -26,7 +26,6 @@ from adconn.spectral import (
     interlacing_check,
     numeric_rank,
     spectral_gap,
-    stiffness_spectrum,
     symmetric_eigenvalues,
 )
 
@@ -320,7 +319,7 @@ def test_cluster_multiplicities_examples():
 
 
 def test_cluster_multiplicities_simplex_spectrum():
-    ms = stiffness_spectrum(complete_graph(4), regular_simplex(3), tol=1e-8)
+    ms = clustered_spectrum(stiffness(complete_graph(4), regular_simplex(3)), tol=1e-8)
     assert ms.multiplicities() == (6, 2, 3, 1)
     np.testing.assert_allclose(ms.values(), [0.0, 1.0, 2.0, 4.0], atol=1e-9)
 
@@ -328,7 +327,7 @@ def test_cluster_multiplicities_simplex_spectrum():
 def test_cluster_merges_coinciding_crosspolytope_values():
     # at n=8, d=2 the n/d and n/2 clusters coincide at 4
     g, _ = turan_graph(8, 4)
-    ms = stiffness_spectrum(g, crosspolytope_placement(8, 2))
+    ms = clustered_spectrum(stiffness(g, crosspolytope_placement(8, 2)))
     assert ms.multiplicities() == (3, 4, 8, 1)
     np.testing.assert_allclose(ms.values(), [0.0, 2.0, 4.0, 8.0], atol=1e-9)
 

@@ -1,7 +1,6 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
 the vertex-star projection, the top-n eigenvalue sum, triangle cosine sums,
-the 4-point gap witness, and the planar rank-one form of the stiffness
-matrix of K_n at a centered unit-circle placement (circle_identity_matrix).
+the 4-point gap witness, and the rank-one circle form circle_identity_matrix.
 
 The top-n eigenvalue sum is checked for many placements at once: those of one
 shape share one stacked assembly and one eigensolve (top_eigenvalue_sum_checks).

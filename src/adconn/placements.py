@@ -75,9 +75,8 @@ class CirclePlacement:
 
 
 def unit_circle_placement(angles) -> CirclePlacement:
-    """Points (cos t, sin t) for the given angles.  Centering and injectivity
-    are the caller's responsibility; centered_sphere_points draws random
-    centered unit points in R^2 directly."""
+    """Points (cos t, sin t) for the given angles; centering and injectivity are
+    the caller's (centered_sphere_points draws centered unit points in R^2)."""
     angles = np.asarray(angles, dtype=float)
     return CirclePlacement(Placement(np.column_stack([np.cos(angles), np.sin(angles)])))
 

@@ -6,8 +6,8 @@ only default of each one.  run_suite binds a grid and a sample count against
 that signature and refuses any value the sweep does not read.  The simplex,
 Turán-simplex, crosspolytope and circle sweeps take their instances from the
 closedform.CANONICAL rows, the families sweep from the rows with families;
-a custom (d, n) grid keeps the pairs a row admits.  Each closed-form entry
-assembles its stiffness matrix once, and every check of it reads that matrix.
+a custom (d, n) grid keeps the pairs a row admits.  Every check of a closed-form
+entry reads one assembled stiffness matrix, except the tetra gap (spectral_gap).
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -135,8 +135,7 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
         for label, p in instances.items():
             L = stiffness(g, p)
             entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, L)
-            # circle_identity_matrix raises on a placement that is not centered,
-            # unit-norm and injective, so a passing entry has all three
+            # circle_identity_matrix refuses a placement not centered, unit-norm and injective
             entry["identity_residual"] = residual = float(np.max(np.abs(L - circle_identity_matrix(p))))
             entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
             entries.append(entry)
@@ -296,9 +295,14 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
         C = lower_stiffness_direct(complete_graph(n), p)
-        draws = [rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n) for s in range(samples)]
-        weights = [f - f.mean() for f in draws]
-        worst = max(eigen_residual(C, vec, n / 2.0) for vec in weighted_length_vectors(p, weights))
+        weights = []
+        for s in range(samples):
+            f = rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n)
+            f -= f.mean()
+            weights.append(f)
+        worst = 0.0
+        for vec in weighted_length_vectors(p, weights):
+            worst = max(worst, eigen_residual(C, vec, n / 2.0))
         instance = {"instance": label, "n": n, "samples": samples}
         return _residual_entry("weighted-length-eigenvectors", instance, n / 2.0, worst)
 

@@ -142,6 +142,6 @@ def test_interlacing_sweep_equals_removing_each_edge():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_circle_suite_passes_at_each_seed(seed):
-    report = run_suite("circle", seed=5)
+    report = run_suite("circle", seed=seed)
     assert report["pass"], report["failures"]
     assert max(e["identity_residual"] for e in report["entries"]) <= 1e-10

@@ -7,7 +7,6 @@ from .bounds import (
     circle_identity_matrix,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
-    triangle_cosine_sum,
     vertex_star_projection,
     vertex_star_vector,
 )
@@ -39,7 +38,7 @@ from .framework import (
     stiffness,
 )
 from .graphs import Graph, TuranPartition, complete_graph, make_graph, turan_graph
-from .optimize import OptimizeResult, OptimizerConfig, gap_ascent, normalize_placement, seeded_restarts
+from .optimize import OptimizeResult, OptimizerConfig, gap_ascent, seeded_restarts
 from .placements import (
     CirclePlacement,
     crosspolytope_placement,
@@ -56,7 +55,6 @@ from .spectral import (
     cluster_multiplicities,
     clustered_spectrum,
     interlacing_check,
-    is_infinitesimally_rigid,
     numeric_rank,
     spectral_gap,
     symmetric_eigenvalues,

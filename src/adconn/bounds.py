@@ -1,6 +1,6 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
-the vertex-star projection, the top-n eigenvalue sum, triangle cosine sums,
-the 4-point gap witness, and the rank-one circle form circle_identity_matrix.
+the vertex-star projection, the top-n eigenvalue sum, the 4-point gap
+witness, and the rank-one circle form circle_identity_matrix.
 
 The top-n eigenvalue sum is checked for many placements at once: those of one
 shape share one stacked assembly and one eigensolve (top_eigenvalue_sum_checks).
@@ -87,20 +87,6 @@ def _stiffness_stack(g: Graph, points: np.ndarray) -> np.ndarray:
     the stack of rigidity matrices is freed before the caller's eigensolve."""
     R = _rigidity_from_directions(g, _edge_geometry(g, points)[0])
     return R @ R.swapaxes(-1, -2)
-
-
-def triangle_cosine_sum(p: Placement, i: int, j: int, k: int) -> float:
-    """Sum of the cosines of the three angles of the (possibly flat) placed
-    triangle i, j, k; always at least 1."""
-    if len({i, j, k}) != 3:
-        raise ValueError(f"vertices must be distinct, got {(i, j, k)}")
-    # the unit directions d_ij, d_ik, d_jk, at any scale the points can take
-    (d_ij, d_ik, d_jk), lengths = _edge_geometry(complete_graph(3), p.points[[i, j, k]])
-    for (a, b), length in zip(((i, j), (i, k), (j, k)), lengths):
-        if length == 0.0:
-            raise ValueError(f"points of vertices {a} and {b} coincide")
-    # the cosines at i, j and k
-    return float(d_ij @ d_ik - d_ij @ d_jk + d_ik @ d_jk)
 
 
 # the three pairings of K_4 into opposite edges, as positions in its canonical

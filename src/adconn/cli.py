@@ -41,8 +41,9 @@ from .closedform import CANONICAL, bound_report
 from .framework import Placement, lower_stiffness_direct, read_placement, stiffness
 from .graphs import Graph, complete_graph, read_edge_list, turan_graph
 from .optimize import OptimizerConfig, gap_ascent
-from .placements import random_sphere_placement, triangular_pyramid
+from .placements import centered_sphere_points, random_sphere_placement, triangular_pyramid
 from .probes import PROBE_TAGS, PROBES, conjecture_probe
+from .seeding import rng_stream
 from .spectral import clustered_spectrum
 from .verify import SUITES, run_suite
 
@@ -99,13 +100,11 @@ def parse_placement_spec(spec: str) -> Placement:
             raise UsageError(f"tetra:h needs a real apex height, got {rest!r}") from None
         return triangular_pyramid(h)
     if kind == "random":
-        fields = rest.split(",")
-        centered = False
-        if fields and fields[-1] == "centered":
-            centered = True
-            fields = fields[:-1]
-        n, d, seed = _ints(",".join(fields), 3, "random:n,d,seed[,centered]")
-        return random_sphere_placement(n, d, seed, centered=centered)
+        plain = rest.removesuffix(",centered")
+        n, d, seed = _ints(plain, 3, "random:n,d,seed[,centered]")
+        if plain != rest:
+            return centered_sphere_points(n, d, rng_stream(seed, f"sphere:{n}:{d}:1"))
+        return random_sphere_placement(n, d, seed)
     if kind == "file":
         return read_placement(rest)
     raise UsageError(f"unknown placement kind {kind!r}")

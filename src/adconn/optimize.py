@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closedform import canonical_placements
-from .framework import _SAFE_LENGTHS, Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
+from .framework import Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
 from .graphs import Graph
-from .seeding import as_index, rng_stream
+from .seeding import as_index, as_seed, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
 STEP_INIT = 0.1     # first and longest step length
@@ -50,8 +50,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
+        for name in ("restarts", "max_iters"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
 
@@ -79,48 +80,17 @@ class OptimizeResult:
         }
 
 
-def normalize_placement(p: Placement) -> Placement:
-    """Project out the gauge freedom: center at the origin, then rescale to
-    root-mean-square point norm 1."""
-    return Placement(_normalized_points(p.points))
-
-
 def _normalized_points(points: np.ndarray) -> np.ndarray:
-    """normalize_placement on a bare (n, d) array, so that the ascent's trial
-    points need no Placement; the points must be finite and not all equal."""
-    n, d = points.shape
-    big = np.abs(points).max()
-    if not big < math.inf:  # also NaN
+    """The (n, d) points centered at the origin and scaled to root-mean-square
+    point norm 1, which projects out the gauge freedom; the points must be
+    finite and not all equal."""
+    n = len(points)
+    if not np.abs(points).max() < math.inf:  # also NaN
         raise ValueError("points must be finite")
     if (points == points[0]).all():
         raise ValueError("cannot normalize a constant placement")
     pts = points - points.sum(axis=0) / n  # points.mean(axis=0) without its wrapper
-    # Every |coordinate| of pts is at most 2 big, so below this bound neither a
-    # square nor a sum of d squares overflows.
-    if 2.0 * big * d <= _SAFE_LENGTHS[1]:
-        return _gauged(pts)
-    with np.errstate(over="ignore"):
-        return _gauged(pts)
-
-
-def _gauged(pts: np.ndarray) -> np.ndarray:
-    """The centered points pts scaled to root-mean-square point norm 1; a
-    root-mean-square outside _SAFE_LENGTHS is taken after a power-of-two
-    prescale."""
-    lo, hi = _SAFE_LENGTHS
-    rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
-    if not lo <= rms <= hi:
-        pts = _pow2_prescaled(pts)
-        rms = math.sqrt((pts * pts).sum(axis=1).sum() / len(pts))
-    return pts / rms
-
-
-def _pow2_prescaled(pts: np.ndarray) -> np.ndarray:
-    """pts scaled by a power of two, exactly, to a largest |coordinate| in
-    [1/2, 1).  Norms computed from the result neither overflow nor
-    underflow."""
-    _, exp = np.frexp(np.abs(pts).max())
-    return np.ldexp(pts, -exp)
+    return pts / math.sqrt((pts * pts).sum(axis=1).sum() / n)
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
@@ -197,8 +167,8 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
     """Initial placements: jittered canonical configurations first (the
     distinct placements of the CANONICAL rows admitting (n, d), in table
     order), then uniform sphere starts.  In d = 1 the 0-sphere has only the
-    two points +-1, so there a start keeps its Gaussian draw unprojected.  A
-    start whose points all coincide is drawn again from its stream."""
+    two points +-1, so there a start keeps its Gaussian draw unprojected; n > d
+    Gaussian rows never all coincide, so each start is drawn once."""
     n = g.n
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
@@ -210,11 +180,9 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
         if i < len(canonical):
             pts = canonical[i].points + JITTER * rng.standard_normal((n, d))
         else:
-            pts = np.ones((n, d))
-            while np.all(pts == pts[0]):
-                pts = rng.standard_normal((n, d))
-                if d > 1:
-                    pts /= np.linalg.norm(pts, axis=1)[:, None]
+            pts = rng.standard_normal((n, d))
+            if d > 1:
+                pts /= np.linalg.norm(pts, axis=1)[:, None]
         starts.append(Placement(pts))
     return starts
 

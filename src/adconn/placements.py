@@ -1,8 +1,8 @@
 """Canonical placements: simplex and crosspolytope embeddings, circle and
 sphere configurations, and the equilateral-base pyramid family.
 
-All constructors are closed-form and deterministic; randomized ones take an
-explicit seed and draw from tag-separated streams.
+All constructors are closed-form and deterministic; random ones draw from a
+seed's tag-separated stream (rng_stream) or from the caller's generator.
 """
 
 from __future__ import annotations
@@ -102,30 +102,24 @@ def triangular_pyramid(apex_height: float) -> Placement:
     return Placement(pts)
 
 
-def random_sphere_placement(n: int, d: int, seed: int, centered: bool = False) -> Placement:
-    """n points uniform on the unit sphere in R^d, from the stream (seed, tag).
-
-    With centered=True the points are drawn as antipodal pairs, so the sum is
-    exactly zero while every norm stays exactly 1; this needs even n.
-    """
+def random_sphere_placement(n: int, d: int, seed: int) -> Placement:
+    """n points uniform on the unit sphere in R^d, from the stream
+    (seed, "sphere:n:d:0")."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if centered and n % 2 != 0:
-        raise ValueError(f"centered sampling needs even n, got {n}")
-    rng = rng_stream(seed, f"sphere:{n}:{d}:{int(centered)}")
-    if centered:
-        return centered_sphere_points(n, d, rng)
+    rng = rng_stream(seed, f"sphere:{n}:{d}:0")
     return Placement(_unit_rows(rng.standard_normal((n, d))))
 
 
 def centered_sphere_points(n: int, d: int, rng: np.random.Generator) -> Placement:
-    """Random unit-norm points with exactly zero sum, for even n >= 2 and d >= 1
-    or odd n >= 3 and d >= 2.
+    """Random unit-norm points with zero sum, for even n >= 2 and d >= 1 or
+    odd n >= 3 and d >= 2.
 
-    Even n uses antipodal pairs; odd n adds one equilateral triple inside a
-    random 2-plane (three unit vectors summing to zero must be coplanar).
+    Even n uses antipodal pairs, whose sum is exactly zero; odd n adds one
+    equilateral triple inside a random 2-plane (three unit vectors summing to
+    zero must be coplanar), whose sum is zero up to rounding.
     """
     if n < 2 or d < 1 or (n % 2 and d < 2):
         raise ValueError(f"need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n={n}, d={d}")

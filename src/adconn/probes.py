@@ -24,7 +24,7 @@ from .framework import Placement, stiffness
 from .graphs import complete_graph, make_graph
 from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points
-from .seeding import rng_stream
+from .seeding import as_seed, rng_stream
 from .spectral import clustered_spectrum
 from .verify import bind_params, check_samples
 
@@ -167,7 +167,9 @@ PROBE_TAGS = tuple(PROBES)
 
 def conjecture_probe(name: str, params: dict | None = None, seed: int = 0) -> dict:
     """Run the named conjecture sweep; see PROBE_TAGS for the valid names.
-    A parameter the probe does not read is a ValueError."""
+    A parameter the probe does not read, or a seed that seeding.as_seed
+    refuses, is a ValueError."""
+    seed = as_seed(seed)
     if name not in PROBES:
         raise ValueError(f"unknown conjecture tag {name!r}; valid tags: {', '.join(PROBE_TAGS)}")
     bound = bind_params(PROBES[name], params or {}, f"conjecture {name!r}")

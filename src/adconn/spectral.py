@@ -288,8 +288,8 @@ def spectral_gap(g: Graph, p: Placement) -> float:
     return float(eigs[trivial_motion_count(p.d)])
 
 
-def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol times the largest one; 0 for the zero matrix."""
+def numeric_rank(M: np.ndarray) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL times the largest one; 0 for the zero matrix."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
@@ -298,14 +298,7 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-def is_infinitesimally_rigid(g: Graph, p: Placement, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True iff the numeric rank of R equals dn - (d+1 choose 2)."""
-    if g.n <= p.d:
-        raise ValueError(f"need n > d, got n={g.n}, d={p.d}")
-    return numeric_rank(rigidity_matrix(g, p), tol) == p.d * g.n - trivial_motion_count(p.d)
+    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
 def interlacing_check(g: Graph, e: Edge, p: Placement) -> tuple[bool, float]:

@@ -9,7 +9,6 @@ from adconn.bounds import (
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
-    triangle_cosine_sum,
     vertex_star_projection,
     vertex_star_vector,
 )
@@ -117,37 +116,26 @@ def test_batched_top_sums_refuse_any_non_injective_member(rng):
         top_eigenvalue_sum_checks([good, Placement(np.zeros((5, 3))), good])
 
 
+def triangle_cosine_sum(p: Placement) -> float:
+    """Sum of the three off-diagonal entries of the edge-basis stiffness
+    matrix of K_3: each is the cosine of the angle at the vertex its two edges
+    share."""
+    C = lower_stiffness_direct(complete_graph(3), p)
+    return float(C[0, 1] + C[0, 2] + C[1, 2])
+
+
 def test_triangle_cosine_sum_cases():
-    assert triangle_cosine_sum(regular_simplex(2), 0, 1, 2) == pytest.approx(1.5, abs=1e-12)
+    assert triangle_cosine_sum(regular_simplex(2)) == pytest.approx(1.5, abs=1e-12)
     collinear = Placement([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert triangle_cosine_sum(collinear, 0, 1, 2) == pytest.approx(1.0, abs=1e-12)
+    assert triangle_cosine_sum(collinear) == pytest.approx(1.0, abs=1e-12)
     right_isoceles = Placement([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert triangle_cosine_sum(right_isoceles, 0, 1, 2) == pytest.approx(math.sqrt(2), abs=1e-12)
-
-
-def test_triangle_cosine_sum_matches_lower_stiffness_entries(rng):
-    p = random_placement(rng, 5, 3)
-    g = complete_graph(5)
-    C = lower_stiffness_direct(g, p)
-    i, j, k = 0, 2, 4
-    expected = (
-        C[g.index_of(i, j), g.index_of(i, k)]
-        + C[g.index_of(j, i), g.index_of(j, k)]
-        + C[g.index_of(k, i), g.index_of(k, j)]
-    )
-    assert triangle_cosine_sum(p, i, j, k) == pytest.approx(expected, abs=1e-12)
+    assert triangle_cosine_sum(right_isoceles) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_triangle_cosine_sum_floor(rng):
     for _ in range(200):
         p = random_placement(rng, 3, int(rng.integers(1, 5)))
-        assert triangle_cosine_sum(p, 0, 1, 2) >= 1.0 - 1e-12
-
-
-def test_triangle_cosine_sum_rejects_coincident():
-    p = Placement([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        triangle_cosine_sum(p, 0, 1, 2)
+        assert triangle_cosine_sum(p) >= 1.0 - 1e-12
 
 
 def test_k4_bound_tight_at_regular_tetrahedron():
@@ -179,8 +167,8 @@ def test_k4_bound_near_coplanar(rng):
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
-def test_k4_bound_and_triangle_cosines_hold_at_extreme_scales(rng, scale):
-    # both are scale-invariant; squaring raw coordinate differences would
+def test_k4_bound_holds_at_extreme_scales(rng, scale):
+    # the bound is scale-invariant; squaring raw coordinate differences would
     # underflow to zero or overflow to inf at these scales
     for _ in range(20):
         p = random_placement(rng, 4, 3)
@@ -188,9 +176,7 @@ def test_k4_bound_and_triangle_cosines_hold_at_extreme_scales(rng, scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             bound = k4_gap_upper_bound(scaled)
-            cosines = triangle_cosine_sum(scaled, 0, 2, 3)
         assert bound == pytest.approx(k4_gap_upper_bound(p), rel=1e-12)
-        assert cosines == pytest.approx(triangle_cosine_sum(p, 0, 2, 3), rel=1e-12)
 
 
 def test_k4_bound_rejects_bad_inputs():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 from pathlib import Path
@@ -50,6 +51,38 @@ def test_parse_placement_specs(tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"d": 2, "points": [[0.0, 0.0], [1.0, 0.0]]}')
     assert parse_placement_spec(f"file:{path}").d == 2
+
+
+# sha256 of parse_placement_spec(spec).points.tobytes().  A random spec's
+# points are fixed by its seed and stream tag (sphere:n:d:0, or sphere:n:d:1
+# with ,centered), and spectra-large reads random_sphere_placement(96, 3, seed).
+RANDOM_SPEC_DIGESTS = {
+    "random:96,3,0": "c15fb7cebddf5766757f9936b6d2df6c858c8dffb50acd0bff9fb74e1c9e5f97",
+    "random:6,3,9,centered": "1638b0053075b51787292c21cd817c2dbf6f49390f56bd251fc76d48c4ed0b84",
+    "random:12,2,4,centered": "8bde72b7d8c0147c82a66f734ff3fbe7cc564058dbec7e6d12e77dc2ab0ce474",
+}
+
+
+@pytest.mark.parametrize("spec", RANDOM_SPEC_DIGESTS)
+def test_random_specs_keep_their_values(spec):
+    digest = hashlib.sha256(parse_placement_spec(spec).points.tobytes()).hexdigest()
+    assert digest == RANDOM_SPEC_DIGESTS[spec]
+
+
+def test_centered_random_spec_accepts_odd_n_above_the_line():
+    p = parse_placement_spec("random:5,3,1,centered")
+    assert p.points.shape == (5, 3)
+    np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.linalg.norm(p.points.sum(axis=0)) <= 1e-14
+
+
+def test_centered_random_spec_refuses_odd_n_on_the_line(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--graph", "complete:5", "--placement", "random:5,1,1,centered", "--outdir", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n=5, d=1" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -263,14 +296,24 @@ BAD_TOL = "clustering tolerance must be finite and >= 0"
         # these suites draw no random stream, but a seed they ignore is refused all the same
         *[(["verify", "--suite", s, "--seed", "-1"], "seed must be >= 0, got -1")
           for s in ("simplex", "turan", "cross", "tetra")],
+        # top-n-sum without samples draws no random stream either
+        (["conjecture", "top-n-sum", "--samples", "0", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=["tol-negative", "tol-nan", "tol-inf", "optimize-seed", "random-placement-seed",
-         "simplex-seed", "turan-seed", "cross-seed", "tetra-seed"],
+         "simplex-seed", "turan-seed", "cross-seed", "tetra-seed", "top-n-sum-seed"],
 )
 def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
     assert code == 2 and out == "" and message in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["True", "2.5"])
+def test_conjecture_seed_that_is_not_an_integer_is_usage_error(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "top-n-sum", "--samples", "0", "--seed", seed, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2 and not any(tmp_path.iterdir())
+    assert f"invalid int value: '{seed}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -282,7 +325,7 @@ def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, argv, message):
     ],
     ids=["optimize-k2", "optimize-k3", "kn-upper"],
 )
-def test_one_dimensional_runs_redraw_constant_sphere_starts(tmp_path, capsys, argv):
+def test_one_dimensional_runs_reach_the_line_gap(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
     assert code == 0
     # an injective placement of K_n on a line has gap n, the Laplacian's a_1(K_n)

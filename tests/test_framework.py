@@ -22,7 +22,7 @@ from adconn.placements import (
     turan_simplex_placement,
     unit_circle_placement,
 )
-from adconn.spectral import clustered_spectrum, is_infinitesimally_rigid
+from adconn.spectral import clustered_spectrum, numeric_rank, trivial_motion_count
 
 from conftest import random_placement, without_edge
 
@@ -310,14 +310,14 @@ def test_stiffness_row_sums_vanish_per_coordinate(rng):
     np.testing.assert_allclose(blocks.sum(axis=2), np.zeros((7, 3, 3)), atol=1e-10)
 
 
-def test_is_infinitesimally_rigid():
+def test_rigidity_rank_decides_infinitesimal_rigidity():
+    # a framework is infinitesimally rigid iff rank R = dn - C(d+1, 2)
     g4 = complete_graph(4)
     tetra = regular_simplex(3)
-    assert is_infinitesimally_rigid(g4, tetra)
-    assert not is_infinitesimally_rigid(without_edge(g4, (0, 1)), tetra)
-    assert not is_infinitesimally_rigid(g4, Placement(np.zeros((4, 3))))
-    with pytest.raises(ValueError):
-        is_infinitesimally_rigid(complete_graph(3), Placement(np.zeros((3, 3))))  # n <= d
+    full = 3 * 4 - trivial_motion_count(3)
+    assert numeric_rank(rigidity_matrix(g4, tetra)) == full
+    assert numeric_rank(rigidity_matrix(without_edge(g4, (0, 1)), tetra)) < full
+    assert numeric_rank(rigidity_matrix(g4, Placement(np.zeros((4, 3))))) < full
 
 
 def test_placement_json_roundtrip():

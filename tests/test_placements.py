@@ -130,14 +130,6 @@ def test_random_sphere_placement_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_random_sphere_placement_centered():
-    p = random_sphere_placement(6, 3, seed=1, centered=True)
-    np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, atol=1e-15)
-    assert np.max(np.abs(p.points.sum(axis=0))) <= 1e-15
-    with pytest.raises(ValueError):
-        random_sphere_placement(5, 3, seed=1, centered=True)
-
-
 def test_random_sphere_placement_single_point():
     p = random_sphere_placement(1, 4, seed=9)
     assert np.linalg.norm(p.points[0]) == pytest.approx(1.0, abs=1e-15)

@@ -31,6 +31,15 @@ def test_seeded_callers_refuse_float_and_bool_seeds():
     assert numpy_seed.points.tobytes() == random_sphere_placement(5, 3, 2).points.tobytes()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5], ids=repr)
+def test_conjecture_probe_refuses_a_bad_seed_up_front(seed):
+    # top-n-sum without samples draws no stream, so only the up-front check sees the seed
+    with pytest.raises(ValueError) as refused:
+        rng_stream(seed, "tag")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        conjecture_probe("top-n-sum", {"samples": 0}, seed=seed)
+
+
 @pytest.mark.parametrize("suite,seed", [("simplex", True), ("tetra", 2.5)])
 def test_suites_that_draw_no_stream_refuse_float_and_bool_seeds(suite, seed):
     with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):

@@ -132,6 +132,20 @@ def test_triangle_cosine_sum_cases():
     assert triangle_cosine_sum(right_isoceles) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+def test_triangle_cosine_sum_matches_lower_stiffness_entries(rng):
+    # the cosine entries of a triangle inside K_5 are those of K_3 on its three points
+    p = random_placement(rng, 5, 3)
+    g = complete_graph(5)
+    C = lower_stiffness_direct(g, p)
+    i, j, k = 0, 2, 4
+    expected = (
+        C[g.index_of(i, j), g.index_of(i, k)]
+        + C[g.index_of(j, i), g.index_of(j, k)]
+        + C[g.index_of(k, i), g.index_of(k, j)]
+    )
+    assert triangle_cosine_sum(Placement(p.points[[i, j, k]])) == pytest.approx(expected, abs=1e-12)
+
+
 def test_triangle_cosine_sum_floor(rng):
     for _ in range(200):
         p = random_placement(rng, 3, int(rng.integers(1, 5)))

@@ -53,6 +53,20 @@ def test_normalized_points_undo_shift_and_scale():
 TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize(
+    "points",
+    [regular_simplex(3).points, TRIANGLE_AND_CENTROID, np.array([[0.0], [1.0], [3.0], [7.0]]),
+     np.random.default_rng(7).standard_normal((12, 3))],
+    ids=["simplex", "centroid", "line", "gaussian"],
+)
+def test_normalized_points_do_not_depend_on_scale(points, scale):
+    want = _normalized_points(points)
+    got = _normalized_points(scale * points)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def reference_normalized_points(points):
     """Centering and scaling to root-mean-square point norm 1 with np.mean
     and np.sum: the reference for the method-reduction arithmetic of

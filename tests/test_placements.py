@@ -130,6 +130,15 @@ def test_random_sphere_placement_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
+def test_random_sphere_placement_centered():
+    # the stream the CLI spec random:6,3,1,centered reads
+    p = centered_sphere_points(6, 3, rng_stream(1, "sphere:6:3:1"))
+    np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, atol=1e-15)
+    assert np.max(np.abs(p.points.sum(axis=0))) <= 1e-15
+    with pytest.raises(ValueError):
+        centered_sphere_points(5, 1, rng_stream(1, "sphere:5:1:1"))
+
+
 def test_random_sphere_placement_single_point():
     p = random_sphere_placement(1, 4, seed=9)
     assert np.linalg.norm(p.points[0]) == pytest.approx(1.0, abs=1e-15)

@@ -3,7 +3,7 @@ the vertex-star projection, the top-n eigenvalue sum, the 4-point gap
 witness, and the rank-one circle form circle_identity_matrix.
 
 The top-n eigenvalue sum is checked for many placements at once: those of one
-shape share one stacked assembly and one eigensolve (top_eigenvalue_sum_checks).
+shape share one framework._stiffness_geometry stack and one eigensolve.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, _edge_geometry, _rigidity_from_directions, edge_lengths
-from .graphs import Graph, complete_graph
+from .framework import Placement, _stiffness_geometry, edge_lengths
+from .graphs import complete_graph
 from .spectral import symmetric_eigenvalues
 
 
@@ -75,18 +75,11 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     for (n, d), members in groups.items():
         g = complete_graph(n)
         points = np.stack([placements[i].points for i in members])
-        eigs = symmetric_eigenvalues(_stiffness_stack(g, points))
+        eigs = symmetric_eigenvalues(_stiffness_geometry(g, points)[0])
         bound = n * n / 3.0 + n
         for i, row in zip(members, eigs):
             checks[i] = TopSumCheck(total=float(np.sum(row[-n:])), bound=bound)
     return checks
-
-
-def _stiffness_stack(g: Graph, points: np.ndarray) -> np.ndarray:
-    """R R^t of each placement of a (k, n, d) stack, as a (k, dn, dn) array;
-    the stack of rigidity matrices is freed before the caller's eigensolve."""
-    R = _rigidity_from_directions(g, _edge_geometry(g, points)[0])
-    return R @ R.swapaxes(-1, -2)
 
 
 # the three pairings of K_4 into opposite edges, as positions in its canonical

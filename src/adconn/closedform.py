@@ -28,6 +28,7 @@ from .placements import (
     turan_simplex_placement,
     unit_circle_placement,
 )
+from .seeding import as_index
 from .spectral import MultiplicitySpectrum, cluster_multiplicities
 
 MERGE_TOL = 1e-12
@@ -229,6 +230,7 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int) -> BoundReport:
+    n, d = as_index(n, "n"), as_index(d, "d")
     if d < 3:
         raise ValueError(f"bounds require d >= 3, got d={d}")
     lower_divisible = n / (2 * d) if (n >= 2 * d and n % (2 * d) == 0) else None

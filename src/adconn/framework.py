@@ -13,9 +13,9 @@ scale of the placement, down to the smallest and up to the largest floats.
 The direction and rigidity kernels (_edge_geometry, _rigidity_from_directions)
 take one placement, (n, d), or a stack of placements of one shape,
 (..., n, d), so that callers with many small frameworks assemble them in one
-call.  One placement runs the same code with no leading axes, and no
-arithmetic mixes placements, so each member of a stack gets the bits it would
-get alone.
+call, and _stiffness_geometry chains them into R R^t for other modules.  One
+placement runs the same code with no leading axes, and no arithmetic mixes
+placements, so each member of a stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -131,6 +131,15 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
         np.concatenate((unit, -unit), axis=-2).reshape(*lead, -1)
     )
     return R.reshape(*lead, g.n * d, m)
+
+
+def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R R^t, (..., dn, dn), with the (..., m, d) edge directions and (..., m)
+    lengths of _edge_geometry, from the (..., n, d) points of one placement or
+    a stack; the rigidity matrices are freed before the caller's eigensolve."""
+    unit, lengths = _edge_geometry(g, points)
+    R = _rigidity_from_directions(g, unit)
+    return R @ R.swapaxes(-1, -2), unit, lengths
 
 
 def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:

@@ -3,8 +3,8 @@
 Vertices are always the integers 0..n-1.  Edges are unordered pairs stored as
 (u, v) tuples with u < v, sorted lexicographically; every matrix in this
 package keys its edge axis off that order, so the layout is bit-stable across
-runs.  A Graph and its cached indexes are immutable, so ``complete_graph``
-builds each K_n once per process and hands every caller the same object.
+runs.  A Graph, its cached indexes and a TuranPartition (fixed by n and r)
+are immutable; ``complete_graph`` builds one shared K_n per n per process.
 """
 
 from __future__ import annotations
@@ -97,33 +97,28 @@ class Graph:
 
 @dataclass(frozen=True)
 class TuranPartition:
-    """Balanced partition of 0..n-1 into r contiguous parts of equal size."""
+    """0..n-1 as r contiguous blocks of n // r vertices, for integers r >= 2 dividing n."""
 
+    n: int
     r: int
-    parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.r != len(self.parts):
-            raise ValueError("r must equal the number of parts")
-        sizes = {len(p) for p in self.parts}
-        if len(sizes) != 1:
-            raise ValueError("all parts must have equal size")
-        flat = sorted(v for p in self.parts for v in p)
-        if flat != list(range(len(flat))):
-            raise ValueError("parts must partition 0..n-1")
+        for name in ("n", "r"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        if self.r < 2:
+            raise ValueError(f"number of parts must be >= 2, got {self.r}")
+        if self.n % self.r != 0:
+            raise ValueError(f"r={self.r} does not divide n={self.n}")
 
-    @property
-    def n(self) -> int:
-        return sum(len(p) for p in self.parts)
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        size = self.n // self.r
+        return tuple(tuple(range(i * size, (i + 1) * size)) for i in range(self.r))
 
     @cached_property
     def part_of(self) -> tuple[int, ...]:
         """part_of[v] = index of the part containing vertex v."""
-        out = [0] * self.n
-        for i, p in enumerate(self.parts):
-            for v in p:
-                out[v] = i
-        return tuple(out)
+        return tuple(v // (self.n // self.r) for v in range(self.n))
 
 
 def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
@@ -161,12 +156,7 @@ complete_graph.cache_clear = _complete_graph.cache_clear
 
 def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
     """Complete balanced r-partite graph on n vertices, parts = contiguous blocks."""
-    if r < 2:
-        raise ValueError(f"number of parts must be >= 2, got {r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
-    size = n // r
-    partition = TuranPartition(r, tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r)))
+    partition = TuranPartition(n, r)
     part_of = partition.part_of
     edges = tuple(
         (u, v)

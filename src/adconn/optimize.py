@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closedform import canonical_placements
-from .framework import Placement, _edge_geometry, _rigidity_from_directions, placement_to_json
+from .framework import Placement, _stiffness_geometry, placement_to_json
 from .graphs import Graph
 from .seeding import as_index, as_seed, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
@@ -123,9 +123,7 @@ class _Evaluation:
 
 
 def _evaluate(g: Graph, points: np.ndarray, t: int, smoothing: float) -> _Evaluation:
-    unit, lengths = _edge_geometry(g, points)
-    R = _rigidity_from_directions(g, unit)
-    L = R @ R.T
+    L, unit, lengths = _stiffness_geometry(g, points)
     eigs = np.linalg.eigvalsh(L)
     gap = float(eigs[t])
     value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
@@ -169,7 +167,7 @@ def seeded_restarts(g: Graph, d: int, config: OptimizerConfig) -> list[Placement
     order), then uniform sphere starts.  In d = 1 the 0-sphere has only the
     two points +-1, so there a start keeps its Gaussian draw unprojected; n > d
     Gaussian rows never all coincide, so each start is drawn once."""
-    n = g.n
+    n, d = g.n, as_index(d, "d")
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
     canonical = [p for _, p in canonical_placements(n, d)]

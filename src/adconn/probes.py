@@ -138,6 +138,8 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     check_samples(samples, least=1)
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
     import networkx as nx

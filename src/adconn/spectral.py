@@ -2,15 +2,14 @@
 
 ``symmetric_eigenvalues`` takes one matrix or a stack of matrices of one
 size, shape (..., m, m), and answers with the ascending eigenvalues of each.
-It reads its input once: the pass refuses a non-finite or non-symmetric
-member and finds max|M| of each, which the later steps reuse, and which
-``clustered_spectrum`` takes its default tolerance from.  When m is at most
-SYMMETRY_TILE the whole stack is checked by two reductions over its last two
-axes and solved by one eigvalsh call, since per-call overhead, not reading the
-matrices, dominates at those sizes; numpy solves each member of a stack as it
-would solve that matrix alone, so stacking changes no bit.  A larger matrix is
-read in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE tiles, one member at a
-time.  A matrix of size at least LOW_RANK_MIN_SIZE then tries a certified
+It reads its input once, in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE
+tiles of the whole stack (one tile when m is at most SYMMETRY_TILE): the pass
+refuses a non-finite or non-symmetric member and finds max|M| of each, which
+the later steps reuse, and which ``clustered_spectrum`` takes its default
+tolerance from.  Below LOW_RANK_MIN_SIZE the whole stack is one eigvalsh
+call, since per-call overhead, not reading the matrices, dominates at those
+sizes; numpy solves each member of a stack as it would solve that matrix
+alone, so stacking changes no bit.  A larger matrix first tries a certified
 low-rank route, built for edge-basis stiffness matrices R^t R, whose rank is
 at most dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
 rank r has tr(M)^2 <= r ||M||_F^2, so the route is skipped when that ratio
@@ -61,50 +60,30 @@ LOW_RANK_RESIDUAL_TOL = 1e-10
 SYMMETRY_TILE = 128
 
 
-def _finite_peak(tile: np.ndarray) -> float:
-    # max propagates a NaN, and |inf| is inf, so one max finds both
-    peak = float(np.abs(tile).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise ValueError("matrix must be finite")
-    return peak
-
-
 def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M as a float array of shape (..., m, m) and the max|M| of each matrix in
     it, after refusing a non-square stack, or a non-finite or non-symmetric
-    member, in one pass: over the whole stack when m <= SYMMETRY_TILE, else over
-    pairs of mirrored tiles of each member."""
+    member, in one pass over mirrored tile pairs (see the module docstring)."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if M.shape[-1] <= SYMMETRY_TILE:
-        axes = (-2, -1)
-        peak = np.abs(M).max(axis=axes, initial=0.0)
-        # max propagates a NaN, and |inf| is inf, so one max finds both
-        if not math.isfinite(peak.max(initial=0.0)):
-            raise ValueError("matrix must be finite")
-        asym = np.abs(M - M.swapaxes(-2, -1)).max(axis=axes, initial=0.0)
-    else:
-        peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
-        for i in np.ndindex(M.shape[:-2]):
-            peak[i], asym[i] = _tiled_peak_and_asymmetry(M[i])
+    m, b, axes = M.shape[-1], SYMMETRY_TILE, (-2, -1)
+    peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
+    for i in range(0, m, b):
+        for j in range(i, m, b):
+            upper, lower = M[..., i:i + b, j:j + b], M[..., j:j + b, i:i + b]
+            for tile in (upper, lower) if j > i else (upper,):
+                np.maximum(peak, np.abs(tile).max(axis=axes, initial=0.0), out=peak)
+            # max propagates NaN and |inf| is inf; checked before inf - inf can form
+            if not math.isfinite(peak.max(initial=0.0)):
+                raise ValueError("matrix must be finite")
+            np.maximum(asym, np.abs(upper - lower.swapaxes(-2, -1)).max(axis=axes, initial=0.0), out=asym)
     # each member's threshold 1e-12 max(1, max|M|) is at least 1e-12
     if asym.max(initial=0.0) > 1e-12:
         refused = asym > 1e-12 * np.maximum(1.0, peak)
         if refused.any():
             raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym[refused].flat[0]:.3e}")
     return M, peak
-
-
-def _tiled_peak_and_asymmetry(M: np.ndarray) -> tuple[float, float]:
-    """max|M| and max|M - M^t| of one matrix, read in pairs of mirrored tiles."""
-    b, peak, asym = SYMMETRY_TILE, 0.0, 0.0
-    for i in range(0, len(M), b):
-        for j in range(i, len(M), b):
-            upper, lower = M[i:i + b, j:j + b], M[j:j + b, i:i + b]
-            peak = max(peak, _finite_peak(upper), _finite_peak(lower) if j > i else 0.0)
-            asym = max(asym, float(np.max(np.abs(upper - lower.T))))
-    return peak, asym
 
 
 def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -116,12 +95,8 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 def _eigenvalues(M: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """symmetric_eigenvalues of a stack that _require_symmetric has passed,
-    with the max|M| of each member.  Below LOW_RANK_MIN_SIZE the whole stack
-    is one eigvalsh call."""
-    m = M.shape[-1]
-    if m == 0:
-        return np.zeros(M.shape[:-1])
-    if m < LOW_RANK_MIN_SIZE:
+    with the max|M| of each member."""
+    if M.shape[-1] < LOW_RANK_MIN_SIZE:
         return np.linalg.eigvalsh(M)
     eigs = np.empty(M.shape[:-1])
     for i in np.ndindex(M.shape[:-2]):
@@ -266,10 +241,9 @@ def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicityS
     """Eigenvalues of a symmetric matrix clustered at tol, by default
     DEFAULT_CLUSTER_TOL_FACTOR * max(1, max|M|), with max|M| from the
     symmetry check."""
-    M = np.asarray(M, dtype=float)
+    M, peak = _require_symmetric(M)
     if M.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    M, peak = _require_symmetric(M)
     if tol is None:
         tol = DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, float(peak))
     return cluster_multiplicities(_eigenvalues(M, peak), tol)

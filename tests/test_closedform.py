@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from adconn.closedform import (
@@ -188,6 +190,20 @@ def test_bound_report_field_ranges():
         bound_report(10, 2)
     with pytest.raises(ValueError):
         bound_report(3, 3)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("field", ["n", "d"])
+def test_bound_report_refuses_non_integer_arguments(field, value):
+    # bound_report(12.0, 3) used to return a report with n=12.0
+    args = {"n": 12, "d": 3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        bound_report(**args)
+
+
+def test_bound_report_stores_python_ints():
+    r = bound_report(np.int64(12), np.int32(3))
+    assert (type(r.n), type(r.d)) == (int, int) and r == bound_report(12, 3)
 
 
 def test_bounds_sandwich_where_both_defined():

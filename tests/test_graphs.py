@@ -6,6 +6,7 @@ import pytest
 
 from adconn.graphs import (
     Graph,
+    TuranPartition,
     complete_graph,
     make_graph,
     parse_edge_list,
@@ -114,6 +115,32 @@ def test_turan_edge_count_formula_full_grid():
             if n % r == 0:
                 g, _ = turan_graph(n, r)
                 assert g.m == math.comb(n, 2) - r * math.comb(n // r, 2)
+
+
+def test_turan_partition_is_the_contiguous_blocks_of_n_and_r():
+    for n in range(2, 25):
+        for r in range(2, n + 1):
+            if n % r == 0:
+                size = n // r
+                part = TuranPartition(n, r)
+                assert part.parts == tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r))
+                assert part.part_of == tuple(i for i in range(r) for _ in range(size))
+                assert turan_graph(n, r)[1] == part
+
+
+@pytest.mark.parametrize(
+    "n,r,message",
+    [
+        (6, 1, "number of parts must be >= 2, got 1"),
+        (10, 4, "r=4 does not divide n=10"),
+        (12.0, 4, "n must be an integer, got 12.0"),
+        (12, 4.0, "r must be an integer, got 4.0"),
+    ],
+)
+def test_turan_partition_refuses_what_turan_graph_refuses(n, r, message):
+    for build in (TuranPartition, turan_graph):
+        with pytest.raises(ValueError, match=message):
+            build(n, r)
 
 
 def test_turan_edges_cross_parts_only():

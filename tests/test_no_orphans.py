@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package has a caller,
+and modules share no private name but the one stiffness assembly.
 
 A name counts as used when code of the package other than its own definition
 names it (a re-export in __init__ does not count), or when the benchmark's
@@ -82,3 +83,25 @@ def test_docstring_mentions_do_not_count():
     tree = ast.parse('"""mentions helper"""\ndef f():\n    """calls helper"""\n    return 1\n')
     assert "helper" not in names_in_code(tree, strings=True)
     assert {"helper", "f"} <= names_in_code(ast.parse("x = f('helper')\n"), strings=True)
+
+
+def private_imports() -> set[tuple[str, str, str]]:
+    """(importer, module, name) of each private, non-dunder name that a module
+    of the package imports from another one."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        out.add((path.stem, node.module, alias.name))
+    return out
+
+
+def test_only_the_stiffness_kernel_crosses_modules():
+    # framework owns the one assembly of R R^t from bare points; a module that
+    # reaches past it to the direction or rigidity kernels would build a second
+    assert private_imports() == {
+        ("bounds", "framework", "_stiffness_geometry"),
+        ("optimize", "framework", "_stiffness_geometry"),
+    }

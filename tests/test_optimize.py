@@ -187,6 +187,16 @@ def test_config_stores_numpy_integers_as_python_ints_with_the_same_result():
     assert a.traces == b.traces
 
 
+@pytest.mark.parametrize("d", [2.5, True, "3"], ids=repr)
+def test_gap_ascent_refuses_a_non_integer_dimension(d):
+    # 2.5 and True used to end in a numpy TypeError inside the first start
+    message = f"^d must be an integer, got {re.escape(repr(d))}$"
+    with pytest.raises(ValueError, match=message):
+        gap_ascent(complete_graph(5), d, OptimizerConfig(restarts=1, max_iters=3))
+    with pytest.raises(ValueError, match=message):
+        seeded_restarts(complete_graph(5), d, OptimizerConfig(restarts=1))
+
+
 def test_gap_ascent_recovers_triangle():
     result = gap_ascent(complete_graph(3), 2, OptimizerConfig(restarts=4, seed=1))
     assert result.best_gap >= 1.499

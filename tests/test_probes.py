@@ -119,12 +119,13 @@ import adconn, adconn.cli
 from adconn import conjecture_probe, run_suite
 assert adconn.__file__.startswith(sys.argv[1]), adconn.__file__
 run_suite("simplex")
-try:
-    conjecture_probe("regular-2d", {"samples": 0})
-except ValueError:
-    pass
-else:
-    raise SystemExit("regular-2d accepted samples = 0")
+for bad in ({"samples": 0}, {"d": 0}, {"d": -1}):
+    try:
+        conjecture_probe("regular-2d", bad)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit(f"regular-2d accepted {bad}")
 before = "networkx" in sys.modules
 if sys.argv[2] == "valid":
     conjecture_probe("regular-2d", {"ns": [6], "samples": 1, "restarts": 1})

@@ -8,7 +8,6 @@ from .bounds import (
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     vertex_star_projection,
-    vertex_star_vector,
 )
 from .closedform import (
     BoundReport,

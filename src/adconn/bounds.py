@@ -1,6 +1,8 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
-the vertex-star projection, the top-n eigenvalue sum, the 4-point gap
-witness, and the rank-one circle form circle_identity_matrix.
+the vertex-star projection (the stars are the rows of the incidence matrix),
+the top-n eigenvalue sum, the 4-point gap witness, and the rank-one circle
+form circle_identity_matrix, whose hypotheses Placement.require_centered_unit
+checks.
 
 The top-n eigenvalue sum is checked for many placements at once: those of one
 shape share one framework._stiffness_geometry stack and one eigensolve.
@@ -16,13 +18,6 @@ import numpy as np
 from .framework import Placement, _stiffness_geometry, edge_lengths
 from .graphs import complete_graph
 from .spectral import symmetric_eigenvalues
-
-
-def vertex_star_vector(n: int, i: int) -> np.ndarray:
-    """Indicator over the edges of K_n of the star at vertex i."""
-    if not 0 <= i < n:
-        raise ValueError(f"vertex {i} out of range 0..{n - 1}")
-    return complete_graph(n).incidence[i].copy()
 
 
 def vertex_star_projection(n: int) -> np.ndarray:
@@ -116,13 +111,7 @@ def circle_identity_matrix(p: Placement) -> np.ndarray:
     rotation of p.  A placement outside those hypotheses is a ValueError."""
     if p.d != 2:
         raise ValueError(f"identity requires d=2, got d={p.d}")
-    norms = np.linalg.norm(p.points, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ValueError("hypothesis violated: points must have unit norm")
-    if np.linalg.norm(p.points.sum(axis=0)) > 1e-9:
-        raise ValueError("hypothesis violated: points must sum to zero")
-    if not p.is_injective():
-        raise ValueError("hypothesis violated: placement must be injective")
+    p.require_centered_unit(p.n)
     n = p.n
     pvec = p.points.reshape(-1)
     x = np.tile([1.0, 0.0], n)

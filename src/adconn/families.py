@@ -4,9 +4,10 @@ Each family is a set of combinatorially defined edge vectors that are exact
 eigenvectors for the canonical Turán simplex / crosspolytope placements, with
 deterministic index sets whose sizes equal the predicted multiplicities, which
 each family carries as its expected count.  The two builders fill the families
-column of those closedform.CANONICAL rows.  The sufficient-condition checker
-verifies eigenvector candidates directly from the entry rule, without an
-eigensolve.
+column of those closedform.CANONICAL rows.  The weighted-length vectors refuse,
+through Placement.require_centered_unit, a placement that is not centered unit.
+The sufficient-condition checker verifies eigenvector candidates directly
+from the entry rule, without an eigensolve.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .framework import Placement, edge_lengths, lower_stiffness_direct
 from .graphs import Graph, TuranPartition, complete_graph, turan_graph
-
-HYPOTHESIS_TOL = 1e-9
 
 
 def eigen_residual(M: np.ndarray, vec: np.ndarray, eigenvalue: float) -> float:
@@ -49,7 +48,7 @@ def weighted_length_vectors(p: Placement, weights) -> list[np.ndarray]:
             raise ValueError(f"weights must have shape ({p.n},), got {f.shape}")
         if abs(float(f.sum())) > 1e-12:
             raise ValueError(f"weights must sum to zero, got {f.sum():.3e}")
-    _require_spherical(p, min_image=3)
+    p.require_centered_unit(3)
     g = complete_graph(p.n)
     lengths = edge_lengths(g, p)
     u, v = g.endpoints.T
@@ -62,16 +61,6 @@ def edge_length_eigenvector(p: Placement) -> np.ndarray:
     if p.is_constant():
         raise ValueError("placement must not be constant")
     return edge_lengths(complete_graph(p.n), p)
-
-
-def _require_spherical(p: Placement, min_image: int) -> None:
-    norms = np.linalg.norm(p.points, axis=1)
-    if np.max(np.abs(norms - 1.0)) > HYPOTHESIS_TOL:
-        raise ValueError("placement must have unit-norm points")
-    if np.linalg.norm(p.points.sum(axis=0)) > HYPOTHESIS_TOL:
-        raise ValueError("placement must sum to zero")
-    if p.image_size() < min_image:
-        raise ValueError(f"placement image must have at least {min_image} distinct points")
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +277,6 @@ def vertex_shift_vector(g: Graph, partition: TuranPartition, u: int, v: int, j: 
     +1 on u-edges and -1 on v-edges into the positive block of axis j, reversed
     into the negative block.
     """
-    part_of = partition.part_of
-    if part_of[u] != part_of[v] or u == v:
-        raise ValueError("u and v must be distinct vertices of a common block")
-    if part_of[u] // 2 == j:
-        raise ValueError("axis j must differ from the axis of u, v")
     return star_difference_vector(g, partition, u, v, *_axis_parts(j))
 
 

@@ -9,6 +9,8 @@ a zeroed array through a flat index that the graph builds once per dimension
 Coincident endpoints contribute zero columns: coincidence is detected by exact
 coordinate equality, never by a tolerance.  Directions do not depend on the
 scale of the placement, down to the smallest and up to the largest floats.
+Placement.require_centered_unit is the one check of the unit-norm, zero-sum
+and image-size hypotheses that the centered-unit n/2 facts rest on.
 
 The direction and rigidity kernels (_edge_geometry, _rigidity_from_directions)
 take one placement, (n, d), or a stack of placements of one shape,
@@ -27,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Graph
+
+HYPOTHESIS_TOL = 1e-9  # on the unit norms and the zero sum of require_centered_unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +68,17 @@ class Placement:
 
     def is_constant(self) -> bool:
         return bool(np.all(self.points == self.points[0]))
+
+    def require_centered_unit(self, min_image: int) -> None:
+        """ValueError unless the points are unit-norm and sum to zero, within
+        HYPOTHESIS_TOL, and at least min_image of them are distinct."""
+        norms = np.linalg.norm(self.points, axis=1)
+        if np.max(np.abs(norms - 1.0)) > HYPOTHESIS_TOL:
+            raise ValueError("placement must have unit-norm points")
+        if np.linalg.norm(self.points.sum(axis=0)) > HYPOTHESIS_TOL:
+            raise ValueError("placement must sum to zero")
+        if self.image_size() < min_image:
+            raise ValueError(f"placement image must have at least {min_image} distinct points")
 
 
 def _check_match(g: Graph, p: Placement) -> None:

@@ -24,18 +24,18 @@ from .framework import Placement, stiffness
 from .graphs import complete_graph, make_graph
 from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points
-from .seeding import as_seed, rng_stream
+from .seeding import as_index, as_seed, rng_stream
 from .spectral import clustered_spectrum
 from .verify import bind_params, check_samples
 
 
 def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, dict, list]:
     """Second-largest stiffness eigenvalue of K_n at centered spherical
-    placements: conjectured to be n/2 with multiplicity exactly n-1 (the n/2
-    cluster is guaranteed to have multiplicity at least n-1)."""
+    placements in R^d, d >= 3: conjectured to be n/2 with multiplicity exactly
+    n-1 (at least n-1 is guaranteed; in R^2 the circle closed form gives 2n-4)."""
     check_samples(samples, least=1)
-    if n < 3 or d < 2:
-        raise ValueError(f"spherical-second-eig needs n >= 3 and d >= 2, got n = {n}, d = {d}")
+    if n < 3 or d < 3:
+        raise ValueError(f"spherical-second-eig needs n >= 3 and d >= 3, got n = {n}, d = {d}; for d = 2 see verify --suite circle")
     g = complete_graph(n)
     instances, candidates = [], []
     for s in range(samples):
@@ -138,7 +138,7 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     check_samples(samples, least=1)
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
-    if d < 1:
+    if as_index(d, "d") < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")

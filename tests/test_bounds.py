@@ -10,8 +10,8 @@ from adconn.bounds import (
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
     vertex_star_projection,
-    vertex_star_vector,
 )
+from adconn.families import weighted_length_vectors
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import complete_graph
 from adconn.placements import (
@@ -50,8 +50,7 @@ def test_vertex_star_projection_properties(n):
     assert np.max(np.abs(P - P.T)) == 0.0
     assert np.max(np.abs(P @ P - P)) <= 1e-12
     assert np.trace(P) == pytest.approx(n, abs=1e-10)
-    for i in range(n):
-        v = vertex_star_vector(n, i)
+    for v in complete_graph(n).incidence:
         assert np.max(np.abs(P @ v - v)) <= 1e-12
 
 
@@ -221,16 +220,38 @@ def test_circle_identity_random_centered_points(rng):
 
 
 def test_circle_identity_rejects_violations():
-    with pytest.raises(ValueError, match="unit norm"):
+    with pytest.raises(ValueError, match="unit-norm"):
         circle_identity_matrix(Placement(2 * unit_circle_placement(roots_of_unity_angles(5)).placement.points))
     with pytest.raises(ValueError, match="sum to zero"):
         circle_identity_matrix(Placement(unit_circle_placement([0.0, 0.1, 0.2]).placement.points))
-    with pytest.raises(ValueError, match="injective"):
+    with pytest.raises(ValueError, match="distinct"):
         circle_identity_matrix(
             Placement(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
         )
     with pytest.raises(ValueError, match="d=2"):
         circle_identity_matrix(regular_simplex(3))
+
+
+@pytest.mark.parametrize(
+    "check,min_image",
+    [(circle_identity_matrix, None), (lambda p: weighted_length_vectors(p, [np.zeros(p.n)]), 3)],
+    ids=["circle-identity", "weighted-length"],
+)
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        (2 * unit_circle_placement(roots_of_unity_angles(5)).placement.points, "placement must have unit-norm points"),
+        (unit_circle_placement([0.0, 0.1, 0.2]).placement.points, "placement must sum to zero"),
+        ([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]], "placement image must have at least {} distinct points"),
+    ],
+    ids=["off-sphere", "off-center", "image-2"],
+)
+def test_centered_unit_hypotheses_refused_alike(check, min_image, points, message):
+    # one check owns the hypotheses; the image floor is n for the identity, 3 for the vectors
+    p = Placement(points)
+    with pytest.raises(ValueError) as exc:
+        check(p)
+    assert str(exc.value) == message.format(min_image or p.n)
 
 
 def test_dimension_reduction_gap_comparison(rng):

@@ -153,12 +153,13 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["conjecture", "top-n-sum", "--d", "5..4"], "is empty"),
         (["conjecture", "top-n-sum", "--n", "2..4"], "n >= 3 for the floor n(n+1)/2, got n = 2"),
         (["conjecture", "top-n-sum", "--n", "5", "--d", "3", "--samples", "0"], "no instances"),
-        (["conjecture", "spherical-second-eig", "--d", "1"], "n >= 3 and d >= 2, got n = 8, d = 1"),
+        (["conjecture", "spherical-second-eig", "--d", "1"], "n >= 3 and d >= 3, got n = 8, d = 1"),
+        (["conjecture", "spherical-second-eig", "--d", "2"], "got n = 8, d = 2; for d = 2 see verify --suite circle"),
         (["conjecture", "kn-upper", "--restarts", "0"], "restarts and max_iters must be positive"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
          "conjecture-n-range", "conjecture-n-at-2d", "conjecture-d-range", "conjecture-n-below-3",
-         "conjecture-no-instances", "conjecture-d-below-2", "conjecture-no-restarts"],
+         "conjecture-no-instances", "conjecture-d-below-2", "conjecture-d-2", "conjecture-no-restarts"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))

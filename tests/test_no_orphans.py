@@ -6,8 +6,9 @@ names it (a re-export in __init__ does not count), or when the benchmark's
 code names it or holds it as a string literal, since the benchmark's tracer
 names its targets as strings.  Docstrings and comments never count: the
 modules are read with ast.  The suite_<name> sweeps count as used because
-verify dispatches them by name, and LIBRARY_ONLY holds the documented API
-that nothing in the package calls.
+verify dispatches them by name, LIBRARY_ONLY holds the documented API
+that nothing in the package calls, and BENCHMARK_ONLY the names that only the
+benchmark names.
 """
 
 import ast
@@ -20,6 +21,11 @@ PACKAGE = ROOT / "src" / "adconn"
 # optimizer-recovery criterion caps 1000 random K_4 witnesses with it, and
 # ROADMAP item 15 builds the upper half of a_d(K_{d+1}) = 1 on it.
 LIBRARY_ONLY = {"k4_gap_upper_bound"}
+
+# Names that only the benchmark's code names: its tracer and workloads read
+# them, nothing in the package calls them.  ROADMAP item 1 (the next change to
+# the benchmark) can retire them.
+BENCHMARK_ONLY = {"top_eigenvalue_sum_check", "weighted_length_vector", "eigenvector_condition_check"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -56,20 +62,28 @@ def names_in_code(tree: ast.Module, strings: bool = False) -> set[str]:
     return out
 
 
-def unused_definitions() -> list[str]:
-    """module.name of each public definition that nothing names, in file order."""
+def definitions_and_uses() -> tuple[list[str], set[str], set[str]]:
+    """module.name of each public definition in file order, then the names
+    that the package's code uses and those that the benchmark's code uses."""
     modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
-    used = set()
+    in_package, in_benchmark = set(), set()
     for tree in modules.values():
-        used |= names_in_code(tree)
+        in_package |= names_in_code(tree)
     for path in sorted((ROOT / "benchmarks").glob("*.py")):
-        used |= names_in_code(_parse(path), strings=True)
-    return [
+        in_benchmark |= names_in_code(_parse(path), strings=True)
+    defined = [
         f"{stem}.{name}"
         for stem, tree in modules.items()
         for name in sorted(public_definitions(tree))
-        if name not in used and not name.startswith("suite_")
+        if not name.startswith("suite_")
     ]
+    return defined, in_package, in_benchmark
+
+
+def unused_definitions() -> list[str]:
+    """module.name of each public definition that nothing names, in file order."""
+    defined, in_package, in_benchmark = definitions_and_uses()
+    return [u for u in defined if u.split(".")[1] not in in_package | in_benchmark]
 
 
 def test_every_public_name_has_a_caller():
@@ -77,6 +91,12 @@ def test_every_public_name_has_a_caller():
     assert [u for u in unused if u.split(".")[1] not in LIBRARY_ONLY] == []
     # an allow-listed name that gained a caller leaves the list
     assert {u.split(".")[1] for u in unused} >= LIBRARY_ONLY
+
+
+def test_benchmark_only_names_are_the_listed_ones():
+    defined, in_package, in_benchmark = definitions_and_uses()
+    names = {u.split(".")[1] for u in defined}
+    assert names & in_benchmark - in_package == BENCHMARK_ONLY
 
 
 def test_docstring_mentions_do_not_count():

@@ -46,14 +46,16 @@ def test_top_n_sum_probe():
         ("regular-2d", {"samples": 0}, "samples must be >= 1, got 0"),
         ("regular-2d", {"ns": []}, "at least one vertex count"),
         ("regular-2d", {"d": 2, "ns": [8, 4]}, "n > 2d .* got n = 4, d = 2"),
-        ("spherical-second-eig", {"n": 2}, "n >= 3 and d >= 2, got n = 2, d = 3"),
+        ("spherical-second-eig", {"n": 2}, "n >= 3 and d >= 3, got n = 2, d = 3"),
         ("top-n-sum", {"ns": [4, 1, 2], "ds": [2]}, r"n >= 3 for the floor n\(n\+1\)/2, got n = 1"),
         ("top-n-sum", {"samples": -1}, "samples must be >= 0, got -1"),
-        ("spherical-second-eig", {"d": 1}, "n >= 3 and d >= 2, got n = 8, d = 1"),
+        ("spherical-second-eig", {"d": 1}, "n >= 3 and d >= 3, got n = 8, d = 1"),
+        ("spherical-second-eig", {"d": 2}, "n >= 3 and d >= 3, got n = 8, d = 2; for d = 2 see verify --suite circle"),
         ("kn-upper", {"restarts": 0}, "restarts and max_iters must be positive"),
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
-         "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "kn-upper-no-restarts"],
+         "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "spherical-second-eig-d2",
+         "kn-upper-no-restarts"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):
@@ -141,6 +143,28 @@ def test_only_a_valid_regular_2d_call_imports_networkx(call, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", str(loaded)]
+
+
+NON_INTEGER_D_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from adconn import conjecture_probe
+for d in (2.5, True):
+    try:
+        conjecture_probe("regular-2d", {"d": d})
+    except ValueError as exc:
+        print(exc)
+print("networkx" in sys.modules)
+"""
+
+
+def test_regular_2d_refuses_a_non_integer_d_before_importing_networkx():
+    src = str(Path(adconn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NON_INTEGER_D_CHECK, src], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["d must be an integer, got 2.5", "d must be an integer, got True", "False"]
 
 
 def test_all_tags_run_to_completion():

@@ -172,24 +172,21 @@ def stiffness(g: Graph, p: Placement) -> np.ndarray:
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     """Edge-basis stiffness matrix R^t R from its entry rule, bypassing R.
 
-    Assembled one vertex star at a time: the directions of the edges at a
-    vertex, each pointing away from it, give the cosines of the angles there
-    (0 if either direction degenerates) as their Gram matrix, written into the
-    rows and columns of those edges.  The diagonal is then set to exactly 2 for
-    edges with distinct endpoint images and exactly 0 otherwise; disjoint
-    edges give 0.
+    Assembled one vertex star at a time, from the stars that the graph builds
+    once (Graph.stars): the directions of the edges at a vertex, each pointing
+    away from it, give the cosines of the angles there (0 if either direction
+    degenerates) as their Gram matrix, written into the rows and columns of
+    those edges.  The diagonal is then set to exactly 2 for edges with
+    distinct endpoint images and exactly 0 otherwise; disjoint edges give 0.
     """
     _check_match(g, p)
     L = np.zeros((g.m, g.m))
     unit = _edge_geometry(g, p.points)[0]
-    uv = g.endpoints
     # Two distinct edges of a simple graph share at most one vertex, so the
     # off-diagonal entries written for different stars never overlap.
-    for s in range(g.n):
-        at_u, at_v = np.flatnonzero(uv[:, 0] == s), np.flatnonzero(uv[:, 1] == s)
-        star = np.concatenate((at_u, at_v))
+    for at_u, at_v, block in g.stars:
         D = np.concatenate((-unit[at_u], unit[at_v]))
-        L[np.ix_(star, star)] = D @ D.T
+        L[block] = D @ D.T
     np.fill_diagonal(L, np.where(np.all(unit == 0.0, axis=1), 0.0, 2.0))
     return L
 

@@ -3,8 +3,10 @@
 Vertices are always the integers 0..n-1.  Edges are unordered pairs stored as
 (u, v) tuples with u < v, sorted lexicographically; every matrix in this
 package keys its edge axis off that order, so the layout is bit-stable across
-runs.  A Graph, its cached indexes and a TuranPartition (fixed by n and r)
-are immutable; ``complete_graph`` builds one shared K_n per n per process.
+runs.  A Graph, its cached indexes (edge positions, endpoints, incidence,
+vertex stars and scatter indexes, each built on first use) and a
+TuranPartition (fixed by n and r) are immutable; ``complete_graph`` builds
+one shared K_n per n per process, so its indexes are built once too.
 """
 
 from __future__ import annotations
@@ -59,6 +61,22 @@ class Graph:
         B[self.endpoints.T, np.arange(self.m)] = 1.0
         B.flags.writeable = False
         return B
+
+    @cached_property
+    def stars(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
+        """Read-only star of each vertex s: the edges at which s is u and those
+        at which it is v, each ascending, and the np.ix_ pair of the two joined."""
+        at = []
+        for ends in self.endpoints.T:
+            order = np.argsort(ends, kind="stable")
+            order.flags.writeable = False
+            at.append(np.split(order, np.cumsum(np.bincount(ends, minlength=self.n))[:-1]))
+        out = []
+        for at_u, at_v in zip(*at):
+            star = np.concatenate((at_u, at_v))
+            star.flags.writeable = False
+            out.append((at_u, at_v, np.ix_(star, star)))
+        return tuple(out)
 
     def scatter_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat index arrays for placements in R^d, built once per d.

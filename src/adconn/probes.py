@@ -136,12 +136,14 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     and after its arguments are checked, so bad input fails without loading
     it."""
     check_samples(samples, least=1)
+    ns = [as_index(n, "n") for n in ns]
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
     if as_index(d, "d") < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
+    config = OptimizerConfig(restarts=restarts, seed=seed)
     import networkx as nx
 
     instances = []
@@ -150,7 +152,7 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
             graph_seed = int(rng_stream(seed, f"regular:{n}:{s}").integers(2**31))
             nxg = nx.random_regular_graph(2 * d, n, seed=graph_seed)
             g = make_graph(n, nxg.edges())
-            result = gap_ascent(g, d, OptimizerConfig(restarts=restarts, seed=seed))
+            result = gap_ascent(g, d, config)
             instances.append({"n": n, "sample": s, "graph_seed": graph_seed, "best_gap": result.best_gap})
     summary = {
         "max_gap_by_n": {str(n): max(i["best_gap"] for i in instances if i["n"] == n) for n in ns},

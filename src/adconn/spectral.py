@@ -18,7 +18,11 @@ matrix would exhaust the budget.  A greedy diagonal-pivoted Cholesky
 factorization (Higham, "Analysis of the Cholesky decomposition of a
 semi-definite matrix", 1990) stops at the numerical rank k, when no
 remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t with L of
-shape (m, k).  The residual E = L L^t - M is then formed in full: by
+shape (m, k).  The residual E = L L^t - M is then formed one
+SYMMETRY_TILE-row panel of its lower block triangle at a time, each block
+left of the diagonal counted twice for its mirror image, which halves the
+flops of the full product; it reads the lower triangle of M, the one that
+eigvalsh solves, which the symmetry check has held to the upper one.  By
 Weyl's inequality no eigenvalue of L L^t is farther than ||E||_F from the
 matching eigenvalue of M.  Only when that bound is at most
 LOW_RANK_RESIDUAL_TOL * max(1, max|M|) does the route answer, with the
@@ -155,15 +159,26 @@ def _low_rank_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray | None:
             remaining[p] = -math.inf
             k += 1
         Lt = Lt[:k]
-        residual = Lt.T @ Lt
-        residual -= M
-        bound = float(np.linalg.norm(residual))
-        if not bound <= LOW_RANK_RESIDUAL_TOL * max(1.0, peak):
+        if not _residual_norm(Lt, M) <= LOW_RANK_RESIDUAL_TOL * max(1.0, peak):
             return None
         gram = Lt @ Lt.T
     if not np.all(np.isfinite(gram)):
         return None
     return np.sort(np.concatenate((np.zeros(m - k), np.linalg.eigvalsh(gram))))
+
+
+def _residual_norm(Lt: np.ndarray, M: np.ndarray) -> float:
+    """||L L^t - M||_F for L = Lt^t, from the SYMMETRY_TILE-row panels of the
+    lower block triangle: a block left of the diagonal counts twice, for its
+    mirror image, and a diagonal block once.  The largest temporary is one
+    panel, SYMMETRY_TILE x m."""
+    L, b, squares = Lt.T, SYMMETRY_TILE, 0.0
+    for i in range(0, M.shape[0], b):
+        E = L[i:i + b] @ Lt[:, :i + b]
+        E -= M[i:i + b, :i + b]
+        E *= E
+        squares += 2.0 * float(E[:, :i].sum()) + float(E[:, i:].sum())
+    return math.sqrt(squares)
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,44 @@ def test_direct_agrees_with_product_on_random_frameworks(rng):
     assert worst <= 1e-12
 
 
+def flatnonzero_lower_stiffness(g, p):
+    """The star loop with two flatnonzero scans per vertex and a fresh np.ix_
+    pair: the reference for the stars cached on the graph."""
+    L = np.zeros((g.m, g.m))
+    unit = _edge_geometry(g, p.points)[0]
+    uv = g.endpoints
+    for s in range(g.n):
+        at_u, at_v = np.flatnonzero(uv[:, 0] == s), np.flatnonzero(uv[:, 1] == s)
+        star = np.concatenate((at_u, at_v))
+        D = np.concatenate((-unit[at_u], unit[at_v]))
+        L[np.ix_(star, star)] = D @ D.T
+    np.fill_diagonal(L, np.where(np.all(unit == 0.0, axis=1), 0.0, 2.0))
+    return L
+
+
+def test_cached_stars_assemble_the_scanned_stars_bit_for_bit(rng):
+    cases = []
+    for n in (2, 5, 9):
+        isolated = random_graph(rng, n)
+        isolated = Graph(n, tuple(e for e in isolated.edges if n - 1 not in e))
+        cases += [(g, d) for g in (random_graph(rng, n), isolated) for d in (1, 2, 3)]
+    cases += [(Graph(4, ()), 2), (complete_graph(1), 3)]
+    placements = []
+    for g, d in cases:
+        for pairs in (0, 1, 2):
+            pts = rng.standard_normal((g.n, d))
+            for k in range(min(pairs, g.n // 2)):  # pairs of points that coincide exactly
+                pts[2 * k + 1] = pts[2 * k]
+            placements.append((g, Placement(pts)))
+    placements += [
+        (turan_graph(48, 6)[0], crosspolytope_placement(48, 3)),
+        (turan_graph(48, 4)[0], turan_simplex_placement(48, 3)),
+        (complete_graph(48), unit_circle_placement(roots_of_unity_angles(48)).placement),
+    ]
+    for g, p in placements:
+        assert bit_equal(lower_stiffness_direct(g, p), flatnonzero_lower_stiffness(g, p))
+
+
 def test_similarity_invariance(rng):
     # the edge-basis matrix has cosine entries, so it is unchanged by any
     # similarity; the vertex-basis matrix is unchanged by translation and

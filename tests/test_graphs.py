@@ -191,6 +191,30 @@ def test_endpoints_without_edges():
     assert g.endpoints is g.endpoints
 
 
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), turan_graph(6, 3)[0], make_graph(6, [(4, 1), (0, 5), (2, 3)]), Graph(3, ())],
+    ids=["K5", "turan-6-3", "matching", "edgeless"],
+)
+def test_stars_list_the_edges_at_each_vertex_once_and_read_only(g):
+    stars = g.stars
+    assert g.stars is stars and len(stars) == g.n
+    for s, (at_u, at_v, block) in enumerate(stars):
+        assert at_u.tolist() == [k for k, (u, _) in enumerate(g.edges) if u == s]
+        assert at_v.tolist() == [k for k, (_, v) in enumerate(g.edges) if v == s]
+        star = np.concatenate((at_u, at_v))
+        for want, got in zip(np.ix_(star, star), block):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.intp
+        for a in (at_u, at_v, *block):
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
+    for again, first in zip(g.stars, stars):
+        assert again[0] is first[0] and again[1] is first[1] and again[2] is first[2]
+
+
 def test_turan_rejects_non_divisor():
     with pytest.raises(ValueError):
         turan_graph(10, 4)

@@ -167,6 +167,33 @@ def test_regular_2d_refuses_a_non_integer_d_before_importing_networkx():
     assert proc.stdout.splitlines() == ["d must be an integer, got 2.5", "d must be an integer, got True", "False"]
 
 
+BAD_N_OR_RESTARTS_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from adconn import conjecture_probe
+for params in ({"ns": [8.5], "samples": 1, "restarts": 1}, {"restarts": 0}, {"restarts": 1.5}):
+    try:
+        conjecture_probe("regular-2d", params)
+    except ValueError as exc:
+        print(exc)
+print("networkx" in sys.modules)
+"""
+
+
+def test_regular_2d_refuses_a_bad_n_or_restarts_before_importing_networkx():
+    src = str(Path(adconn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_N_OR_RESTARTS_CHECK, src], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "n must be an integer, got 8.5",
+        "restarts and max_iters must be positive",
+        "restarts must be an integer, got 1.5",
+        "False",
+    ]
+
+
 def test_all_tags_run_to_completion():
     small = {
         "spherical-second-eig": {"n": 6, "d": 3, "samples": 2},

@@ -228,6 +228,46 @@ def test_trace_test_ignores_the_scale(low_rank_calls, scale):
     assert len(low_rank_calls) == 1
 
 
+@pytest.mark.parametrize("m", [256, 300, 384, 513])
+def test_panel_residual_equals_the_full_residual(m):
+    # 256 and 384 are multiples of SYMMETRY_TILE, 300 and 513 end on a ragged panel
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, 12))
+    M = A @ A.T
+    # factors whose residual lies far above rounding: none, a nearby one, an unrelated one
+    for Lt in (np.empty((0, m)), A.T + 1e-3 * rng.standard_normal((12, m)), rng.standard_normal((12, m))):
+        full = np.linalg.norm(Lt.T @ Lt - M)
+        assert spectral._residual_norm(Lt, M) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+def _rows_that_never_pivot(m, i, j):
+    """A rank-5 PSD matrix with zero rows and columns i and j, whose zero
+    diagonal entries never pivot, joined by a symmetric 1e-8 pair that no
+    factor reproduces."""
+    M = np.zeros((m, m))
+    keep = np.setdiff1d(np.arange(m), (i, j))
+    A = np.random.default_rng(m).standard_normal((m - 2, 5))
+    M[np.ix_(keep, keep)] = A @ A.T
+    M[i, j] = M[j, i] = 1e-8
+    return M
+
+
+@pytest.mark.parametrize(
+    "i,j", [(290, 10), (140, 200)], ids=["last-panel-below-its-diagonal-block", "inside-a-diagonal-block"]
+)
+def test_residual_between_rows_that_never_pivot_refuses_the_route(low_rank_calls, i, j):
+    M = _rows_that_never_pivot(300, i, j)
+    with eigvalsh_sizes() as sizes:
+        eigs = symmetric_eigenvalues(M)
+    assert len(low_rank_calls) == 1 and 300 in sizes
+    np.testing.assert_array_equal(eigs, np.linalg.eigvalsh(M))
+    # without the pair the route answers
+    M[i, j] = M[j, i] = 0.0
+    with eigvalsh_sizes() as sizes:
+        symmetric_eigenvalues(M)
+    assert len(low_rank_calls) == 2 and 300 not in sizes
+
+
 def test_low_rank_route_sorts_a_tiny_negative_gram_eigenvalue(monkeypatch):
     # rounding may give the Gram matrix L^t L a tiny negative eigenvalue, which
     # must land before the m - k zeros

@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import EigenvectorFamily, crosspolytope_families, turan_simplex_families
 from .framework import Placement
-from .graphs import Graph, complete_graph, turan_graph
+from .graphs import Graph, TuranPartition, complete_graph, turan_graph
 from .placements import (
     crosspolytope_placement,
     regular_simplex,
@@ -62,8 +62,7 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if n < d + 1 or n % (d + 1) != 0:
-        raise ValueError(f"need n >= d+1 with (d+1) | n, got n={n}, d={d}")
+    TuranPartition(n, d + 1)  # refuses an n that is not d+1 equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * (d + 1)), (n - d - 1) * (d - 1)),
@@ -78,8 +77,7 @@ def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if n < 2 * d or n % (2 * d) != 0:
-        raise ValueError(f"need n >= 2d with 2d | n, got n={n}, d={d}")
+    TuranPartition(n, 2 * d)  # refuses an n that is not 2d equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * d), n * (d - 1) - d * d),

@@ -205,8 +205,6 @@ def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     are empty for d < 3."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if n < d + 1 or n % (d + 1) != 0:
-        raise ValueError(f"need n >= d+1 with (d+1) | n, got n={n}, d={d}")
     g, partition = turan_graph(n, d + 1)
     r = d + 1
 
@@ -287,8 +285,6 @@ def crosspolytope_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     share the eigenvalue n/(2d)."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if n < 2 * d or n % (2 * d) != 0:
-        raise ValueError(f"need n >= 2d with 2d | n, got n={n}, d={d}")
     g, partition = turan_graph(n, 2 * d)
 
     quad_labels = [(i, j) for i in range(d) for j in range(i + 1, d)]

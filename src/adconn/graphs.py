@@ -115,7 +115,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class TuranPartition:
-    """0..n-1 as r contiguous blocks of n // r vertices, for integers r >= 2 dividing n."""
+    """0..n-1 as r contiguous blocks of n // r vertices, for integers n >= r >= 2 with r | n."""
 
     n: int
     r: int
@@ -125,8 +125,8 @@ class TuranPartition:
             object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.r < 2:
             raise ValueError(f"number of parts must be >= 2, got {self.r}")
-        if self.n % self.r != 0:
-            raise ValueError(f"r={self.r} does not divide n={self.n}")
+        if self.n < self.r or self.n % self.r != 0:
+            raise ValueError(f"r={self.r} does not divide n={self.n} into nonempty blocks")
 
     @cached_property
     def parts(self) -> tuple[tuple[int, ...], ...]:
@@ -163,8 +163,6 @@ def complete_graph(n: int) -> Graph:
 
 @cache
 def _complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
     return Graph(n, edges)
 

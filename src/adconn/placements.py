@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Placement
-from .seeding import rng_stream
+from .graphs import TuranPartition
+from .seeding import as_index, rng_stream
 
 
 def _helmert_basis(d: int) -> np.ndarray:
@@ -34,7 +35,7 @@ def regular_simplex(d: int) -> Placement:
     that hyperplane, so the Gram matrix is exactly 1 on the diagonal and -1/d
     off it, with no orthogonalization drift.
     """
-    if d < 1:
+    if as_index(d, "d") < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     scale = math.sqrt((d + 1) / d)
     pts = -scale * _helmert_basis(d).T
@@ -42,29 +43,24 @@ def regular_simplex(d: int) -> Placement:
 
 
 def turan_simplex_placement(n: int, d: int) -> Placement:
-    """n points on the d+1 regular-simplex vertices, contiguous blocks of n/(d+1)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if n % (d + 1) != 0:
-        raise ValueError(f"d+1={d + 1} does not divide n={n}")
+    """n points on the d+1 regular-simplex vertices, in the blocks of TuranPartition(n, d+1)."""
     verts = regular_simplex(d).points
-    return Placement(np.repeat(verts, n // (d + 1), axis=0))
+    return Placement(np.take(verts, TuranPartition(n, d + 1).part_of, axis=0))
 
 
 def crosspolytope_placement(n: int, d: int) -> Placement:
     """n points on {+-e_1, ..., +-e_d}, parts ordered (1,+1), (1,-1), (2,+1), ...
 
-    Each of the 2d unit vectors carries a contiguous block of n/(2d) vertices.
+    Each of the 2d unit vectors carries a block of TuranPartition(n, 2d).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if n % (2 * d) != 0:
-        raise ValueError(f"2d={2 * d} does not divide n={n}")
+    part_of = TuranPartition(n, 2 * d).part_of
     verts = np.zeros((2 * d, d))
     for i in range(d):
         verts[2 * i, i] = 1.0
         verts[2 * i + 1, i] = -1.0
-    return Placement(np.repeat(verts, n // (2 * d), axis=0))
+    return Placement(np.take(verts, part_of, axis=0))
 
 
 @dataclass(frozen=True)

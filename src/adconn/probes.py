@@ -112,7 +112,9 @@ def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tu
 
 
 def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
-    """Best optimizer gap for K_n in R^d against the conjectured ceiling n/(2d)."""
+    """Best optimizer gap for K_n in R^d, d >= 3 and n >= 2d, against the conjectured ceiling n/(2d)."""
+    if d < 3 or n < 2 * d:
+        raise ValueError(f"kn-upper needs d >= 3 and n >= 2d for the ceiling n/(2d), got n = {n}, d = {d}")
     config = OptimizerConfig(restarts=restarts, seed=seed)
     result = gap_ascent(complete_graph(n), d, config)
     ceiling = n / (2 * d)

@@ -272,11 +272,10 @@ def test_removed_flags_are_usage_errors(tmp_path, argv):
     "argv",
     [
         ["optimize", "--graph", "complete:4", "--d", "0"],
-        ["conjecture", "kn-upper", "--n", "4", "--d", "0"],
         ["conjecture", "regular-2d", "--d", "0", "--n", "5"],
         ["conjecture", "top-n-sum", "--n", "3", "--d", "0"],
     ],
-    ids=["optimize", "kn-upper", "regular-2d", "top-n-sum"],
+    ids=["optimize", "regular-2d", "top-n-sum"],
 )
 def test_dimension_below_one_is_usage_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
@@ -330,17 +329,33 @@ def test_conjecture_seed_that_is_not_an_integer_is_usage_error(tmp_path, capsys,
     [
         ["optimize", "--graph", "complete:2", "--d", "1"],
         ["optimize", "--graph", "complete:3", "--d", "1", "--restarts", "8"],
-        ["conjecture", "kn-upper", "--n", "2", "--d", "1"],
     ],
-    ids=["optimize-k2", "optimize-k3", "kn-upper"],
+    ids=["optimize-k2", "optimize-k3"],
 )
 def test_one_dimensional_runs_reach_the_line_gap(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
     assert code == 0
     # an injective placement of K_n on a line has gap n, the Laplacian's a_1(K_n)
     expected = {"complete:2": 2.0, "complete:3": 3.0}
-    if argv[0] == "optimize":
-        assert json.loads(out)["best_gap"] == pytest.approx(expected[argv[2]], abs=1e-12)
+    assert json.loads(out)["best_gap"] == pytest.approx(expected[argv[2]], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(4, 3), (5, 3), (8, 2), (2, 1), (4, 0), (11, 6)],
+    ids=["K4-proven-gap-1", "n-below-2d", "circle-reaches-n/2", "line-reaches-n", "d-0", "d-6-n-11"],
+)
+def test_kn_upper_refuses_what_its_ceiling_does_not_cover(tmp_path, capsys, monkeypatch, n, d):
+    # a_d(K_{d+1}) = 1, the circle's n/2 and the line's n all exceed n/(2d):
+    # these runs used to report them as counterexamples
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr("adconn.probes.gap_ascent", no_optimizer)
+    code, out, err = run_cli(capsys, "conjecture", "kn-upper", "--n", str(n), "--d", str(d),
+                             "--restarts", "2", "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert f"kn-upper needs d >= 3 and n >= 2d for the ceiling n/(2d), got n = {n}, d = {d}" in err
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -410,7 +425,7 @@ def test_spectrum_dimension_mismatch_is_usage_error(tmp_path, capsys):
         "--outdir", str(tmp_path),
     )
     assert code == 2
-    assert "does not match" in err
+    assert "placement has 3 points but graph has 4 vertices" in err
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from adconn.closedform import CANONICAL
 from adconn.families import (
     axis_quad_vector,
     block_sign_vector,
@@ -332,3 +334,30 @@ def test_half_n_cluster_multiplicity_floor(rng):
     p = centered_sphere_points(n, 3, rng_stream(11, "half-n"))
     vecs = np.array([weighted_length_vector(p, centered(rng, n)) for _ in range(n + 3)])
     assert numeric_rank(vecs) == n - 1
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("row", ["turan-simplex", "crosspolytope"])
+def test_family_counts_are_the_closed_form_multiplicities(row, d):
+    # The paper's multiplicities are stated twice, as EigenvectorFamily.expected
+    # and in the closed form.  At each family eigenvalue the expected counts sum
+    # to the closed-form multiplicity there; only where the closed form merges
+    # a family eigenvalue into its n/2 cluster (the crosspolytope at d = 2,
+    # where n/d = n/2) do they fall short of it.
+    canonical = CANONICAL[row]
+    merged = 0
+    for n in range(1, 61):
+        if not canonical.admits(n, d):
+            continue
+        clusters = canonical.spectrum(n, d).clusters
+        expected = {}
+        for family in canonical.families(n, d):
+            expected[family.eigenvalue] = expected.get(family.eigenvalue, 0) + family.expected
+        for value, count in expected.items():
+            mult = sum(m for v, m in clusters if math.isclose(v, value, rel_tol=1e-12))
+            if math.isclose(value, n / 2, rel_tol=1e-12):
+                assert count <= mult
+                merged += 1
+            else:
+                assert count == mult, (n, value)
+    assert merged == (15 if (row, d) == ("crosspolytope", 2) else 0)

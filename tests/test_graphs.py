@@ -1,9 +1,12 @@
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adconn.closedform import crosspolytope_spectrum_closed_form, turan_simplex_spectrum_closed_form
+from adconn.families import crosspolytope_families, turan_simplex_families
 from adconn.graphs import (
     Graph,
     TuranPartition,
@@ -13,6 +16,7 @@ from adconn.graphs import (
     read_edge_list,
     turan_graph,
 )
+from adconn.placements import crosspolytope_placement, turan_simplex_placement
 
 
 def brute_force_cross_part_pairs(n, r):
@@ -62,7 +66,7 @@ def test_complete_graph_refuses_a_float_that_equals_a_cached_int():
 @pytest.mark.parametrize("n", [0, -1])
 def test_complete_graph_refuses_n_below_one_on_every_call(n):
     for _ in range(2):
-        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        with pytest.raises(ValueError, match=f"vertex count must be >= 1, got {n}"):
             complete_graph(n)
 
 
@@ -133,6 +137,9 @@ def test_turan_partition_is_the_contiguous_blocks_of_n_and_r():
     [
         (6, 1, "number of parts must be >= 2, got 1"),
         (10, 4, "r=4 does not divide n=10"),
+        (0, 2, "r=2 does not divide n=0 into nonempty blocks"),
+        (-6, 3, "r=3 does not divide n=-6 into nonempty blocks"),
+        (2, 4, "r=4 does not divide n=2 into nonempty blocks"),
         (12.0, 4, "n must be an integer, got 12.0"),
         (12, 4.0, "r must be an integer, got 4.0"),
     ],
@@ -141,6 +148,41 @@ def test_turan_partition_refuses_what_turan_graph_refuses(n, r, message):
     for build in (TuranPartition, turan_graph):
         with pytest.raises(ValueError, match=message):
             build(n, r)
+
+
+# The entry points of the two balanced rows, each with its block count r(d).
+BALANCED_ENTRY_POINTS = {
+    "turan-simplex-placement": (turan_simplex_placement, lambda d: d + 1),
+    "crosspolytope-placement": (crosspolytope_placement, lambda d: 2 * d),
+    "turan-simplex-closed-form": (turan_simplex_spectrum_closed_form, lambda d: d + 1),
+    "crosspolytope-closed-form": (crosspolytope_spectrum_closed_form, lambda d: 2 * d),
+    "turan-simplex-families": (turan_simplex_families, lambda d: d + 1),
+    "crosspolytope-families": (crosspolytope_families, lambda d: 2 * d),
+}
+
+
+@pytest.mark.parametrize("entry", list(BALANCED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda r: (0, 3),
+        lambda r: (-r, 3),  # a multiple of r, so only n >= r refuses it
+        lambda r: (r + 1, 3),
+        lambda r: (float(2 * r), 3),
+        lambda r: (12, 3.0),  # 12 is admitted by both rows at d = 3
+    ],
+    ids=["n-zero", "n-negative", "n-not-divided", "n-float", "d-float"],
+)
+def test_balanced_entry_points_refuse_through_turan_partition(entry, case):
+    # every balanced (n, d) is refused by TuranPartition or by seeding.as_index,
+    # never by numpy further down
+    build, blocks = BALANCED_ENTRY_POINTS[entry]
+    n, d = case(blocks(3))
+    refusal = r"does not divide n=-?\d+ into nonempty blocks|must be an integer, got"
+    with pytest.raises(ValueError, match=refusal) as info:
+        build(n, d)
+    raised_in = info.traceback[-1]
+    assert (Path(raised_in.path).name, raised_in.name) in {("graphs.py", "__post_init__"), ("seeding.py", "as_index")}
 
 
 def test_turan_edges_cross_parts_only():

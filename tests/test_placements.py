@@ -210,3 +210,19 @@ def test_canonical_placements_satisfy_spherical_hypotheses():
         np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(p.points.sum(axis=0)) <= 1e-12
         assert p.image_size() >= 3
+
+
+def crosspolytope_sites(d):
+    """+e_1, -e_1, +e_2, -e_2, ... as rows."""
+    sites = np.zeros((2 * d, d))
+    for i in range(d):
+        sites[2 * i, i], sites[2 * i + 1, i] = 1.0, -1.0
+    return sites
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_balanced_placements_repeat_each_site_over_its_block(d):
+    rows = ((turan_simplex_placement, regular_simplex(d).points), (crosspolytope_placement, crosspolytope_sites(d)))
+    for build, sites in rows:
+        for k in range(1, 9):
+            assert build(k * len(sites), d).points.tobytes() == np.repeat(sites, k, axis=0).tobytes()

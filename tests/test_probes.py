@@ -67,7 +67,7 @@ def test_sampling_probes_reject_zero_samples(tag, params, message):
     [
         ("spherical-second-eig", {"samples": 2}, {"n": 8, "d": 3, "samples": 2}),
         ("top-n-sum", {"samples": 1, "ds": [2]}, {"ns": [3, 4, 5, 6, 7, 8, 9, 10], "ds": [2], "samples": 1}),
-        ("kn-upper", {"restarts": 1, "n": 4}, {"n": 4, "d": 3, "restarts": 1}),
+        ("kn-upper", {"restarts": 1, "n": 6}, {"n": 6, "d": 3, "restarts": 1}),
         ("regular-2d", {"ns": (5,), "samples": 1, "restarts": 1}, {"d": 2, "ns": [5], "samples": 1, "restarts": 1}),
     ],
 )
@@ -198,7 +198,7 @@ def test_all_tags_run_to_completion():
     small = {
         "spherical-second-eig": {"n": 6, "d": 3, "samples": 2},
         "top-n-sum": {"ns": [3, 4], "ds": [2], "samples": 2},
-        "kn-upper": {"n": 4, "d": 3, "restarts": 2},
+        "kn-upper": {"n": 6, "d": 3, "restarts": 2},
         "regular-2d": {"d": 2, "ns": [8], "samples": 1, "restarts": 1},
     }
     for tag in PROBE_TAGS:

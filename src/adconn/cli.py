@@ -92,7 +92,11 @@ def parse_placement_spec(spec: str) -> Placement:
         names = _CANONICAL_SPECS[kind].split(",")
         fields = dict(zip(names, _ints(rest, len(names), f"{kind}:{_CANONICAL_SPECS[kind]}")))
         d = fields.get("d", 2)
-        return CANONICAL[kind].placement(fields.get("n", d + 1), d)
+        n = fields.get("n", d + 1)
+        # a dimension below 1 is left to the builder, which names it
+        if d >= 1 and not CANONICAL[kind].admits(n, d):
+            raise UsageError(f"placement spec {spec!r}: the {kind} framework does not exist at n={n}, d={d}")
+        return CANONICAL[kind].placement(n, d)
     if kind == "tetra":
         try:
             h = float(rest)

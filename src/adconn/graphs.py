@@ -6,7 +6,8 @@ package keys its edge axis off that order, so the layout is bit-stable across
 runs.  A Graph, its cached indexes (edge positions, endpoints, incidence,
 vertex stars and scatter indexes, each built on first use) and a
 TuranPartition (fixed by n and r) are immutable; ``complete_graph`` builds
-one shared K_n per n per process, so its indexes are built once too.
+one shared K_n per n and ``turan_graph`` one shared pair per (n, r) per
+process, so their indexes are built once too.
 """
 
 from __future__ import annotations
@@ -171,7 +172,14 @@ complete_graph.cache_clear = _complete_graph.cache_clear
 
 
 def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
-    """Complete balanced r-partite graph on n vertices, parts = contiguous blocks."""
+    """Complete balanced r-partite graph on n vertices, parts = contiguous
+    blocks: the same pair on every call with the same (n, r), whose n and r
+    pass seeding.as_index before the cache sees them, as in complete_graph."""
+    return _turan_graph(as_index(n, "n"), as_index(r, "r"))
+
+
+@cache
+def _turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
     partition = TuranPartition(n, r)
     part_of = partition.part_of
     edges = tuple(
@@ -181,6 +189,9 @@ def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
         if part_of[u] != part_of[v]
     )
     return Graph(n, edges), partition
+
+
+turan_graph.cache_clear = _turan_graph.cache_clear
 
 
 def parse_edge_list(text: str) -> Graph:

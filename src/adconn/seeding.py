@@ -2,9 +2,16 @@
 
 Every randomized routine draws from a PCG64 generator seeded by the pair
 (seed, tag), so independent call sites get independent streams and results do
-not depend on execution order.  A seed is an integer: a bool, a float or
-anything else that operator.index refuses is a ValueError, so no run records a
-seed other than the one its stream was drawn from.
+not depend on execution order.  Two rules say how many streams a routine
+builds.  A verify sweep builds one per sweep or grid point and draws its
+samples from it in order, so a run with k samples gives the first k samples of
+any larger run.  Probes, optimizer restarts and CLI ``random:`` specs build one
+per draw, tagged with everything that fixes the draw, so any one draw (a
+counterexample candidate, a restart) can be redrawn alone.
+
+A seed is an integer: a bool, a float or anything else that operator.index
+refuses is a ValueError, so no run records a seed other than the one its
+stream was drawn from.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ Turán-simplex, crosspolytope and circle sweeps take their instances from the
 closedform.CANONICAL rows, the families sweep from the rows with families;
 a custom (d, n) grid keeps the pairs a row admits.  Every check of a closed-form
 entry reads one assembled stiffness matrix, except the tetra gap (spectral_gap).
+A sampled sweep draws its samples in order from one rng_stream per sweep or
+grid point (circle one per n, interlacing and kyfan one each, families one per
+spherical placement and one for the edge-length samples), so samples=k gives
+the first k samples of any larger run.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -124,8 +128,9 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
     for k in n:
         g, predicted = row.graph(k, 2), row.spectrum(k, 2)
         instances = {"roots-of-unity": row.placement(k, 2)}
+        rng = rng_stream(seed, f"circle:{k}")
         for s in range(samples):
-            instances[f"random-{s}"] = centered_sphere_points(k, 2, rng_stream(seed, f"circle:{k}:{s}"))
+            instances[f"random-{s}"] = centered_sphere_points(k, 2, rng)
         for label, p in instances.items():
             L = stiffness(g, p)
             entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, L)
@@ -141,9 +146,9 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
     ns, ds = list(n), list(d)
     if min(ns, default=2) < 2:  # each sample removes an edge of a graph on n vertices
         raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
+    rng = rng_stream(seed, "interlacing")
 
     def one(s):
-        rng = rng_stream(seed, f"interlacing:{s}")
         n = int(rng.choice(ns))
         d = int(rng.choice(ds))
         full = complete_graph(n)
@@ -190,13 +195,14 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
             )
         )
 
-    def draw(s):
-        rng = rng_stream(seed, f"topsum:{s}")
+    rng = rng_stream(seed, "topsum")
+
+    def draw():
         n = int(rng.integers(3, 13))
         d = int(rng.integers(2, 5))
         return Placement(rng.standard_normal((n, d)))
 
-    placements = [draw(s) for s in range(samples)]
+    placements = [draw() for _ in range(samples)]
     *checks, equilateral = top_eigenvalue_sum_checks([*placements, regular_simplex(2)])
     for s, (p, check) in enumerate(zip(placements, checks)):
         entries.append(
@@ -287,9 +293,10 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
         C = lower_stiffness_direct(complete_graph(n), p)
+        rng = rng_stream(seed, f"phi-f:{label}")
         weights = []
-        for s in range(samples):
-            f = rng_stream(seed, f"phi-f:{label}:{s}").standard_normal(n)
+        for _ in range(samples):
+            f = rng.standard_normal(n)
             f -= f.mean()
             weights.append(f)
         worst = 0.0
@@ -298,11 +305,12 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
         instance = {"instance": label, "n": n, "samples": samples}
         return _residual_entry("weighted-length-eigenvectors", instance, n / 2.0, worst)
 
+    length_rng = rng_stream(seed, "length-vec")
+
     def length_job(s):
-        rng = rng_stream(seed, f"length-vec:{s}")
-        n = int(rng.integers(3, 11))
-        d = int(rng.integers(2, 5))
-        p = Placement(rng.standard_normal((n, d)))
+        n = int(length_rng.integers(3, 11))
+        d = int(length_rng.integers(2, 5))
+        p = Placement(length_rng.standard_normal((n, d)))
         C = lower_stiffness_direct(complete_graph(n), p)
         worst = eigen_residual(C, edge_length_eigenvector(p), float(n))
         return _residual_entry("edge-length-eigenvector", {"sample": s, "n": n, "d": d}, n, worst)

@@ -104,6 +104,18 @@ def test_canonical_placement_spec_needs_its_integer_fields(spec):
         parse_placement_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "spec,n,d", [("crosspolytope:4,3", 4, 3), ("turan-simplex:9,3", 9, 3), ("circle:1", 1, 2), ("circle:2", 2, 2)]
+)
+def test_canonical_placement_spec_outside_its_row_is_usage_error(tmp_path, capsys, spec, n, d):
+    kind = spec.partition(":")[0]
+    with pytest.raises(UsageError, match=f"^placement spec '{spec}': the {kind} framework does not exist at n={n}, d={d}$"):
+        parse_placement_spec(spec)
+    code, out, err = run_cli(capsys, "spectrum", "--graph", "complete:4", "--placement", spec, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and repr(spec) in err and "r=" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_parse_ranges():
     assert parse_int_range("7") == [7]
     assert parse_int_range("3..6") == [3, 4, 5, 6]

@@ -70,6 +70,20 @@ def test_complete_graph_refuses_n_below_one_on_every_call(n):
             complete_graph(n)
 
 
+def test_turan_graph_is_built_once_per_n_and_r():
+    pair = turan_graph(12, 4)
+    assert turan_graph(12, 4) is pair
+    assert turan_graph(12, 3) is not pair
+    assert not pair[0].incidence.flags.writeable
+
+
+def test_turan_graph_caches_numpy_integers_as_ints():
+    turan_graph.cache_clear()
+    g, part = turan_graph(np.int64(12), np.int64(4))
+    assert (type(g.n), type(part.n), type(part.r)) == (int, int, int)
+    assert turan_graph(12, 4)[0] is g
+
+
 @pytest.mark.parametrize(
     "module", ["adconn"] + [f"adconn.{m}" for m in ("verify", "bounds", "families", "closedform", "probes", "cli")]
 )
@@ -142,12 +156,18 @@ def test_turan_partition_is_the_contiguous_blocks_of_n_and_r():
         (2, 4, "r=4 does not divide n=2 into nonempty blocks"),
         (12.0, 4, "n must be an integer, got 12.0"),
         (12, 4.0, "r must be an integer, got 4.0"),
+        (True, 2, "n must be an integer, got True"),
+        (2, True, "r must be an integer, got True"),
     ],
 )
 def test_turan_partition_refuses_what_turan_graph_refuses(n, r, message):
+    # with (12, 4) cached, 12.0 and 4.0 are refused all the same, and no
+    # refusal is cached
+    turan_graph(12, 4)
     for build in (TuranPartition, turan_graph):
-        with pytest.raises(ValueError, match=message):
-            build(n, r)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                build(n, r)
 
 
 # The entry points of the two balanced rows, each with its block count r(d).

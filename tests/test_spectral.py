@@ -447,6 +447,27 @@ def test_spectral_gap_similarity_invariance(rng):
 
 
 @settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_spectra_do_not_depend_on_vertex_labels(n, d, seed):
+    # vertex v is relabelled perm[v]: the edges go through make_graph and row
+    # v of the placement moves to row perm[v]
+    rng = np.random.default_rng(seed)
+    g, p = random_graph(rng, n), random_placement(rng, n, d)
+    perm = [int(v) for v in rng.permutation(n)]
+    h = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    moved = np.empty_like(p.points)
+    moved[perm] = p.points
+    q = Placement(moved)
+    for assemble in (stiffness, lower_stiffness_direct):
+        L = assemble(g, p)
+        np.testing.assert_allclose(
+            symmetric_eigenvalues(assemble(h, q)), symmetric_eigenvalues(L), rtol=0, atol=1e-9 * _scale(L)
+        )
+    if n > d:
+        assert abs(spectral_gap(h, q) - spectral_gap(g, p)) <= 1e-9 * _scale(stiffness(g, p))
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), k=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1))
 def test_repeated_points_scale_the_spectrum_by_k_over_2(data, d, k, seed):
     """K_kn with k copies of each of n generic base points p_i: the gap and

@@ -9,7 +9,7 @@ from adconn.framework import Placement, stiffness
 from adconn.graphs import Graph, complete_graph
 from adconn.seeding import rng_stream
 from adconn.spectral import symmetric_eigenvalues
-from adconn.verify import SUITES, run_suite
+from adconn.verify import GRIDS, SUITES, run_suite
 
 from conftest import without_edge
 
@@ -106,10 +106,12 @@ def test_interlacing_default_ranges():
 
 
 def test_kyfan_sweep_equals_one_placement_at_a_time():
+    # the sweep draws its samples in order from one stream; replay it and
+    # check each entry against its own placement, solved alone
     entries = [e for e in run_suite("kyfan", samples=60, seed=8)["entries"] if "sample" in e["instance"]]
     assert [e["instance"]["sample"] for e in entries] == list(range(60))
+    rng = rng_stream(8, "topsum")
     for s, entry in enumerate(entries):
-        rng = rng_stream(8, f"topsum:{s}")
         n, d = int(rng.integers(3, 13)), int(rng.integers(2, 5))
         p = Placement(rng.standard_normal((n, d)))
         total = float(np.sum(symmetric_eigenvalues(stiffness(complete_graph(n), p))[-n:]))
@@ -121,9 +123,11 @@ def test_kyfan_sweep_equals_one_placement_at_a_time():
 
 
 def test_interlacing_sweep_equals_removing_each_edge():
+    # replays the sweep's one stream sample after sample; each entry is
+    # checked against two separately assembled stiffness matrices
     entries = run_suite("interlacing", samples=60, seed=8)["entries"]
+    rng = rng_stream(8, "interlacing")
     for s, entry in enumerate(entries):
-        rng = rng_stream(8, f"interlacing:{s}")
         n, d = int(rng.choice([4, 5, 6, 7, 8, 9, 10])), int(rng.choice([2, 3, 4]))
         full = complete_graph(n)
         keep = rng.random(full.m) < 0.5
@@ -138,6 +142,46 @@ def test_interlacing_sweep_equals_removing_each_edge():
         worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
         assert entry["instance"] == {"sample": s, "n": n, "d": d, "edge": list(e), "edges": g.m}
         assert repr(entry["computed"]) == repr(worst) and entry["pass"] == (worst <= 1e-9)
+
+
+def _sampled(suite, entries):
+    if suite == "circle":
+        return [e for e in entries if e["instance"]["instance"] != "roots-of-unity"]
+    return [e for e in entries if "sample" in e["instance"]]
+
+
+@pytest.mark.parametrize(
+    "suite,grid",
+    [("circle", {"n": [3, 4, 7]}), ("interlacing", None), ("kyfan", {"n": [3]})],
+)
+def test_a_smaller_sample_count_gives_the_first_samples_of_a_larger_one(suite, grid):
+    few = _sampled(suite, run_suite(suite, grid=grid, samples=3, seed=4)["entries"])
+    many = _sampled(suite, run_suite(suite, grid=grid, samples=8, seed=4)["entries"])
+    if suite == "circle":  # the first 3 of each n's 8
+        many = [e for e in many if int(e["instance"]["instance"].removeprefix("random-")) < 3]
+    else:
+        many = many[: len(few)]
+    assert len(few) == len(many) > 0
+    assert json.dumps(few) == json.dumps(many)
+
+
+def test_each_sweep_draws_from_one_stream_per_sweep_or_grid_point(monkeypatch):
+    import adconn.verify
+
+    tags = []
+
+    def counted(seed, tag):
+        tags.append(tag)
+        return rng_stream(seed, tag)
+
+    monkeypatch.setattr(adconn.verify, "rng_stream", counted)
+    assert run_suite("all", seed=0)["pass"]
+    circle_ns = len(range(3, 21))
+    spherical_jobs = len(GRIDS["turan-simplex"]) + len(GRIDS["crosspolytope"])
+    # circle one per n; interlacing and kyfan one each; families one per
+    # spherical job and one for the edge-length samples
+    assert len(tags) == circle_ns + 1 + 1 + spherical_jobs + 1 == 36
+    assert len(set(tags)) == len(tags)
 
 
 @pytest.mark.parametrize("seed", range(10))

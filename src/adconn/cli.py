@@ -93,8 +93,7 @@ def parse_placement_spec(spec: str) -> Placement:
         fields = dict(zip(names, _ints(rest, len(names), f"{kind}:{_CANONICAL_SPECS[kind]}")))
         d = fields.get("d", 2)
         n = fields.get("n", d + 1)
-        # a dimension below 1 is left to the builder, which names it
-        if d >= 1 and not CANONICAL[kind].admits(n, d):
+        if not CANONICAL[kind].admits(n, d):
             raise UsageError(f"placement spec {spec!r}: the {kind} framework does not exist at n={n}, d={d}")
         return CANONICAL[kind].placement(n, d)
     if kind == "tetra":

@@ -137,7 +137,7 @@ class CanonicalFramework:
 # The families lambdas look their builder up per call, as the benchmark tracer needs.
 CANONICAL: dict[str, CanonicalFramework] = {
     "simplex": CanonicalFramework(
-        lambda n, d: n == d + 1,
+        lambda n, d: d >= 1 and n == d + 1,
         lambda n, d: complete_graph(n),
         lambda n, d: regular_simplex(d),
         lambda n, d: simplex_spectrum_closed_form(d),
@@ -149,14 +149,14 @@ CANONICAL: dict[str, CanonicalFramework] = {
         lambda n, d: pyramid_spectrum_closed_form(PYRAMID_START_HEIGHT),
     ),
     "crosspolytope": CanonicalFramework(
-        lambda n, d: n >= 2 * d and n % (2 * d) == 0,
+        lambda n, d: TuranPartition.exists(n, 2 * d),
         lambda n, d: turan_graph(n, 2 * d)[0],
         crosspolytope_placement,
         crosspolytope_spectrum_closed_form,
         lambda n, d: crosspolytope_families(n, d),
     ),
     "turan-simplex": CanonicalFramework(
-        lambda n, d: n >= d + 1 and n % (d + 1) == 0,
+        lambda n, d: TuranPartition.exists(n, d + 1),
         lambda n, d: turan_graph(n, d + 1)[0],
         turan_simplex_placement,
         turan_simplex_spectrum_closed_form,
@@ -231,7 +231,7 @@ def bound_report(n: int, d: int) -> BoundReport:
     n, d = as_index(n, "n"), as_index(d, "d")
     if d < 3:
         raise ValueError(f"bounds require d >= 3, got d={d}")
-    lower_divisible = n / (2 * d) if (n >= 2 * d and n % (2 * d) == 0) else None
+    lower_divisible = n / (2 * d) if TuranPartition.exists(n, 2 * d) else None
     lower_general = float(math.ceil(n / (2 * d)) - 2 * d + 1) if n >= 2 * d else None
     upper = 2 * n / (3 * (d - 1)) + 1.0 / 3.0 if n >= d + 1 else None
     if lower_divisible is None and lower_general is None and upper is None:

@@ -1,4 +1,4 @@
-"""Simple graphs with a canonical edge order, and the complete / balanced Turán families.
+"""Simple graphs with a canonical edge order: the complete, balanced Turán and random regular families.
 
 Vertices are always the integers 0..n-1.  Edges are unordered pairs stored as
 (u, v) tuples with u < v, sorted lexicographically; every matrix in this
@@ -126,8 +126,13 @@ class TuranPartition:
             object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.r < 2:
             raise ValueError(f"number of parts must be >= 2, got {self.r}")
-        if self.n < self.r or self.n % self.r != 0:
+        if not self.exists(self.n, self.r):
             raise ValueError(f"r={self.r} does not divide n={self.n} into nonempty blocks")
+
+    @staticmethod
+    def exists(n: int, r: int) -> bool:
+        """Whether 0..n-1 splits into r >= 2 equal nonempty blocks."""
+        return r >= 2 and n >= r and n % r == 0
 
     @cached_property
     def parts(self) -> tuple[tuple[int, ...], ...]:
@@ -192,6 +197,30 @@ def _turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
 
 
 turan_graph.cache_clear = _turan_graph.cache_clear
+
+
+def random_regular_graph(k: int, n: int, rng: np.random.Generator) -> Graph:
+    """A k-regular simple graph on n vertices drawn from rng by the algorithm of
+    Steger and Wormald (Combin. Probab. Comput. 1999): pair the shuffled stubs,
+    keep each pair that is a new edge, re-pair the stubs left over, and start
+    over when no two vertices left over can still be joined."""
+    k, n = as_index(k, "k"), as_index(n, "n")
+    if not 0 <= k < n or k * n % 2:
+        raise ValueError(f"need 0 <= k < n and k*n even for a k-regular graph, got k={k}, n={n}")
+    while True:
+        edges, stubs = set(), np.repeat(np.arange(n), k)
+        while stubs.size:
+            left = []
+            for u, v in np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1).tolist():
+                if u != v and (u, v) not in edges:
+                    edges.add((u, v))
+                else:
+                    left += [u, v]
+            stubs, free = np.array(left, dtype=np.intp), sorted(set(left))
+            if left and all((u, v) in edges for i, u in enumerate(free) for v in free[i + 1:]):
+                break
+        else:
+            return Graph(n, tuple(sorted(edges)))
 
 
 def parse_edge_list(text: str) -> Graph:

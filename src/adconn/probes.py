@@ -10,10 +10,6 @@ default of each one, plus the run-level seed; it returns its instances,
 summary and counterexample candidates.  conjecture_probe binds the caller's
 parameters against that signature, refuses any the probe does not read, and
 records the bound values as the record's params.
-
-Only the regular-2d probe uses networkx, to sample its random regular graphs,
-and it imports networkx when it first runs, so importing adconn does not load
-it.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from .bounds import top_eigenvalue_sum_checks
 from .closedform import canonical_placements
 from .framework import Placement, stiffness
-from .graphs import complete_graph, make_graph
+from .graphs import complete_graph, random_regular_graph
 from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points
 from .seeding import as_index, as_seed, rng_stream
@@ -132,11 +128,9 @@ def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
 
 
 def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
-    """Best optimizer gaps of random 2d-regular graphs; the conjecture is that
-    the achievable gap vanishes as the vertex count grows.  This is the only
-    code that uses networkx: it is imported here, when the probe first runs
-    and after its arguments are checked, so bad input fails without loading
-    it."""
+    """Best optimizer gaps of random 2d-regular graphs, each drawn by
+    graphs.random_regular_graph from its own (seed, n, sample) stream; the
+    conjecture is that the achievable gap vanishes as the vertex count grows."""
     check_samples(samples, least=1)
     ns = [as_index(n, "n") for n in ns]
     if not ns:
@@ -146,16 +140,12 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
     config = OptimizerConfig(restarts=restarts, seed=seed)
-    import networkx as nx
-
     instances = []
     for n in ns:
         for s in range(samples):
-            graph_seed = int(rng_stream(seed, f"regular:{n}:{s}").integers(2**31))
-            nxg = nx.random_regular_graph(2 * d, n, seed=graph_seed)
-            g = make_graph(n, nxg.edges())
+            g = random_regular_graph(2 * d, n, rng_stream(seed, f"regular:{n}:{s}"))
             result = gap_ascent(g, d, config)
-            instances.append({"n": n, "sample": s, "graph_seed": graph_seed, "best_gap": result.best_gap})
+            instances.append({"n": n, "sample": s, "best_gap": result.best_gap})
     summary = {
         "max_gap_by_n": {str(n): max(i["best_gap"] for i in instances if i["n"] == n) for n in ns},
     }

@@ -296,7 +296,7 @@ def test_dimension_below_one_is_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_regular_2d_refuses_d_below_one_before_sampling(tmp_path, capsys, d):
-    # --d -1 used to end in a networkx traceback, and --d 0 sampled graphs first
+    # --d -1 used to fail inside the graph sampler, and --d 0 sampled graphs first
     code, out, err = run_cli(capsys, "conjecture", "regular-2d", "--d", d, "--outdir", str(tmp_path))
     assert code == 2 and out == "" and f"need d >= 1, got d={d}" in err
     assert not any(tmp_path.iterdir())

@@ -7,6 +7,7 @@ import pytest
 from adconn.closedform import (
     CANONICAL,
     MERGE_TOL,
+    BoundReport,
     bound_report,
     canonical_placements,
     circle_spectrum_closed_form,
@@ -152,6 +153,18 @@ def test_canonical_table_order_and_repeats():
     assert canonical_placements(5, 3) == []
 
 
+@pytest.mark.parametrize("name", list(CANONICAL))
+def test_admits_answers_every_integer_pair_and_is_false_below_d_one(name):
+    # crosspolytope.admits(6, 0) and turan-simplex.admits(6, -1) used to divide
+    # by zero, and three rows admitted frameworks that do not exist at d < 1
+    row = CANONICAL[name]
+    for d in range(-2, 7):
+        for n in range(31):
+            if row.admits(n, d):
+                assert d >= 1, (n, d)
+                assert row.placement(n, d).points.shape == (n, d), (n, d)
+
+
 def test_spectrum_matches_detects_mismatch():
     pred = simplex_spectrum_closed_form(3)
     wrong = clustered_spectrum(stiffness(complete_graph(3), regular_simplex(2)))
@@ -204,6 +217,20 @@ def test_bound_report_refuses_non_integer_arguments(field, value):
 def test_bound_report_stores_python_ints():
     r = bound_report(np.int64(12), np.int32(3))
     assert (type(r.n), type(r.d)) == (int, int) and r == bound_report(12, 3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_bound_report_keeps_its_formulas_on_a_grid(d):
+    # the formulas as written out before lower_divisible asked TuranPartition
+    for n in range(1, 41):
+        divisible = n / (2 * d) if (n >= 2 * d and n % (2 * d) == 0) else None
+        general = float(math.ceil(n / (2 * d)) - 2 * d + 1) if n >= 2 * d else None
+        upper = 2 * n / (3 * (d - 1)) + 1.0 / 3.0 if n >= d + 1 else None
+        if upper is None:
+            with pytest.raises(ValueError, match=f"^no bound formula applies to n={n}, d={d}$"):
+                bound_report(n, d)
+        else:
+            assert bound_report(n, d) == BoundReport(n, d, divisible, general, upper)
 
 
 def test_bounds_sandwich_where_both_defined():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adconn.closedform import crosspolytope_spectrum_closed_form, turan_simplex_spectrum_closed_form
 from adconn.families import crosspolytope_families, turan_simplex_families
@@ -13,10 +15,12 @@ from adconn.graphs import (
     complete_graph,
     make_graph,
     parse_edge_list,
+    random_regular_graph,
     read_edge_list,
     turan_graph,
 )
 from adconn.placements import crosspolytope_placement, turan_simplex_placement
+from adconn.seeding import rng_stream
 
 
 def brute_force_cross_part_pairs(n, r):
@@ -282,6 +286,43 @@ def test_turan_rejects_non_divisor():
         turan_graph(10, 4)
     with pytest.raises(ValueError):
         turan_graph(6, 1)
+
+
+@st.composite
+def regular_sizes(draw):
+    n = draw(st.integers(1, 16))
+    k = draw(st.sampled_from([k for k in range(n) if k * n % 2 == 0]))
+    return k, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=regular_sizes(), seed=st.integers(0, 2**32 - 1), tag=st.text(max_size=8))
+def test_random_regular_graph_is_simple_k_regular_and_fixed_by_its_stream(size, seed, tag):
+    k, n = size
+    g = random_regular_graph(k, n, rng_stream(seed, tag))
+    # Graph itself refuses loops, repeats and vertices outside 0..n-1
+    assert g.n == n and g.m == k * n // 2
+    assert np.bincount(g.endpoints.ravel(), minlength=n).tolist() == [k] * n
+    assert random_regular_graph(k, n, rng_stream(seed, tag)) == g
+
+
+NO_REGULAR_GRAPH = r"need 0 <= k < n and k\*n even for a k-regular graph"
+
+
+@pytest.mark.parametrize(
+    "k,n,message",
+    [
+        (6, 6, f"{NO_REGULAR_GRAPH}, got k=6, n=6"),
+        (3, 7, f"{NO_REGULAR_GRAPH}, got k=3, n=7"),
+        (-1, 6, f"{NO_REGULAR_GRAPH}, got k=-1, n=6"),
+        (2, 6.0, "n must be an integer, got 6.0"),
+    ],
+    ids=["k-equals-n", "k-n-odd", "k-negative", "n-float"],
+)
+def test_random_regular_graph_refuses_sizes_without_a_graph(k, n, message):
+    # k >= n would otherwise re-pair its stubs forever
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_regular_graph(k, n, rng_stream(0, "refused"))
 
 
 def test_graph_validation():

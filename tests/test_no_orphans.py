@@ -1,5 +1,6 @@
 """Every public top-level function and class of the package has a caller,
-and modules share no private name but the one stiffness assembly.
+modules share no private name but the one stiffness assembly, and the
+package imports nothing outside the standard library but numpy.
 
 A name counts as used when code of the package other than its own definition
 names it (a re-export in __init__ does not count), or when the benchmark's
@@ -12,7 +13,10 @@ benchmark names.
 """
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adconn"
@@ -125,3 +129,26 @@ def test_only_the_stiffness_kernel_crosses_modules():
         ("bounds", "framework", "_stiffness_geometry"),
         ("optimize", "framework", "_stiffness_geometry"),
     }
+
+
+def absolute_imports() -> set[tuple[str, str]]:
+    """(importer, top-level package) of each absolute import in the package."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                out |= {(path.stem, alias.name.partition(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add((path.stem, node.module.partition(".")[0]))
+    return out
+
+
+def test_package_imports_only_numpy():
+    # every module, lazy imports included, so `import adconn` and every
+    # command load numpy as their one third-party package
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    imports = absolute_imports()
+    assert ("graphs", "numpy") in imports
+    assert sorted((stem, top) for stem, top in imports if top not in sys.stdlib_module_names | {"numpy"}) == []
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == ["numpy>=1.24"]

@@ -1,12 +1,12 @@
+import hashlib
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import adconn
+from adconn.graphs import random_regular_graph
+from adconn.optimize import OptimizerConfig, gap_ascent
 from adconn.probes import PROBE_TAGS, conjecture_probe
+from adconn.seeding import rng_stream
 
 
 def test_unknown_tag_rejected():
@@ -52,10 +52,18 @@ def test_top_n_sum_probe():
         ("spherical-second-eig", {"d": 1}, "n >= 3 and d >= 3, got n = 8, d = 1"),
         ("spherical-second-eig", {"d": 2}, "n >= 3 and d >= 3, got n = 8, d = 2; for d = 2 see verify --suite circle"),
         ("kn-upper", {"restarts": 0}, "restarts and max_iters must be positive"),
+        ("regular-2d", {"d": 2.5}, "^d must be an integer, got 2.5$"),
+        ("regular-2d", {"d": True}, "^d must be an integer, got True$"),
+        ("regular-2d", {"ns": [8.5], "samples": 1, "restarts": 1}, "^n must be an integer, got 8.5$"),
+        ("regular-2d", {"restarts": 0}, "^restarts and max_iters must be positive$"),
+        ("regular-2d", {"restarts": 1.5}, "^restarts must be an integer, got 1.5$"),
+        ("regular-2d", {"d": 0}, "^need d >= 1, got d=0$"),
+        ("regular-2d", {"d": -1}, "^need d >= 1, got d=-1$"),
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
          "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "spherical-second-eig-d2",
-         "kn-upper-no-restarts"],
+         "kn-upper-no-restarts", "regular-2d-d-float", "regular-2d-d-bool", "regular-2d-n-float",
+         "regular-2d-no-restarts", "regular-2d-restarts-float", "regular-2d-d0", "regular-2d-d-negative"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):
@@ -105,93 +113,24 @@ def test_regular_2d_probe():
     assert set(record["summary"]["max_gap_by_n"]) == {"8", "12"}
 
 
-def test_regular_2d_graph_seeds_are_pinned():
-    # The graph seeds fix which graphs networkx samples; networkx's edge lists
-    # are not pinned, since they may differ between networkx releases.
+# sha256 of the repr of each sampled edge list at seed 2, tag regular:n:0
+REGULAR_2D_EDGES_SHA256 = {
+    8: "e5652ec18b720a9e40e1a61e06b9e43873dd017ed7082210413a5bdef7edbc01",
+    12: "84004a4ac7f2a42814b3c1c31b623bc282a437649e5b936b0ee7c76cb0132ebb",
+}
+
+
+def test_regular_2d_graphs_are_pinned():
     params = {"d": 2, "ns": [8, 12], "samples": 1, "restarts": 1}
     record = conjecture_probe("regular-2d", params, seed=2)
-    assert [(i["n"], i["graph_seed"]) for i in record["instances"]] == [(8, 1823783805), (12, 858822877)]
+    config = OptimizerConfig(restarts=1, seed=2)
+    for inst in record["instances"]:
+        n = inst["n"]
+        g = random_regular_graph(4, n, rng_stream(2, f"regular:{n}:0"))
+        assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == REGULAR_2D_EDGES_SHA256[n]
+        assert inst == {"n": n, "sample": 0, "best_gap": gap_ascent(g, 2, config).best_gap}
+    assert [i["n"] for i in record["instances"]] == [8, 12]
     assert conjecture_probe("regular-2d", params, seed=2) == record
-
-
-NETWORKX_CHECK = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import adconn, adconn.cli
-from adconn import conjecture_probe, run_suite
-assert adconn.__file__.startswith(sys.argv[1]), adconn.__file__
-run_suite("simplex")
-for bad in ({"samples": 0}, {"d": 0}, {"d": -1}):
-    try:
-        conjecture_probe("regular-2d", bad)
-    except ValueError:
-        pass
-    else:
-        raise SystemExit(f"regular-2d accepted {bad}")
-before = "networkx" in sys.modules
-if sys.argv[2] == "valid":
-    conjecture_probe("regular-2d", {"ns": [6], "samples": 1, "restarts": 1})
-print(before, "networkx" in sys.modules)
-"""
-
-
-@pytest.mark.parametrize("call,loaded", [("bad", False), ("valid", True)])
-def test_only_a_valid_regular_2d_call_imports_networkx(call, loaded):
-    src = str(Path(adconn.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", NETWORKX_CHECK, src, call], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", str(loaded)]
-
-
-NON_INTEGER_D_CHECK = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from adconn import conjecture_probe
-for d in (2.5, True):
-    try:
-        conjecture_probe("regular-2d", {"d": d})
-    except ValueError as exc:
-        print(exc)
-print("networkx" in sys.modules)
-"""
-
-
-def test_regular_2d_refuses_a_non_integer_d_before_importing_networkx():
-    src = str(Path(adconn.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", NON_INTEGER_D_CHECK, src], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["d must be an integer, got 2.5", "d must be an integer, got True", "False"]
-
-
-BAD_N_OR_RESTARTS_CHECK = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from adconn import conjecture_probe
-for params in ({"ns": [8.5], "samples": 1, "restarts": 1}, {"restarts": 0}, {"restarts": 1.5}):
-    try:
-        conjecture_probe("regular-2d", params)
-    except ValueError as exc:
-        print(exc)
-print("networkx" in sys.modules)
-"""
-
-
-def test_regular_2d_refuses_a_bad_n_or_restarts_before_importing_networkx():
-    src = str(Path(adconn.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", BAD_N_OR_RESTARTS_CHECK, src], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "n must be an integer, got 8.5",
-        "restarts and max_iters must be positive",
-        "restarts must be an integer, got 1.5",
-        "False",
-    ]
 
 
 def test_all_tags_run_to_completion():

@@ -13,10 +13,11 @@ Graph specs: complete:n | turan:n,r | file:path (edge-list format "n m" +
 crosspolytope:n,d | circle:n | tetra:h | random:n,d,seed[,centered] |
 file:path (placement JSON {"d": ..., "points": [[...], ...]}).
 
-verify passes --grid and --samples to the suite's function, and conjecture
-passes --n, --d, --samples and --restarts to the probe's function (--n and
---d fill its list parameters ns and ds where it has them).  A value that the
-function does not read is a usage error, and so is a --restarts or --seed
+verify passes --grid, whose values are numbers, and --samples to the suite's
+function, and conjecture passes --n, --d, --samples and --restarts to the
+probe's function (--n and --d fill its list parameters ns and ds where it has
+them).  A value that the function does not read or a grid d or n that is not
+an integer is a usage error (a ValueError), and so is a --restarts or --seed
 given to bounds without --observe.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
@@ -48,25 +49,21 @@ from .spectral import clustered_spectrum
 from .verify import SUITES, run_suite
 
 
-class UsageError(Exception):
-    pass
-
-
 def _split_fields(spec: str, name: str) -> tuple[str, str]:
     kind, sep, rest = spec.partition(":")
     if not sep:
-        raise UsageError(f"{name} spec {spec!r} must look like kind:args")
+        raise ValueError(f"{name} spec {spec!r} must look like kind:args")
     return kind, rest
 
 
 def _ints(rest: str, count: int, what: str) -> list[int]:
     fields = rest.split(",")
     if len(fields) != count:
-        raise UsageError(f"{what} needs {count} comma-separated integers, got {rest!r}")
+        raise ValueError(f"{what} needs {count} comma-separated integers, got {rest!r}")
     try:
         return [int(f) for f in fields]
     except ValueError:
-        raise UsageError(f"{what} fields must be integers, got {rest!r}") from None
+        raise ValueError(f"{what} fields must be integers, got {rest!r}") from None
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -79,7 +76,7 @@ def parse_graph_spec(spec: str) -> Graph:
         return turan_graph(n, r)[0]
     if kind == "file":
         return read_edge_list(rest)
-    raise UsageError(f"unknown graph kind {kind!r} (use complete, turan or file)")
+    raise ValueError(f"unknown graph kind {kind!r} (use complete, turan or file)")
 
 
 # Spec fields of the CANONICAL placement kinds; simplex:d has n = d+1 and circle:n has d = 2.
@@ -94,13 +91,13 @@ def parse_placement_spec(spec: str) -> Placement:
         d = fields.get("d", 2)
         n = fields.get("n", d + 1)
         if not CANONICAL[kind].admits(n, d):
-            raise UsageError(f"placement spec {spec!r}: the {kind} framework does not exist at n={n}, d={d}")
+            raise ValueError(f"placement spec {spec!r}: the {kind} framework does not exist at n={n}, d={d}")
         return CANONICAL[kind].placement(n, d)
     if kind == "tetra":
         try:
             h = float(rest)
         except ValueError:
-            raise UsageError(f"tetra:h needs a real apex height, got {rest!r}") from None
+            raise ValueError(f"tetra:h needs a real apex height, got {rest!r}") from None
         return triangular_pyramid(h)
     if kind == "random":
         plain = rest.removesuffix(",centered")
@@ -110,7 +107,7 @@ def parse_placement_spec(spec: str) -> Placement:
         return random_sphere_placement(n, d, seed)
     if kind == "file":
         return read_placement(rest)
-    raise UsageError(f"unknown placement kind {kind!r}")
+    raise ValueError(f"unknown placement kind {kind!r}")
 
 
 def _inclusive_range(text: str, what: str) -> range:
@@ -119,9 +116,9 @@ def _inclusive_range(text: str, what: str) -> range:
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"{what} must be int..int, got {text!r}") from None
+        raise ValueError(f"{what} must be int..int, got {text!r}") from None
     if lo > hi:
-        raise UsageError(f"{what} {text!r} is empty: {lo} > {hi}")
+        raise ValueError(f"{what} {text!r} is empty: {lo} > {hi}")
     return range(lo, hi + 1)
 
 
@@ -135,7 +132,7 @@ def parse_int_range(text: str) -> list[int]:
             try:
                 out.append(int(piece))
             except ValueError:
-                raise UsageError(f"expected an integer, got {piece!r}") from None
+                raise ValueError(f"expected an integer, got {piece!r}") from None
     return out
 
 
@@ -147,15 +144,14 @@ def parse_grid(text: str | None) -> dict | None:
     for field in text.split(","):
         key, sep, value = field.partition("=")
         if not sep:
-            raise UsageError(f"grid field {field!r} must look like key=value or key=lo..hi")
+            raise ValueError(f"grid field {field!r} must look like key=value or key=lo..hi")
         if ".." in value:
             grid.setdefault(key, []).extend(_inclusive_range(value, "grid range"))
             continue
-        try:  # only the pyramid height h may be a non-integer
-            number = int(value) if key != "h" or value.lstrip("+-").isdigit() else float(value)
+        try:  # signed digits are an int and any other number a float
+            number = int(value) if value.lstrip("+-").isdigit() else float(value)
         except ValueError:
-            kind = "a number" if key == "h" else "an integer"
-            raise UsageError(f"grid value for {key} must be {kind}, got {value!r}") from None
+            raise ValueError(f"grid value for {key} must be a number, got {value!r}") from None
         grid.setdefault(key, []).append(number)
     return grid
 
@@ -193,7 +189,7 @@ def cmd_verify(args) -> Outcome:
 def cmd_bounds(args) -> Outcome:
     given = [f"--{k}" for k in ("restarts", "seed") if getattr(args, k) is not None]
     if given and not args.observe:
-        raise UsageError(f"bounds reads {' and '.join(given)} only with --observe")
+        raise ValueError(f"bounds reads {' and '.join(given)} only with --observe")
     report = bound_report(args.n, args.d)
     if args.observe:
         args.restarts = 16 if args.restarts is None else args.restarts
@@ -225,7 +221,7 @@ def cmd_conjecture(args) -> Outcome:
         elif len(values) == 1 or flag not in takes:
             params[flag] = values[0]
         else:
-            raise UsageError(f"--{flag} must be a single integer for this tag, got {values}")
+            raise ValueError(f"--{flag} must be a single integer for this tag, got {values}")
     for flag in ("samples", "restarts"):
         if getattr(args, flag) is not None:
             params[flag] = getattr(args, flag)
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_and_record(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,21 +46,13 @@ def _predicted(tag: str, pairs, expected_total: int) -> MultiplicitySpectrum:
 
 
 def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
-    """Stiffness spectrum of the complete graph on d+1 vertices at the regular simplex."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    pairs = [
-        (0.0, d * (d + 1) // 2),
-        (1.0, (d + 1) * (d - 2) // 2),
-        ((d + 1) / 2, d),
-        (float(d + 1), 1),
-    ]
-    return _predicted("simplex", pairs, d * (d + 1))
+    """Stiffness spectrum of K_{d+1} at the regular simplex: the Turán simplex form at n = d+1."""
+    return turan_simplex_spectrum_closed_form(d + 1, d)
 
 
 def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
-    if d < 2:
+    if as_index(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
     TuranPartition(n, d + 1)  # refuses an n that is not d+1 equal blocks
     pairs = [
@@ -75,7 +67,7 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
 
 def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
-    if d < 2:
+    if as_index(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
     TuranPartition(n, 2 * d)  # refuses an n that is not 2d equal blocks
     pairs = [
@@ -111,7 +103,7 @@ def pyramid_spectrum_closed_form(apex_height: float) -> MultiplicitySpectrum:
 
 def circle_spectrum_closed_form(n: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of K_n at any injective centered unit-circle placement."""
-    if n < 3:
+    if as_index(n, "n") < 3:
         raise ValueError(f"need n >= 3, got {n}")
     pairs = [(0.0, 3), (n / 2, 2 * n - 4), (float(n), 1)]
     return _predicted("circle", pairs, 2 * n)

@@ -53,7 +53,7 @@ def crosspolytope_placement(n: int, d: int) -> Placement:
 
     Each of the 2d unit vectors carries a block of TuranPartition(n, 2d).
     """
-    if d < 1:
+    if as_index(d, "d") < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     part_of = TuranPartition(n, 2 * d).part_of
     verts = np.zeros((2 * d, d))
@@ -78,7 +78,7 @@ def unit_circle_placement(angles) -> CirclePlacement:
 
 
 def roots_of_unity_angles(n: int) -> np.ndarray:
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 2.0 * np.pi * np.arange(n) / n
 
@@ -101,9 +101,9 @@ def triangular_pyramid(apex_height: float) -> Placement:
 def random_sphere_placement(n: int, d: int, seed: int) -> Placement:
     """n points uniform on the unit sphere in R^d, from the stream
     (seed, "sphere:n:d:0")."""
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d < 1:
+    if as_index(d, "d") < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     rng = rng_stream(seed, f"sphere:{n}:{d}:0")
     return Placement(_unit_rows(rng.standard_normal((n, d))))
@@ -117,7 +117,7 @@ def centered_sphere_points(n: int, d: int, rng: np.random.Generator) -> Placemen
     equilateral triple inside a random 2-plane (three unit vectors summing to
     zero must be coplanar), whose sum is zero up to rounding.
     """
-    if n < 2 or d < 1 or (n % 2 and d < 2):
+    if as_index(n, "n") < 2 or as_index(d, "d") < 1 or (n % 2 and d < 2):
         raise ValueError(f"need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n={n}, d={d}")
     rows = []
     if n % 2 != 0:

@@ -30,7 +30,7 @@ def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, di
     placements in R^d, d >= 3: conjectured to be n/2 with multiplicity exactly
     n-1 (at least n-1 is guaranteed; in R^2 the circle closed form gives 2n-4)."""
     check_samples(samples, least=1)
-    if n < 3 or d < 3:
+    if as_index(n, "n") < 3 or as_index(d, "d") < 3:
         raise ValueError(f"spherical-second-eig needs n >= 3 and d >= 3, got n = {n}, d = {d}; for d = 2 see verify --suite circle")
     g = complete_graph(n)
     instances, candidates = [], []
@@ -68,6 +68,8 @@ def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tu
     """Sum of the n largest stiffness eigenvalues of K_n at injective
     placements, against the conjectured floor n(n+1)/2, stated for n >= 3."""
     check_samples(samples, least=0)
+    ns = [as_index(n, "n") for n in ns]
+    ds = [as_index(d, "d") for d in ds]
     if min(ns, default=3) < 3:
         raise ValueError(f"top-n-sum needs n >= 3 for the floor n(n+1)/2, got n = {min(ns)}")
     pool = []

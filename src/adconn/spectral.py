@@ -104,17 +104,11 @@ def _eigenvalues(M: np.ndarray, peak: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(M)
     eigs = np.empty(M.shape[:-1])
     for i in np.ndindex(M.shape[:-2]):
-        eigs[i] = _large_eigenvalues(M[i], float(peak[i]))
+        low_rank = None
+        if not _rank_exceeds_pivot_budget(M[i], float(peak[i])):
+            low_rank = _low_rank_eigenvalues(M[i], float(peak[i]))
+        eigs[i] = np.linalg.eigvalsh(M[i]) if low_rank is None else low_rank
     return eigs
-
-
-def _large_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray:
-    """Eigenvalues of one matrix of size at least LOW_RANK_MIN_SIZE."""
-    if not _rank_exceeds_pivot_budget(M, peak):
-        eigs = _low_rank_eigenvalues(M, peak)
-        if eigs is not None:
-            return eigs
-    return np.linalg.eigvalsh(M)
 
 
 def _rank_exceeds_pivot_budget(M: np.ndarray, peak: float) -> bool:

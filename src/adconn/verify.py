@@ -352,9 +352,10 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
 
     The grid maps parameters of the suite's function to value lists, and
     samples sets its sample count; either one is a ValueError for a suite
-    that does not read it.  'all' runs every suite at its default grid,
-    passing samples to the suites that read it, and refuses a grid.  A seed
-    that seeding.as_seed refuses is a ValueError even for a seedless suite."""
+    that does not read it, as is a grid d or n value below 1 or refused by
+    seeding.as_index.  'all' runs every suite at its default grid, passing
+    samples to the suites that read it, and refuses a grid.  A seed that
+    seeding.as_seed refuses is a ValueError even for a seedless suite."""
     seed = as_seed(seed)
     if name == "all":
         if grid:
@@ -376,7 +377,7 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
     given = grid if samples is None else {**grid, "samples": samples}
     params = bind_params(_SUITE_FUNCS[name], given, f"suite {name!r}")
     for key in ("d", "n"):
-        if any(v < 1 for v in grid.get(key, ())):
+        if any(as_index(v, f"grid {key}") < 1 for v in grid.get(key, ())):
             raise ValueError(f"grid {key} values must be >= 1, got {grid[key]}")
     entries = _SUITE_FUNCS[name](**params, seed=seed)
     if not entries:

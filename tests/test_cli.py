@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from adconn.cli import (
-    UsageError,
     build_parser,
     main,
     parse_graph_spec,
@@ -100,7 +99,7 @@ def test_parse_canonical_placement_spec(spec, name, n, d):
 
 @pytest.mark.parametrize("spec", ["simplex:3,4", "circle:", "crosspolytope:12", "turan-simplex:8,x"])
 def test_canonical_placement_spec_needs_its_integer_fields(spec):
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         parse_placement_spec(spec)
 
 
@@ -109,7 +108,7 @@ def test_canonical_placement_spec_needs_its_integer_fields(spec):
 )
 def test_canonical_placement_spec_outside_its_row_is_usage_error(tmp_path, capsys, spec, n, d):
     kind = spec.partition(":")[0]
-    with pytest.raises(UsageError, match=f"^placement spec '{spec}': the {kind} framework does not exist at n={n}, d={d}$"):
+    with pytest.raises(ValueError, match=f"^placement spec '{spec}': the {kind} framework does not exist at n={n}, d={d}$"):
         parse_placement_spec(spec)
     code, out, err = run_cli(capsys, "spectrum", "--graph", "complete:4", "--placement", spec, "--outdir", str(tmp_path))
     assert code == 2 and out == "" and repr(spec) in err and "r=" not in err
@@ -123,16 +122,16 @@ def test_parse_ranges():
     assert parse_grid("d=2..4,n=8") == {"d": [2, 3, 4], "n": [8]}
     assert parse_grid(None) is None
     for parse, text in ((parse_int_range, "5..4"), (parse_int_range, "2,5..4"), (parse_grid, "d=5..4")):
-        with pytest.raises(UsageError, match="is empty"):
+        with pytest.raises(ValueError, match="is empty"):
             parse(text)
 
 
-def test_parse_grid_keeps_integers_and_allows_reals_only_for_h():
-    grid = parse_grid("n=-3,d=4,h=0.5,h=1,h=-2")
-    assert grid == {"n": [-3], "d": [4], "h": [0.5, 1, -2]}
-    assert [type(v) for v in grid["n"] + grid["h"]] == [int, float, int, int]
-    for text in ("n=4.0", "d=1e3", "n=x", "h=x"):
-        with pytest.raises(UsageError):
+def test_parse_grid_keeps_integers_and_reads_other_numbers_as_floats():
+    grid = parse_grid("n=-3,d=4,h=0.5,h=1,h=-2,n=4.0,d=1e3")
+    assert grid == {"n": [-3, 4.0], "d": [4, 1000.0], "h": [0.5, 1, -2]}
+    assert [type(v) for v in grid["n"] + grid["d"] + grid["h"]] == [int, float, int, float, float, int, int]
+    for text in ("n=x", "h=x"):
+        with pytest.raises(ValueError, match=f"^grid value for {text[0]} must be a number, got 'x'$"):
             parse_grid(text)
 
 
@@ -160,6 +159,7 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "turan", "--grid", "n=31"], "no instances"),
         (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
         (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "suite 'interlacing' needs n >= 2, got n = 1"),
+        (["verify", "--suite", "cross", "--grid", "d=1e3"], "grid d must be an integer, got 1000.0"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
         (["conjecture", "top-n-sum", "--d", "5..4"], "is empty"),
@@ -170,6 +170,7 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["conjecture", "kn-upper", "--restarts", "0"], "restarts and max_iters must be positive"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
+         "verify-d-float",
          "conjecture-n-range", "conjecture-n-at-2d", "conjecture-d-range", "conjecture-n-below-3",
          "conjecture-no-instances", "conjecture-d-below-2", "conjecture-d-2", "conjecture-no-restarts"],
 )

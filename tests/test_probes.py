@@ -59,11 +59,15 @@ def test_top_n_sum_probe():
         ("regular-2d", {"restarts": 1.5}, "^restarts must be an integer, got 1.5$"),
         ("regular-2d", {"d": 0}, "^need d >= 1, got d=0$"),
         ("regular-2d", {"d": -1}, "^need d >= 1, got d=-1$"),
+        ("top-n-sum", {"ns": [4.5]}, "^n must be an integer, got 4.5$"),
+        ("top-n-sum", {"ds": [2.5]}, "^d must be an integer, got 2.5$"),
+        ("spherical-second-eig", {"d": 3.5}, "^d must be an integer, got 3.5$"),
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
          "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "spherical-second-eig-d2",
          "kn-upper-no-restarts", "regular-2d-d-float", "regular-2d-d-bool", "regular-2d-n-float",
-         "regular-2d-no-restarts", "regular-2d-restarts-float", "regular-2d-d0", "regular-2d-d-negative"],
+         "regular-2d-no-restarts", "regular-2d-restarts-float", "regular-2d-d0", "regular-2d-d-negative",
+         "top-n-sum-n-float", "top-n-sum-d-float", "spherical-second-eig-d-float"],
 )
 def test_sampling_probes_reject_zero_samples(tag, params, message):
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,17 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adconn.closedform import (
+    circle_spectrum_closed_form,
+    crosspolytope_spectrum_closed_form,
+    simplex_spectrum_closed_form,
+    turan_simplex_spectrum_closed_form,
+)
 from adconn.graphs import complete_graph
-from adconn.placements import random_sphere_placement
+from adconn.placements import centered_sphere_points, random_sphere_placement, roots_of_unity_angles
 from adconn.probes import conjecture_probe
 from adconn.seeding import rng_stream
 from adconn.verify import run_suite
@@ -74,3 +81,28 @@ def test_complete_graph_sizes_must_be_integers(n):
     # complete_graph(True) used to return K1
     with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
         complete_graph(n)
+
+
+# Each count-taking entry point with one count replaced by x, and the name of that count.
+COUNT_CALLS = {
+    "circle-closed-form-n": (lambda x: circle_spectrum_closed_form(x), "n"),
+    "simplex-closed-form-d": (lambda x: simplex_spectrum_closed_form(x), "d"),
+    "turan-simplex-closed-form-d": (lambda x: turan_simplex_spectrum_closed_form(8, x), "d"),
+    "crosspolytope-closed-form-d": (lambda x: crosspolytope_spectrum_closed_form(12, x), "d"),
+    "roots-of-unity-n": (lambda x: roots_of_unity_angles(x), "n"),
+    "random-sphere-n": (lambda x: random_sphere_placement(x, 3, 0), "n"),
+    "random-sphere-d": (lambda x: random_sphere_placement(5, x, 0), "d"),
+    "centered-sphere-n": (lambda x: centered_sphere_points(x, 3, rng_stream(0, "tag")), "n"),
+    "centered-sphere-d": (lambda x: centered_sphere_points(5, x, rng_stream(0, "tag")), "d"),
+}
+
+
+@pytest.mark.parametrize("value", [4.5, True], ids=repr)
+@pytest.mark.parametrize("call", list(COUNT_CALLS))
+def test_closed_forms_and_samplers_refuse_non_integer_counts(call, value):
+    # circle_spectrum_closed_form(4.5) used to return a spectrum of total 9
+    build, name = COUNT_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$") as info:
+        build(value)
+    raised_in = info.traceback[-1]
+    assert (Path(raised_in.path).name, raised_in.name) == ("seeding.py", "as_index")

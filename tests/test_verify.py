@@ -84,6 +84,21 @@ def test_unknown_suite_rejected():
         run_suite("bogus")
 
 
+@pytest.mark.parametrize(
+    "suite,grid,key,value",
+    [
+        ("interlacing", {"n": [4.5]}, "n", "4.5"),
+        ("interlacing", {"d": [2.5]}, "d", "2.5"),
+        ("simplex", {"d": [2.5]}, "d", "2.5"),
+        ("turan", {"d": [3], "n": [8.0]}, "n", "8.0"),
+        ("kyfan", {"n": [True]}, "n", "True"),
+    ],
+)
+def test_grid_d_and_n_must_be_integers(suite, grid, key, value):
+    with pytest.raises(ValueError, match=f"^grid {key} must be an integer, got {value}$"):
+        run_suite(suite, grid=grid)
+
+
 def test_grid_filters_divisibility():
     report = run_suite("turan", grid={"d": [3], "n": [7, 8, 12]})
     instances = [e["instance"] for e in report["entries"]]

@@ -210,10 +210,11 @@ def placement_from_json(text: str) -> Placement:
         raise ValueError("placement JSON must be an object with fields 'd' and 'points'")
     if type(obj["d"]) is not int or obj["d"] < 1:
         raise ValueError(f"field 'd' must be a positive integer, got {obj['d']!r}")
-    try:
-        pts = np.asarray(obj["points"], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("field 'points' must be an n x d array of numbers") from None
+    points = np.asarray(obj["points"], dtype=object)
+    # float() would also read a string or a bool; ragged rows stay lists here
+    if not all(type(x) in (int, float) for x in points.flat):
+        raise ValueError("field 'points' must be an n x d array of numbers")
+    pts = points.astype(float)
     if pts.ndim != 2 or pts.shape[1] != obj["d"]:
         raise ValueError(
             f"field 'points' must be an n x d array with d={obj['d']}, got shape {pts.shape}"

@@ -33,10 +33,12 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_index(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         prev = None
         for u, v in self.edges:
+            u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) violates 0 <= u < v < n={self.n}")
             if prev is not None and (u, v) <= prev:

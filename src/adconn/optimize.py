@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,7 +65,6 @@ class OptimizeResult:
     best_placement: Placement
     best_restart: int
     traces: tuple[tuple[tuple[int, float], ...], ...]
-    wall_time_s: float
     config: OptimizerConfig
 
     def to_json_dict(self) -> dict:
@@ -75,7 +73,6 @@ class OptimizeResult:
             "best_restart": self.best_restart,
             "best_placement": json.loads(placement_to_json(self.best_placement)),
             "traces": [[[i, g] for i, g in tr] for tr in self.traces],
-            "wall_time_s": self.wall_time_s,
             "config": self.config.to_json_dict(),
         }
 
@@ -237,16 +234,13 @@ def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> Optim
     that the supremum is attained.
     """
     config = config or OptimizerConfig()
-    t0 = time.perf_counter()
     outcomes = [_ascend(g, d, config, i, s) for i, s in enumerate(seeded_restarts(g, d, config))]
     best = max(outcomes, key=lambda r: (r.gap, -r.index))
-    wall = time.perf_counter() - t0
     recomputed = spectral_gap(g, best.placement)
     return OptimizeResult(
         best_gap=recomputed,
         best_placement=best.placement,
         best_restart=best.index,
         traces=tuple(tuple(o.trace) for o in outcomes),
-        wall_time_s=wall,
         config=config,
     )

@@ -11,14 +11,13 @@ call, since per-call overhead, not reading the matrices, dominates at those
 sizes; numpy solves each member of a stack as it would solve that matrix
 alone, so stacking changes no bit.  A larger matrix first tries a certified
 low-rank route, built for edge-basis stiffness matrices R^t R, whose rank is
-at most dn - C(d+1, 2) and often far below their size.  A semidefinite matrix of
-rank r has tr(M)^2 <= r ||M||_F^2, so the route is skipped when that ratio
-lies above its pivot budget (with a margin of LOW_RANK_SKIP_MARGIN): such a
-matrix would exhaust the budget.  A greedy diagonal-pivoted Cholesky
-factorization (Higham, "Analysis of the Cholesky decomposition of a
-semi-definite matrix", 1990) stops at the numerical rank k, when no
-remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t with L of
-shape (m, k).  The residual E = L L^t - M is then formed one
+at most dn - C(d+1, 2) and often far below their size.  A greedy
+diagonal-pivoted Cholesky factorization (Higham, "Analysis of the Cholesky
+decomposition of a semi-definite matrix", 1990) stops at the numerical rank
+k, when no remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t
+with L of shape (m, k); a matrix that would need more than its budget of
+m // LOW_RANK_PIVOT_DIVISOR pivots is handed to eigvalsh at that point.
+The residual E = L L^t - M is then formed one
 SYMMETRY_TILE-row panel of its lower block triangle at a time, each block
 left of the diagonal counted twice for its mirror image, which halves the
 flops of the full product; it reads the lower triangle of M, the one that
@@ -48,14 +47,10 @@ INTERLACING_SLACK = 1e-9
 # never try the route.
 LOW_RANK_MIN_SIZE = 256
 # The factorization gives up after m // LOW_RANK_PIVOT_DIVISOR pivots, so a
-# matrix of nearly full rank that the trace test below lets through wastes
-# little on an aborted attempt.
+# matrix of nearly full rank wastes little on an aborted attempt: on the K96/d3
+# stiffness matrix (rank 282 of 288, budget 72) it costs a quarter or less of
+# the eigvalsh call that follows.
 LOW_RANK_PIVOT_DIVISOR = 4
-# The route is skipped when tr(M)^2 exceeds (1 + this) times the pivot budget
-# times ||M||_F^2.  Rounding moves that ratio of a matrix the route can answer
-# above its pivot count by far less; the K96/d3 stiffness matrix (rank 282 of
-# 288) has a ratio of 245 against a budget of 72 and goes straight to eigvalsh.
-LOW_RANK_SKIP_MARGIN = 0.01
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
 # Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
@@ -104,28 +99,9 @@ def _eigenvalues(M: np.ndarray, peak: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(M)
     eigs = np.empty(M.shape[:-1])
     for i in np.ndindex(M.shape[:-2]):
-        low_rank = None
-        if not _rank_exceeds_pivot_budget(M[i], float(peak[i])):
-            low_rank = _low_rank_eigenvalues(M[i], float(peak[i]))
+        low_rank = _low_rank_eigenvalues(M[i], float(peak[i]))
         eigs[i] = np.linalg.eigvalsh(M[i]) if low_rank is None else low_rank
     return eigs
-
-
-def _rank_exceeds_pivot_budget(M: np.ndarray, peak: float) -> bool:
-    """True when tr(M)^2 > (1 + LOW_RANK_SKIP_MARGIN) * budget * ||M||_F^2.
-
-    A semidefinite matrix of rank k has tr(M)^2 <= k ||M||_F^2 (Cauchy-Schwarz
-    on its eigenvalues), so the pivoted Cholesky factorization of a matrix past
-    this test would run out of its budget of m // LOW_RANK_PIVOT_DIVISOR
-    pivots.  Skipping the route only ever chooses the exact eigensolve.
-    """
-    if peak > 2.0**400 or 0.0 < peak < 2.0**-400:
-        # the ratio does not depend on the scale; on M / max|M| no square can
-        # overflow, and none that matters can underflow
-        M = M / peak
-    trace = float(np.trace(M))
-    squares = float(np.vdot(M, M))
-    return trace * trace > (1 + LOW_RANK_SKIP_MARGIN) * (M.shape[0] // LOW_RANK_PIVOT_DIVISOR) * squares
 
 
 def _low_rank_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray | None:

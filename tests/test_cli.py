@@ -459,6 +459,8 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
         ({"d": 2, "points": {"a": 1}}, "array of numbers"),
         ({"d": 2, "points": [[0.0, 1.0], [2.0]]}, "array of numbers"),
         ({"d": 2, "points": [["a", "b"]] * 3}, "array of numbers"),
+        ({"d": 2, "points": [["1", "2"], [3, 4]]}, "array of numbers"),
+        ({"d": 2, "points": [[True, False], [3, 4]]}, "array of numbers"),
         ({"d": "2", "points": [[0.0, 0.0]] * 3}, "positive integer"),
         ({"d": 2.0, "points": [[0.0, 0.0]] * 3}, "positive integer"),
         ({"d": True, "points": [[0.0]] * 3}, "positive integer"),
@@ -596,11 +598,9 @@ def test_optimize_command_deterministic(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, *args, "--outdir", str(tmp_path / "b"))
     assert code1 == code2 == 0
     assert out1 == out2
-    ra = json.loads((tmp_path / "a" / "optimize_result.json").read_text())
-    rb = json.loads((tmp_path / "b" / "optimize_result.json").read_text())
-    ra.pop("wall_time_s"), rb.pop("wall_time_s")
-    assert ra == rb
-    assert ra["config"]["restarts"] == 2
+    result = (tmp_path / "a" / "optimize_result.json").read_bytes()
+    assert result == (tmp_path / "b" / "optimize_result.json").read_bytes()
+    assert json.loads(result)["config"]["restarts"] == 2
 
 
 def test_optimize_flexible_graph(tmp_path, capsys):

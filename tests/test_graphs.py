@@ -338,6 +338,15 @@ def test_graph_validation():
         make_graph(4, [(1, 1)])
     with pytest.raises(ValueError):
         make_graph(4, [(0, 1), (1, 0)])
+    # a float or a bool is refused, not truncated
+    for build, message in [
+        (lambda: make_graph(3, [(0, 1.5), (1, 2)]), "edge endpoint must be an integer, got 1.5"),
+        (lambda: Graph(3, ((0.5, 2),)), "edge endpoint must be an integer, got 0.5"),
+        (lambda: Graph(2.5, ((0, 1),)), "n must be an integer, got 2.5"),
+        (lambda: Graph(True, ()), "n must be an integer, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -251,17 +251,14 @@ def test_traces_monotone_and_sound():
 def test_gap_ascent_deterministic():
     cfg = OptimizerConfig(restarts=4, max_iters=60, seed=7)
     runs = [gap_ascent(complete_graph(5), 3, cfg) for _ in range(2)]
-    payloads = [
-        json.dumps({k: v for k, v in r.to_json_dict().items() if k != "wall_time_s"})
-        for r in runs
-    ]
+    payloads = [json.dumps(r.to_json_dict()) for r in runs]
     assert payloads[0] == payloads[1]
 
 
 def test_result_json_shape():
     result = gap_ascent(complete_graph(4), 2, OptimizerConfig(restarts=2, max_iters=30, seed=5))
     payload = result.to_json_dict()
-    assert set(payload) == {"best_gap", "best_restart", "best_placement", "traces", "wall_time_s", "config"}
+    assert set(payload) == {"best_gap", "best_restart", "best_placement", "traces", "config"}
     assert payload["config"]["seed"] == 5
     assert payload["best_placement"]["d"] == 2
     assert len(payload["traces"]) == 2

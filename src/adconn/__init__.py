@@ -4,7 +4,7 @@ the d-dimensional algebraic connectivity."""
 __version__ = "0.1.0"
 
 from .bounds import (
-    circle_identity_matrix,
+    circle_identity_matrices,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     vertex_star_projection,
@@ -52,8 +52,9 @@ from .probes import conjecture_probe
 from .spectral import (
     MultiplicitySpectrum,
     cluster_multiplicities,
+    clustered_spectra,
     clustered_spectrum,
-    interlacing_check,
+    interlacing_checks,
     numeric_rank,
     spectral_gap,
     symmetric_eigenvalues,

@@ -1,11 +1,13 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
 the vertex-star projection (the stars are the rows of the incidence matrix),
 the top-n eigenvalue sum, the 4-point gap witness, and the rank-one circle
-form circle_identity_matrix, whose hypotheses Placement.require_centered_unit
+form circle_identity_matrices, whose hypotheses Placement.require_centered_unit
 checks.
 
-The top-n eigenvalue sum is checked for many placements at once: those of one
-shape share one framework._stiffness_geometry stack and one eigensolve.
+Both the top-n eigenvalue sum and the circle form are computed for many
+placements at once: the sum's placements of one shape share one
+framework._stiffness_geometry stack and one eigensolve, and the circle form
+of a list of n-point placements is one (k, 2n, 2n) stack.
 """
 
 from __future__ import annotations
@@ -104,19 +106,24 @@ def k4_gap_upper_bound(p: Placement) -> float:
     return 2.0 * sq[dropped] / (sq[others[0]] + sq[others[1]])
 
 
-def circle_identity_matrix(p: Placement) -> np.ndarray:
-    """(n/2) I + (p p^t - x x^t - y y^t - r r^t) / 2, which equals the
+def circle_identity_matrices(placements) -> np.ndarray:
+    """(n/2) I + (p p^t - x x^t - y y^t - r r^t) / 2 for each placement p of
+    a list of n-point placements, as a (k, 2n, 2n) stack.  It equals the
     stiffness matrix of K_n at an injective unit-circle placement with zero
     sum, where x and y indicate the two coordinates and r is the quarter-turn
-    rotation of p.  A placement outside those hypotheses is a ValueError."""
-    if p.d != 2:
-        raise ValueError(f"identity requires d=2, got d={p.d}")
-    p.require_centered_unit(p.n)
-    n = p.n
-    pvec = p.points.reshape(-1)
+    rotation of p.  A placement outside those hypotheses is a ValueError.
+    The stack is formed in one pass over all members, each entry by the same
+    operations in the same order as for that placement alone."""
+    for p in placements:
+        if p.d != 2:
+            raise ValueError(f"identity requires d=2, got d={p.d}")
+        p.require_centered_unit(p.n)
+    points = np.stack([p.points for p in placements])
+    k, n = points.shape[:2]
+    pvec = points.reshape(k, -1)
     x = np.tile([1.0, 0.0], n)
     y = np.tile([0.0, 1.0], n)
-    r = np.column_stack([-p.points[:, 1], p.points[:, 0]]).reshape(-1)
+    r = np.stack((-points[..., 1], points[..., 0]), axis=-1).reshape(k, -1)
     return (n / 2.0) * np.eye(2 * n) + 0.5 * (
-        np.outer(pvec, pvec) - np.outer(x, x) - np.outer(y, y) - np.outer(r, r)
+        pvec[:, :, None] * pvec[:, None, :] - np.outer(x, x) - np.outer(y, y) - r[:, :, None] * r[:, None, :]
     )

@@ -33,9 +33,13 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .closedform import CANONICAL, bound_report
@@ -230,12 +234,32 @@ def cmd_conjecture(args) -> Outcome:
     return 0, {f"conjecture_{args.tag}.json": record}, json.dumps(summary, indent=2)
 
 
+def _environment() -> dict:
+    """What a run's numbers may depend on beyond its flags: the Python, numpy
+    and BLAS versions (BLAS as numpy reports it, else null), the core count,
+    and the BLAS thread settings (null where unset), since large spectra
+    change in their last bits with the BLAS thread count."""
+    try:  # numpy >= 1.26 reports the BLAS it was built with
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+        "threads_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _run_and_record(args) -> int:
     """Run the subcommand; write its files and <command>_manifest.json under
     --outdir, print its summary, and return its exit code.
 
     The manifest's params are the subcommand's flags; its seed is the --seed
-    the command read, which bounds fills in only with --observe.
+    the command read, which bounds fills in only with --observe; its
+    environment is _environment().
     """
     t0 = time.perf_counter()
     code, files, summary = args.func(args)
@@ -248,6 +272,7 @@ def _run_and_record(args) -> int:
         "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
         "outputs": [str(outdir / name) for name in files],
     }

@@ -214,7 +214,10 @@ def placement_from_json(text: str) -> Placement:
     # float() would also read a string or a bool; ragged rows stay lists here
     if not all(type(x) in (int, float) for x in points.flat):
         raise ValueError("field 'points' must be an n x d array of numbers")
-    pts = points.astype(float)
+    try:
+        pts = points.astype(float)
+    except OverflowError:  # an integer beyond the float range, refused as 1e999 would be
+        pts = np.full(points.shape, np.inf)
     if pts.ndim != 2 or pts.shape[1] != obj["d"]:
         raise ValueError(
             f"field 'points' must be an n x d array with d={obj['d']}, got shape {pts.shape}"

@@ -5,13 +5,16 @@ size, shape (..., m, m), and answers with the ascending eigenvalues of each.
 It reads its input once, in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE
 tiles of the whole stack (one tile when m is at most SYMMETRY_TILE): the pass
 refuses a non-finite or non-symmetric member and finds max|M| of each, which
-the later steps reuse, and which ``clustered_spectrum`` takes its default
-tolerance from.  Below LOW_RANK_MIN_SIZE the whole stack is one eigvalsh
-call, since per-call overhead, not reading the matrices, dominates at those
-sizes; numpy solves each member of a stack as it would solve that matrix
-alone, so stacking changes no bit.  A larger matrix first tries a certified
-low-rank route, built for edge-basis stiffness matrices R^t R, whose rank is
-at most dn - C(d+1, 2) and often far below their size.  A greedy
+the later steps reuse, and which ``clustered_spectrum`` (one matrix) and
+``clustered_spectra`` (a stack) take each member's default tolerance from.
+``interlacing_checks`` solves the stiffness matrix pairs of a batch of
+edge removals as one stack per shape.  Below LOW_RANK_MIN_SIZE the whole
+stack is one eigvalsh call, since per-call overhead, not reading the
+matrices, dominates at those sizes; numpy solves each member of a stack as
+it would solve that matrix alone, so stacking changes no bit.  A larger
+matrix first tries a certified low-rank route, built for edge-basis
+stiffness matrices R^t R, whose rank is at most dn - C(d+1, 2) and often far
+below their size.  A greedy
 diagonal-pivoted Cholesky factorization (Higham, "Analysis of the Cholesky
 decomposition of a semi-definite matrix", 1990) stops at the numerical rank
 k, when no remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Placement, rigidity_matrix, stiffness
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
 DEFAULT_RANK_TOL = 1e-9
@@ -222,16 +225,29 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     return MultiplicitySpectrum(tuple(clusters), int(eigs.size), tol)
 
 
+def _default_cluster_tol(peak) -> float:
+    """DEFAULT_CLUSTER_TOL_FACTOR * max(1, max|M|), from the max|M| of the symmetry check."""
+    return DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, float(peak))
+
+
 def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicitySpectrum:
     """Eigenvalues of a symmetric matrix clustered at tol, by default
-    DEFAULT_CLUSTER_TOL_FACTOR * max(1, max|M|), with max|M| from the
-    symmetry check."""
+    _default_cluster_tol of its max|M|."""
     M, peak = _require_symmetric(M)
     if M.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if tol is None:
-        tol = DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, float(peak))
+        tol = _default_cluster_tol(peak)
     return cluster_multiplicities(_eigenvalues(M, peak), tol)
+
+
+def clustered_spectra(M: np.ndarray) -> list[MultiplicitySpectrum]:
+    """clustered_spectrum of each matrix of a (k, m, m) stack at its own
+    default tolerance, in order, from one symmetry pass and one stacked eigensolve."""
+    M, peak = _require_symmetric(M)
+    if M.ndim != 3:
+        raise ValueError(f"need a (k, m, m) stack of matrices, got shape {M.shape}")
+    return [cluster_multiplicities(eigs, _default_cluster_tol(top)) for eigs, top in zip(_eigenvalues(M, peak), peak)]
 
 
 def trivial_motion_count(d: int) -> int:
@@ -260,18 +276,41 @@ def numeric_rank(M: np.ndarray) -> int:
     return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
-def interlacing_check(g: Graph, e: Edge, p: Placement) -> tuple[bool, float]:
-    """Eigenvalue sandwich between a framework and the same framework minus one edge.
+def interlacing_checks(cases) -> list[tuple[bool, float]]:
+    """Eigenvalue sandwich between a framework and the same framework minus
+    one edge, for each case (g, e, p, keep), in order.
 
-    With ascending stiffness eigenvalues lam (of g) and lam' (of g minus e) and
-    lam_0 := 0, checks lam_{i-1} <= lam'_i <= lam_i for all i up to
-    INTERLACING_SLACK.  Returns (holds, worst signed violation).  The
-    rigidity matrix of g minus e is that of g without the column of e, and
-    the two stiffness matrices are solved as one stack of two.
+    keep is a boolean mask over the edges of g that leaves the spanning
+    subgraph h of g whose framework (h, p) is checked; h's rigidity matrix
+    is the kept columns of g's, with the bits of h's own, and that of h
+    minus e is h's without the column of e.  With ascending stiffness
+    eigenvalues lam (of h) and lam' (of h minus e) and lam_0 := 0, checks
+    lam_{i-1} <= lam'_i <= lam_i for all i up to INTERLACING_SLACK, and
+    returns (holds, worst signed violation).  Every mask is checked and
+    every edge looked up, one missing from its h refused, before the first
+    eigensolve; then the stiffness matrix pairs of each shape (n, d) are
+    solved as one stack.
     """
-    R = rigidity_matrix(g, p)
-    R_minus = np.delete(R, g.index_of(*e), axis=1)
-    lam, lam_prime = symmetric_eigenvalues(np.stack((R @ R.T, R_minus @ R_minus.T)))
-    lam_shift = np.concatenate(([0.0], lam[:-1]))
-    worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
-    return worst <= INTERLACING_SLACK, worst
+    cases = list(cases)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, (g, e, p, keep) in enumerate(cases):
+        if np.asarray(keep).dtype != bool or np.shape(keep) != (g.m,):
+            raise ValueError(f"keep must be a boolean mask over the {g.m} edges of g")
+        j = g.index_of(*e)
+        if not keep[j]:
+            raise ValueError(f"edge {{{e[0]}, {e[1]}}} not in graph")
+        groups.setdefault(p.points.shape, []).append((i, int(np.count_nonzero(keep[:j]))))
+    results: list = [None] * len(cases)
+    for members in groups.values():
+        pairs = []
+        for i, j in members:
+            g, _, p, keep = cases[i]
+            R = rigidity_matrix(g, p)[:, keep]
+            R_minus = np.delete(R, j, axis=1)
+            pairs.append((R @ R.T, R_minus @ R_minus.T))
+        lam, lam_prime = symmetric_eigenvalues(np.array(pairs)).swapaxes(0, 1)
+        lam_shift = np.concatenate((np.zeros((len(members), 1)), lam[:, :-1]), axis=1)
+        worst = np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1))
+        for (i, _), w in zip(members, worst.tolist()):
+            results[i] = (w <= INTERLACING_SLACK, w)
+    return results

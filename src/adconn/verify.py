@@ -11,7 +11,13 @@ entry reads one assembled stiffness matrix, except the tetra gap (spectral_gap).
 A sampled sweep draws its samples in order from one rng_stream per sweep or
 grid point (circle one per n, interlacing and kyfan one each, families one per
 spherical placement and one for the edge-length samples), so samples=k gives
-the first k samples of any larger run.
+the first k samples of any larger run.  The circle, interlacing and kyfan
+sweeps solve their matrices as one stack per shape: the circle sweep each n's
+stiffness matrices (clustered_spectra) and circle forms, the interlacing
+sweep each (n, d)'s pairs (interlacing_checks, which reads each sample's
+subgraph as a mask over the edges of K_n), and the kyfan sweep each (n, d)'s
+placements (top_eigenvalue_sum_checks); every report is that of one instance
+at a time.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -26,14 +32,14 @@ import math
 
 import numpy as np
 
-from .bounds import circle_identity_matrix, top_eigenvalue_sum_checks, vertex_star_projection
+from .bounds import circle_identity_matrices, top_eigenvalue_sum_checks, vertex_star_projection
 from .closedform import CANONICAL, PYRAMID_START_HEIGHT, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
 from .framework import Placement, lower_stiffness_direct, stiffness
-from .graphs import Graph, complete_graph
+from .graphs import complete_graph
 from .placements import centered_sphere_points, regular_simplex, triangular_pyramid
 from .seeding import as_index, as_seed, rng_stream
-from .spectral import clustered_spectrum, interlacing_check, numeric_rank, spectral_gap
+from .spectral import clustered_spectra, clustered_spectrum, interlacing_checks, numeric_rank, spectral_gap
 
 SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan", "families")
 
@@ -59,9 +65,8 @@ def _entry(theorem, instance, predicted, computed, max_value_error, multiplicity
     }
 
 
-def _spectrum_entry(theorem, instance, predicted, L):
-    """predicted against the clustered spectrum of the stiffness matrix L."""
-    computed = clustered_spectrum(L)
+def _spectrum_entry(theorem, instance, predicted, computed):
+    """predicted against a computed clustered spectrum."""
     match = spectrum_matches(predicted, computed, VALUE_TOL)
     return _entry(
         theorem,
@@ -89,7 +94,9 @@ def _canonical_entries(row: str, pairs, instance) -> list[dict]:
     """One closed-form spectrum entry per (d, n) pair of a CANONICAL row."""
     fw = CANONICAL[row]
     return [
-        _spectrum_entry(row, instance(n, d), fw.spectrum(n, d), stiffness(fw.graph(n, d), fw.placement(n, d)))
+        _spectrum_entry(
+            row, instance(n, d), fw.spectrum(n, d), clustered_spectrum(stiffness(fw.graph(n, d), fw.placement(n, d)))
+        )
         for d, n in pairs
     ]
 
@@ -113,7 +120,8 @@ def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
     entries = []
     for height in h:
         g, p = complete_graph(4), triangular_pyramid(height)
-        entry = _spectrum_entry("pyramid", {"h": height}, pyramid_spectrum_closed_form(height), stiffness(g, p))
+        computed = clustered_spectrum(stiffness(g, p))
+        entry = _spectrum_entry("pyramid", {"h": height}, pyramid_spectrum_closed_form(height), computed)
         if height >= PYRAMID_START_HEIGHT - 1e-12:
             entry["computed_gap"] = gap = spectral_gap(g, p)
             entry["pass"] = entry["pass"] and abs(gap - 1.0) <= VALUE_TOL
@@ -131,11 +139,13 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
         rng = rng_stream(seed, f"circle:{k}")
         for s in range(samples):
             instances[f"random-{s}"] = centered_sphere_points(k, 2, rng)
-        for label, p in instances.items():
-            L = stiffness(g, p)
-            entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, L)
-            # circle_identity_matrix refuses a placement not centered, unit-norm and injective
-            entry["identity_residual"] = residual = float(np.max(np.abs(L - circle_identity_matrix(p))))
+        placements = list(instances.values())
+        L = np.stack([stiffness(g, p) for p in placements])
+        # circle_identity_matrices refuses a placement not centered, unit-norm and injective
+        residuals = np.abs(L - circle_identity_matrices(placements)).max(axis=(1, 2)).tolist()
+        for label, computed, residual in zip(instances, clustered_spectra(L), residuals):
+            entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
+            entry["identity_residual"] = residual
             entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
             entries.append(entry)
     return entries
@@ -147,29 +157,29 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
     if min(ns, default=2) < 2:  # each sample removes an edge of a graph on n vertices
         raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
     rng = rng_stream(seed, "interlacing")
-
-    def one(s):
-        n = int(rng.choice(ns))
+    # each sample is a spanning subgraph of K_n, named by a mask over its edges
+    cases = []
+    for _ in range(samples):
+        full = complete_graph(int(rng.choice(ns)))
         d = int(rng.choice(ds))
-        full = complete_graph(n)
         keep = rng.random(full.m) < 0.5
         if not keep.any():
             keep[:] = True
-        g = Graph(n, tuple(e for e, k in zip(full.edges, keep) if k))
-        e = g.edges[int(rng.integers(g.m))]
-        p = Placement(rng.standard_normal((n, d)))
-        ok, worst = interlacing_check(g, e, p)
-        return _entry(
+        kept = np.flatnonzero(keep)
+        e = full.edges[kept[int(rng.integers(len(kept)))]]
+        cases.append((full, e, Placement(rng.standard_normal((full.n, d))), keep))
+    return [
+        _entry(
             "interlacing",
-            {"sample": s, "n": n, "d": d, "edge": list(e), "edges": g.m},
+            {"sample": s, "n": p.n, "d": p.d, "edge": list(e), "edges": int(np.count_nonzero(keep))},
             "violation <= 1e-9",
             worst,
             max(worst, 0.0),
             True,
             ok,
         )
-
-    return [one(s) for s in range(samples)]
+        for s, ((_, e, p, keep), (ok, worst)) in enumerate(zip(cases, interlacing_checks(cases)))
+    ]
 
 
 def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:

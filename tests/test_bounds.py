@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adconn.bounds import (
-    circle_identity_matrix,
+    circle_identity_matrices,
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
@@ -199,6 +199,11 @@ def test_k4_bound_rejects_bad_inputs():
         k4_gap_upper_bound(Placement(np.zeros((4, 3))))
 
 
+def circle_identity_matrix(p):
+    """The circle form of one placement, as a one-member stack."""
+    return circle_identity_matrices([p])[0]
+
+
 def _identity_residual(p):
     return float(np.max(np.abs(stiffness(complete_graph(p.n), p) - circle_identity_matrix(p))))
 
@@ -252,6 +257,27 @@ def test_centered_unit_hypotheses_refused_alike(check, min_image, points, messag
     with pytest.raises(ValueError) as exc:
         check(p)
     assert str(exc.value) == message.format(min_image or p.n)
+
+
+def _textbook_identity(p):
+    """The circle form of one placement from np.outer, term by term."""
+    n, pvec = p.n, p.points.reshape(-1)
+    x, y = np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n)
+    r = np.column_stack([-p.points[:, 1], p.points[:, 0]]).reshape(-1)
+    return (n / 2.0) * np.eye(2 * n) + 0.5 * (
+        np.outer(pvec, pvec) - np.outer(x, x) - np.outer(y, y) - np.outer(r, r)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_circle_identity_stack_equals_the_textbook_form_bit_for_bit(rng, n):
+    placements = [unit_circle_placement(roots_of_unity_angles(n)).placement]
+    placements += [centered_sphere_points(n, 2, rng) for _ in range(5)]
+    stack = circle_identity_matrices(placements)
+    assert stack.shape == (6, 2 * n, 2 * n)
+    for p, member in zip(placements, stack):
+        assert member.tobytes() == _textbook_identity(p).tobytes()
+        assert member.tobytes() == circle_identity_matrix(p).tobytes()
 
 
 def test_dimension_reduction_gap_comparison(rng):

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,19 @@ def test_malformed_placement_file_is_usage_error(tmp_path, capsys, payload, mess
     assert message in err
 
 
+@pytest.mark.parametrize("huge", ["1" + "0" * 400, "1e999"], ids=["401-digit-int", "1e999"])
+def test_placement_beyond_the_float_range_is_usage_error(tmp_path, capsys, huge):
+    path = tmp_path / "p.json"
+    path.write_text('{"d": 1, "points": [[%s], [2]]}' % huge)
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys,
+        "spectrum", "--graph", "complete:2", "--placement", f"file:{path}", "--outdir", str(outdir),
+    )
+    assert (code, out, err) == (2, "", "error: points must be finite\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("tag", ["spherical-second-eig", "regular-2d"])
 def test_conjecture_zero_samples_is_usage_error(tmp_path, capsys, tag):
     code, _, err = run_cli(capsys, "conjecture", tag, "--samples", "0", "--outdir", str(tmp_path))
@@ -684,3 +698,22 @@ def test_manifest_lists_the_files_written_and_the_seed_read(tmp_path, capsys, ar
     assert sorted(manifest["outputs"]) == sorted(str(p) for p in tmp_path.iterdir() if p != manifest_path)
     assert "command" not in manifest["params"] and "func" not in manifest["params"]
     assert manifest["seed"] == seed
+
+
+def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
+    import platform
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code, _, _ = run_cli(capsys, "bounds", "6", "3", "--outdir", str(tmp_path))
+    env = json.loads((tmp_path / "bounds_manifest.json").read_text())["environment"]
+    assert code == 0
+    assert set(env) == {"python", "numpy", "blas_name", "blas_version", "cpu_count", "threads_env"}
+    assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+    assert env["cpu_count"] == os.cpu_count()
+    assert all(v is None or isinstance(v, str) for v in (env["blas_name"], env["blas_version"]))
+    assert env["threads_env"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": None,
+    }

@@ -368,6 +368,17 @@ def test_placement_json_roundtrip():
         placement_from_json("{nope")
 
 
+@pytest.mark.parametrize(
+    "huge", ["1" + "0" * 400, "-" + "9" * 400, "1e999"], ids=["401-digits", "minus-400-nines", "1e999"]
+)
+def test_placement_json_beyond_the_float_range_is_not_finite(huge):
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        placement_from_json('{"d": 2, "points": [[%s, 0], [1, 2]]}' % huge)
+    # the shape is still checked first, as for any other number
+    with pytest.raises(ValueError, match="with d=3"):
+        placement_from_json('{"d": 3, "points": [[%s, 0], [1, 2]]}' % huge)
+
+
 def test_placement_validation():
     with pytest.raises(ValueError):
         Placement(np.zeros((0, 2)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adconn import spectral
 from adconn.framework import Placement, lower_stiffness_direct, stiffness
-from adconn.graphs import complete_graph, make_graph, turan_graph
+from adconn.graphs import Graph, complete_graph, make_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
     random_sphere_placement,
@@ -22,8 +22,9 @@ from adconn.spectral import (
     LOW_RANK_PIVOT_DIVISOR,
     SYMMETRY_TILE,
     cluster_multiplicities,
+    clustered_spectra,
     clustered_spectrum,
-    interlacing_check,
+    interlacing_checks,
     numeric_rank,
     spectral_gap,
     symmetric_eigenvalues,
@@ -664,8 +665,13 @@ def test_clustered_spectrum_refuses_a_stack():
         clustered_spectrum(np.zeros((2, 3, 3)))
 
 
+def interlacing_check(g, e, p):
+    """One framework's sandwich, as a one-case batch that keeps every edge."""
+    return interlacing_checks([(g, e, p, np.ones(g.m, dtype=bool))])[0]
+
+
 def _interlacing_oracle(g, e, p):
-    """interlacing_check's worst violation from two separate assemblies and
+    """interlacing_checks' worst violation from two separate assemblies and
     eigensolves, one of them on the graph with e removed."""
     lam = symmetric_eigenvalues(stiffness(g, p))
     lam_prime = symmetric_eigenvalues(stiffness(without_edge(g, e), p))
@@ -673,7 +679,9 @@ def _interlacing_oracle(g, e, p):
     return float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
 
 
-def test_interlacing_equals_removing_the_edge_bit_for_bit(rng):
+def _interlacing_cases(rng):
+    """(g, e, p): mixed n and d, coincident points, 1e+-200 scales, edges
+    given in either order, and one framework whose matrices take the tiled check."""
     cases = [(complete_graph(2), (1, 0), Placement([[0.0], [1.0]]))]
     for _ in range(60):
         n, d = int(rng.integers(2, 11)), int(rng.integers(1, 5))
@@ -685,9 +693,27 @@ def test_interlacing_equals_removing_the_edge_bit_for_bit(rng):
         cases.append((g, e[::-1] if rng.random() < 0.5 else e, Placement(pts)))
     # 27 x 5 = 135 rows: the two stiffness matrices take the tiled check
     cases.append((complete_graph(27), (3, 20), random_placement(rng, 27, 5)))
-    for g, e, p in cases:
+    return cases
+
+
+def test_interlacing_equals_removing_the_edge_bit_for_bit(rng):
+    for g, e, p in _interlacing_cases(rng):
         ok, worst = interlacing_check(g, e, p)
         want = _interlacing_oracle(g, e, p)
+        assert repr(worst) == repr(want) and ok == (want <= 1e-9)
+
+
+def test_one_batch_equals_removing_each_edge_bit_for_bit(rng):
+    # every case of the test above in one call, then each case again as a
+    # spanning subgraph of K_n, named by a mask over its edges
+    cases = [(g, e, p, np.ones(g.m, dtype=bool)) for g, e, p in _interlacing_cases(rng)]
+    for g, e, p, _ in list(cases):
+        full = complete_graph(g.n)
+        cases.append((full, e, p, np.array([f in g.edge_index for f in full.edges])))
+    wants = [_interlacing_oracle(g, e, p) for g, e, p, _ in cases[:62]] * 2
+    results = interlacing_checks(cases)
+    assert len(results) == len(wants) == 2 * 62
+    for (ok, worst), want in zip(results, wants):
         assert repr(worst) == repr(want) and ok == (want <= 1e-9)
 
 
@@ -696,3 +722,46 @@ def test_interlacing_names_the_missing_edge():
     for u, v in ((0, 2), (2, 0)):
         with pytest.raises(ValueError, match="^" + re.escape(f"edge {{{u}, {v}}} not in graph") + "$"):
             interlacing_check(g, (u, v), Placement(np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["not-in-g", "masked-out"])
+def test_a_missing_edge_anywhere_in_a_batch_is_refused_before_any_eigensolve(monkeypatch, masked):
+    def solved(M):
+        raise AssertionError("eigensolve before the edge lookups")
+
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", solved)
+    # the bad case's shape (4, 3) comes after a whole group of shape (4, 2)
+    full, p, q = complete_graph(4), Placement(np.arange(8.0).reshape(4, 2)), Placement(np.arange(12.0).reshape(4, 3))
+    good = [(full, (0, 1), p, np.ones(6, dtype=bool)), (make_graph(4, [(0, 1), (2, 3)]), (3, 2), p, [True, True])]
+    if masked:  # (0, 2) is an edge of K_4 that the mask drops
+        bad = (full, (2, 0), q, np.array([True, False, True, True, True, True]))
+    else:
+        bad = (make_graph(4, [(0, 1), (2, 3)]), (2, 0), q, np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match="^" + re.escape("edge {2, 0} not in graph") + "$"):
+        interlacing_checks([*good, bad, *good])
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool), np.arange(6), [1, 1, 1, 1, 1, 1]],
+    ids=["short", "column", "indices", "ints"],
+)
+def test_interlacing_refuses_a_mask_that_is_not_one_bool_per_edge(keep):
+    case = (complete_graph(4), (0, 1), Placement(np.arange(8.0).reshape(4, 2)), keep)
+    with pytest.raises(ValueError, match=r"^keep must be a boolean mask over the 6 edges of g$"):
+        interlacing_checks([case])
+
+
+def test_clustered_spectra_equal_one_matrix_at_a_time():
+    # members of different peaks each get their own default tolerance
+    stack = np.stack([_random_symmetric(12) * scale for scale in (1e-3, 1.0, 1e4)])
+    stack[1] = stiffness(complete_graph(4), regular_simplex(3))
+    spectra = clustered_spectra(stack)
+    assert len(spectra) == 3
+    for member, spectrum in zip(stack, spectra):
+        assert repr(spectrum) == repr(clustered_spectrum(member))
+
+
+def test_clustered_spectra_need_a_stack():
+    with pytest.raises(ValueError, match=r"^need a \(k, m, m\) stack of matrices, got shape \(3, 3\)$"):
+        clustered_spectra(np.zeros((3, 3)))

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from adconn.bounds import circle_identity_matrices
 from adconn.closedform import CANONICAL
 from adconn.framework import Placement, stiffness
 from adconn.graphs import Graph, complete_graph
+from adconn.placements import centered_sphere_points
 from adconn.seeding import rng_stream
-from adconn.spectral import symmetric_eigenvalues
+from adconn.spectral import clustered_spectrum, symmetric_eigenvalues
 from adconn.verify import GRIDS, SUITES, run_suite
 
 from conftest import without_edge
@@ -135,6 +137,35 @@ def test_kyfan_sweep_equals_one_placement_at_a_time():
         assert (repr(entry["computed"]), entry["predicted"]) == (repr(total), bound)
         assert entry["max_value_error"] == max(bound - total, 0.0)
         assert entry["pass"] == (total - bound >= -1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_circle_sweep_equals_one_placement_at_a_time(seed):
+    # replays each n's stream; each entry is checked against its own
+    # placement, assembled, solved and compared with the circle form alone
+    ns, samples = [3, 4, 7, 10, 13], 4
+    entries = run_suite("circle", grid={"n": ns}, samples=samples, seed=seed)["entries"]
+    row, expected = CANONICAL["circle"], []
+    for n in ns:
+        rng = rng_stream(seed, f"circle:{n}")
+        placements = {"roots-of-unity": row.placement(n, 2)}
+        placements.update((f"random-{s}", centered_sphere_points(n, 2, rng)) for s in range(samples))
+        expected += [(n, label, p) for label, p in placements.items()]
+    assert len(entries) == len(expected) == len(ns) * (1 + samples)
+    for entry, (n, label, p) in zip(entries, expected):
+        L = stiffness(row.graph(n, 2), p)
+        computed = [list(c) for c in clustered_spectrum(L).clusters]
+        residual = float(np.max(np.abs(L - circle_identity_matrices([p])[0])))
+        assert entry["instance"] == {"n": n, "instance": label}
+        assert repr(entry["computed"]) == repr(computed)
+        assert repr(entry["identity_residual"]) == repr(residual)
+
+
+def test_a_circle_stack_with_one_off_circle_placement_is_refused():
+    on_circle = [CANONICAL["circle"].placement(5, 2), centered_sphere_points(5, 2, rng_stream(0, "circle:5"))]
+    off_circle = Placement(1.5 * on_circle[0].points)
+    with pytest.raises(ValueError, match="^placement must have unit-norm points$"):
+        circle_identity_matrices([*on_circle, off_circle, *on_circle])
 
 
 def test_interlacing_sweep_equals_removing_each_edge():

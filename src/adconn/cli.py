@@ -3,8 +3,8 @@
 Subcommands:
     spectrum    clustered stiffness spectrum of a (graph, placement) pair
     verify      run a verification sweep and report per-instance pass/fail
-    bounds      lower/upper bound report for complete graphs, optionally with
-                an observed optimizer gap
+    bounds      bound report for complete graphs, with the conjectured ceiling
+                n/(2d); --observe adds an optimizer gap and its margin
     optimize    maximize the spectral gap over placements
     conjecture  run a conjecture probe and report margins
 
@@ -199,8 +199,9 @@ def cmd_bounds(args) -> Outcome:
         args.restarts = 16 if args.restarts is None else args.restarts
         args.seed = 0 if args.seed is None else args.seed
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        result = gap_ascent(complete_graph(args.n), args.d, config)
-        report = dataclasses.replace(report, gap_observed=result.best_gap)
+        gap = gap_ascent(complete_graph(args.n), args.d, config).best_gap
+        margin = None if report.ceiling is None else report.ceiling - gap
+        report = dataclasses.replace(report, gap_observed=gap, margin=margin)
     payload = report.to_json_dict()
     return 0, {"bounds.json": payload}, json.dumps(payload, indent=2)
 
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="bound report for complete graphs")
     sp.add_argument("n", type=int)
     sp.add_argument("d", type=int)
-    sp.add_argument("--observe", action="store_true", help="run the optimizer and attach the observed gap")
+    sp.add_argument("--observe", action="store_true", help="run the optimizer and attach the observed gap and margin")
     sp.add_argument("--restarts", type=int, default=None, help="with --observe only (default 16)")
     sp.add_argument("--seed", type=int, default=None, help="with --observe only (default 0)")
     common(sp, seed=False)

@@ -12,6 +12,7 @@ family costs one row plus its closed form.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -34,6 +35,15 @@ from .spectral import MultiplicitySpectrum, cluster_multiplicities
 MERGE_TOL = 1e-12
 
 
+def _float_sized(k, name: str) -> int:
+    """k as an index (seeding.as_index), refused beyond the float range: each
+    float formula below gives values no larger than its n, and n > d."""
+    k = as_index(k, name)
+    if k > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.4g} for the float formulas, got a {k.bit_length()}-bit {name}")
+    return k
+
+
 def _predicted(tag: str, pairs, expected_total: int) -> MultiplicitySpectrum:
     """Sorted clusters of the (value, multiplicity) pairs, values within MERGE_TOL merged."""
     values, mults = zip(*pairs)
@@ -52,9 +62,9 @@ def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
 
 def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
-    if as_index(d, "d") < 2:
+    if _float_sized(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    TuranPartition(n, d + 1)  # refuses an n that is not d+1 equal blocks
+    TuranPartition(_float_sized(n, "n"), d + 1)  # refuses an n that is not d+1 equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * (d + 1)), (n - d - 1) * (d - 1)),
@@ -67,9 +77,9 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
 
 def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
-    if as_index(d, "d") < 2:
+    if _float_sized(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    TuranPartition(n, 2 * d)  # refuses an n that is not 2d equal blocks
+    TuranPartition(_float_sized(n, "n"), 2 * d)  # refuses an n that is not 2d equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * d), n * (d - 1) - d * d),
@@ -103,7 +113,7 @@ def pyramid_spectrum_closed_form(apex_height: float) -> MultiplicitySpectrum:
 
 def circle_spectrum_closed_form(n: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of K_n at any injective centered unit-circle placement."""
-    if as_index(n, "n") < 3:
+    if _float_sized(n, "n") < 3:
         raise ValueError(f"need n >= 3, got {n}")
     pairs = [(0.0, 3), (n / 2, 2 * n - 4), (float(n), 1)]
     return _predicted("circle", pairs, 2 * n)
@@ -201,31 +211,38 @@ def spectrum_matches(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower/upper bounds on the best achievable spectral gap of K_n in R^d.
+    """Lower/upper bounds on the best achievable spectral gap of K_n in R^d,
+    for d >= 3 and n >= d+1, where the upper bound 2n/(3(d-1)) + 1/3 holds.
 
-    Fields are present only where their formulas apply: lower_divisible = n/(2d)
-    needs 2d | n, lower_general = ceil(n/(2d)) - 2d + 1 needs n >= 2d, and the
-    upper bound 2n/(3(d-1)) + 1/3 needs n >= d+1; all need d >= 3.
+    The other formula fields are present only where they apply:
+    lower_general = ceil(n/(2d)) - 2d + 1 needs n >= 2d, lower_divisible =
+    n/(2d) needs 2d | n, and ceiling = n/(2d), conjectured, not proven, needs
+    n >= 2d.  gap_observed is an optimizer's best gap, and margin = ceiling -
+    gap_observed where both are present; a negative margin would be a
+    counterexample candidate to the ceiling.
     """
 
     n: int
     d: int
     lower_divisible: float | None
     lower_general: float | None
-    upper: float | None
+    upper: float
+    ceiling: float | None
     gap_observed: float | None = None
+    margin: float | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
 def bound_report(n: int, d: int) -> BoundReport:
-    n, d = as_index(n, "n"), as_index(d, "d")
+    n, d = _float_sized(n, "n"), as_index(d, "d")
     if d < 3:
         raise ValueError(f"bounds require d >= 3, got d={d}")
-    lower_divisible = n / (2 * d) if TuranPartition.exists(n, 2 * d) else None
-    lower_general = float(math.ceil(n / (2 * d)) - 2 * d + 1) if n >= 2 * d else None
-    upper = 2 * n / (3 * (d - 1)) + 1.0 / 3.0 if n >= d + 1 else None
-    if lower_divisible is None and lower_general is None and upper is None:
+    if n <= d:
         raise ValueError(f"no bound formula applies to n={n}, d={d}")
-    return BoundReport(n, d, lower_divisible, lower_general, upper)
+    ceiling = n / (2 * d) if n >= 2 * d else None
+    lower_divisible = ceiling if TuranPartition.exists(n, 2 * d) else None
+    lower_general = float(-(-n // (2 * d)) - 2 * d + 1) if n >= 2 * d else None
+    upper = 2 * n / (3 * (d - 1)) + 1.0 / 3.0
+    return BoundReport(n, d, lower_divisible, lower_general, upper, ceiling)

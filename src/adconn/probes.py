@@ -109,26 +109,6 @@ def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tu
     return instances, summary, candidates
 
 
-def _probe_kn_upper(n=12, d=3, restarts=8, *, seed) -> tuple[list, dict, list]:
-    """Best optimizer gap for K_n in R^d, d >= 3 and n >= 2d, against the conjectured ceiling n/(2d)."""
-    if d < 3 or n < 2 * d:
-        raise ValueError(f"kn-upper needs d >= 3 and n >= 2d for the ceiling n/(2d), got n = {n}, d = {d}")
-    config = OptimizerConfig(restarts=restarts, seed=seed)
-    result = gap_ascent(complete_graph(n), d, config)
-    ceiling = n / (2 * d)
-    inst = {
-        "n": n,
-        "d": d,
-        "best_gap": result.best_gap,
-        "conjectured_ceiling": ceiling,
-        "margin": ceiling - result.best_gap,
-        "best_restart": result.best_restart,
-    }
-    summary = {"min_margin": inst["margin"], "max_margin": inst["margin"]}
-    candidates = [inst] if inst["margin"] < -1e-9 else []
-    return [inst], summary, candidates
-
-
 def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gaps of random 2d-regular graphs, each drawn by
     graphs.random_regular_graph from its own (seed, n, sample) stream; the
@@ -157,7 +137,6 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
 PROBES = {
     "spherical-second-eig": _probe_spherical_second_eig,
     "top-n-sum": _probe_top_n_sum,
-    "kn-upper": _probe_kn_upper,
     "regular-2d": _probe_regular_2d,
 }
 PROBE_TAGS = tuple(PROBES)

@@ -3,6 +3,8 @@ import hashlib
 import inspect
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from adconn.cli import (
 from adconn.closedform import CANONICAL
 from adconn.framework import lower_stiffness_direct
 from adconn.graphs import complete_graph
+from adconn.optimize import OptimizerConfig, gap_ascent
 from adconn.placements import roots_of_unity_angles, unit_circle_placement
 from adconn.probes import PROBE_TAGS, PROBES, conjecture_probe
 from adconn.spectral import cluster_multiplicities
@@ -168,12 +171,12 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["conjecture", "top-n-sum", "--n", "5", "--d", "3", "--samples", "0"], "no instances"),
         (["conjecture", "spherical-second-eig", "--d", "1"], "n >= 3 and d >= 3, got n = 8, d = 1"),
         (["conjecture", "spherical-second-eig", "--d", "2"], "got n = 8, d = 2; for d = 2 see verify --suite circle"),
-        (["conjecture", "kn-upper", "--restarts", "0"], "restarts and max_iters must be positive"),
+        (["bounds", "12", "3", "--observe", "--restarts", "0"], "restarts and max_iters must be positive"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
          "verify-d-float",
          "conjecture-n-range", "conjecture-n-at-2d", "conjecture-d-range", "conjecture-n-below-3",
-         "conjecture-no-instances", "conjecture-d-below-2", "conjecture-d-2", "conjecture-no-restarts"],
+         "conjecture-no-instances", "conjecture-d-below-2", "conjecture-d-2", "bounds-observe-no-restarts"],
 )
 def test_empty_range_or_suite_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
@@ -195,7 +198,6 @@ SUITE_READS = {
 PROBE_READS = {
     "spherical-second-eig": ["n", "d", "samples"],
     "top-n-sum": ["ns", "ds", "samples"],
-    "kn-upper": ["n", "d", "restarts"],
     "regular-2d": ["d", "ns", "samples", "restarts"],
 }
 
@@ -262,6 +264,21 @@ def test_readme_table_names_every_suite_and_probe():
     assert sorted(names) == sorted(SUITES + ("all",) + PROBE_TAGS)
 
 
+def test_readme_cli_examples_parse():
+    # parsed, not run: an example that names a retired subcommand, tag or flag exits 2
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    examples = [shlex.split(line) for block in blocks for line in block.splitlines() if line.startswith("adconn ")]
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[1] for argv in examples} == set(sub.choices)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -269,12 +286,13 @@ def test_readme_table_names_every_suite_and_probe():
         ["optimize", "--graph", "complete:4", "--d", "3", "--step-decay", "0.5"],
         ["spectrum", "--graph", "complete:4", "--placement", "simplex:3", "--seed", "1"],
         ["optimize", "--graph", "complete:4", "--d", "3", "--gauge", "center-scale"],
-        ["conjecture", "kn-upper", "--base-seed", "5"],
-        ["conjecture", "kn-upper", "--k", "2..4"],
+        ["conjecture", "regular-2d", "--base-seed", "5"],
+        ["conjecture", "regular-2d", "--k", "2..4"],
         ["conjecture", "repeated-points"],
+        ["conjecture", "kn-upper"],
     ],
     ids=["optimize-step-init", "optimize-step-decay", "spectrum-seed", "optimize-gauge", "conjecture-base-seed",
-         "conjecture-k", "conjecture-repeated-points"],
+         "conjecture-k", "conjecture-repeated-points", "conjecture-kn-upper"],
 )
 def test_removed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -354,22 +372,26 @@ def test_one_dimensional_runs_reach_the_line_gap(tmp_path, capsys, argv):
     assert json.loads(out)["best_gap"] == pytest.approx(expected[argv[2]], abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "n,d",
-    [(4, 3), (5, 3), (8, 2), (2, 1), (4, 0), (11, 6)],
-    ids=["K4-proven-gap-1", "n-below-2d", "circle-reaches-n/2", "line-reaches-n", "d-0", "d-6-n-11"],
-)
-def test_kn_upper_refuses_what_its_ceiling_does_not_cover(tmp_path, capsys, monkeypatch, n, d):
-    # a_d(K_{d+1}) = 1, the circle's n/2 and the line's n all exceed n/(2d):
-    # these runs used to report them as counterexamples
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (11, 6)], ids=["K4-proven-gap-1", "n-below-2d", "d-6-n-11"])
+def test_bounds_observe_has_no_ceiling_below_2d(tmp_path, capsys, n, d):
+    # below n = 2d the best gap can exceed n/(2d), as a_d(K_{d+1}) = 1 does, so a
+    # margin there would read as a counterexample to a ceiling stated for n >= 2d
+    code, out, _ = run_cli(capsys, "bounds", str(n), str(d), "--observe", "--restarts", "1", "--outdir", str(tmp_path))
+    payload = json.loads(out)
+    assert code == 0 and payload["gap_observed"] is not None
+    assert payload["ceiling"] is None and payload["margin"] is None
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (2, 1), (4, 0)], ids=["circle-reaches-n/2", "line-reaches-n", "d-0"])
+def test_bounds_observe_refuses_d_below_3_before_optimizing(tmp_path, capsys, monkeypatch, n, d):
+    # the circle's n/2 and the line's n exceed n/(2d): no ceiling covers d < 3
     def no_optimizer(*args, **kwargs):
         raise AssertionError("the optimizer ran")
 
-    monkeypatch.setattr("adconn.probes.gap_ascent", no_optimizer)
-    code, out, err = run_cli(capsys, "conjecture", "kn-upper", "--n", str(n), "--d", str(d),
-                             "--restarts", "2", "--outdir", str(tmp_path))
+    monkeypatch.setattr("adconn.cli.gap_ascent", no_optimizer)
+    code, out, err = run_cli(capsys, "bounds", str(n), str(d), "--observe", "--restarts", "2", "--outdir", str(tmp_path))
     assert code == 2 and out == "" and not any(tmp_path.iterdir())
-    assert f"kn-upper needs d >= 3 and n >= 2d for the ceiling n/(2d), got n = {n}, d = {d}" in err
+    assert f"bounds require d >= 3, got d={d}" in err
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -592,15 +614,31 @@ def test_bounds_out_of_range_is_usage_error(tmp_path, capsys):
     assert code == 2 and "d >= 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [(["bounds", str(10**400), "3"], "n"), (["verify", "--suite", "simplex", "--grid", f"d={10**400}"], "d")],
+    ids=["bounds", "verify-simplex"],
+)
+def test_arguments_past_the_float_range_are_usage_errors(tmp_path, capsys, argv, name):
+    # a usage error, not an overflow that would leave main with exit 1, the verification-failure code
+    code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert f"error: {name} must be at most 1.798e+308 for the float formulas, got a 1329-bit {name}" in err
+
+
 def test_bounds_observe_small(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
-        "bounds", "6", "3", "--observe", "--restarts", "2", "--seed", "1",
+        "bounds", "6", "3", "--observe", "--restarts", "3", "--seed", "1",
         "--outdir", str(tmp_path),
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["gap_observed"] >= payload["lower_divisible"] - 1e-3
+    assert payload["ceiling"] == 1.0
+    assert 0.9 <= payload["gap_observed"] <= 1.0 + 1e-6  # the crosspolytope start recovers the floor
+    assert payload["gap_observed"] == gap_ascent(complete_graph(6), 3, OptimizerConfig(3, seed=1)).best_gap
+    assert payload["margin"] == payload["ceiling"] - payload["gap_observed"]
 
 
 def test_optimize_command_deterministic(tmp_path, capsys):
@@ -655,7 +693,7 @@ def test_conjecture_range_params(tmp_path, capsys):
 def test_conjecture_scalar_flag_rejects_range(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
-        "conjecture", "kn-upper", "--n", "3..5", "--d", "3", "--outdir", str(tmp_path),
+        "conjecture", "spherical-second-eig", "--n", "3..5", "--outdir", str(tmp_path),
     )
     assert code == 2 and "single integer" in err
 

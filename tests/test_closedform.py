@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,7 +180,9 @@ def test_bound_report_json_dict_keys_in_field_order():
         ("lower_divisible", 2.0),
         ("lower_general", -3.0),
         ("upper", 2 * 12 / (3 * 2) + 1.0 / 3.0),
+        ("ceiling", 2.0),
         ("gap_observed", None),
+        ("margin", None),
     ]
 
 
@@ -226,11 +230,46 @@ def test_bound_report_keeps_its_formulas_on_a_grid(d):
         divisible = n / (2 * d) if (n >= 2 * d and n % (2 * d) == 0) else None
         general = float(math.ceil(n / (2 * d)) - 2 * d + 1) if n >= 2 * d else None
         upper = 2 * n / (3 * (d - 1)) + 1.0 / 3.0 if n >= d + 1 else None
+        ceiling = n / (2 * d) if n >= 2 * d else None
         if upper is None:
             with pytest.raises(ValueError, match=f"^no bound formula applies to n={n}, d={d}$"):
                 bound_report(n, d)
         else:
-            assert bound_report(n, d) == BoundReport(n, d, divisible, general, upper)
+            assert bound_report(n, d) == BoundReport(n, d, divisible, general, upper, ceiling)
+
+
+def test_bound_report_lower_general_is_exact_past_2_53():
+    # past 2^53 the float quotient n/(2d) can round onto the next integer's side
+    assert bound_report(9007199254741289, 4).lower_general == 1125899906842655.0
+    for k in range(53, 61):
+        for n in range(2**k - 20, 2**k + 20):
+            for d in (3, 4, 5, 6):
+                exact = math.ceil(Fraction(n, 2 * d)) - 2 * d + 1
+                assert bound_report(n, d).lower_general == float(exact), (n, d)
+
+
+def test_bound_report_is_finite_up_to_the_float_range_and_refused_past_it():
+    top = int(sys.float_info.max)
+    r = bound_report(top, 3)
+    assert (r.ceiling, r.lower_general, r.upper) == (top / 6, float(-(-top // 6) - 5), 2 * top / 6 + 1 / 3)
+    assert all(math.isfinite(x) for x in (r.ceiling, r.lower_general, r.upper))
+    with pytest.raises(ValueError, match=r"^n must be at most 1.798e\+308 for the float formulas, got a 1329-bit n$"):
+        bound_report(10**400, 3)
+
+
+@pytest.mark.parametrize(
+    "form,args,name",
+    [
+        (simplex_spectrum_closed_form, (10**400,), "d"),
+        (turan_simplex_spectrum_closed_form, (4 * 10**400, 3), "n"),
+        (crosspolytope_spectrum_closed_form, (6 * 10**400, 3), "n"),
+        (circle_spectrum_closed_form, (10**400,), "n"),
+    ],
+    ids=["simplex", "turan-simplex", "crosspolytope", "circle"],
+)
+def test_closed_forms_refuse_arguments_past_the_float_range(form, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at most 1.798e\\+308 for the float formulas"):
+        form(*args)
 
 
 def test_bounds_sandwich_where_both_defined():

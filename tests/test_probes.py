@@ -12,6 +12,8 @@ from adconn.seeding import rng_stream
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError, match="unknown conjecture tag"):
         conjecture_probe("nope", {}, seed=0)
+    with pytest.raises(ValueError, match="^unknown conjecture tag 'kn-upper'; valid tags: "):
+        conjecture_probe("kn-upper", {}, seed=0)  # retired: bounds --observe reports its ceiling and margin
 
 
 def test_spherical_second_eig_probe():
@@ -51,7 +53,6 @@ def test_top_n_sum_probe():
         ("top-n-sum", {"samples": -1}, "samples must be >= 0, got -1"),
         ("spherical-second-eig", {"d": 1}, "n >= 3 and d >= 3, got n = 8, d = 1"),
         ("spherical-second-eig", {"d": 2}, "n >= 3 and d >= 3, got n = 8, d = 2; for d = 2 see verify --suite circle"),
-        ("kn-upper", {"restarts": 0}, "restarts and max_iters must be positive"),
         ("regular-2d", {"d": 2.5}, "^d must be an integer, got 2.5$"),
         ("regular-2d", {"d": True}, "^d must be an integer, got True$"),
         ("regular-2d", {"ns": [8.5], "samples": 1, "restarts": 1}, "^n must be an integer, got 8.5$"),
@@ -65,7 +66,7 @@ def test_top_n_sum_probe():
     ],
     ids=["spherical-second-eig", "regular-2d", "regular-2d-no-n", "regular-2d-n-at-2d", "spherical-second-eig-n2",
          "top-n-sum-n-below-3", "top-n-sum-negative-samples", "spherical-second-eig-d1", "spherical-second-eig-d2",
-         "kn-upper-no-restarts", "regular-2d-d-float", "regular-2d-d-bool", "regular-2d-n-float",
+         "regular-2d-d-float", "regular-2d-d-bool", "regular-2d-n-float",
          "regular-2d-no-restarts", "regular-2d-restarts-float", "regular-2d-d0", "regular-2d-d-negative",
          "top-n-sum-n-float", "top-n-sum-d-float", "spherical-second-eig-d-float"],
 )
@@ -79,7 +80,6 @@ def test_sampling_probes_reject_zero_samples(tag, params, message):
     [
         ("spherical-second-eig", {"samples": 2}, {"n": 8, "d": 3, "samples": 2}),
         ("top-n-sum", {"samples": 1, "ds": [2]}, {"ns": [3, 4, 5, 6, 7, 8, 9, 10], "ds": [2], "samples": 1}),
-        ("kn-upper", {"restarts": 1, "n": 6}, {"n": 6, "d": 3, "restarts": 1}),
         ("regular-2d", {"ns": (5,), "samples": 1, "restarts": 1}, {"d": 2, "ns": [5], "samples": 1, "restarts": 1}),
     ],
 )
@@ -98,14 +98,6 @@ def test_top_n_sum_without_samples_keeps_canonical_instances():
     ]
     with pytest.raises(ValueError, match="no instances"):
         conjecture_probe("top-n-sum", {"ns": [5], "ds": [3], "samples": 0}, seed=0)
-
-
-def test_kn_upper_probe():
-    record = conjecture_probe("kn-upper", {"n": 6, "d": 3, "restarts": 3}, seed=1)
-    inst = record["instances"][0]
-    assert inst["conjectured_ceiling"] == pytest.approx(1.0)
-    assert inst["best_gap"] <= 1.0 + 1e-6
-    assert inst["best_gap"] >= 0.9  # crosspolytope start recovers the floor
 
 
 def test_regular_2d_probe():
@@ -141,7 +133,6 @@ def test_all_tags_run_to_completion():
     small = {
         "spherical-second-eig": {"n": 6, "d": 3, "samples": 2},
         "top-n-sum": {"ns": [3, 4], "ds": [2], "samples": 2},
-        "kn-upper": {"n": 6, "d": 3, "restarts": 2},
         "regular-2d": {"d": 2, "ns": [8], "samples": 1, "restarts": 1},
     }
     for tag in PROBE_TAGS:

@@ -36,7 +36,15 @@ from .framework import (
     rigidity_matrix,
     stiffness,
 )
-from .graphs import Graph, TuranPartition, complete_graph, make_graph, random_regular_graph, turan_graph
+from .graphs import (
+    Graph,
+    TuranPartition,
+    complete_graph,
+    make_graph,
+    random_regular_graph,
+    turan_graph,
+    turan_partition,
+)
 from .optimize import OptimizeResult, OptimizerConfig, gap_ascent, seeded_restarts
 from .placements import (
     CirclePlacement,

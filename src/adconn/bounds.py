@@ -59,7 +59,7 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     """top_eigenvalue_sum_check of each placement, in order.
 
     The placements are grouped by shape (n, d); each group's stiffness
-    matrices R R^t are assembled as one stack and solved by one
+    matrices are assembled as one stack and solved by one
     symmetric_eigenvalues call, with the same bits as one placement at a time.
     """
     placements = list(placements)

@@ -35,7 +35,7 @@ from .spectral import MultiplicitySpectrum, cluster_multiplicities
 MERGE_TOL = 1e-12
 
 
-def _float_sized(k, name: str) -> int:
+def float_sized(k, name: str) -> int:
     """k as an index (seeding.as_index), refused beyond the float range: each
     float formula below gives values no larger than its n, and n > d."""
     k = as_index(k, name)
@@ -46,6 +46,8 @@ def _float_sized(k, name: str) -> int:
 
 def _predicted(tag: str, pairs, expected_total: int) -> MultiplicitySpectrum:
     """Sorted clusters of the (value, multiplicity) pairs, values within MERGE_TOL merged."""
+    if expected_total > np.iinfo(np.intp).max:  # np.repeat would raise OverflowError
+        raise ValueError(f"{tag}: a spectrum of {expected_total} eigenvalues is more than an array holds")
     values, mults = zip(*pairs)
     spectrum = cluster_multiplicities(np.sort(np.repeat(values, mults)), MERGE_TOL)
     if spectrum.clusters[0][0] < 0:
@@ -62,9 +64,9 @@ def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
 
 def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
-    if _float_sized(d, "d") < 2:
+    if float_sized(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    TuranPartition(_float_sized(n, "n"), d + 1)  # refuses an n that is not d+1 equal blocks
+    TuranPartition(float_sized(n, "n"), d + 1)  # refuses an n that is not d+1 equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * (d + 1)), (n - d - 1) * (d - 1)),
@@ -77,9 +79,9 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
 
 def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
-    if _float_sized(d, "d") < 2:
+    if float_sized(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    TuranPartition(_float_sized(n, "n"), 2 * d)  # refuses an n that is not 2d equal blocks
+    TuranPartition(float_sized(n, "n"), 2 * d)  # refuses an n that is not 2d equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
         (n / (2 * d), n * (d - 1) - d * d),
@@ -113,7 +115,7 @@ def pyramid_spectrum_closed_form(apex_height: float) -> MultiplicitySpectrum:
 
 def circle_spectrum_closed_form(n: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of K_n at any injective centered unit-circle placement."""
-    if _float_sized(n, "n") < 3:
+    if float_sized(n, "n") < 3:
         raise ValueError(f"need n >= 3, got {n}")
     pairs = [(0.0, 3), (n / 2, 2 * n - 4), (float(n), 1)]
     return _predicted("circle", pairs, 2 * n)
@@ -236,7 +238,7 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int) -> BoundReport:
-    n, d = _float_sized(n, "n"), as_index(d, "d")
+    n, d = float_sized(n, "n"), as_index(d, "d")
     if d < 3:
         raise ValueError(f"bounds require d >= 3, got d={d}")
     if n <= d:

@@ -4,25 +4,37 @@ A framework is a graph together with a placement p of its vertices in R^d.
 Its rigidity matrix R has one column per edge, built from the normalized
 direction between the placed endpoints; the nonzero entries are written into
 a zeroed array through a flat index that the graph builds once per dimension
-(Graph.scatter_index).  The stiffness matrix is R R^t and the edge-basis
-(lower) stiffness matrix R^t R is assembled from its entry rule.
-Coincident endpoints contribute zero columns: coincidence is detected by exact
-coordinate equality, never by a tolerance.  Directions do not depend on the
-scale of the placement, down to the smallest and up to the largest floats.
-Placement.require_centered_unit is the one check of the unit-norm, zero-sum
-and image-size hypotheses that the centered-unit n/2 facts rest on.
+(Graph.scatter_index).  The stiffness matrix is R R^t.  Its off-diagonal
+block (u, v) is -d_uv d_uv^t for an edge (u, v) and zero otherwise, and the
+diagonal block of a vertex is the sum of d_uv d_uv^t over its edges, so from
+n = BLOCK_ASSEMBLY_MIN_VERTICES vertices on it is assembled from those
+blocks in O(m d^2) (Graph.block_index) rather than as the O((dn)^2 m)
+product.  Below that the product is no slower and is kept, bit for bit: the
+optimizer's K12 witnesses in R^3 depend chaotically on the order of the
+arithmetic.  The two paths give the same bits off the diagonal blocks and
+agree to rounding on them.  The edge-basis (lower) stiffness matrix R^t R
+is assembled from its entry rule.
+Coincident endpoints contribute zero columns and zero blocks: coincidence is
+detected by exact coordinate equality, never by a tolerance.  Directions do
+not depend on the scale of the placement, down to the smallest and up to the
+largest floats.  Placement.require_centered_unit is the one check of the
+unit-norm, zero-sum and image-size hypotheses that the centered-unit n/2
+facts rest on.
 
-The direction and rigidity kernels (_edge_geometry, _rigidity_from_directions)
-take one placement, (n, d), or a stack of placements of one shape,
-(..., n, d), so that callers with many small frameworks assemble them in one
-call, and _stiffness_geometry chains them into R R^t for other modules.  One
-placement runs the same code with no leading axes, and no arithmetic mixes
-placements, so each member of a stack gets the bits it would get alone.
+The direction, rigidity and block kernels (_edge_geometry,
+_rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
+a stack of placements of one shape, (..., n, d), so that callers with many
+small frameworks assemble them in one call, and _stiffness_geometry chains
+them into the stiffness matrices for other modules, on the path that
+stiffness takes for that size.  One placement runs the same code with no
+leading axes, and no arithmetic mixes placements, so each member of a stack
+gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +43,13 @@ import numpy as np
 from .graphs import Graph
 
 HYPOTHESIS_TOL = 1e-9  # on the unit norms and the zero sum of require_centered_unit
+# Vertex count from which stiffness matrices are assembled from their d x d
+# blocks rather than as R R^t.  The product costs about (dn)^2 m and the
+# blocks about m d^2, so their ratio goes with n^2 whatever d and the density:
+# timed on one core (complete, Turan and 4-, 6- and 8-regular graphs,
+# d = 2..10), the crossover sat at n = 14..16, where a crossover on dn moved
+# from 30 in d = 2 to past 110 in d = 10.
+BLOCK_ASSEMBLY_MIN_VERTICES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +167,40 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
     return R.reshape(*lead, g.n * d, m)
 
 
+def _block_stiffness(g: Graph, unit: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """The stiffness matrices, (..., n d, n d), from the (..., m, d) edge
+    directions of _edge_geometry, assembled from their d x d blocks through
+    g.block_index(d): -d_uv d_uv^t is written into the blocks (u, v) and
+    (v, u) of each edge, and one bincount adds d_uv d_uv^t into the diagonal
+    blocks of u and of v, each vertex's sum in edge order.  With a mask keep
+    over the edges, the matrices of the spanning subgraph with the kept edges,
+    with the bits of that subgraph's own; a member of a stack gets the bits
+    it gets alone."""
+    *lead, _, d = unit.shape
+    diag, off = g.block_index(d)
+    if keep is not None:
+        unit, diag, off = unit[..., keep, :], diag[:, keep], off[:, keep]
+    outer = np.einsum("...i,...j->...ij", unit, unit)
+    blocks = np.concatenate((outer, outer), axis=-3).ravel()  # the edges at u, then at v
+    cells, count = (g.n * d) ** 2, math.prod(lead)
+    if lead:  # each member's entries offset into its own matrix
+        base = np.arange(count)[:, None] * cells
+        diag, off = base + diag.reshape(1, -1), base + off.reshape(1, -1)
+    L = np.bincount(diag.ravel(), blocks, count * cells).astype(float, copy=False)  # integer when empty
+    # 0 - x rather than -x: a zero product is written as 0.0, as R R^t has it
+    L[off.ravel()] = np.subtract(0.0, blocks, out=blocks)
+    return L.reshape(*lead, g.n * d, g.n * d)
+
+
 def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R R^t, (..., dn, dn), with the (..., m, d) edge directions and (..., m)
-    lengths of _edge_geometry, from the (..., n, d) points of one placement or
-    a stack; the rigidity matrices are freed before the caller's eigensolve."""
+    """The stiffness matrices, (..., dn, dn), with the (..., m, d) edge
+    directions and (..., m) lengths of _edge_geometry, from the (..., n, d)
+    points of one placement or a stack: R R^t below BLOCK_ASSEMBLY_MIN_VERTICES,
+    with the rigidity matrices freed before the caller's eigensolve, and
+    _block_stiffness from there, as stiffness assembles them."""
     unit, lengths = _edge_geometry(g, points)
+    if g.n >= BLOCK_ASSEMBLY_MIN_VERTICES:
+        return _block_stiffness(g, unit), unit, lengths
     R = _rigidity_from_directions(g, unit)
     return R @ R.swapaxes(-1, -2), unit, lengths
 
@@ -163,10 +211,28 @@ def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:
     return _rigidity_from_directions(g, _edge_geometry(g, p.points)[0])
 
 
-def stiffness(g: Graph, p: Placement) -> np.ndarray:
-    """R R^t: dn x dn, symmetric positive semidefinite."""
-    R = rigidity_matrix(g, p)
-    return R @ R.T
+def stiffness(g: Graph, p: Placement, keep: np.ndarray | None = None) -> np.ndarray:
+    """R R^t: dn x dn, symmetric positive semidefinite; formed as the product
+    below BLOCK_ASSEMBLY_MIN_VERTICES and from its d x d blocks from there.
+
+    keep, a boolean (k, m) array, gives instead the (k, dn, dn) stack of the
+    stiffness matrices of the k spanning subgraphs of g whose edges each row
+    keeps, each with the bits of stiffness of that subgraph built as a Graph.
+    """
+    if keep is not None:
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.ndim != 2 or keep.shape[1] != g.m:
+            raise ValueError(f"keep must be a (k, {g.m}) boolean array of masks over the edges of g")
+    if g.n < BLOCK_ASSEMBLY_MIN_VERTICES:
+        R = rigidity_matrix(g, p)
+        if keep is None:
+            return R @ R.T
+        return np.stack([(R_h := R[:, mask]) @ R_h.T for mask in keep])
+    _check_match(g, p)
+    unit = _edge_geometry(g, p.points)[0]
+    if keep is None:
+        return _block_stiffness(g, unit)
+    return np.stack([_block_stiffness(g, unit, mask) for mask in keep])
 
 
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:

@@ -4,10 +4,11 @@ Vertices are always the integers 0..n-1.  Edges are unordered pairs stored as
 (u, v) tuples with u < v, sorted lexicographically; every matrix in this
 package keys its edge axis off that order, so the layout is bit-stable across
 runs.  A Graph, its cached indexes (edge positions, endpoints, incidence,
-vertex stars and scatter indexes, each built on first use) and a
+vertex stars, scatter and block indexes, each built on first use) and a
 TuranPartition (fixed by n and r) are immutable; ``complete_graph`` builds
-one shared K_n per n and ``turan_graph`` one shared pair per (n, r) per
-process, so their indexes are built once too.
+one shared K_n per n, ``turan_partition`` one shared partition per (n, r)
+and ``turan_graph`` one shared pair per (n, r) per process, so their
+indexes are built once too.
 """
 
 from __future__ import annotations
@@ -91,18 +92,45 @@ class Graph:
         w d + j; the second the position of entry (w d + j, k) of edge k in a
         flattened (n d, m) array with one column per edge.
         """
-        index = self._scatter_indexes.get(d)
-        if index is None:
+        def build():
             coords = self.endpoints.T.reshape(-1, 1) * d + np.arange(d)
             entries = coords * self.m + np.tile(np.arange(self.m), 2)[:, None]
-            index = (coords.ravel(), entries.ravel())
+            return coords.ravel(), entries.ravel()
+
+        return self._read_only_index(("scatter", d), build)
+
+    def block_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only flat index arrays of the d x d blocks of a stiffness
+        matrix in R^d, built once per d.
+
+        Both have shape (2, m, d, d) and give positions in a flattened
+        (n d, n d) array.  Entry [s, k, i, j] of the first is the position of
+        entry (w d + i, w d + j) of the diagonal block of w, the endpoint u
+        (s = 0) or v (s = 1) of edge k = (u, v); of the second, that of entry
+        (w d + i, x d + j) of the off-diagonal block (w, x) = (u, v) (s = 0)
+        or (v, u) (s = 1).  Their rows at the edges a mask keeps are the
+        arrays of the spanning subgraph with those edges.
+        """
+        def build():
+            ends = self.endpoints.T * d
+            rows = ends[:, :, None, None] + np.arange(d)[:, None]
+            cols = ends[:, :, None, None] + np.arange(d)
+            side = self.n * d
+            return np.ascontiguousarray(rows * side + cols), np.ascontiguousarray(rows * side + cols[::-1])
+
+        return self._read_only_index(("block", d), build)
+
+    def _read_only_index(self, key, build) -> tuple[np.ndarray, np.ndarray]:
+        index = self._indexes.get(key)
+        if index is None:
+            index = build()
             for a in index:
                 a.flags.writeable = False
-            self._scatter_indexes[d] = index
+            self._indexes[key] = index
         return index
 
     @cached_property
-    def _scatter_indexes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def _indexes(self) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
         return {}
 
     @property
@@ -178,6 +206,18 @@ def _complete_graph(n: int) -> Graph:
 complete_graph.cache_clear = _complete_graph.cache_clear
 
 
+def turan_partition(n: int, r: int) -> TuranPartition:
+    """TuranPartition(n, r), the same object on every call with the same
+    (n, r), whose n and r pass seeding.as_index before the cache sees them,
+    as in complete_graph."""
+    return _turan_partition(as_index(n, "n"), as_index(r, "r"))
+
+
+@cache
+def _turan_partition(n: int, r: int) -> TuranPartition:
+    return TuranPartition(n, r)
+
+
 def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
     """Complete balanced r-partite graph on n vertices, parts = contiguous
     blocks: the same pair on every call with the same (n, r), whose n and r
@@ -187,7 +227,7 @@ def turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
 
 @cache
 def _turan_graph(n: int, r: int) -> tuple[Graph, TuranPartition]:
-    partition = TuranPartition(n, r)
+    partition = _turan_partition(n, r)
     part_of = partition.part_of
     edges = tuple(
         (u, v)

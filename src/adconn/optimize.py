@@ -112,7 +112,7 @@ class _Evaluation:
     points: np.ndarray
     unit: np.ndarray       # (m, d) edge directions
     lengths: np.ndarray    # (m,) edge lengths
-    stiffness: np.ndarray  # R R^t
+    stiffness: np.ndarray  # the stiffness matrix
     eigs: np.ndarray
     gap: float
     value: float          # the softmin objective

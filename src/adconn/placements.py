@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Placement
-from .graphs import TuranPartition
+from .graphs import turan_partition
 from .seeding import as_index, rng_stream
 
 
@@ -43,19 +43,19 @@ def regular_simplex(d: int) -> Placement:
 
 
 def turan_simplex_placement(n: int, d: int) -> Placement:
-    """n points on the d+1 regular-simplex vertices, in the blocks of TuranPartition(n, d+1)."""
+    """n points on the d+1 regular-simplex vertices, in the blocks of turan_partition(n, d+1)."""
     verts = regular_simplex(d).points
-    return Placement(np.take(verts, TuranPartition(n, d + 1).part_of, axis=0))
+    return Placement(np.take(verts, turan_partition(n, d + 1).part_of, axis=0))
 
 
 def crosspolytope_placement(n: int, d: int) -> Placement:
     """n points on {+-e_1, ..., +-e_d}, parts ordered (1,+1), (1,-1), (2,+1), ...
 
-    Each of the 2d unit vectors carries a block of TuranPartition(n, 2d).
+    Each of the 2d unit vectors carries a block of turan_partition(n, 2d).
     """
     if as_index(d, "d") < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    part_of = TuranPartition(n, 2 * d).part_of
+    part_of = turan_partition(n, 2 * d).part_of
     verts = np.zeros((2 * d, d))
     for i in range(d):
         verts[2 * i, i] = 1.0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, rigidity_matrix, stiffness
+from .framework import Placement, stiffness
 from .graphs import Graph
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
@@ -281,9 +281,9 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
     one edge, for each case (g, e, p, keep), in order.
 
     keep is a boolean mask over the edges of g that leaves the spanning
-    subgraph h of g whose framework (h, p) is checked; h's rigidity matrix
-    is the kept columns of g's, with the bits of h's own, and that of h
-    minus e is h's without the column of e.  With ascending stiffness
+    subgraph h of g whose framework (h, p) is checked; the stiffness
+    matrices of h and of h minus e come from one stiffness call with the two
+    masks, with the bits of the two subgraphs' own.  With ascending stiffness
     eigenvalues lam (of h) and lam' (of h minus e) and lam_0 := 0, checks
     lam_{i-1} <= lam'_i <= lam_i for all i up to INTERLACING_SLACK, and
     returns (holds, worst signed violation).  Every mask is checked and
@@ -299,16 +299,13 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
         j = g.index_of(*e)
         if not keep[j]:
             raise ValueError(f"edge {{{e[0]}, {e[1]}}} not in graph")
-        groups.setdefault(p.points.shape, []).append((i, int(np.count_nonzero(keep[:j]))))
+        minus = np.array(keep)
+        minus[j] = False
+        groups.setdefault(p.points.shape, []).append((i, np.stack((keep, minus))))
     results: list = [None] * len(cases)
     for members in groups.values():
-        pairs = []
-        for i, j in members:
-            g, _, p, keep = cases[i]
-            R = rigidity_matrix(g, p)[:, keep]
-            R_minus = np.delete(R, j, axis=1)
-            pairs.append((R @ R.T, R_minus @ R_minus.T))
-        lam, lam_prime = symmetric_eigenvalues(np.array(pairs)).swapaxes(0, 1)
+        pairs = np.stack([stiffness(cases[i][0], cases[i][2], masks) for i, masks in members])
+        lam, lam_prime = symmetric_eigenvalues(pairs).swapaxes(0, 1)
         lam_shift = np.concatenate((np.zeros((len(members), 1)), lam[:, :-1]), axis=1)
         worst = np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1))
         for (i, _), w in zip(members, worst.tolist()):

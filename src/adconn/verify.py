@@ -17,7 +17,8 @@ stiffness matrices (clustered_spectra) and circle forms, the interlacing
 sweep each (n, d)'s pairs (interlacing_checks, which reads each sample's
 subgraph as a mask over the edges of K_n), and the kyfan sweep each (n, d)'s
 placements (top_eigenvalue_sum_checks); every report is that of one instance
-at a time.
+at a time.  Before it builds anything, each sweep refuses an instance whose
+matrices would have a side above MAX_MATRIX_SIDE.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .bounds import circle_identity_matrices, top_eigenvalue_sum_checks, vertex_star_projection
-from .closedform import CANONICAL, PYRAMID_START_HEIGHT, pyramid_spectrum_closed_form, spectrum_matches
+from .closedform import CANONICAL, PYRAMID_START_HEIGHT, float_sized, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
 from .framework import Placement, lower_stiffness_direct, stiffness
 from .graphs import complete_graph
@@ -45,6 +46,11 @@ SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan"
 
 VALUE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
+# Largest side of a matrix that a sweep builds: dn for a stiffness matrix, and
+# the C(n, 2) edges of K_n for the kyfan projection and the families' lower
+# stiffness matrices.  A 4096 x 4096 matrix of floats takes 128 MiB, and one
+# dense eigensolve of it tens of seconds on one core.
+MAX_MATRIX_SIDE = 4096
 
 GRIDS = {
     "turan-simplex": ((2, 6), (2, 12), (3, 8), (3, 12), (3, 24), (4, 10), (4, 20), (5, 12)),
@@ -90,8 +96,19 @@ def _grid_pairs(ds, ns, row: str) -> list[tuple[int, int]]:
     return [(d, n) for d in ds for n in ns if CANONICAL[row].admits(n, d)]
 
 
+def _require_side(side: int, instance: str) -> None:
+    """ValueError for an instance that would build a matrix of side above
+    MAX_MATRIX_SIDE; each sweep asks before it builds anything."""
+    if side > MAX_MATRIX_SIDE:
+        raise ValueError(f"{instance} needs a matrix of side above {MAX_MATRIX_SIDE}, the largest that verify builds")
+
+
 def _canonical_entries(row: str, pairs, instance) -> list[dict]:
     """One closed-form spectrum entry per (d, n) pair of a CANONICAL row."""
+    for d, n in pairs:
+        float_sized(d, "d")  # past the float range, refused as the closed forms refuse it
+        float_sized(n, "n")
+        _require_side(d * n, f"{row} at n = {n}, d = {d}")
     fw = CANONICAL[row]
     return [
         _spectrum_entry(
@@ -131,6 +148,8 @@ def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
 
 def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
     check_samples(samples, least=0)
+    for k in n:
+        _require_side(2 * k, f"circle at n = {k}")
     row = CANONICAL["circle"]
     entries = []
     for k in n:
@@ -156,6 +175,8 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
     ns, ds = list(n), list(d)
     if min(ns, default=2) < 2:  # each sample removes an edge of a graph on n vertices
         raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
+    if ns and ds:
+        _require_side(max(ns) * max(ds), f"interlacing at n = {max(ns)}, d = {max(ds)}")
     rng = rng_stream(seed, "interlacing")
     # each sample is a spanning subgraph of K_n, named by a mask over its edges
     cases = []
@@ -184,6 +205,8 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
 
 def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
     check_samples(samples, least=0)
+    for k in n:
+        _require_side(math.comb(k, 2), f"kyfan at n = {k}")
     entries = []
     for k in n:
         P = vertex_star_projection(k)
@@ -326,6 +349,9 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
         return _residual_entry("edge-length-eigenvector", {"sample": s, "n": n, "d": d}, n, worst)
 
     rows = [(row, _grid_pairs(d, n, row)) for row, fw in CANONICAL.items() if fw.families is not None]
+    for row, pairs in rows:
+        for pd, pn in pairs:
+            _require_side(math.comb(pn, 2), f"{row} families at n = {pn}, d = {pd}")
     entries = [e for row, pairs in rows for pd, pn in pairs for e in _family_entries(row, pn, pd)]
     entries += [spherical_job(row, pn, pd) for row, pairs in rows for pd, pn in pairs]
     entries += [length_job(s) for s in range(10)]

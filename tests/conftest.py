@@ -27,3 +27,25 @@ def without_edge(g, e):
     e = tuple(sorted(e))
     assert e in g.edge_index, f"edge {e} not in graph"
     return Graph(g.n, tuple(x for x in g.edges if x != e))
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Every builder that a verify sweep calls raises instead, so that a test
+    of a refusal made before any graph, placement or closed form is built
+    allocates nothing even if the refusal regresses."""
+    import dataclasses
+
+    from adconn import verify
+    from adconn.closedform import CANONICAL
+
+    def built(*args, **kwargs):
+        raise AssertionError("an instance was built before the size check")
+
+    for row, fw in CANONICAL.items():
+        families = None if fw.families is None else built
+        monkeypatch.setitem(
+            CANONICAL, row, dataclasses.replace(fw, graph=built, placement=built, spectrum=built, families=families)
+        )
+    for name in ("complete_graph", "Placement", "centered_sphere_points", "vertex_star_projection"):
+        monkeypatch.setattr(verify, name, built)

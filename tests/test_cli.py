@@ -515,6 +515,22 @@ def test_placement_beyond_the_float_range_is_usage_error(tmp_path, capsys, huge)
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "suite,grid,instance",
+    [
+        ("circle", "n=1" + "0" * 400, "circle at n = 1" + "0" * 400),
+        ("simplex", f"d={2**100}", f"simplex at n = {2**100 + 1}, d = {2**100}"),
+        ("turan", f"n={2**100}", f"turan-simplex at n = {2**100}, d = 3"),
+    ],
+)
+def test_verify_of_an_oversized_instance_is_usage_error(nothing_built, tmp_path, capsys, suite, grid, instance):
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--grid", grid, "--outdir", str(outdir))
+    message = f"{instance} needs a matrix of side above 4096, the largest that verify builds"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("tag", ["spherical-second-eig", "regular-2d"])
 def test_conjecture_zero_samples_is_usage_error(tmp_path, capsys, tag):
     code, _, err = run_cli(capsys, "conjecture", tag, "--samples", "0", "--outdir", str(tmp_path))

@@ -272,6 +272,21 @@ def test_closed_forms_refuse_arguments_past_the_float_range(form, args, name):
         form(*args)
 
 
+@pytest.mark.parametrize(
+    "form,args,tag,total",
+    [
+        (simplex_spectrum_closed_form, (2**100,), "turan-simplex", 2**100 * (2**100 + 1)),
+        (turan_simplex_spectrum_closed_form, (4 * 2**100, 3), "turan-simplex", 12 * 2**100),
+        (crosspolytope_spectrum_closed_form, (2**100, 2), "crosspolytope", 2 * 2**100),
+        (circle_spectrum_closed_form, (2**63,), "circle", 2**64),
+    ],
+    ids=["simplex", "turan-simplex", "crosspolytope", "circle"],
+)
+def test_closed_forms_refuse_spectra_larger_than_an_array(form, args, tag, total):
+    with pytest.raises(ValueError, match=f"^{tag}: a spectrum of {total} eigenvalues is more than an array holds$"):
+        form(*args)
+
+
 def test_bounds_sandwich_where_both_defined():
     for d in (3, 4, 5):
         for n in range(2 * d, 49):

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adconn.framework import (
+    BLOCK_ASSEMBLY_MIN_VERTICES,
     Placement,
+    _block_stiffness,
     _edge_geometry,
     _rigidity_from_directions,
+    _stiffness_geometry,
     edge_lengths,
     lower_stiffness_direct,
     placement_from_json,
@@ -435,3 +440,104 @@ def test_image_size_counts_signed_zeros_as_one_coordinate():
     p = Placement([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [2.0, 1.0]])
     assert p.image_size() == 3 and not p.is_injective()
     assert Placement([[0.0, 1.0], [1.0, 0.0]]).is_injective()
+
+
+def product_stiffness(g, unit):
+    """R R^t of the directions: the reference for the block assembly."""
+    R = _rigidity_from_directions(g, unit)
+    return R @ R.swapaxes(-1, -2)
+
+
+def diagonal_blocks(n, d):
+    """Boolean (dn, dn) mask of the d x d diagonal blocks."""
+    return np.kron(np.eye(n, dtype=bool), np.ones((d, d), dtype=bool))
+
+
+def subgraph(g, keep):
+    return Graph(g.n, tuple(e for e, k in zip(g.edges, keep) if k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 5),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    coincident=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_assembly_matches_the_product(n, d, density, coincident, seed):
+    """Off the diagonal blocks each entry is one product, -d_i d_j, on both
+    paths: equal bits, zeros included.  A diagonal block entry sums one
+    product per edge at its vertex in another order; each sum is within
+    deg eps max|L| of the exact one, so the two within 2 m eps max|L|.
+    A member of a stack, a masked subgraph and the edgeless graph (density 0)
+    get the bits they get alone."""
+    rng = np.random.default_rng(seed)
+    full = complete_graph(n)
+    g = subgraph(full, rng.random(full.m) < density)
+    stack = rng.standard_normal((3, n, d))
+    stack[:, 1:coincident + 1] = stack[:, :1]  # up to three points exactly on p(0)
+    stack[1] *= 1e200
+    unit = _edge_geometry(g, stack)[0]
+    got, want = _block_stiffness(g, unit), product_stiffness(g, unit)
+    diag = diagonal_blocks(n, d)
+    for i in range(3):
+        assert bit_equal(got[i][~diag], want[i][~diag])
+        peak = np.abs(want[i]).max(initial=0.0)
+        assert np.abs(got[i] - want[i]).max(initial=0.0) <= 2 * g.m * np.finfo(float).eps * peak
+        assert bit_equal(got[i], _block_stiffness(g, unit[i]))
+    for mask in rng.random((2, g.m)) < 0.5:
+        assert bit_equal(_block_stiffness(g, unit[0], mask), _block_stiffness(subgraph(g, mask), unit[0][mask]))
+
+
+def _threshold_graphs(rng):
+    """(g, d) with n just below and at BLOCK_ASSEMBLY_MIN_VERTICES, for d = 1..5."""
+    for d in range(1, 6):
+        for n in (BLOCK_ASSEMBLY_MIN_VERTICES - 1, BLOCK_ASSEMBLY_MIN_VERTICES):
+            yield random_graph(rng, n), d
+
+
+def test_stiffness_takes_the_product_below_the_threshold_and_the_blocks_from_it(rng):
+    assert 12 < BLOCK_ASSEMBLY_MIN_VERTICES  # the optimizer's K12 in R^3 keeps the product's bits
+    for g, d in [(complete_graph(12), 3), *_threshold_graphs(rng)]:
+        stack = _stack_members(rng, g.n, d, 4)
+        unit = _edge_geometry(g, stack)[0]
+        blocks = g.n >= BLOCK_ASSEMBLY_MIN_VERTICES
+        want = _block_stiffness(g, unit) if blocks else product_stiffness(g, unit)
+        assert bit_equal(_stiffness_geometry(g, stack)[0], want)
+        masks = rng.random((2, g.m)) < 0.5
+        for i, pts in enumerate(stack):
+            p = Placement(pts)
+            assert bit_equal(stiffness(g, p), want[i])
+            for mask, L in zip(masks, stiffness(g, p, masks)):
+                assert bit_equal(L, stiffness(subgraph(g, mask), p))
+
+
+@pytest.mark.parametrize(
+    "keep", [np.ones(6, dtype=bool), np.ones((1, 5), dtype=bool), np.ones((1, 6), dtype=int)], ids=["1-d", "m-5", "int"]
+)
+def test_stiffness_refuses_masks_that_are_not_a_boolean_k_by_m_array(keep):
+    with pytest.raises(ValueError, match=r"^keep must be a \(k, 6\) boolean array of masks over the edges of g$"):
+        stiffness(complete_graph(4), regular_simplex(3), keep)
+
+
+def test_block_index_is_cached_read_only_and_addresses_the_blocks():
+    g = turan_graph(6, 3)[0]
+    for d in (1, 3):
+        diag, off = g.block_index(d)
+        assert g.block_index(d)[0] is diag and g.block_index(d)[1] is off
+        for a in (diag, off):
+            assert a.shape == (2, g.m, d, d) and a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0, 0] = 0
+        side = g.n * d
+        for k, (u, v) in enumerate(g.edges):
+            for s, (w, x) in enumerate(((u, v), (v, u))):
+                rows, cols = np.divmod(diag[s, k], side)
+                assert np.array_equal(rows, w * d + np.arange(d)[:, None] + 0 * cols)
+                assert np.array_equal(cols, w * d + np.arange(d) + 0 * rows)
+                rows, cols = np.divmod(off[s, k], side)
+                assert np.array_equal(rows, w * d + np.arange(d)[:, None] + 0 * cols)
+                assert np.array_equal(cols, x * d + np.arange(d) + 0 * rows)
+    assert g.block_index(1)[0] is not g.block_index(3)[0]
+    assert Graph(3, ()).block_index(2)[0].shape == (2, 0, 2, 2)

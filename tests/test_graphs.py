@@ -18,6 +18,7 @@ from adconn.graphs import (
     random_regular_graph,
     read_edge_list,
     turan_graph,
+    turan_partition,
 )
 from adconn.placements import crosspolytope_placement, turan_simplex_placement
 from adconn.seeding import rng_stream
@@ -86,6 +87,13 @@ def test_turan_graph_caches_numpy_integers_as_ints():
     g, part = turan_graph(np.int64(12), np.int64(4))
     assert (type(g.n), type(part.n), type(part.r)) == (int, int, int)
     assert turan_graph(12, 4)[0] is g
+
+
+def test_turan_partition_is_built_once_per_n_and_r_and_shared():
+    part = turan_partition(np.int64(12), np.int64(4))
+    assert (type(part.n), type(part.r)) == (int, int)
+    assert turan_partition(12, 4) is part and turan_partition(12, 3) is not part
+    assert turan_graph(12, 4)[1] is part
 
 
 @pytest.mark.parametrize(
@@ -168,7 +176,7 @@ def test_turan_partition_refuses_what_turan_graph_refuses(n, r, message):
     # with (12, 4) cached, 12.0 and 4.0 are refused all the same, and no
     # refusal is cached
     turan_graph(12, 4)
-    for build in (TuranPartition, turan_graph):
+    for build in (TuranPartition, turan_partition, turan_graph):
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^{message}"):
                 build(n, r)

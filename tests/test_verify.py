@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from adconn import verify
 from adconn.bounds import circle_identity_matrices
 from adconn.closedform import CANONICAL
 from adconn.framework import Placement, stiffness
@@ -11,7 +13,7 @@ from adconn.graphs import Graph, complete_graph
 from adconn.placements import centered_sphere_points
 from adconn.seeding import rng_stream
 from adconn.spectral import clustered_spectrum, symmetric_eigenvalues
-from adconn.verify import GRIDS, SUITES, run_suite
+from adconn.verify import GRIDS, MAX_MATRIX_SIDE, SUITES, run_suite
 
 from conftest import without_edge
 
@@ -235,3 +237,29 @@ def test_circle_suite_passes_at_each_seed(seed):
     report = run_suite("circle", seed=seed)
     assert report["pass"], report["failures"]
     assert max(e["identity_residual"] for e in report["entries"]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "suite,grid,instance",
+    [
+        ("simplex", {"d": [2, 2**100]}, f"simplex at n = {2**100 + 1}, d = {2**100}"),
+        ("turan", {"n": [12, 2**100]}, f"turan-simplex at n = {2**100}, d = 3"),
+        ("cross", {"d": [2], "n": [8, 2**100]}, f"crosspolytope at n = {2**100}, d = 2"),
+        ("circle", {"n": [5, 10**400]}, f"circle at n = {10**400}"),
+        ("interlacing", {"n": [4, 10**400]}, f"interlacing at n = {10**400}, d = 4"),
+        ("kyfan", {"n": [5, 10**400]}, f"kyfan at n = {10**400}"),
+        ("families", {"d": [2], "n": [8, 2**100]}, f"crosspolytope families at n = {2**100}, d = 2"),
+    ],
+)
+def test_an_oversized_instance_is_refused_before_any_instance_is_built(nothing_built, suite, grid, instance):
+    message = f"{instance} needs a matrix of side above {MAX_MATRIX_SIDE}, the largest that verify builds"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(suite, grid=grid)
+
+
+def test_the_matrix_side_limit_admits_its_own_value(monkeypatch):
+    # the circle sweep's matrices have side 2n
+    monkeypatch.setattr(verify, "MAX_MATRIX_SIDE", 40)
+    assert run_suite("circle", grid={"n": [20]}, samples=1)["pass"]
+    with pytest.raises(ValueError, match="^circle at n = 21 needs a matrix of side above 40"):
+        run_suite("circle", grid={"n": [21]}, samples=1)

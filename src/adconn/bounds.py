@@ -5,9 +5,10 @@ form circle_identity_matrices, whose hypotheses Placement.require_centered_unit
 checks.
 
 Both the top-n eigenvalue sum and the circle form are computed for many
-placements at once: the sum's placements of one shape share one
-framework._stiffness_geometry stack and one eigensolve, and the circle form
-of a list of n-point placements is one (k, 2n, 2n) stack.
+placements at once: the sum's placements of one shape share, per
+spectral.stack_chunks chunk, one framework._stiffness_geometry stack and one
+eigensolve, and the circle form of a list of n-point placements is one
+(k, 2n, 2n) stack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .framework import Placement, _stiffness_geometry, edge_lengths
 from .graphs import complete_graph
-from .spectral import symmetric_eigenvalues
+from .spectral import stack_chunks, symmetric_eigenvalues
 
 
 def vertex_star_projection(n: int) -> np.ndarray:
@@ -59,8 +60,10 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     """top_eigenvalue_sum_check of each placement, in order.
 
     The placements are grouped by shape (n, d); each group's stiffness
-    matrices are assembled as one stack and solved by one
-    symmetric_eigenvalues call, with the same bits as one placement at a time.
+    matrices are assembled as one stack per stack_chunks chunk and solved by
+    one symmetric_eigenvalues call, and the top-n sums of the chunk's
+    eigenvalues taken by one np.add.reduce, with the same bits as one
+    placement at a time.
     """
     placements = list(placements)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -71,11 +74,12 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     checks: list = [None] * len(placements)
     for (n, d), members in groups.items():
         g = complete_graph(n)
-        points = np.stack([placements[i].points for i in members])
-        eigs = symmetric_eigenvalues(_stiffness_geometry(g, points)[0])
         bound = n * n / 3.0 + n
-        for i, row in zip(members, eigs):
-            checks[i] = TopSumCheck(total=float(np.sum(row[-n:])), bound=bound)
+        for chunk in stack_chunks(members, (n * d) ** 2 * 8):  # one float matrix of side dn
+            points = np.stack([placements[i].points for i in chunk])
+            eigs = symmetric_eigenvalues(_stiffness_geometry(g, points)[0])
+            for i, total in zip(chunk, np.add.reduce(eigs[:, -n:], axis=1).tolist()):
+                checks[i] = TopSumCheck(total=total, bound=bound)
     return checks
 
 

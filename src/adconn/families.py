@@ -7,7 +7,8 @@ each family carries as its expected count.  The two builders fill the families
 column of those closedform.CANONICAL rows.  The weighted-length vectors refuse,
 through Placement.require_centered_unit, a placement that is not centered unit.
 The sufficient-condition checker verifies eigenvector candidates directly
-from the entry rule, without an eigensolve.
+from the entry rule, without an eigensolve, and eigen_residual checks a
+whole family, or a set of weighted-length vectors, in one stacked product.
 """
 
 from __future__ import annotations
@@ -20,9 +21,14 @@ from .framework import Placement, edge_lengths, lower_stiffness_direct
 from .graphs import Graph, TuranPartition, complete_graph, turan_graph
 
 
-def eigen_residual(M: np.ndarray, vec: np.ndarray, eigenvalue: float) -> float:
-    """Max-norm residual of the eigen relation M vec = eigenvalue vec."""
-    return float(np.max(np.abs(M @ vec - eigenvalue * vec))) if vec.size else 0.0
+def eigen_residual(M: np.ndarray, vecs: np.ndarray, eigenvalue: float) -> float:
+    """Max-norm residual of the eigen relation M v = eigenvalue v for one
+    vector v, or the largest over the rows v of a (k, m) stack, 0.0 when
+    there are none.  A stack is one product np.matmul(M, vecs[..., None]),
+    which numpy forms row by row as M @ v, so each row keeps its bits."""
+    if not vecs.size:
+        return 0.0
+    return float(np.abs(np.matmul(M, vecs[..., None])[..., 0] - eigenvalue * vecs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -39,20 +45,24 @@ def weighted_length_vector(p: Placement, f) -> np.ndarray:
     return weighted_length_vectors(p, [f])[0]
 
 
-def weighted_length_vectors(p: Placement, weights) -> list[np.ndarray]:
-    """weighted_length_vector(p, f) for each f in weights, with the hypotheses
-    on p checked and the edge lengths of p taken once."""
+def weighted_length_vectors(p: Placement, weights) -> np.ndarray:
+    """weighted_length_vector(p, f) for each f in weights, as the rows of one
+    (k, m) array, with the hypotheses on p checked and the edge lengths of p
+    taken once."""
     weights = [np.asarray(f, dtype=float) for f in weights]
     for f in weights:
         if f.shape != (p.n,):
             raise ValueError(f"weights must have shape ({p.n},), got {f.shape}")
-        if abs(float(f.sum())) > 1e-12:
-            raise ValueError(f"weights must sum to zero, got {f.sum():.3e}")
+    F = np.array(weights).reshape(len(weights), p.n)
+    sums = np.add.reduce(F, axis=1)
+    off = np.flatnonzero(np.abs(sums) > 1e-12)
+    if off.size:
+        raise ValueError(f"weights must sum to zero, got {sums[off[0]]:.3e}")
     p.require_centered_unit(3)
     g = complete_graph(p.n)
     lengths = edge_lengths(g, p)
     u, v = g.endpoints.T
-    return [(f[u] + f[v]) * lengths for f in weights]
+    return (F[:, u] + F[:, v]) * lengths
 
 
 def edge_length_eigenvector(p: Placement) -> np.ndarray:

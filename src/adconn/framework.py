@@ -64,7 +64,7 @@ class Placement:
             raise ValueError(f"points must have shape (n, d), got ndim={pts.ndim}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"need n >= 1 points in d >= 1 dimensions, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -91,10 +91,12 @@ class Placement:
     def require_centered_unit(self, min_image: int) -> None:
         """ValueError unless the points are unit-norm and sum to zero, within
         HYPOTHESIS_TOL, and at least min_image of them are distinct."""
-        norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > HYPOTHESIS_TOL:
+        pts = self.points
+        norms = np.sqrt(np.add.reduce(pts * pts, axis=1))  # np.linalg.norm without its wrapper
+        if np.maximum.reduce(np.abs(norms - 1.0)) > HYPOTHESIS_TOL:
             raise ValueError("placement must have unit-norm points")
-        if np.linalg.norm(self.points.sum(axis=0)) > HYPOTHESIS_TOL:
+        total = np.add.reduce(pts, axis=0)
+        if math.sqrt(np.add.reduce(total * total)) > HYPOTHESIS_TOL:
             raise ValueError("placement must sum to zero")
         if self.image_size() < min_image:
             raise ValueError(f"placement image must have at least {min_image} distinct points")
@@ -122,7 +124,10 @@ def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
         diffs = pu - pv
         lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))  # np.linalg.norm without its wrapper
     lo, hi = _SAFE_LENGTHS
-    if lengths.min(initial=lo) >= lo and lengths.max(initial=hi) <= hi:
+    # min and max as ufunc reductions, without their wrappers; an empty reduction has no identity
+    if not lengths.size or (
+        np.minimum.reduce(lengths, axis=None) >= lo and np.maximum.reduce(lengths, axis=None) <= hi
+    ):
         return diffs / lengths[..., None], lengths
     # Some edge has coincident endpoints, or a length outside the safe range;
     # the fallback works on the rows of all placements flattened into one list.
@@ -238,21 +243,24 @@ def stiffness(g: Graph, p: Placement, keep: np.ndarray | None = None) -> np.ndar
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:
     """Edge-basis stiffness matrix R^t R from its entry rule, bypassing R.
 
-    Assembled one vertex star at a time, from the stars that the graph builds
-    once (Graph.stars): the directions of the edges at a vertex, each pointing
-    away from it, give the cosines of the angles there (0 if either direction
-    degenerates) as their Gram matrix, written into the rows and columns of
-    those edges.  The diagonal is then set to exactly 2 for edges with
-    distinct endpoint images and exactly 0 otherwise; disjoint edges give 0.
+    Assembled from the vertex stars that the graph groups by size once
+    (Graph.stars), one stacked step per size: the directions of the edges at
+    each vertex of the group, each pointing away from it, give the cosines of
+    the angles there (0 if either direction degenerates) as one stacked Gram
+    product D D^t, which one assignment writes into the rows and columns of
+    each star's edges.  numpy forms each member of the stack as it forms that
+    star's product alone, so each star keeps its bits.  The diagonal is then
+    set to exactly 2 for edges with distinct endpoint images and exactly 0
+    otherwise; disjoint edges give 0.
     """
     _check_match(g, p)
     L = np.zeros((g.m, g.m))
     unit = _edge_geometry(g, p.points)[0]
     # Two distinct edges of a simple graph share at most one vertex, so the
     # off-diagonal entries written for different stars never overlap.
-    for at_u, at_v, block in g.stars:
-        D = np.concatenate((-unit[at_u], unit[at_v]))
-        L[block] = D @ D.T
+    for edges, signs in g.stars:
+        D = unit[edges] * signs[..., None]
+        L[edges[:, :, None], edges[:, None, :]] = D @ D.swapaxes(1, 2)
     np.fill_diagonal(L, np.where(np.all(unit == 0.0, axis=1), 0.0, 2.0))
     return L
 

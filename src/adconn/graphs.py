@@ -8,7 +8,9 @@ vertex stars, scatter and block indexes, each built on first use) and a
 TuranPartition (fixed by n and r) are immutable; ``complete_graph`` builds
 one shared K_n per n, ``turan_partition`` one shared partition per (n, r)
 and ``turan_graph`` one shared pair per (n, r) per process, so their
-indexes are built once too.
+indexes are built once too.  The vertex stars are grouped by size, so that
+framework.lower_stiffness_direct stacks the stars of each size into one
+Gram product, in which every star keeps the bits of its own.
 """
 
 from __future__ import annotations
@@ -67,20 +69,32 @@ class Graph:
         return B
 
     @cached_property
-    def stars(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
-        """Read-only star of each vertex s: the edges at which s is u and those
-        at which it is v, each ascending, and the np.ix_ pair of the two joined."""
-        at = []
-        for ends in self.endpoints.T:
-            order = np.argsort(ends, kind="stable")
-            order.flags.writeable = False
-            at.append(np.split(order, np.cumsum(np.bincount(ends, minlength=self.n))[:-1]))
-        out = []
-        for at_u, at_v in zip(*at):
-            star = np.concatenate((at_u, at_v))
-            star.flags.writeable = False
-            out.append((at_u, at_v, np.ix_(star, star)))
-        return tuple(out)
+    def stars(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only vertex stars grouped by size: one pair per star size s
+        that some vertex has, s ascending, whose k rows are the vertices of
+        degree s, ascending.  The (k, s) edge array lists at each row the
+        edges at which its vertex is u, then those at which it is v, each
+        ascending; the (k, s) sign array holds -1.0 where the vertex is u and
+        1.0 where it is v, so that it turns d_uv to point away from the vertex.
+        Each vertex of positive degree is one row of one group, so a kernel
+        over stars takes one stacked step per size."""
+        uv = self.endpoints
+        # every edge twice, at u and then at v; a stable sort by vertex keeps
+        # that order within each star
+        at = uv.T.ravel()
+        order = np.argsort(at, kind="stable")
+        edges = np.tile(np.arange(self.m), 2)[order]
+        signs = np.repeat([-1.0, 1.0], self.m)[order]
+        degree = np.bincount(at, minlength=self.n)
+        first = np.cumsum(degree) - degree
+        groups = []
+        for s in np.unique(degree[degree > 0]).tolist():
+            rows = first[degree == s, None] + np.arange(s)
+            group = edges[rows], signs[rows]
+            for a in group:
+                a.flags.writeable = False
+            groups.append(group)
+        return tuple(groups)
 
     def scatter_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat index arrays for placements in R^d, built once per d.
@@ -133,7 +147,7 @@ class Graph:
     def _indexes(self) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
         return {}
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.edges)
 

@@ -40,6 +40,12 @@ SMOOTHING = 1e-6    # softmin width as a fraction of the current gap
 TOL = 1e-8          # minimum gap improvement that counts as progress
 PATIENCE = 50       # iterations without progress before a restart stops
 JITTER = 1e-3       # applied to canonical starts to restore injectivity
+# Range of the largest |coordinate| in which _normalized_points takes the mean
+# square of the centered points as it is: that sum is at least the square of
+# the largest centered coordinate, which is at least about 2^-54 of the largest
+# coordinate, and at most 4 n d times its square, so it neither underflows nor
+# overflows.  Outside it the points are first scaled by a power of two.
+_SAFE_PEAK = (2.0 ** -450, 2.0 ** 480)
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,18 @@ class OptimizeResult:
 
 def _normalized_points(points: np.ndarray) -> np.ndarray:
     """The (n, d) points centered at the origin and scaled to root-mean-square
-    point norm 1, which projects out the gauge freedom; the points must be
-    finite and not all equal."""
+    point norm 1, which projects out the gauge freedom, at any scale of
+    finite floats; the points must be finite and not all equal."""
     n = len(points)
-    if not np.abs(points).max() < math.inf:  # also NaN
+    top = np.abs(points).max()
+    if not top < math.inf:  # also NaN
         raise ValueError("points must be finite")
     if (points == points[0]).all():
         raise ValueError("cannot normalize a constant placement")
+    if not _SAFE_PEAK[0] <= top <= _SAFE_PEAK[1]:
+        # a power of two to a largest |coordinate| in [1/2, 1), which changes
+        # no ratio that the result can hold
+        points = np.ldexp(points, -np.frexp(top)[1])
     pts = points - points.sum(axis=0) / n  # points.mean(axis=0) without its wrapper
     return pts / math.sqrt((pts * pts).sum(axis=1).sum() / n)
 

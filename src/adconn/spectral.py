@@ -8,7 +8,8 @@ refuses a non-finite or non-symmetric member and finds max|M| of each, which
 the later steps reuse, and which ``clustered_spectrum`` (one matrix) and
 ``clustered_spectra`` (a stack) take each member's default tolerance from.
 ``interlacing_checks`` solves the stiffness matrix pairs of a batch of
-edge removals as one stack per shape.  Below LOW_RANK_MIN_SIZE the whole
+edge removals as one stack per shape, built and solved in chunks of at most
+STACK_BUDGET_BYTES (``stack_chunks``).  Below LOW_RANK_MIN_SIZE the whole
 stack is one eigvalsh call, since per-call overhead, not reading the
 matrices, dominates at those sizes; numpy solves each member of a stack as
 it would solve that matrix alone, so stacking changes no bit.  A larger
@@ -56,6 +57,13 @@ LOW_RANK_MIN_SIZE = 256
 LOW_RANK_PIVOT_DIVISOR = 4
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
+# Largest stack, in bytes of its matrices, that a batched check builds and
+# solves at once: interlacing_checks, bounds.top_eigenvalue_sum_checks and
+# verify's circle sweep build and solve each shape's members in consecutive
+# chunks (stack_chunks), so that their memory does not grow with the sample
+# count.  A member above it is a chunk of its own.  verify's default sweeps
+# stay one chunk per shape, each under 1 MiB.
+STACK_BUDGET_BYTES = 1 << 26
 # Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
 # transpose with stride m; a pair of 128 x 128 tiles stays in cache.  A
 # matrix of size at most this is a single tile.
@@ -250,6 +258,13 @@ def clustered_spectra(M: np.ndarray) -> list[MultiplicitySpectrum]:
     return [cluster_multiplicities(eigs, _default_cluster_tol(top)) for eigs, top in zip(_eigenvalues(M, peak), peak)]
 
 
+def stack_chunks(members: list, member_bytes: int) -> list[list]:
+    """members in order as consecutive chunks whose matrices, member_bytes
+    for each member, take at most STACK_BUDGET_BYTES; one member at least."""
+    size = max(1, STACK_BUDGET_BYTES // member_bytes)
+    return [members[i:i + size] for i in range(0, len(members), size)]
+
+
 def trivial_motion_count(d: int) -> int:
     """Dimension of the space of infinitesimal translations and rotations in R^d."""
     return math.comb(d + 1, 2)
@@ -289,7 +304,7 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
     returns (holds, worst signed violation).  Every mask is checked and
     every edge looked up, one missing from its h refused, before the first
     eigensolve; then the stiffness matrix pairs of each shape (n, d) are
-    solved as one stack.
+    built and solved as one stack per stack_chunks chunk.
     """
     cases = list(cases)
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -299,15 +314,19 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
         j = g.index_of(*e)
         if not keep[j]:
             raise ValueError(f"edge {{{e[0]}, {e[1]}}} not in graph")
-        minus = np.array(keep)
-        minus[j] = False
-        groups.setdefault(p.points.shape, []).append((i, np.stack((keep, minus))))
+        groups.setdefault(p.points.shape, []).append((i, j))
     results: list = [None] * len(cases)
-    for members in groups.values():
-        pairs = np.stack([stiffness(cases[i][0], cases[i][2], masks) for i, masks in members])
-        lam, lam_prime = symmetric_eigenvalues(pairs).swapaxes(0, 1)
-        lam_shift = np.concatenate((np.zeros((len(members), 1)), lam[:, :-1]), axis=1)
-        worst = np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1))
-        for (i, _), w in zip(members, worst.tolist()):
-            results[i] = (w <= INTERLACING_SLACK, w)
+    for (n, d), members in groups.items():
+        for chunk in stack_chunks(members, 2 * (n * d) ** 2 * 8):  # two float matrices of side dn
+            pairs = []
+            for i, j in chunk:
+                g, _, p, keep = cases[i]
+                minus = np.array(keep)
+                minus[j] = False
+                pairs.append(stiffness(g, p, np.stack((keep, minus))))
+            lam, lam_prime = symmetric_eigenvalues(np.stack(pairs)).swapaxes(0, 1)
+            lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
+            worst = np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1))
+            for (i, _), w in zip(chunk, worst.tolist()):
+                results[i] = (w <= INTERLACING_SLACK, w)
     return results

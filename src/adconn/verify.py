@@ -12,12 +12,20 @@ A sampled sweep draws its samples in order from one rng_stream per sweep or
 grid point (circle one per n, interlacing and kyfan one each, families one per
 spherical placement and one for the edge-length samples), so samples=k gives
 the first k samples of any larger run.  The circle, interlacing and kyfan
-sweeps solve their matrices as one stack per shape: the circle sweep each n's
+sweeps solve their matrices as one stack per shape, built and solved in
+chunks of at most spectral.STACK_BUDGET_BYTES (spectral.stack_chunks; the
+default sweeps are one chunk per shape): the circle sweep each n's
 stiffness matrices (clustered_spectra) and circle forms, the interlacing
 sweep each (n, d)'s pairs (interlacing_checks, which reads each sample's
 subgraph as a mask over the edges of K_n), and the kyfan sweep each (n, d)'s
-placements (top_eigenvalue_sum_checks); every report is that of one instance
-at a time.  Before it builds anything, each sweep refuses an instance whose
+placements (top_eigenvalue_sum_checks, which also sums each stack's top n
+eigenvalues with one reduction).  The families sweep takes the residuals of
+each family, and of each spherical placement's weighted-length vectors, as
+one eigen_residual call, one stacked matrix product, and the kyfan sweep
+the star errors of each n as one stacked product P b.  numpy forms each
+member of a stacked product or solve as it forms that member alone, so
+every report is that of one instance, vector or star at a time, bit for
+bit.  Before it builds anything, each sweep refuses an instance whose
 matrices would have a side above MAX_MATRIX_SIDE.
 
 Each sweep yields uniform report entries
@@ -40,7 +48,14 @@ from .framework import Placement, lower_stiffness_direct, stiffness
 from .graphs import complete_graph
 from .placements import centered_sphere_points, regular_simplex, triangular_pyramid
 from .seeding import as_index, as_seed, rng_stream
-from .spectral import clustered_spectra, clustered_spectrum, interlacing_checks, numeric_rank, spectral_gap
+from .spectral import (
+    clustered_spectra,
+    clustered_spectrum,
+    interlacing_checks,
+    numeric_rank,
+    spectral_gap,
+    stack_chunks,
+)
 
 SUITES = ("simplex", "turan", "cross", "tetra", "circle", "interlacing", "kyfan", "families")
 
@@ -158,15 +173,16 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
         rng = rng_stream(seed, f"circle:{k}")
         for s in range(samples):
             instances[f"random-{s}"] = centered_sphere_points(k, 2, rng)
-        placements = list(instances.values())
-        L = np.stack([stiffness(g, p) for p in placements])
-        # circle_identity_matrices refuses a placement not centered, unit-norm and injective
-        residuals = np.abs(L - circle_identity_matrices(placements)).max(axis=(1, 2)).tolist()
-        for label, computed, residual in zip(instances, clustered_spectra(L), residuals):
-            entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
-            entry["identity_residual"] = residual
-            entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
-            entries.append(entry)
+        for chunk in stack_chunks(list(instances.items()), (2 * k) ** 2 * 8):  # one float matrix of side 2k
+            placements = [p for _, p in chunk]
+            L = np.stack([stiffness(g, p) for p in placements])
+            # circle_identity_matrices refuses a placement not centered, unit-norm and injective
+            residuals = np.abs(L - circle_identity_matrices(placements)).max(axis=(1, 2)).tolist()
+            for (label, _), computed, residual in zip(chunk, clustered_spectra(L), residuals):
+                entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
+                entry["identity_residual"] = residual
+                entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
+                entries.append(entry)
     return entries
 
 
@@ -212,8 +228,10 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
         P = vertex_star_projection(k)
         idem = float(np.max(np.abs(P @ P - P)))
         sym = float(np.max(np.abs(P - P.T)))
-        # one product per star: a single P @ B^t changes the last bits
-        star_err = max(float(np.max(np.abs(P @ b - b))) for b in complete_graph(k).incidence)
+        # every star b in one stacked product, each member with the bits of P @ b
+        # (P @ B^t, one matrix product, would change the last bits)
+        B = complete_graph(k).incidence
+        star_err = float(np.abs(np.matmul(P, B[..., None])[..., 0] - B).max())
         trace_err = abs(float(np.trace(P)) - k)
         worst = max(idem, sym, star_err, trace_err)
         entries.append(
@@ -274,7 +292,7 @@ def _family_entries(row: str, n: int, d: int) -> list[dict]:
     theorem, instance = f"{row}-families", {"n": n, "d": d}
     entries = []
     for family in families:
-        worst = max((eigen_residual(C, v, family.eigenvalue) for v in family.vectors), default=0.0)
+        worst = eigen_residual(C, family.vectors, family.eigenvalue)
         rank = numeric_rank(family.vectors)
         counts_ok = rank == family.expected == family.count
         entries.append(
@@ -326,15 +344,10 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
         C = lower_stiffness_direct(complete_graph(n), p)
-        rng = rng_stream(seed, f"phi-f:{label}")
-        weights = []
-        for _ in range(samples):
-            f = rng.standard_normal(n)
-            f -= f.mean()
-            weights.append(f)
-        worst = 0.0
-        for vec in weighted_length_vectors(p, weights):
-            worst = max(worst, eigen_residual(C, vec, n / 2.0))
+        # the rows draw and center as one draw of n values at a time would
+        weights = rng_stream(seed, f"phi-f:{label}").standard_normal((samples, n))
+        weights -= weights.mean(axis=1, keepdims=True)
+        worst = eigen_residual(C, weighted_length_vectors(p, weights), n / 2.0)
         instance = {"instance": label, "n": n, "samples": samples}
         return _residual_entry("weighted-length-eigenvectors", instance, n / 2.0, worst)
 

@@ -94,7 +94,9 @@ def _top_sum_oracle(p):
 
 
 def test_batched_top_sums_on_mixed_shapes_in_shuffled_order_equal_single_calls(rng):
-    shapes = [(n, d) for n in (3, 4, 7, 12) for d in (1, 2, 3, 4)] * 3 + [(27, 5), (27, 5)]
+    # the totals of a shape's stack are one np.add.reduce, which sums past 8
+    # and past 128 terms in blocks, as np.sum of one row does: n = 130 has both
+    shapes = [(n, d) for n in (3, 4, 7, 12) for d in (1, 2, 3, 4)] * 3 + [(27, 5), (27, 5), (130, 1), (130, 1)]
     placements = []
     for k in rng.permutation(len(shapes)):
         n, d = shapes[k]

@@ -92,7 +92,7 @@ def test_weighted_length_vectors_equal_one_call_per_weight_vector(rng):
         assert len(got) == len(weights)
         for f, vec in zip(weights, got):
             assert vec.tobytes() == weighted_length_vector(p, f).tobytes()
-    assert weighted_length_vectors(regular_simplex(3), []) == []
+    assert weighted_length_vectors(regular_simplex(3), []).shape == (0, 6)
 
 
 def test_weighted_length_vectors_reject_what_one_call_rejects(rng):
@@ -103,6 +103,29 @@ def test_weighted_length_vectors_reject_what_one_call_rejects(rng):
         weighted_length_vectors(p, [centered(rng, 4), np.zeros(5)])
     with pytest.raises(ValueError, match="unit-norm"):
         weighted_length_vectors(Placement(2.0 * p.points), [centered(rng, 4)])
+
+
+def one_residual(M, v, eigenvalue):
+    """The residual of one vector from its own product M @ v: the reference
+    for the stacked product of eigen_residual."""
+    return float(np.max(np.abs(M @ v - eigenvalue * v)))
+
+
+def test_a_stacked_eigen_residual_equals_the_largest_row_residual_bit_for_bit(rng):
+    for m in (1, 3, 10, 28, 66, 276):
+        M = rng.standard_normal((m, m))
+        M = M + M.T
+        eigenvalue = float(rng.standard_normal())
+        for k in (1, 2, 9):
+            V = rng.standard_normal((k, m))
+            assert eigen_residual(M, V, eigenvalue) == max(one_residual(M, v, eigenvalue) for v in V)
+        v = rng.standard_normal(m)
+        assert eigen_residual(M, v, eigenvalue) == one_residual(M, v, eigenvalue)
+        assert eigen_residual(M, np.zeros((0, m)), eigenvalue) == 0.0
+    for family in crosspolytope_families(12, 3):
+        C = lower_stiffness_direct(turan_graph(12, 6)[0], crosspolytope_placement(12, 3))
+        want = max(one_residual(C, v, family.eigenvalue) for v in family.vectors)
+        assert eigen_residual(C, family.vectors, family.eigenvalue) == want
 
 
 def test_edge_length_eigenvector(rng):

@@ -267,26 +267,39 @@ def test_endpoints_without_edges():
 
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(5), turan_graph(6, 3)[0], make_graph(6, [(4, 1), (0, 5), (2, 3)]), Graph(3, ())],
-    ids=["K5", "turan-6-3", "matching", "edgeless"],
+    [
+        complete_graph(5),
+        turan_graph(6, 3)[0],
+        make_graph(6, [(4, 1), (0, 5), (2, 3)]),
+        make_graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (3, 1)]),
+        Graph(3, ()),
+    ],
+    ids=["K5", "turan-6-3", "matching", "mixed-degrees", "edgeless"],
 )
 def test_stars_list_the_edges_at_each_vertex_once_and_read_only(g):
     stars = g.stars
-    assert g.stars is stars and len(stars) == g.n
-    for s, (at_u, at_v, block) in enumerate(stars):
-        assert at_u.tolist() == [k for k, (u, _) in enumerate(g.edges) if u == s]
-        assert at_v.tolist() == [k for k, (_, v) in enumerate(g.edges) if v == s]
-        star = np.concatenate((at_u, at_v))
-        for want, got in zip(np.ix_(star, star), block):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == np.intp
-        for a in (at_u, at_v, *block):
+    assert g.stars is stars
+    sizes = [edges.shape[1] for edges, _ in stars]
+    assert sizes == sorted(set(sizes)) and 0 not in sizes
+    seen = []
+    for edges, signs in stars:
+        assert edges.dtype == np.intp and signs.dtype == float and signs.shape == edges.shape
+        vertices = []
+        for row, sign in zip(edges.tolist(), signs.tolist()):
+            s = g.edges[row[0]][0 if sign[0] < 0 else 1]  # u of the first edge at -1, v at +1
+            at_u = [k for k, (u, _) in enumerate(g.edges) if u == s]
+            at_v = [k for k, (_, v) in enumerate(g.edges) if v == s]
+            assert row == at_u + at_v
+            assert sign == [-1.0] * len(at_u) + [1.0] * len(at_v)
+            vertices.append(s)
+        assert vertices == sorted(vertices)
+        seen += vertices
+        for a in (edges, signs):
             assert not a.flags.writeable
-            if a.size:
-                with pytest.raises(ValueError):
-                    a.flat[0] = 0
-    for again, first in zip(g.stars, stars):
-        assert again[0] is first[0] and again[1] is first[1] and again[2] is first[2]
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+    # each vertex with an edge is the row of one star, and no other vertex is
+    assert sorted(seen) == [s for s in range(g.n) if any(s in e for e in g.edges)]
 
 
 def test_turan_rejects_non_divisor():

@@ -53,8 +53,8 @@ def test_normalized_points_undo_shift_and_scale():
 TRIANGLE_AND_CENTROID = np.vstack([regular_simplex(2).points, np.zeros((1, 2))])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e-5, 1e5, 1e200])
 @pytest.mark.parametrize(
     "points",
     [regular_simplex(3).points, TRIANGLE_AND_CENTROID, np.array([[0.0], [1.0], [3.0], [7.0]]),

@@ -34,6 +34,16 @@ from conftest import random_placement, without_edge
 from test_framework import random_graph
 
 
+def test_stack_chunks_keep_the_order_within_the_budget_and_one_member_at_least(monkeypatch):
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", 100)
+    members = list(range(7))
+    assert spectral.stack_chunks(members, 30) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert spectral.stack_chunks(members, 100) == [[k] for k in members]
+    assert spectral.stack_chunks(members, 101) == [[k] for k in members]
+    assert spectral.stack_chunks(members, 10) == [members]
+    assert spectral.stack_chunks([], 30) == []
+
+
 def test_symmetric_eigenvalues_2x2_closed_form():
     # eigenvalues of [[a, b], [b, a]] are a -+ b
     np.testing.assert_allclose(

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from adconn import verify
-from adconn.bounds import circle_identity_matrices
+from adconn import spectral, verify
+from adconn.bounds import circle_identity_matrices, vertex_star_projection
 from adconn.closedform import CANONICAL
 from adconn.framework import Placement, stiffness
 from adconn.graphs import Graph, complete_graph
@@ -139,6 +139,60 @@ def test_kyfan_sweep_equals_one_placement_at_a_time():
         assert (repr(entry["computed"]), entry["predicted"]) == (repr(total), bound)
         assert entry["max_value_error"] == max(bound - total, 0.0)
         assert entry["pass"] == (total - bound >= -1e-9)
+
+
+def test_kyfan_star_errors_equal_the_per_star_loop_bit_for_bit():
+    ns = [3, 4, 7, 12, 20]
+    entries = run_suite("kyfan", grid={"n": ns}, samples=0, seed=0)["entries"]
+    for n, entry in zip(ns, entries):
+        P = vertex_star_projection(n)
+        want = max(float(np.max(np.abs(P @ b - b))) for b in complete_graph(n).incidence)
+        assert entry["instance"] == {"n": n}
+        assert repr(entry["computed"]["star_error"]) == repr(want)
+
+
+def stack_shapes(suite, entries) -> int:
+    """The number of shapes whose stacks a sweep solves: one per n in the
+    circle sweep, one per (n, d) in the others (the equilateral triangle
+    joins the kyfan samples at (3, 2))."""
+    if suite == "circle":
+        return len({e["instance"]["n"] for e in entries})
+    shapes = {(e["instance"]["n"], e["instance"]["d"]) for e in entries if "sample" in e["instance"]}
+    return len(shapes | {(3, 2)}) if suite == "kyfan" else len(shapes)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The bytes of every stack that numpy's eigvalsh solves."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(M):
+        sizes.append(M.nbytes)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("suite", ["circle", "interlacing", "kyfan"])
+def test_default_sweeps_solve_one_stack_per_shape(solved, suite):
+    report = run_suite(suite, seed=2)
+    assert len(solved) == stack_shapes(suite, report["entries"])
+    assert max(solved) <= spectral.STACK_BUDGET_BYTES
+
+
+# three members of the largest default stack: an interlacing pair at n = 10, d = 4
+SMALL_BUDGET = 3 * 2 * 40 ** 2 * 8
+
+
+@pytest.mark.parametrize("suite,samples", [("circle", 7), ("interlacing", None), ("kyfan", None)])
+def test_chunked_sweeps_give_the_same_reports_within_the_budget(monkeypatch, solved, suite, samples):
+    want = json.dumps(run_suite(suite, samples=samples, seed=4))
+    shapes = len(solved)
+    solved.clear()
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", SMALL_BUDGET)
+    assert json.dumps(run_suite(suite, samples=samples, seed=4)) == want
+    assert len(solved) > shapes and max(solved) <= SMALL_BUDGET
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -26,9 +26,9 @@ _rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
 a stack of placements of one shape, (..., n, d), so that callers with many
 small frameworks assemble them in one call, and _stiffness_geometry chains
 them into the stiffness matrices for other modules, on the path that
-stiffness takes for that size.  One placement runs the same code with no
-leading axes, and no arithmetic mixes placements, so each member of a stack
-gets the bits it would get alone.
+stiffness takes for that size.  The block kernel fills its stack one member
+at a time, so its temporaries are one member's.  No arithmetic mixes
+placements, so each member of a stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -175,26 +175,25 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
 def _block_stiffness(g: Graph, unit: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """The stiffness matrices, (..., n d, n d), from the (..., m, d) edge
     directions of _edge_geometry, assembled from their d x d blocks through
-    g.block_index(d): -d_uv d_uv^t is written into the blocks (u, v) and
-    (v, u) of each edge, and one bincount adds d_uv d_uv^t into the diagonal
-    blocks of u and of v, each vertex's sum in edge order.  With a mask keep
-    over the edges, the matrices of the spanning subgraph with the kept edges,
-    with the bits of that subgraph's own; a member of a stack gets the bits
-    it gets alone."""
+    g.block_index(d), one member at a time into one preallocated array:
+    -d_uv d_uv^t is written into the blocks (u, v) and (v, u) of each edge,
+    and one bincount adds d_uv d_uv^t into the diagonal blocks of u and of v,
+    each vertex's sum in edge order.  With a mask keep over the edges, the
+    matrices of the spanning subgraph with the kept edges, with the bits of
+    that subgraph's own."""
     *lead, _, d = unit.shape
     diag, off = g.block_index(d)
     if keep is not None:
         unit, diag, off = unit[..., keep, :], diag[:, keep], off[:, keep]
-    outer = np.einsum("...i,...j->...ij", unit, unit)
-    blocks = np.concatenate((outer, outer), axis=-3).ravel()  # the edges at u, then at v
-    cells, count = (g.n * d) ** 2, math.prod(lead)
-    if lead:  # each member's entries offset into its own matrix
-        base = np.arange(count)[:, None] * cells
-        diag, off = base + diag.reshape(1, -1), base + off.reshape(1, -1)
-    L = np.bincount(diag.ravel(), blocks, count * cells).astype(float, copy=False)  # integer when empty
-    # 0 - x rather than -x: a zero product is written as 0.0, as R R^t has it
-    L[off.ravel()] = np.subtract(0.0, blocks, out=blocks)
-    return L.reshape(*lead, g.n * d, g.n * d)
+    diag, off, side = diag.ravel(), off.ravel(), g.n * d
+    L = np.empty((*lead, side, side))
+    for member, u in zip(L.reshape(-1, side * side), unit.reshape(math.prod(lead), *unit.shape[-2:])):
+        outer = u[:, :, None] * u[:, None, :]
+        blocks = np.concatenate((outer, outer)).ravel()  # the edges at u, then at v
+        member[:] = np.bincount(diag, blocks, side * side)
+        # 0 - x rather than -x: a zero product is written as 0.0, as R R^t has it
+        member[off] = np.subtract(0.0, blocks, out=blocks)
+    return L
 
 
 def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

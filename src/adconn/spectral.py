@@ -57,12 +57,11 @@ LOW_RANK_MIN_SIZE = 256
 LOW_RANK_PIVOT_DIVISOR = 4
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
-# Largest stack, in bytes of its matrices, that a batched check builds and
-# solves at once: interlacing_checks, bounds.top_eigenvalue_sum_checks and
-# verify's circle sweep build and solve each shape's members in consecutive
-# chunks (stack_chunks), so that their memory does not grow with the sample
-# count.  A member above it is a chunk of its own.  verify's default sweeps
-# stay one chunk per shape, each under 1 MiB.
+# Largest stack, in bytes of its matrices, that interlacing_checks,
+# bounds.top_eigenvalue_sum_checks and verify's circle sweep solve at once, in
+# chunks per shape (stack_chunks); a larger member is a chunk of its own, and
+# verify's default sweeps are one chunk per shape, under 1 MiB.  A chunk of side
+# above SYMMETRY_TILE peaks under twice it; at or below, the symmetry check adds 2x.
 STACK_BUDGET_BYTES = 1 << 26
 # Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
 # transpose with stride m; a pair of 128 x 128 tiles stays in cache.  A

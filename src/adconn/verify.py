@@ -193,12 +193,14 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
         raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
     if ns and ds:
         _require_side(max(ns) * max(ds), f"interlacing at n = {max(ns)}, d = {max(ds)}")
+    elif samples:  # each sample draws its n and its d from these lists
+        raise ValueError(f"suite 'interlacing' needs an n and a d to draw from, got n = {ns}, d = {ds}")
     rng = rng_stream(seed, "interlacing")
     # each sample is a spanning subgraph of K_n, named by a mask over its edges
     cases = []
     for _ in range(samples):
-        full = complete_graph(int(rng.choice(ns)))
-        d = int(rng.choice(ds))
+        full = complete_graph(ns[int(rng.integers(len(ns)))])
+        d = ds[int(rng.integers(len(ds)))]
         keep = rng.random(full.m) < 0.5
         if not keep.any():
             keep[:] = True

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from adconn import spectral
 from adconn.bounds import (
     circle_identity_matrices,
     k4_gap_upper_bound,
@@ -108,6 +110,28 @@ def test_batched_top_sums_on_mixed_shapes_in_shuffled_order_equal_single_calls(r
         assert repr(check.total) == repr(_top_sum_oracle(p))
         assert check == top_eigenvalue_sum_check(p)
         assert check.bound == p.n * p.n / 3.0 + p.n
+
+
+def test_top_sum_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
+    # A chunk's stiffness stack takes at most the budget.  Everything else the
+    # chunk holds at once is small next to it at side dn = 256 > SYMMETRY_TILE:
+    # its edge directions (m d floats a member, under 1/(2d) of its matrix),
+    # the one member being assembled (blocks and bincount, about two of its
+    # matrices), the symmetry check's 128 x 128 tiles of the stack and the
+    # graph's cached block index.  So the peak stays under twice the budget,
+    # here about 1.9 times (7.5 MiB).  An assembly that widens the block index
+    # into offsets for every member of the stack needs about 4.9 (19.6 MiB).
+    budget = 4 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    placements = [Placement(rng.standard_normal((64, 4))) for _ in range(16)]  # two chunks of 8
+    tracemalloc.start()
+    try:
+        checks = top_eigenvalue_sum_checks(placements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * budget, f"peak {peak / 2**20:.1f} MiB"
+    assert [c.total for c in checks[:2]] == [top_eigenvalue_sum_check(p).total for p in placements[:2]]
 
 
 def test_batched_top_sums_refuse_any_non_injective_member(rng):

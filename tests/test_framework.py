@@ -490,6 +490,31 @@ def test_block_assembly_matches_the_product(n, d, density, coincident, seed):
         assert bit_equal(_block_stiffness(g, unit[0], mask), _block_stiffness(subgraph(g, mask), unit[0][mask]))
 
 
+@pytest.mark.parametrize(
+    "g", [complete_graph(17), turan_graph(18, 3)[0], Graph(16, ())], ids=["K17", "turan-18-3", "edgeless"]
+)
+def test_block_assembly_fills_each_member_of_a_stack_with_its_own_bits(g, rng):
+    """Two leading axes at n >= BLOCK_ASSEMBLY_MIN_VERTICES, the same stack
+    under a mask, an empty stack and the edgeless graph (m = 0)."""
+    d, side = 3, 3 * g.n
+    stack = _stack_members(rng, g.n, d, 6).reshape(2, 3, g.n, d)
+    unit = _edge_geometry(g, stack)[0]
+    masks = rng.random((2, g.m)) < 0.5
+    L = _block_stiffness(g, unit)
+    assert L.shape == (2, 3, side, side)
+    assert _block_stiffness(g, unit[:0]).shape == (0, 3, side, side)
+    for i in np.ndindex(2, 3):
+        assert bit_equal(L[i], _block_stiffness(g, unit[i]))
+        assert bit_equal(L[i], stiffness(g, Placement(stack[i])))
+    for mask in masks:
+        masked = _block_stiffness(g, unit, mask)
+        assert masked.shape == (2, 3, side, side)
+        for i in np.ndindex(2, 3):
+            assert bit_equal(masked[i], _block_stiffness(subgraph(g, mask), unit[i][mask]))
+    if not g.m:
+        assert not np.any(L)
+
+
 def _threshold_graphs(rng):
     """(g, d) with n just below and at BLOCK_ASSEMBLY_MIN_VERTICES, for d = 1..5."""
     for d in range(1, 6):

@@ -103,6 +103,15 @@ def test_grid_d_and_n_must_be_integers(suite, grid, key, value):
         run_suite(suite, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [{"n": []}, {"d": []}, {"n": [], "d": []}], ids=["n", "d", "both"])
+def test_interlacing_refuses_an_empty_list_to_draw_its_samples_from(grid):
+    ns, ds = grid.get("n", list(range(4, 11))), grid.get("d", list(range(2, 5)))
+    message = f"suite 'interlacing' needs an n and a d to draw from, got n = {ns}, d = {ds}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("interlacing", grid=grid, samples=1)
+    assert verify.suite_interlacing(**grid, samples=0, seed=0) == []
+
+
 def test_grid_filters_divisibility():
     report = run_suite("turan", grid={"d": [3], "n": [7, 8, 12]})
     instances = [e["instance"] for e in report["entries"]]

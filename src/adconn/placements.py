@@ -111,24 +111,48 @@ def random_sphere_placement(n: int, d: int, seed: int) -> Placement:
 
 def centered_sphere_points(n: int, d: int, rng: np.random.Generator) -> Placement:
     """Random unit-norm points with zero sum, for even n >= 2 and d >= 1 or
-    odd n >= 3 and d >= 2.
+    odd n >= 3 and d >= 2: the one-sample case of centered_sphere_stack."""
+    return Placement(centered_sphere_stack(n, d, 1, rng)[0])
 
-    Even n uses antipodal pairs, whose sum is exactly zero; odd n adds one
-    equilateral triple inside a random 2-plane (three unit vectors summing to
-    zero must be coplanar), whose sum is zero up to rounding.
+
+# the angles of an equilateral triple on the unit circle, from its first point
+_THIRDS = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+
+
+def centered_sphere_stack(n: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k samples of centered_sphere_points as a (k, n, d) array.
+
+    Even n uses antipodal pairs x, -x, whose sum is exactly zero; odd n puts
+    one equilateral triple inside a random 2-plane first (three unit vectors
+    summing to zero must be coplanar), whose sum is zero up to rounding.
+    Each sample reads one record of standard normals, and the k records are
+    one draw: for odd n, two vectors whose Gram-Schmidt frame spans the
+    plane and two values whose atan2 is the angle of the triple's first
+    point in it; then one vector x per pair, scaled to unit norm.  Every
+    step works on each sample alone, so k draws of one sample give the bits
+    of one draw of k.
     """
     if as_index(n, "n") < 2 or as_index(d, "d") < 1 or (n % 2 and d < 2):
         raise ValueError(f"need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n={n}, d={d}")
-    rows = []
-    if n % 2 != 0:
-        frame = np.linalg.qr(rng.standard_normal((d, 2)))[0]
-        for t in rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]):
-            rows.append(frame[:, 0] * np.cos(t) + frame[:, 1] * np.sin(t))
-        rows = [r / np.linalg.norm(r) for r in rows]
-    half = _unit_rows(rng.standard_normal(((n - len(rows)) // 2, d)))
-    pairs = np.stack((half, -half), axis=1).reshape(-1, d)  # x1, -x1, x2, -x2, ...
-    return Placement(np.concatenate((np.reshape(rows, (-1, d)), pairs)))
+    if as_index(k, "k") < 0:
+        raise ValueError(f"need k >= 0 samples, got {k}")
+    triple = 3 * (n % 2)
+    pairs = (n - triple) // 2
+    offset = (2 * d + 2) * (n % 2)  # a record's frame and angle values, before its pairs
+    record = rng.standard_normal((k, offset + pairs * d))
+    points = np.empty((k, n, d))
+    if triple:
+        e1 = _unit_rows(record[:, :d])
+        b = record[:, d:2 * d]
+        e2 = _unit_rows(b - np.add.reduce(b * e1, axis=-1)[:, None] * e1)
+        t = np.arctan2(record[:, 2 * d + 1], record[:, 2 * d])[:, None] + _THIRDS
+        points[:, :3] = _unit_rows(np.cos(t)[..., None] * e1[:, None] + np.sin(t)[..., None] * e2[:, None])
+    half = _unit_rows(record[:, offset:].reshape(k, pairs, d))
+    points[:, triple::2] = half  # x1, -x1, x2, -x2, ...
+    points[:, triple + 1::2] = -half
+    return points
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=1)[:, None]
+    """Each row along the last axis divided by its norm."""
+    return a / np.linalg.norm(a, axis=-1)[..., None]

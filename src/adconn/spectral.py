@@ -3,7 +3,8 @@
 ``symmetric_eigenvalues`` takes one matrix or a stack of matrices of one
 size, shape (..., m, m), and answers with the ascending eigenvalues of each.
 It reads its input once, in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE
-tiles of the whole stack (one tile when m is at most SYMMETRY_TILE): the pass
+tiles (one tile when m is at most SYMMETRY_TILE) of a slab of the stack's
+members at a time, with one temporary of at most SYMMETRY_SLAB_BYTES: the pass
 refuses a non-finite or non-symmetric member and finds max|M| of each, which
 the later steps reuse, and which ``clustered_spectrum`` (one matrix) and
 ``clustered_spectra`` (a stack) take each member's default tolerance from.
@@ -60,9 +61,13 @@ LOW_RANK_RESIDUAL_TOL = 1e-10
 # Largest stack, in bytes of its matrices, that interlacing_checks,
 # bounds.top_eigenvalue_sum_checks and verify's circle sweep solve at once, in
 # chunks per shape (stack_chunks); a larger member is a chunk of its own, and
-# verify's default sweeps are one chunk per shape, under 1 MiB.  A chunk of side
-# above SYMMETRY_TILE peaks under twice it; at or below, the symmetry check adds 2x.
+# verify's default sweeps are one chunk per shape, under 1 MiB.  A chunk peaks
+# under twice it: the stack, and the symmetry check's temporary.
 STACK_BUDGET_BYTES = 1 << 26
+# Largest temporary of the symmetry check, |U| or |U - L^t| for one pair of
+# mirrored tiles U, L of a slab of a stack's members (one member at least);
+# it holds one at a time.  verify's default stacks are one slab each.
+SYMMETRY_SLAB_BYTES = 1 << 20
 # Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
 # transpose with stride m; a pair of 128 x 128 tiles stays in cache.  A
 # matrix of size at most this is a single tile.
@@ -72,21 +77,30 @@ SYMMETRY_TILE = 128
 def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M as a float array of shape (..., m, m) and the max|M| of each matrix in
     it, after refusing a non-square stack, or a non-finite or non-symmetric
-    member, in one pass over mirrored tile pairs (see the module docstring)."""
+    member, in one pass over mirrored tile pairs of slabs of members (see the
+    module docstring)."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     m, b, axes = M.shape[-1], SYMMETRY_TILE, (-2, -1)
     peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
-    for i in range(0, m, b):
-        for j in range(i, m, b):
-            upper, lower = M[..., i:i + b, j:j + b], M[..., j:j + b, i:i + b]
-            for tile in (upper, lower) if j > i else (upper,):
-                np.maximum(peak, np.abs(tile).max(axis=axes, initial=0.0), out=peak)
-            # max propagates NaN and |inf| is inf; checked before inf - inf can form
-            if not math.isfinite(peak.max(initial=0.0)):
-                raise ValueError("matrix must be finite")
-            np.maximum(asym, np.abs(upper - lower.swapaxes(-2, -1)).max(axis=axes, initial=0.0), out=asym)
+    # a stack is read in slabs along its first axis, so that a temporary of one
+    # tile pair of a slab takes at most SYMMETRY_SLAB_BYTES
+    stack, peaks, asyms = (M, peak, asym) if M.ndim > 2 else (M[None], peak[None], asym[None])
+    slab = max(1, SYMMETRY_SLAB_BYTES // max(1, 8 * math.prod(stack.shape[1:-2]) * min(m, b) ** 2))
+    for s in range(0, len(stack), slab):
+        S, P, A = stack[s:s + slab], peaks[s:s + slab], asyms[s:s + slab]
+        for i in range(0, m, b):
+            for j in range(i, m, b):
+                upper, lower = S[..., i:i + b, j:j + b], S[..., j:j + b, i:i + b]
+                for tile in (upper, lower) if j > i else (upper,):
+                    np.maximum(P, np.abs(tile).max(axis=axes, initial=0.0), out=P)
+                # max propagates NaN and |inf| is inf; checked before inf - inf can form
+                if not math.isfinite(P.max(initial=0.0)):
+                    raise ValueError("matrix must be finite")
+                diff = upper - lower.swapaxes(-2, -1)
+                np.maximum(A, np.abs(diff, out=diff).max(axis=axes, initial=0.0), out=A)
+                del diff  # freed before the next temporary
     # each member's threshold 1e-12 max(1, max|M|) is at least 1e-12
     if asym.max(initial=0.0) > 1e-12:
         refused = asym > 1e-12 * np.maximum(1.0, peak)
@@ -303,7 +317,8 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
     returns (holds, worst signed violation).  Every mask is checked and
     every edge looked up, one missing from its h refused, before the first
     eigensolve; then the stiffness matrix pairs of each shape (n, d) are
-    built and solved as one stack per stack_chunks chunk.
+    written into one (k, 2, dn, dn) array per stack_chunks chunk of k
+    cases and solved as one stack.
     """
     cases = list(cases)
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -317,15 +332,21 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
     results: list = [None] * len(cases)
     for (n, d), members in groups.items():
         for chunk in stack_chunks(members, 2 * (n * d) ** 2 * 8):  # two float matrices of side dn
-            pairs = []
-            for i, j in chunk:
-                g, _, p, keep = cases[i]
-                minus = np.array(keep)
-                minus[j] = False
-                pairs.append(stiffness(g, p, np.stack((keep, minus))))
-            lam, lam_prime = symmetric_eigenvalues(np.stack(pairs)).swapaxes(0, 1)
-            lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
-            worst = np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1))
-            for (i, _), w in zip(chunk, worst.tolist()):
+            for (i, _), w in zip(chunk, _worst_violations(cases, chunk, n * d)):
                 results[i] = (w <= INTERLACING_SLACK, w)
     return results
+
+
+def _worst_violations(cases, chunk, side: int) -> list[float]:
+    """The worst signed interlacing violation of each (case, edge position)
+    of a chunk, from the chunk's stiffness matrix pairs of side side, written
+    into one (k, 2, side, side) stack that is freed on return."""
+    pairs = np.empty((len(chunk), 2, side, side))
+    for pair, (i, j) in zip(pairs, chunk):
+        g, _, p, keep = cases[i]
+        minus = np.array(keep)
+        minus[j] = False
+        pair[:] = stiffness(g, p, np.stack((keep, minus)))
+    lam, lam_prime = symmetric_eigenvalues(pairs).swapaxes(0, 1)
+    lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
+    return np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1)).tolist()

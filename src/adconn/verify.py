@@ -11,13 +11,22 @@ entry reads one assembled stiffness matrix, except the tetra gap (spectral_gap).
 A sampled sweep draws its samples in order from one rng_stream per sweep or
 grid point (circle one per n, interlacing and kyfan one each, families one per
 spherical placement and one for the edge-length samples), so samples=k gives
-the first k samples of any larger run.  The circle, interlacing and kyfan
+the first k samples of any larger run.  The circle sweep draws each n's
+samples with one placements.centered_sphere_stack call, one fixed-length
+record of standard normals per sample.  The interlacing and kyfan sweeps
+draw theirs in blocks of SAMPLE_BLOCK samples, fewer where one of a block's
+arrays would take more than spectral.STACK_BUDGET_BYTES, one array per
+quantity per block: the (n, d) picks, then for interlacing the edge masks
+and the picks of the removed edges, then the point records.  A record is
+as long as the largest n (and d) make it, and a sample reads its first
+values; the last block is drawn whole.  The circle, interlacing and kyfan
 sweeps solve their matrices as one stack per shape, built and solved in
 chunks of at most spectral.STACK_BUDGET_BYTES (spectral.stack_chunks; the
 default sweeps are one chunk per shape): the circle sweep each n's
-stiffness matrices (clustered_spectra) and circle forms, the interlacing
+stiffness matrices (clustered_spectra), each chunk of them assembled by one
+framework._stiffness_geometry call, and circle forms; the interlacing
 sweep each (n, d)'s pairs (interlacing_checks, which reads each sample's
-subgraph as a mask over the edges of K_n), and the kyfan sweep each (n, d)'s
+subgraph as a mask over the edges of K_n); and the kyfan sweep each (n, d)'s
 placements (top_eigenvalue_sum_checks, which also sums each stack's top n
 eigenvalues with one reduction).  The families sweep takes the residuals of
 each family, and of each spherical placement's weighted-length vectors, as
@@ -41,12 +50,13 @@ import math
 
 import numpy as np
 
+from . import spectral
 from .bounds import circle_identity_matrices, top_eigenvalue_sum_checks, vertex_star_projection
 from .closedform import CANONICAL, PYRAMID_START_HEIGHT, float_sized, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
-from .framework import Placement, lower_stiffness_direct, stiffness
+from .framework import Placement, _stiffness_geometry, lower_stiffness_direct, stiffness
 from .graphs import complete_graph
-from .placements import centered_sphere_points, regular_simplex, triangular_pyramid
+from .placements import centered_sphere_stack, regular_simplex, triangular_pyramid
 from .seeding import as_index, as_seed, rng_stream
 from .spectral import (
     clustered_spectra,
@@ -66,6 +76,10 @@ RESIDUAL_TOL = 1e-10
 # stiffness matrices.  A 4096 x 4096 matrix of floats takes 128 MiB, and one
 # dense eigensolve of it tens of seconds on one core.
 MAX_MATRIX_SIDE = 4096
+# Samples that the interlacing and kyfan sweeps draw per block, one array per
+# quantity; fewer when one of a block's arrays would take more than
+# spectral.STACK_BUDGET_BYTES (_block_size).
+SAMPLE_BLOCK = 64
 
 GRIDS = {
     "turan-simplex": ((2, 6), (2, 12), (3, 8), (3, 12), (3, 24), (4, 10), (4, 20), (5, 12)),
@@ -169,21 +183,54 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
     entries = []
     for k in n:
         g, predicted = row.graph(k, 2), row.spectrum(k, 2)
-        instances = {"roots-of-unity": row.placement(k, 2)}
-        rng = rng_stream(seed, f"circle:{k}")
-        for s in range(samples):
-            instances[f"random-{s}"] = centered_sphere_points(k, 2, rng)
-        for chunk in stack_chunks(list(instances.items()), (2 * k) ** 2 * 8):  # one float matrix of side 2k
-            placements = [p for _, p in chunk]
-            L = np.stack([stiffness(g, p) for p in placements])
+        labels = ["roots-of-unity", *(f"random-{s}" for s in range(samples))]
+        drawn = centered_sphere_stack(k, 2, samples, rng_stream(seed, f"circle:{k}"))
+        members = list(zip(labels, [row.placement(k, 2).points, *drawn]))
+        for chunk in stack_chunks(members, (2 * k) ** 2 * 8):  # one float matrix of side 2k
+            points = np.stack([p for _, p in chunk])
+            L = _stiffness_geometry(g, points)[0]
             # circle_identity_matrices refuses a placement not centered, unit-norm and injective
-            residuals = np.abs(L - circle_identity_matrices(placements)).max(axis=(1, 2)).tolist()
+            identity = circle_identity_matrices([Placement(p) for p in points])
+            residuals = np.abs(L - identity).max(axis=(1, 2)).tolist()
             for (label, _), computed, residual in zip(chunk, clustered_spectra(L), residuals):
                 entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
                 entry["identity_residual"] = residual
                 entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
                 entries.append(entry)
     return entries
+
+
+def _block_size(*record_bytes: int) -> int:
+    """Samples per draw block: SAMPLE_BLOCK, or fewer so that no array of a
+    block, at each of record_bytes per sample, takes more than
+    spectral.STACK_BUDGET_BYTES; one at least."""
+    return max(1, min(SAMPLE_BLOCK, spectral.STACK_BUDGET_BYTES // max(record_bytes)))
+
+
+def _interlacing_cases(rng: np.random.Generator, ns: list, ds: list, samples: int) -> list[tuple]:
+    """The interlacing sweep's samples (K_n, e, p, keep), n from ns and d
+    from ds: keep a mask over the edges of K_n (all of them if it drew none),
+    e an edge it keeps and p a Gaussian placement in R^d, drawn in blocks as
+    the module docstring says.  A sample reads the first C(n, 2) values of
+    its mask record and the first n rows and d columns of its point record."""
+    if not samples:
+        return []
+    top_m, top_n, top_d = math.comb(max(ns), 2), max(ns), max(ds)
+    block = _block_size(top_m, top_n * top_d * 8)  # a mask value is one byte, a coordinate eight
+    cases = []
+    for start in range(0, samples, block):
+        picks = rng.integers((len(ns), len(ds)), size=(block, 2)).tolist()
+        masks = rng.integers(2, size=(block, top_m), dtype=bool)
+        keeps = [mask[: math.comb(ns[a], 2)] for (a, _), mask in zip(picks, masks)]
+        for keep in keeps:
+            if not keep.any():
+                keep[:] = True
+        edge_picks = rng.integers([np.count_nonzero(keep) for keep in keeps]).tolist()
+        points = rng.standard_normal((block, top_n, top_d))
+        for (a, b), keep, pick, pts in zip(picks[: samples - start], keeps, edge_picks, points):
+            full = complete_graph(ns[a])
+            cases.append((full, full.edges[np.flatnonzero(keep)[pick]], Placement(pts[: full.n, : ds[b]]), keep))
+    return cases
 
 
 def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> list[dict]:
@@ -195,18 +242,7 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
         _require_side(max(ns) * max(ds), f"interlacing at n = {max(ns)}, d = {max(ds)}")
     elif samples:  # each sample draws its n and its d from these lists
         raise ValueError(f"suite 'interlacing' needs an n and a d to draw from, got n = {ns}, d = {ds}")
-    rng = rng_stream(seed, "interlacing")
-    # each sample is a spanning subgraph of K_n, named by a mask over its edges
-    cases = []
-    for _ in range(samples):
-        full = complete_graph(ns[int(rng.integers(len(ns)))])
-        d = ds[int(rng.integers(len(ds)))]
-        keep = rng.random(full.m) < 0.5
-        if not keep.any():
-            keep[:] = True
-        kept = np.flatnonzero(keep)
-        e = full.edges[kept[int(rng.integers(len(kept)))]]
-        cases.append((full, e, Placement(rng.standard_normal((full.n, d))), keep))
+    cases = _interlacing_cases(rng_stream(seed, "interlacing"), ns, ds, samples)
     return [
         _entry(
             "interlacing",
@@ -248,14 +284,7 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
             )
         )
 
-    rng = rng_stream(seed, "topsum")
-
-    def draw():
-        n = int(rng.integers(3, 13))
-        d = int(rng.integers(2, 5))
-        return Placement(rng.standard_normal((n, d)))
-
-    placements = [draw() for _ in range(samples)]
+    placements = _kyfan_placements(rng_stream(seed, "topsum"), samples)
     *checks, equilateral = top_eigenvalue_sum_checks([*placements, regular_simplex(2)])
     for s, (p, check) in enumerate(zip(placements, checks)):
         entries.append(
@@ -282,6 +311,19 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
         )
     )
     return entries
+
+
+def _kyfan_placements(rng: np.random.Generator, samples: int) -> list[Placement]:
+    """The kyfan sweep's samples: Gaussian placements of n in 3..12 points in
+    R^d, d in 2..4, drawn in blocks as the module docstring says; a sample
+    reads the first n rows and d columns of its 12 x 4 point record."""
+    block = _block_size(12 * 4 * 8)
+    placements = []
+    for start in range(0, samples, block):
+        picks = rng.integers((3, 2), (13, 5), size=(block, 2))
+        points = rng.standard_normal((block, 12, 4))
+        placements += [Placement(pts[:n, :d]) for (n, d), pts in zip(picks.tolist()[: samples - start], points)]
+    return placements
 
 
 def _family_entries(row: str, n: int, d: int) -> list[dict]:

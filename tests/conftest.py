@@ -47,5 +47,6 @@ def nothing_built(monkeypatch):
         monkeypatch.setitem(
             CANONICAL, row, dataclasses.replace(fw, graph=built, placement=built, spectrum=built, families=families)
         )
-    for name in ("complete_graph", "Placement", "centered_sphere_points", "vertex_star_projection"):
+    builders = ("complete_graph", "Placement", "centered_sphere_stack", "_stiffness_geometry", "vertex_star_projection")
+    for name in builders:
         monkeypatch.setattr(verify, name, built)

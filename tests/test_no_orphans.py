@@ -128,6 +128,7 @@ def test_only_the_stiffness_kernel_crosses_modules():
     assert private_imports() == {
         ("bounds", "framework", "_stiffness_geometry"),
         ("optimize", "framework", "_stiffness_geometry"),
+        ("verify", "framework", "_stiffness_geometry"),
     }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from adconn.placements import (
     centered_sphere_points,
+    centered_sphere_stack,
     crosspolytope_placement,
     random_sphere_placement,
     regular_simplex,
@@ -158,30 +159,58 @@ def test_centered_sphere_points_on_the_circle_even_and_odd():
         assert p.n == n and p.is_injective()
         np.testing.assert_allclose(np.linalg.norm(p.points, axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.linalg.norm(p.points.sum(axis=0)) <= 1e-12
+        # the circle sweep draws each n's samples as one stack
+        assert_stack_equals_single_draws(n, 2, 6, f"t{n}")
+
+
+def assert_stack_equals_single_draws(n, d, k, tag):
+    """One k-sample draw has the bits of k one-sample draws from the same stream."""
+    singles = rng_stream(3, tag)
+    want = np.stack([centered_sphere_points(n, d, singles).points for _ in range(k)])
+    got = centered_sphere_stack(n, d, k, rng_stream(3, tag))
+    assert got.shape == want.shape == (k, n, d)
+    assert got.tobytes() == want.tobytes()
 
 
 def _looped_centered_sphere_points(n, d, rng):
-    """The construction of centered_sphere_points with a Python loop that
-    appends each pair x, -x in turn."""
+    """The construction of centered_sphere_points one row at a time: its
+    record of standard normals read in order, for odd n two frame vectors
+    made orthonormal by Gram-Schmidt and an atan2 angle for the triple, then
+    one vector x per pair, appended as x, -x."""
+    values = iter(rng.standard_normal((2 * d + 2) * (n % 2) + (n - 3 * (n % 2)) // 2 * d))
+
+    def vector():
+        return np.array([next(values) for _ in range(d)])
+
+    def unit(x):
+        return x / np.sqrt(np.sum(x * x))
+
     rows = []
     if n % 2 != 0:
-        frame = np.linalg.qr(rng.standard_normal((d, 2)))[0]
-        for t in rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]):
-            rows.append(frame[:, 0] * np.cos(t) + frame[:, 1] * np.sin(t))
-        rows = [r / np.linalg.norm(r) for r in rows]
-    half = rng.standard_normal(((n - len(rows)) // 2, d))
-    half /= np.linalg.norm(half, axis=1)[:, None]
-    for x in half:
+        e1, b = unit(vector()), vector()
+        e2 = unit(b - np.sum(b * e1) * e1)
+        x, y = next(values), next(values)
+        for t in np.arctan2(y, x) + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]):
+            rows.append(unit(e1 * np.cos(t) + e2 * np.sin(t)))
+    for _ in range((n - len(rows)) // 2):
+        x = unit(vector())
         rows.extend([x, -x])
     return np.asarray(rows)
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in (2, 3, 8, 11) for d in range(1, 5) if n % 2 == 0 or d >= 2])
+# n in (2, 3, 8, 11) with d = 1..4, then n in (2, 3, 4, 7, 20) with d in (1, 2, 3, 5);
+# d = 1 only for even n
+PARITY_CASES = [(n, d) for n in (2, 3, 8, 11) for d in range(1, 5) if n % 2 == 0 or d >= 2]
+PARITY_CASES += [(n, d) for n in (2, 3, 4, 7, 20) for d in (1, 2, 3, 5) if n % 2 == 0 or d >= 2]
+
+
+@pytest.mark.parametrize("n,d", sorted(set(PARITY_CASES)))
 def test_centered_sphere_points_interleave_matches_the_loop_bit_for_bit(n, d):
     got = centered_sphere_points(n, d, rng_stream(7, f"interleave:{n}:{d}")).points
     want = _looped_centered_sphere_points(n, d, rng_stream(7, f"interleave:{n}:{d}"))
     assert got.shape == want.shape == (n, d)
     assert got.tobytes() == want.tobytes()
+    assert_stack_equals_single_draws(n, d, 5, f"interleave:{n}:{d}")
 
 
 def test_centered_sphere_points_domain():

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adconn import spectral
-from adconn.framework import Placement, lower_stiffness_direct, stiffness
+from adconn.framework import Placement, _stiffness_geometry, lower_stiffness_direct, stiffness
 from adconn.graphs import Graph, complete_graph, make_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
@@ -725,6 +726,62 @@ def test_one_batch_equals_removing_each_edge_bit_for_bit(rng):
     assert len(results) == len(wants) == 2 * 62
     for (ok, worst), want in zip(results, wants):
         assert repr(worst) == repr(want) and ok == (want <= 1e-9)
+
+
+def traced_peak(call):
+    """call's result and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetry_check_of_a_stack_of_one_tile_members_holds_one_slab_temporary(rng):
+    # side 96 <= SYMMETRY_TILE: each member is one tile, and the stack takes
+    # 4.0 MiB; the pass holds one temporary of SYMMETRY_SLAB_BYTES at a time,
+    # where the difference and its absolute values of all members at once
+    # would take two of the stack's size
+    M = _stiffness_geometry(complete_graph(32), rng.standard_normal((57, 32, 3)))[0]
+    (_, peak_of_each), peak = traced_peak(lambda: spectral._require_symmetric(M))
+    assert peak <= 1.1 * spectral.SYMMETRY_SLAB_BYTES < 1.1 * M.nbytes, f"peak {peak / 2**20:.2f} MiB"
+    assert peak_of_each.tolist() == [float(np.abs(member).max()) for member in M]
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 3 * 2 * 40 * 40 * 8, 1 << 20])
+def test_symmetry_slabs_give_the_same_peaks_and_refusals(monkeypatch, rng, slab_bytes):
+    # slabs of one pair of matrices, of three pairs (the last one of one
+    # pair), and one slab of the whole stack
+    M = _stiffness_geometry(complete_graph(10), rng.standard_normal((7, 2, 10, 4)))[0]
+    monkeypatch.setattr(spectral, "SYMMETRY_SLAB_BYTES", slab_bytes)
+    assert spectral._require_symmetric(M)[1].tolist() == np.abs(M).max(axis=(-2, -1)).tolist()
+    bad = M.copy()
+    bad[5, 1, 0, 3] += 1e-3
+    with pytest.raises(ValueError, match="^" + re.escape("matrix is not symmetric: max |M - M^t| = 1.000e-03") + "$"):
+        spectral._require_symmetric(bad)
+    bad[6, 0, 2, 2] = np.nan  # a later slab's non-finite entry comes first
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        spectral._require_symmetric(bad)
+
+
+def test_interlacing_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
+    # 400 K10/d4 cases, chunks of 163 pairs under a 4 MiB budget: each chunk's
+    # pairs are written into one stack, freed before the next chunk's, and the
+    # symmetry check adds at most one temporary of SYMMETRY_SLAB_BYTES;
+    # eigenvalues and masks are small next to them
+    budget = 4 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    full = complete_graph(10)
+    cases = []
+    for _ in range(400):
+        keep = rng.random(full.m) < 0.5
+        keep[0] = True
+        cases.append((full, full.edges[0], random_placement(rng, 10, 4), keep))
+    first = interlacing_checks(cases[:2])  # and K10's index arrays, cached on the graph
+    results, peak = traced_peak(lambda: interlacing_checks(cases))
+    assert peak <= 2 * budget, f"peak {peak / 2**20:.2f} MiB"
+    assert results[:2] == first
 
 
 def test_interlacing_names_the_missing_edge():

@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from adconn import spectral, verify
 from adconn.bounds import circle_identity_matrices, vertex_star_projection
 from adconn.closedform import CANONICAL
-from adconn.framework import Placement, stiffness
+from adconn.framework import Placement, _stiffness_geometry, stiffness
 from adconn.graphs import Graph, complete_graph
 from adconn.placements import centered_sphere_points
 from adconn.seeding import rng_stream
@@ -54,19 +57,24 @@ def test_families_suite_sweeps_the_rows_with_families(monkeypatch, row):
 
 
 def test_circle_suite_assembles_each_placement_once(monkeypatch):
-    # the spectrum entry and the identity residual read the same matrix
-    import adconn.verify
+    # the spectrum entry and the identity residual read the same matrix, one
+    # member of its n's stack, with the bits of that placement's own stiffness
+    # matrix, through both assembly paths (n < 16 and n >= 16)
+    stacks = []
 
-    calls = []
+    def counted(g, points):
+        out = _stiffness_geometry(g, points)
+        stacks.append((g, points, out[0]))
+        return out
 
-    def counted(g, p):
-        calls.append(p)
-        return stiffness(g, p)
-
-    monkeypatch.setattr(adconn.verify, "stiffness", counted)
+    monkeypatch.setattr(verify, "_stiffness_geometry", counted)
     report = run_suite("circle", seed=5)
     assert report["pass"]
-    assert len(calls) == report["count"] == 18 * 6
+    assert sum(len(points) for _, points, _ in stacks) == report["count"] == 18 * 6
+    assert [g.n for g, _, _ in stacks] == list(range(3, 21))
+    for g, points, L in stacks:
+        for member, p in zip(L, points):
+            assert member.tobytes() == stiffness(g, Placement(p)).tobytes()
 
 
 def test_run_suite_all_aggregates():
@@ -138,10 +146,13 @@ def test_kyfan_sweep_equals_one_placement_at_a_time():
     # check each entry against its own placement, solved alone
     entries = [e for e in run_suite("kyfan", samples=60, seed=8)["entries"] if "sample" in e["instance"]]
     assert [e["instance"]["sample"] for e in entries] == list(range(60))
-    rng = rng_stream(8, "topsum")
+    rng, block = rng_stream(8, "topsum"), verify.SAMPLE_BLOCK
     for s, entry in enumerate(entries):
-        n, d = int(rng.integers(3, 13)), int(rng.integers(2, 5))
-        p = Placement(rng.standard_normal((n, d)))
+        if s % block == 0:  # each block: its (n, d) picks, then its 12 x 4 point records
+            shapes = rng.integers((3, 2), (13, 5), size=(block, 2)).tolist()
+            records = rng.standard_normal((block, 12, 4))
+        n, d = shapes[s % block]
+        p = Placement(records[s % block, :n, :d])
         total = float(np.sum(symmetric_eigenvalues(stiffness(complete_graph(n), p))[-n:]))
         bound = n * n / 3.0 + n
         assert entry["instance"] == {"sample": s, "n": n, "d": d}
@@ -237,22 +248,93 @@ def test_interlacing_sweep_equals_removing_each_edge():
     # replays the sweep's one stream sample after sample; each entry is
     # checked against two separately assembled stiffness matrices
     entries = run_suite("interlacing", samples=60, seed=8)["entries"]
-    rng = rng_stream(8, "interlacing")
+    rng, block = rng_stream(8, "interlacing"), verify.SAMPLE_BLOCK
     for s, entry in enumerate(entries):
-        n, d = int(rng.choice([4, 5, 6, 7, 8, 9, 10])), int(rng.choice([2, 3, 4]))
+        if s % block == 0:  # each block: (n, d) picks, masks, edge picks, points
+            shapes = [(a + 4, b + 2) for a, b in rng.integers((7, 3), size=(block, 2)).tolist()]
+            masks = rng.integers(2, size=(block, 45), dtype=bool)  # C(10, 2) values a sample
+            keeps = []
+            for (n, _), mask in zip(shapes, masks):
+                keep = mask[: n * (n - 1) // 2]
+                keeps.append(keep if keep.any() else np.ones_like(keep))
+            picks = rng.integers([np.count_nonzero(keep) for keep in keeps]).tolist()
+            records = rng.standard_normal((block, 10, 4))
+        (n, d), keep = shapes[s % block], keeps[s % block]
         full = complete_graph(n)
-        keep = rng.random(full.m) < 0.5
-        if not keep.any():
-            keep[:] = True
         g = Graph(n, tuple(e for e, k in zip(full.edges, keep) if k))
-        e = g.edges[int(rng.integers(g.m))]
-        p = Placement(rng.standard_normal((n, d)))
+        e = g.edges[picks[s % block]]
+        p = Placement(records[s % block, :n, :d])
         lam = symmetric_eigenvalues(stiffness(g, p))
         lam_prime = symmetric_eigenvalues(stiffness(without_edge(g, e), p))
         lam_shift = np.concatenate(([0.0], lam[:-1]))
         worst = float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
         assert entry["instance"] == {"sample": s, "n": n, "d": d, "edge": list(e), "edges": g.m}
         assert repr(entry["computed"]) == repr(worst) and entry["pass"] == (worst <= 1e-9)
+
+
+def test_kyfan_draws_cover_every_shape():
+    placements = verify._kyfan_placements(rng_stream(0, "topsum"), 500)
+    assert {(p.n, p.d) for p in placements} == set(itertools.product(range(3, 13), range(2, 5)))
+
+
+def test_interlacing_draws_keep_their_edge_and_at_least_one_edge():
+    cases = verify._interlacing_cases(rng_stream(0, "interlacing"), [2, 3, 6], [1, 2], 300)
+    assert {(g.n, p.d) for g, _, p, _ in cases} == set(itertools.product([2, 3, 6], [1, 2]))
+    for g, e, p, keep in cases:
+        assert g is complete_graph(p.n) and keep.dtype == bool and keep.shape == (g.m,)
+        assert keep[g.index_of(*e)]
+    # K_2 has one edge, so half its masks draw no edge and keep them all
+    assert all(keep.tolist() == [True] for g, _, _, keep in cases if g.n == 2)
+    assert any(not keep.all() for g, _, _, keep in cases if g.n == 6)
+
+
+def test_fewer_samples_are_the_first_ones_across_draw_blocks():
+    # 70 samples end inside the second block, which is drawn whole
+    def kyfan(k):
+        return [p.points.tobytes() for p in verify._kyfan_placements(rng_stream(4, "topsum"), k)]
+
+    def interlacing(k):
+        cases = verify._interlacing_cases(rng_stream(4, "interlacing"), [4, 7], [2, 3], k)
+        return [(g.n, e, p.points.tobytes(), keep.tobytes()) for g, e, p, keep in cases]
+
+    for draw in (kyfan, interlacing):
+        assert draw(70) == draw(2 * verify.SAMPLE_BLOCK + 5)[:70]
+
+
+class RecordedDraws:
+    """A generator that records the bytes of every array it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.nbytes = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.nbytes.append(np.asarray(out).nbytes)
+            return out
+
+        return draw
+
+
+def test_interlacing_draws_of_a_large_n_stay_under_the_stack_budget(monkeypatch):
+    # the draw step alone: a sweep at n = 512, d = 2 would solve matrices of
+    # side 1024.  A mask record has one byte for each of the C(512, 2) =
+    # 130816 edges, so a budget of 1 MiB takes blocks of 8 samples.
+    budget = 1 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    rng = RecordedDraws(rng_stream(0, "interlacing"))
+    complete_graph(512)  # built once per process, before the count
+    tracemalloc.start()
+    try:
+        cases = verify._interlacing_cases(rng, [512], [2], 20)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cases) == 20 and len(rng.nbytes) == 3 * 4  # 3 blocks of 4 draws
+    assert max(rng.nbytes) <= budget
+    assert rng.nbytes[1] == 8 * math.comb(512, 2)
+    # beyond the cases it returns, the draw step holds less than the budget
+    assert peak - held <= budget, f"{(peak - held) / 2**20:.2f} MiB"
 
 
 def _sampled(suite, entries):

@@ -15,8 +15,12 @@ BLAS thread count.  The artifacts:
   ``to_json_dict``;
 - the stiffness and lower spectra of the ``spectra-large`` benchmark
   workload at seed 0, each as its ``to_json_dict``;
+- ``conjecture_probe("spherical-second-eig", {"n": 9})`` at seed 0, whose
+  odd n draws both the equilateral triple and the antipodal pairs of
+  ``centered_sphere_points``;
 - the files that ``adconn spectrum --lower`` writes for complete:48 at
-  circle:48, other than its manifest, which records the wall time.
+  circle:48 and for complete:12 at random:12,3,0,centered, other than its
+  manifest, which records the wall time.
 
 Each line is ``<sha256>  <artifact>``.  The optimizer runs take most of the
 time, several seconds each.
@@ -45,7 +49,11 @@ from adconn.cli import main as cli_main  # noqa: E402
 
 VERIFY_SEEDS = (0, 3, 7)
 OPTIMIZE_SEEDS = (0, 1, 2, 3)
-SPECTRUM_ARGS = ("spectrum", "--graph", "complete:48", "--placement", "circle:48", "--lower")
+SPECTRUM_ARGS = (
+    ("spectrum", "--graph", "complete:48", "--placement", "circle:48", "--lower"),
+    ("spectrum", "--graph", "complete:12", "--placement", "random:12,3,0,centered", "--lower"),
+)
+PROBE_PARAMS = {"n": 9}
 
 
 def _json(obj) -> bytes:
@@ -68,14 +76,17 @@ def artifacts():
         yield f"spectra-large {fw.label} stiffness", _json(spectra.stiffness.to_json_dict())
         if spectra.lower is not None:
             yield f"spectra-large {fw.label} lower", _json(spectra.lower.to_json_dict())
-    with tempfile.TemporaryDirectory() as outdir:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main([*SPECTRUM_ARGS, "--outdir", outdir])
-        if code != 0:
-            raise SystemExit(f"adconn {' '.join(SPECTRUM_ARGS)} exited {code}")
-        for path in sorted(Path(outdir).iterdir()):
-            if not path.name.endswith("_manifest.json"):
-                yield f"adconn {' '.join(SPECTRUM_ARGS)}: {path.name}", path.read_bytes()
+    probe = adconn.conjecture_probe("spherical-second-eig", PROBE_PARAMS, seed=0)
+    yield f"conjecture_probe('spherical-second-eig', {PROBE_PARAMS}, seed=0)", _json(probe)
+    for args in SPECTRUM_ARGS:
+        with tempfile.TemporaryDirectory() as outdir:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([*args, "--outdir", outdir])
+            if code != 0:
+                raise SystemExit(f"adconn {' '.join(args)} exited {code}")
+            for path in sorted(Path(outdir).iterdir()):
+                if not path.name.endswith("_manifest.json"):
+                    yield f"adconn {' '.join(args)}: {path.name}", path.read_bytes()
 
 
 def main() -> None:

@@ -60,7 +60,6 @@ from .probes import conjecture_probe
 from .spectral import (
     MultiplicitySpectrum,
     cluster_multiplicities,
-    clustered_spectra,
     clustered_spectrum,
     interlacing_checks,
     numeric_rank,

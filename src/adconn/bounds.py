@@ -7,8 +7,8 @@ checks.
 Both the top-n eigenvalue sum and the circle form are computed for many
 placements at once: the sum's placements of one shape share, per
 spectral.stack_chunks chunk, one framework._stiffness_geometry stack and one
-eigensolve, and the circle form of a list of n-point placements is one
-(k, 2n, 2n) stack.
+unchecked eigvalsh call, and the circle form of a list of n-point placements
+is one (k, 2n, 2n) stack.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, _stiffness_geometry, edge_lengths
+from .framework import Placement, _stiffness_geometry, edge_lengths, stack_member_bytes
 from .graphs import complete_graph
-from .spectral import stack_chunks, symmetric_eigenvalues
+from .spectral import stack_chunks
 
 
 def vertex_star_projection(n: int) -> np.ndarray:
@@ -61,7 +61,7 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
 
     The placements are grouped by shape (n, d); each group's stiffness
     matrices are assembled as one stack per stack_chunks chunk and solved by
-    one symmetric_eigenvalues call, and the top-n sums of the chunk's
+    one np.linalg.eigvalsh call, and the top-n sums of the chunk's
     eigenvalues taken by one np.add.reduce, with the same bits as one
     placement at a time.
     """
@@ -75,9 +75,9 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     for (n, d), members in groups.items():
         g = complete_graph(n)
         bound = n * n / 3.0 + n
-        for chunk in stack_chunks(members, (n * d) ** 2 * 8):  # one float matrix of side dn
+        for chunk in stack_chunks(members, stack_member_bytes(g, d)):
             points = np.stack([placements[i].points for i in chunk])
-            eigs = symmetric_eigenvalues(_stiffness_geometry(g, points)[0])
+            eigs = np.linalg.eigvalsh(_stiffness_geometry(g, points)[0])
             for i, total in zip(chunk, np.add.reduce(eigs[:, -n:], axis=1).tolist()):
                 checks[i] = TopSumCheck(total=total, bound=bound)
     return checks

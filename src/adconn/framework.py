@@ -209,6 +209,15 @@ def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.nd
     return R @ R.swapaxes(-1, -2), unit, lengths
 
 
+def stack_member_bytes(g: Graph, d: int, matrices: int = 1) -> int:
+    """Bytes that one member of a _stiffness_geometry stack of g in R^d holds:
+    its edge geometry, below BLOCK_ASSEMBLY_MIN_VERTICES its rigidity matrix,
+    and matrices float matrices of side dn (its own and its caller's)."""
+    side = g.n * d
+    rigidity = side * g.m if g.n < BLOCK_ASSEMBLY_MIN_VERTICES else 0
+    return 8 * (matrices * side * side + g.m * (d + 1) + rigidity)
+
+
 def rigidity_matrix(g: Graph, p: Placement) -> np.ndarray:
     """dn x |E| matrix whose column for edge {u, v} is (1_u - 1_v) (x) d_uv."""
     _check_match(g, p)

@@ -2,12 +2,14 @@
 
 ``symmetric_eigenvalues`` takes one matrix or a stack of matrices of one
 size, shape (..., m, m), and answers with the ascending eigenvalues of each.
-It reads its input once, in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE
-tiles (one tile when m is at most SYMMETRY_TILE) of a slab of the stack's
-members at a time, with one temporary of at most SYMMETRY_SLAB_BYTES: the pass
-refuses a non-finite or non-symmetric member and finds max|M| of each, which
-the later steps reuse, and which ``clustered_spectrum`` (one matrix) and
-``clustered_spectra`` (a stack) take each member's default tolerance from.
+It checks its input first (``_require_symmetric``), one member at a time,
+in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE tiles (one tile when m
+is at most SYMMETRY_TILE): it refuses a non-finite entry anywhere before an
+asymmetry anywhere and finds max|M| of each member, which the later steps
+reuse and ``clustered_spectrum`` takes its default tolerance from
+(``default_cluster_tol``).  The package's own assemblies are finite and
+symmetric bit for bit (tests/test_framework.py holds them to it), so
+``spectral_gap`` and ``interlacing_checks`` solve them unchecked (``_eigenvalues``).
 ``interlacing_checks`` solves the stiffness matrix pairs of a batch of
 edge removals as one stack per shape, built and solved in chunks of at most
 STACK_BUDGET_BYTES (``stack_chunks``).  Below LOW_RANK_MIN_SIZE the whole
@@ -26,7 +28,8 @@ The residual E = L L^t - M is then formed one
 SYMMETRY_TILE-row panel of its lower block triangle at a time, each block
 left of the diagonal counted twice for its mirror image, which halves the
 flops of the full product; it reads the lower triangle of M, the one that
-eigvalsh solves, which the symmetry check has held to the upper one.  By
+eigvalsh solves, which the symmetry check or the assembly has made the
+mirror of the upper one.  By
 Weyl's inequality no eigenvalue of L L^t is farther than ||E||_F from the
 matching eigenvalue of M.  Only when that bound is at most
 LOW_RANK_RESIDUAL_TOL * max(1, max|M|) does the route answer, with the
@@ -58,16 +61,13 @@ LOW_RANK_MIN_SIZE = 256
 LOW_RANK_PIVOT_DIVISOR = 4
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
-# Largest stack, in bytes of its matrices, that interlacing_checks,
-# bounds.top_eigenvalue_sum_checks and verify's circle sweep solve at once, in
-# chunks per shape (stack_chunks); a larger member is a chunk of its own, and
-# verify's default sweeps are one chunk per shape, under 1 MiB.  A chunk peaks
-# under twice it: the stack, and the symmetry check's temporary.
+# Largest stack, in bytes, that interlacing_checks,
+# bounds.top_eigenvalue_sum_checks and verify's circle sweep build and solve
+# at once, in chunks per shape (stack_chunks), with what each member holds
+# while its stack is built (framework.stack_member_bytes); a larger member is
+# a chunk of its own, and verify's default sweeps are one chunk per shape,
+# under 1 MiB.  A chunk peaks under twice it.
 STACK_BUDGET_BYTES = 1 << 26
-# Largest temporary of the symmetry check, |U| or |U - L^t| for one pair of
-# mirrored tiles U, L of a slab of a stack's members (one member at least);
-# it holds one at a time.  verify's default stacks are one slab each.
-SYMMETRY_SLAB_BYTES = 1 << 20
 # Edge of the mirrored tiles of the symmetry check.  M - M^t reads the
 # transpose with stride m; a pair of 128 x 128 tiles stays in cache.  A
 # matrix of size at most this is a single tile.
@@ -77,35 +77,30 @@ SYMMETRY_TILE = 128
 def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M as a float array of shape (..., m, m) and the max|M| of each matrix in
     it, after refusing a non-square stack, or a non-finite or non-symmetric
-    member, in one pass over mirrored tile pairs of slabs of members (see the
+    member, in one walk over the mirrored tile pairs of each member (see the
     module docstring)."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    m, b, axes = M.shape[-1], SYMMETRY_TILE, (-2, -1)
+    m, b = M.shape[-1], SYMMETRY_TILE
     peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
-    # a stack is read in slabs along its first axis, so that a temporary of one
-    # tile pair of a slab takes at most SYMMETRY_SLAB_BYTES
-    stack, peaks, asyms = (M, peak, asym) if M.ndim > 2 else (M[None], peak[None], asym[None])
-    slab = max(1, SYMMETRY_SLAB_BYTES // max(1, 8 * math.prod(stack.shape[1:-2]) * min(m, b) ** 2))
-    for s in range(0, len(stack), slab):
-        S, P, A = stack[s:s + slab], peaks[s:s + slab], asyms[s:s + slab]
-        for i in range(0, m, b):
-            for j in range(i, m, b):
-                upper, lower = S[..., i:i + b, j:j + b], S[..., j:j + b, i:i + b]
-                for tile in (upper, lower) if j > i else (upper,):
-                    np.maximum(P, np.abs(tile).max(axis=axes, initial=0.0), out=P)
-                # max propagates NaN and |inf| is inf; checked before inf - inf can form
-                if not math.isfinite(P.max(initial=0.0)):
-                    raise ValueError("matrix must be finite")
-                diff = upper - lower.swapaxes(-2, -1)
-                np.maximum(A, np.abs(diff, out=diff).max(axis=axes, initial=0.0), out=A)
+    for i in np.ndindex(M.shape[:-2]):
+        for r in range(0, m, b):
+            for c in range(r, m, b):
+                upper, lower = M[i][r:r + b, c:c + b], M[i][c:c + b, r:r + b]
+                for tile in (upper, lower) if c > r else (upper,):
+                    # max propagates NaN and |inf| is inf; checked before inf - inf can form
+                    top = np.abs(tile).max(initial=0.0)
+                    if not math.isfinite(top):
+                        raise ValueError("matrix must be finite")
+                    peak[i] = max(peak[i], top)
+                diff = upper - lower.T
+                asym[i] = max(asym[i], np.abs(diff, out=diff).max(initial=0.0))
                 del diff  # freed before the next temporary
-    # each member's threshold 1e-12 max(1, max|M|) is at least 1e-12
-    if asym.max(initial=0.0) > 1e-12:
-        refused = asym > 1e-12 * np.maximum(1.0, peak)
-        if refused.any():
-            raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym[refused].flat[0]:.3e}")
+    # every finite entry was read before any asymmetry is refused
+    refused = asym > 1e-12 * np.maximum(1.0, peak)
+    if refused.any():
+        raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym[refused].flat[0]:.3e}")
     return M, peak
 
 
@@ -116,14 +111,15 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     return _eigenvalues(*_require_symmetric(M))
 
 
-def _eigenvalues(M: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """symmetric_eigenvalues of a stack that _require_symmetric has passed,
-    with the max|M| of each member."""
+def _eigenvalues(M: np.ndarray, peak: np.ndarray | None = None) -> np.ndarray:
+    """symmetric_eigenvalues of a finite, symmetric stack, unchecked; without
+    peak, the max|M| of each member, the low-rank route finds it itself."""
     if M.shape[-1] < LOW_RANK_MIN_SIZE:
         return np.linalg.eigvalsh(M)
     eigs = np.empty(M.shape[:-1])
     for i in np.ndindex(M.shape[:-2]):
-        low_rank = _low_rank_eigenvalues(M[i], float(peak[i]))
+        top = np.abs(M[i]).max() if peak is None else peak[i]
+        low_rank = _low_rank_eigenvalues(M[i], float(top))
         eigs[i] = np.linalg.eigvalsh(M[i]) if low_rank is None else low_rank
     return eigs
 
@@ -246,34 +242,25 @@ def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     return MultiplicitySpectrum(tuple(clusters), int(eigs.size), tol)
 
 
-def _default_cluster_tol(peak) -> float:
-    """DEFAULT_CLUSTER_TOL_FACTOR * max(1, max|M|), from the max|M| of the symmetry check."""
+def default_cluster_tol(peak) -> float:
+    """clustered_spectrum's default tolerance at max|M| = peak: DEFAULT_CLUSTER_TOL_FACTOR * max(1, peak)."""
     return DEFAULT_CLUSTER_TOL_FACTOR * max(1.0, float(peak))
 
 
 def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicitySpectrum:
     """Eigenvalues of a symmetric matrix clustered at tol, by default
-    _default_cluster_tol of its max|M|."""
+    default_cluster_tol of its max|M|."""
     M, peak = _require_symmetric(M)
     if M.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if tol is None:
-        tol = _default_cluster_tol(peak)
+        tol = default_cluster_tol(peak)
     return cluster_multiplicities(_eigenvalues(M, peak), tol)
 
 
-def clustered_spectra(M: np.ndarray) -> list[MultiplicitySpectrum]:
-    """clustered_spectrum of each matrix of a (k, m, m) stack at its own
-    default tolerance, in order, from one symmetry pass and one stacked eigensolve."""
-    M, peak = _require_symmetric(M)
-    if M.ndim != 3:
-        raise ValueError(f"need a (k, m, m) stack of matrices, got shape {M.shape}")
-    return [cluster_multiplicities(eigs, _default_cluster_tol(top)) for eigs, top in zip(_eigenvalues(M, peak), peak)]
-
-
 def stack_chunks(members: list, member_bytes: int) -> list[list]:
-    """members in order as consecutive chunks whose matrices, member_bytes
-    for each member, take at most STACK_BUDGET_BYTES; one member at least."""
+    """members in order as consecutive chunks of as many members, at
+    member_bytes each, as fit STACK_BUDGET_BYTES; one member at least."""
     size = max(1, STACK_BUDGET_BYTES // member_bytes)
     return [members[i:i + size] for i in range(0, len(members), size)]
 
@@ -287,8 +274,7 @@ def spectral_gap(g: Graph, p: Placement) -> float:
     """The smallest eigenvalue of the stiffness matrix beyond the trivial-motion count."""
     if g.n <= p.d:
         raise ValueError(f"need n > d, got n={g.n}, d={p.d}")
-    eigs = symmetric_eigenvalues(stiffness(g, p))
-    return float(eigs[trivial_motion_count(p.d)])
+    return float(_eigenvalues(stiffness(g, p))[trivial_motion_count(p.d)])
 
 
 def numeric_rank(M: np.ndarray) -> int:
@@ -347,6 +333,6 @@ def _worst_violations(cases, chunk, side: int) -> list[float]:
         minus = np.array(keep)
         minus[j] = False
         pair[:] = stiffness(g, p, np.stack((keep, minus)))
-    lam, lam_prime = symmetric_eigenvalues(pairs).swapaxes(0, 1)
+    lam, lam_prime = _eigenvalues(pairs).swapaxes(0, 1)
     lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
     return np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1)).tolist()

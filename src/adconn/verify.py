@@ -14,21 +14,23 @@ spherical placement and one for the edge-length samples), so samples=k gives
 the first k samples of any larger run.  The circle sweep draws each n's
 samples with one placements.centered_sphere_stack call, one fixed-length
 record of standard normals per sample.  The interlacing and kyfan sweeps
-draw theirs in blocks of SAMPLE_BLOCK samples, fewer where one of a block's
-arrays would take more than spectral.STACK_BUDGET_BYTES, one array per
-quantity per block: the (n, d) picks, then for interlacing the edge masks
-and the picks of the removed edges, then the point records.  A record is
-as long as the largest n (and d) make it, and a sample reads its first
-values; the last block is drawn whole.  The circle, interlacing and kyfan
-sweeps solve their matrices as one stack per shape, built and solved in
-chunks of at most spectral.STACK_BUDGET_BYTES (spectral.stack_chunks; the
-default sweeps are one chunk per shape): the circle sweep each n's
-stiffness matrices (clustered_spectra), each chunk of them assembled by one
-framework._stiffness_geometry call, and circle forms; the interlacing
-sweep each (n, d)'s pairs (interlacing_checks, which reads each sample's
-subgraph as a mask over the edges of K_n); and the kyfan sweep each (n, d)'s
-placements (top_eigenvalue_sum_checks, which also sums each stack's top n
-eigenvalues with one reduction).  The families sweep takes the residuals of
+draw theirs in blocks of SAMPLE_BLOCK samples, the first stack_chunks chunk
+of them where one of a block's arrays would take more than
+spectral.STACK_BUDGET_BYTES, one array per quantity per block: the (n, d)
+picks, then for interlacing the edge masks and the picks of the removed
+edges, then the point records.  A record is as long as the largest n (and
+d) make it, and a sample reads its first values; the last block is drawn
+whole.  The circle, interlacing and kyfan sweeps solve their matrices as
+one stack per shape, built and solved in chunks of at most
+spectral.STACK_BUDGET_BYTES (spectral.stack_chunks, with
+framework.stack_member_bytes; the default sweeps are one chunk per shape):
+the circle sweep each n's stiffness matrices, each chunk of them assembled
+by one framework._stiffness_geometry call and solved unchecked by one
+eigvalsh call, and circle forms; the interlacing sweep each (n, d)'s pairs
+(interlacing_checks, which reads each sample's subgraph as a mask over the
+edges of K_n); and the kyfan sweep each (n, d)'s placements
+(top_eigenvalue_sum_checks, which also sums each stack's top n eigenvalues
+with one reduction).  The families sweep takes the residuals of
 each family, and of each spherical placement's weighted-length vectors, as
 one eigen_residual call, one stacked matrix product, and the kyfan sweep
 the star errors of each n as one stacked product P b.  numpy forms each
@@ -50,17 +52,17 @@ import math
 
 import numpy as np
 
-from . import spectral
 from .bounds import circle_identity_matrices, top_eigenvalue_sum_checks, vertex_star_projection
 from .closedform import CANONICAL, PYRAMID_START_HEIGHT, float_sized, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
-from .framework import Placement, _stiffness_geometry, lower_stiffness_direct, stiffness
+from .framework import Placement, _stiffness_geometry, lower_stiffness_direct, stack_member_bytes, stiffness
 from .graphs import complete_graph
 from .placements import centered_sphere_stack, regular_simplex, triangular_pyramid
 from .seeding import as_index, as_seed, rng_stream
 from .spectral import (
-    clustered_spectra,
+    cluster_multiplicities,
     clustered_spectrum,
+    default_cluster_tol,
     interlacing_checks,
     numeric_rank,
     spectral_gap,
@@ -186,13 +188,15 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
         labels = ["roots-of-unity", *(f"random-{s}" for s in range(samples))]
         drawn = centered_sphere_stack(k, 2, samples, rng_stream(seed, f"circle:{k}"))
         members = list(zip(labels, [row.placement(k, 2).points, *drawn]))
-        for chunk in stack_chunks(members, (2 * k) ** 2 * 8):  # one float matrix of side 2k
+        # a member's stiffness matrix, and up to three more while its circle form is built
+        for chunk in stack_chunks(members, stack_member_bytes(g, 2, matrices=4)):
             points = np.stack([p for _, p in chunk])
             L = _stiffness_geometry(g, points)[0]
             # circle_identity_matrices refuses a placement not centered, unit-norm and injective
-            identity = circle_identity_matrices([Placement(p) for p in points])
-            residuals = np.abs(L - identity).max(axis=(1, 2)).tolist()
-            for (label, _), computed, residual in zip(chunk, clustered_spectra(L), residuals):
+            forms = circle_identity_matrices([Placement(p) for p in points])
+            residuals = np.abs(np.subtract(L, forms, out=forms), out=forms).max(axis=(1, 2)).tolist()
+            for (label, _), M, eigs, residual in zip(chunk, L, np.linalg.eigvalsh(L), residuals):
+                computed = cluster_multiplicities(eigs, default_cluster_tol(np.abs(M).max()))
                 entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
                 entry["identity_residual"] = residual
                 entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL
@@ -201,10 +205,10 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
 
 
 def _block_size(*record_bytes: int) -> int:
-    """Samples per draw block: SAMPLE_BLOCK, or fewer so that no array of a
-    block, at each of record_bytes per sample, takes more than
-    spectral.STACK_BUDGET_BYTES; one at least."""
-    return max(1, min(SAMPLE_BLOCK, spectral.STACK_BUDGET_BYTES // max(record_bytes)))
+    """Samples per draw block: SAMPLE_BLOCK, or the first stack_chunks chunk
+    of them where an array of a block, at each of record_bytes per sample,
+    would take more than spectral.STACK_BUDGET_BYTES."""
+    return len(stack_chunks(range(SAMPLE_BLOCK), max(record_bytes))[0])
 
 
 def _interlacing_cases(rng: np.random.Generator, ns: list, ds: list, samples: int) -> list[tuple]:

@@ -134,6 +134,25 @@ def test_top_sum_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
     assert [c.total for c in checks[:2]] == [top_eigenvalue_sum_check(p).total for p in placements[:2]]
 
 
+def test_top_sum_chunks_below_block_assembly_count_the_rigidity_stack(monkeypatch, rng):
+    # Below BLOCK_ASSEMBLY_MIN_VERTICES a chunk first forms its rigidity
+    # stack, (n - 1)/(2d) times its stiffness stack for K_n: 2.75 times at
+    # K12/d2.  framework.stack_member_bytes counts it, so 454 placements under
+    # a 1 MiB budget peak near 1.1 MiB.
+    budget = 1 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    placements = [Placement(rng.standard_normal((12, 2))) for _ in range(454)]
+    first = top_eigenvalue_sum_checks(placements[:2])  # and K12's index arrays, cached on the graph
+    tracemalloc.start()
+    try:
+        checks = top_eigenvalue_sum_checks(placements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * budget, f"peak {peak / 2**20:.2f} MiB"
+    assert checks[:2] == first
+
+
 def test_batched_top_sums_refuse_any_non_injective_member(rng):
     assert top_eigenvalue_sum_checks([]) == []
     good = random_placement(rng, 4, 2)

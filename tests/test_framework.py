@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,3 +570,42 @@ def test_block_index_is_cached_read_only_and_addresses_the_blocks():
                 assert np.array_equal(cols, x * d + np.arange(d) + 0 * rows)
     assert g.block_index(1)[0] is not g.block_index(3)[0]
     assert Graph(3, ()).block_index(2)[0].shape == (2, 0, 2, 2)
+
+
+def assert_assemblies_bit_symmetric(n, d, seed):
+    """Every matrix that the package assembles for K_n and for a random
+    spanning subgraph of it, at _stack_members placements in R^d (coincident
+    points included), is finite and equal to its transpose bit for bit: each
+    member of a _stiffness_geometry stack, stiffness alone and under two
+    masks, and lower_stiffness_direct."""
+    rng = np.random.default_rng(seed)
+    full = complete_graph(n)
+    stack = _stack_members(rng, n, d, 4)
+    for g in (full, subgraph(full, rng.random(full.m) < 0.5)):
+        masks = rng.random((2, g.m)) < 0.5
+        matrices = list(_stiffness_geometry(g, stack)[0])
+        for pts in stack:
+            p = Placement(pts)
+            matrices += [stiffness(g, p), *stiffness(g, p, masks), lower_stiffness_direct(g, p)]
+        for M in matrices:
+            assert np.isfinite(M).all()
+            assert bit_equal(M, M.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 33), d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_every_assembled_matrix_is_finite_and_bit_symmetric(n, d, seed):
+    """The guarantee under which spectral_gap, interlacing_checks, the top-n
+    sum and the circle sweep solve their matrices without the symmetry
+    check; n = 3..33 takes both assembly paths."""
+    assert_assemblies_bit_symmetric(n, d, seed)
+
+
+def test_every_assembled_matrix_is_bit_symmetric_with_two_blas_threads():
+    # the sweep above over every (n, d) at one seed, in one process whose
+    # BLAS pool has two threads
+    tests = Path(__file__).resolve().parent
+    code = "import test_framework as t\nfor n in range(3, 34):\n    for d in range(2, 5):\n        t.assert_assemblies_bit_symmetric(n, d, 7)"
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2")
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, **threads, "PYTHONPATH": path}, check=True)

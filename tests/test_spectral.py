@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adconn import spectral
+from adconn.bounds import top_eigenvalue_sum_checks
 from adconn.framework import Placement, _stiffness_geometry, lower_stiffness_direct, stiffness
 from adconn.graphs import Graph, complete_graph, make_graph, turan_graph
 from adconn.placements import (
@@ -23,13 +24,14 @@ from adconn.spectral import (
     LOW_RANK_PIVOT_DIVISOR,
     SYMMETRY_TILE,
     cluster_multiplicities,
-    clustered_spectra,
     clustered_spectrum,
     interlacing_checks,
     numeric_rank,
     spectral_gap,
     symmetric_eigenvalues,
+    trivial_motion_count,
 )
+from adconn.verify import run_suite
 
 from conftest import random_placement, without_edge
 from test_framework import random_graph
@@ -738,38 +740,35 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_symmetry_check_of_a_stack_of_one_tile_members_holds_one_slab_temporary(rng):
+def test_symmetry_check_of_a_stack_of_one_tile_members_holds_one_member_temporary(rng):
     # side 96 <= SYMMETRY_TILE: each member is one tile, and the stack takes
-    # 4.0 MiB; the pass holds one temporary of SYMMETRY_SLAB_BYTES at a time,
-    # where the difference and its absolute values of all members at once
-    # would take two of the stack's size
+    # 4.0 MiB; the pass walks the members one at a time and holds one
+    # temporary of one member's size at a time, beside numpy's iteration
+    # buffer of 8192 values, where the difference and its absolute values of
+    # all members at once would take two of the stack's size
     M = _stiffness_geometry(complete_graph(32), rng.standard_normal((57, 32, 3)))[0]
     (_, peak_of_each), peak = traced_peak(lambda: spectral._require_symmetric(M))
-    assert peak <= 1.1 * spectral.SYMMETRY_SLAB_BYTES < 1.1 * M.nbytes, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 2 * M[0].nbytes, f"peak {peak / 2**20:.2f} MiB"
     assert peak_of_each.tolist() == [float(np.abs(member).max()) for member in M]
 
 
-@pytest.mark.parametrize("slab_bytes", [1, 3 * 2 * 40 * 40 * 8, 1 << 20])
-def test_symmetry_slabs_give_the_same_peaks_and_refusals(monkeypatch, rng, slab_bytes):
-    # slabs of one pair of matrices, of three pairs (the last one of one
-    # pair), and one slab of the whole stack
+def test_symmetry_walk_of_a_nested_stack_gives_each_peak_and_refuses_nonfinite_first(rng):
+    # a (7, 2) stack of matrices, walked one member at a time
     M = _stiffness_geometry(complete_graph(10), rng.standard_normal((7, 2, 10, 4)))[0]
-    monkeypatch.setattr(spectral, "SYMMETRY_SLAB_BYTES", slab_bytes)
     assert spectral._require_symmetric(M)[1].tolist() == np.abs(M).max(axis=(-2, -1)).tolist()
     bad = M.copy()
     bad[5, 1, 0, 3] += 1e-3
     with pytest.raises(ValueError, match="^" + re.escape("matrix is not symmetric: max |M - M^t| = 1.000e-03") + "$"):
         spectral._require_symmetric(bad)
-    bad[6, 0, 2, 2] = np.nan  # a later slab's non-finite entry comes first
+    bad[6, 0, 2, 2] = np.nan  # a later member's non-finite entry comes first
     with pytest.raises(ValueError, match="^matrix must be finite$"):
         spectral._require_symmetric(bad)
 
 
 def test_interlacing_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
     # 400 K10/d4 cases, chunks of 163 pairs under a 4 MiB budget: each chunk's
-    # pairs are written into one stack, freed before the next chunk's, and the
-    # symmetry check adds at most one temporary of SYMMETRY_SLAB_BYTES;
-    # eigenvalues and masks are small next to them
+    # pairs are written into one stack, freed before the next chunk's, and
+    # solved unchecked; eigenvalues and masks are small next to them
     budget = 4 << 20
     monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
     full = complete_graph(10)
@@ -793,10 +792,10 @@ def test_interlacing_names_the_missing_edge():
 
 @pytest.mark.parametrize("masked", [False, True], ids=["not-in-g", "masked-out"])
 def test_a_missing_edge_anywhere_in_a_batch_is_refused_before_any_eigensolve(monkeypatch, masked):
-    def solved(M):
+    def solved(M, peak=None):
         raise AssertionError("eigensolve before the edge lookups")
 
-    monkeypatch.setattr(spectral, "symmetric_eigenvalues", solved)
+    monkeypatch.setattr(spectral, "_eigenvalues", solved)
     # the bad case's shape (4, 3) comes after a whole group of shape (4, 2)
     full, p, q = complete_graph(4), Placement(np.arange(8.0).reshape(4, 2)), Placement(np.arange(12.0).reshape(4, 3))
     good = [(full, (0, 1), p, np.ones(6, dtype=bool)), (make_graph(4, [(0, 1), (2, 3)]), (3, 2), p, [True, True])]
@@ -808,6 +807,30 @@ def test_a_missing_edge_anywhere_in_a_batch_is_refused_before_any_eigensolve(mon
         interlacing_checks([*good, bad, *good])
 
 
+def test_assembled_stacks_are_solved_unchecked_with_the_checked_bits(monkeypatch, rng):
+    # top-sum, interlacing, the circle sweep and spectral_gap solve matrices
+    # that the package assembled, so none of them goes through the symmetry
+    # check.  A 40-edge graph at side 86 x 3 = 258 takes the low-rank route,
+    # which then finds each max|M| itself.
+    sparse = make_graph(86, [(i, i + 1) for i in range(40)])
+    frameworks = [(complete_graph(12), random_placement(rng, 12, 3)), (sparse, random_placement(rng, 86, 3))]
+    cases = [(g, g.edges[1], p, np.ones(g.m, dtype=bool)) for g, p in frameworks]
+    placements = [random_placement(rng, n, d) for n, d in ((4, 2), (12, 3), (20, 2))]
+    gaps = [repr(float(symmetric_eigenvalues(stiffness(g, p))[trivial_motion_count(p.d)])) for g, p in frameworks]
+    sandwiches = [(w <= 1e-9, w) for w in (_interlacing_oracle(g, e, p) for g, e, p, _ in cases)]
+    top_sums = [float(np.sum(symmetric_eigenvalues(stiffness(complete_graph(p.n), p))[-p.n:])) for p in placements]
+    circle = run_suite("circle", grid={"n": [5, 17]}, samples=2)
+
+    def checked(M):
+        raise AssertionError("an assembled stack went through the symmetry check")
+
+    monkeypatch.setattr(spectral, "_require_symmetric", checked)
+    assert [repr(spectral_gap(g, p)) for g, p in frameworks] == gaps
+    assert interlacing_checks(cases) == sandwiches
+    assert [c.total for c in top_eigenvalue_sum_checks(placements)] == top_sums
+    assert run_suite("circle", grid={"n": [5, 17]}, samples=2) == circle
+
+
 @pytest.mark.parametrize(
     "keep",
     [np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool), np.arange(6), [1, 1, 1, 1, 1, 1]],
@@ -817,18 +840,3 @@ def test_interlacing_refuses_a_mask_that_is_not_one_bool_per_edge(keep):
     case = (complete_graph(4), (0, 1), Placement(np.arange(8.0).reshape(4, 2)), keep)
     with pytest.raises(ValueError, match=r"^keep must be a boolean mask over the 6 edges of g$"):
         interlacing_checks([case])
-
-
-def test_clustered_spectra_equal_one_matrix_at_a_time():
-    # members of different peaks each get their own default tolerance
-    stack = np.stack([_random_symmetric(12) * scale for scale in (1e-3, 1.0, 1e4)])
-    stack[1] = stiffness(complete_graph(4), regular_simplex(3))
-    spectra = clustered_spectra(stack)
-    assert len(spectra) == 3
-    for member, spectrum in zip(stack, spectra):
-        assert repr(spectrum) == repr(clustered_spectrum(member))
-
-
-def test_clustered_spectra_need_a_stack():
-    with pytest.raises(ValueError, match=r"^need a \(k, m, m\) stack of matrices, got shape \(3, 3\)$"):
-        clustered_spectra(np.zeros((3, 3)))

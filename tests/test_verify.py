@@ -237,6 +237,23 @@ def test_circle_sweep_equals_one_placement_at_a_time(seed):
         assert repr(entry["identity_residual"]) == repr(residual)
 
 
+def test_circle_chunks_peak_under_twice_the_stack_budget(monkeypatch):
+    # 401 K15 members under a 1 MiB budget: each chunk holds its rigidity
+    # stack while it assembles, then its stiffness matrices and its circle
+    # forms with their temporaries, all counted by framework.stack_member_bytes
+    budget = 1 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    first = run_suite("circle", grid={"n": [15]}, samples=2)  # and K15's index arrays, cached on the graph
+    tracemalloc.start()
+    try:
+        report = run_suite("circle", grid={"n": [15]}, samples=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * budget, f"peak {peak / 2**20:.2f} MiB"
+    assert report["pass"] and report["entries"][:3] == first["entries"]
+
+
 def test_a_circle_stack_with_one_off_circle_placement_is_refused():
     on_circle = [CANONICAL["circle"].placement(5, 2), centered_sphere_points(5, 2, rng_stream(0, "circle:5"))]
     off_circle = Placement(1.5 * on_circle[0].points)

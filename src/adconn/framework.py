@@ -26,9 +26,14 @@ _rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
 a stack of placements of one shape, (..., n, d), so that callers with many
 small frameworks assemble them in one call, and _stiffness_geometry chains
 them into the stiffness matrices for other modules, on the path that
-stiffness takes for that size.  The block kernel fills its stack one member
-at a time, so its temporaries are one member's.  No arithmetic mixes
-placements, so each member of a stack gets the bits it would get alone.
+stiffness takes for that size.  A caller that assembles many placements of
+one graph below BLOCK_ASSEMBLY_MIN_VERTICES, as the optimizer does, can pass
+_stiffness_geometry one zeroed rigidity buffer for all of them: the nonzero
+positions of R are the same for every placement of the graph, so rewriting
+them leaves nothing of an earlier placement, and R R^t keeps its bits.  The
+block kernel fills its stack one member at a time, so its temporaries are
+one member's.  No arithmetic mixes placements, so each member of a stack
+gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -158,13 +163,17 @@ def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.n
         return scaled / norms[:, None], np.ldexp(norms, exps + overflow)
 
 
-def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
+def _rigidity_from_directions(g: Graph, unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The rigidity matrices, (..., n d, m), from the (..., m, d) edge
     directions of _edge_geometry: d_uv at the rows of u and -d_uv at the rows
     of v, written into zeroed flat arrays, one per placement, in one assignment
-    through g.scatter_index(d)."""
+    through g.scatter_index(d).  out, a (..., n d m) array that is zero off
+    the positions of g.scatter_index(d)[1], is written into and reshaped
+    instead of a new array: those positions are the same for every
+    placement of g in R^d, so the assignment leaves no entry of an earlier
+    placement behind."""
     *lead, m, d = unit.shape
-    R = np.zeros((*lead, g.n * d * m))
+    R = np.zeros((*lead, g.n * d * m)) if out is None else out
     # (idx,) alone for one placement: numpy's fast path for a flat fancy index
     R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = (
         np.concatenate((unit, -unit), axis=-2).reshape(*lead, -1)
@@ -196,16 +205,25 @@ def _block_stiffness(g: Graph, unit: np.ndarray, keep: np.ndarray | None = None)
     return L
 
 
-def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stiffness_geometry(
+    g: Graph, points: np.ndarray, rigidity: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stiffness matrices, (..., dn, dn), with the (..., m, d) edge
     directions and (..., m) lengths of _edge_geometry, from the (..., n, d)
-    points of one placement or a stack: R R^t below BLOCK_ASSEMBLY_MIN_VERTICES,
-    with the rigidity matrices freed before the caller's eigensolve, and
-    _block_stiffness from there, as stiffness assembles them."""
+    points of one placement or a stack: R R^t below BLOCK_ASSEMBLY_MIN_VERTICES
+    and _block_stiffness from there, as stiffness assembles them.
+
+    Without rigidity, the rigidity matrices are new arrays, freed before the
+    caller's eigensolve.  rigidity, a zeroed (..., n d m) buffer that a caller
+    passes to every call for one graph and dimension, holds them instead:
+    only the positions of g.scatter_index(d)[1] are rewritten, since the zero
+    pattern is the same for every placement, and R R^t is formed from the
+    same values in the same layout, so the matrices keep their bits.  The
+    block path reads no buffer."""
     unit, lengths = _edge_geometry(g, points)
     if g.n >= BLOCK_ASSEMBLY_MIN_VERTICES:
         return _block_stiffness(g, unit), unit, lengths
-    R = _rigidity_from_directions(g, unit)
+    R = _rigidity_from_directions(g, unit, rigidity)
     return R @ R.swapaxes(-1, -2), unit, lengths
 
 

@@ -106,12 +106,12 @@ class Graph:
         w d + j; the second the position of entry (w d + j, k) of edge k in a
         flattened (n d, m) array with one column per edge.
         """
-        def build():
+        index = self._indexes.get(("scatter", d))
+        if index is None:
             coords = self.endpoints.T.reshape(-1, 1) * d + np.arange(d)
             entries = coords * self.m + np.tile(np.arange(self.m), 2)[:, None]
-            return coords.ravel(), entries.ravel()
-
-        return self._read_only_index(("scatter", d), build)
+            index = self._keep_read_only(("scatter", d), (coords.ravel(), entries.ravel()))
+        return index
 
     def block_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat index arrays of the d x d blocks of a stiffness
@@ -125,22 +125,21 @@ class Graph:
         or (v, u) (s = 1).  Their rows at the edges a mask keeps are the
         arrays of the spanning subgraph with those edges.
         """
-        def build():
+        index = self._indexes.get(("block", d))
+        if index is None:
             ends = self.endpoints.T * d
             rows = ends[:, :, None, None] + np.arange(d)[:, None]
             cols = ends[:, :, None, None] + np.arange(d)
             side = self.n * d
-            return np.ascontiguousarray(rows * side + cols), np.ascontiguousarray(rows * side + cols[::-1])
+            diag, off = rows * side + cols, rows * side + cols[::-1]
+            index = self._keep_read_only(("block", d), (np.ascontiguousarray(diag), np.ascontiguousarray(off)))
+        return index
 
-        return self._read_only_index(("block", d), build)
-
-    def _read_only_index(self, key, build) -> tuple[np.ndarray, np.ndarray]:
-        index = self._indexes.get(key)
-        if index is None:
-            index = build()
-            for a in index:
-                a.flags.writeable = False
-            self._indexes[key] = index
+    def _keep_read_only(self, key, index: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Make the arrays of index read-only and cache it under key."""
+        for a in index:
+            a.flags.writeable = False
+        self._indexes[key] = index
         return index
 
     @cached_property

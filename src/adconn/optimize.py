@@ -15,6 +15,11 @@ initial value, so a restart whose steps shrank at a multiple gap eigenvalue
 (Overton, SIAM J. Optim. 1992) can lengthen them again once it is past it.
 Restarts mix jittered canonical placements with uniform sphere starts and
 draw from per-restart seeded streams, so a seed fixes the result.
+Below BLOCK_ASSEMBLY_MIN_VERTICES each restart allocates one zeroed rigidity
+buffer of n d m floats and passes it to every evaluation's
+_stiffness_geometry, which rewrites only the entries that every placement
+of the graph fills, so the stiffness matrices keep their bits; on the block
+path nothing reads a rigidity matrix and no buffer is allocated.
 OptimizerConfig holds what a caller sets (restarts, max_iters, seed); the
 module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and JITTER
 fix the rest.
@@ -29,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closedform import canonical_placements
-from .framework import Placement, _stiffness_geometry, placement_to_json
+from .framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _stiffness_geometry, placement_to_json
 from .graphs import Graph
 from .seeding import as_index, as_seed, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
@@ -88,17 +93,18 @@ def _normalized_points(points: np.ndarray) -> np.ndarray:
     point norm 1, which projects out the gauge freedom, at any scale of
     finite floats; the points must be finite and not all equal."""
     n = len(points)
-    top = np.abs(points).max()
+    # the reductions as ufunc reductions, without the wrappers of their methods
+    top = np.maximum.reduce(np.abs(points), axis=None)
     if not top < math.inf:  # also NaN
         raise ValueError("points must be finite")
-    if (points == points[0]).all():
+    if np.logical_and.reduce(points == points[0], axis=None):
         raise ValueError("cannot normalize a constant placement")
     if not _SAFE_PEAK[0] <= top <= _SAFE_PEAK[1]:
         # a power of two to a largest |coordinate| in [1/2, 1), which changes
         # no ratio that the result can hold
         points = np.ldexp(points, -np.frexp(top)[1])
-    pts = points - points.sum(axis=0) / n  # points.mean(axis=0) without its wrapper
-    return pts / math.sqrt((pts * pts).sum(axis=1).sum() / n)
+    pts = points - np.add.reduce(points, axis=0) / n  # points.mean(axis=0)
+    return pts / math.sqrt(np.add.reduce(np.add.reduce(pts * pts, axis=1)) / n)
 
 
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
@@ -108,9 +114,14 @@ def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, 
     cluster is a singleton."""
     tail = eigs[t:]
     lam_t = float(tail[0])
-    cluster = tail[:tail.searchsorted(lam_t + width, "right")]
+    size = tail.searchsorted(lam_t + width, "right")
+    if size == 1:
+        # exp(0) = 1 and log(1) = 0 exactly, so these are the bits that the
+        # arithmetic below gives a singleton
+        return lam_t, np.ones(1)
+    cluster = tail[:size]
     z = np.exp((lam_t - cluster) / width)
-    total = float(z.sum())
+    total = float(np.add.reduce(z))  # z.sum() without its wrapper
     return lam_t - width * math.log(total), z / total
 
 
@@ -130,8 +141,12 @@ class _Evaluation:
     weights: np.ndarray   # its softmax weights over eigs[t:t + len(weights)]
 
 
-def _evaluate(g: Graph, points: np.ndarray, t: int, smoothing: float) -> _Evaluation:
-    L, unit, lengths = _stiffness_geometry(g, points)
+def _evaluate(
+    g: Graph, points: np.ndarray, t: int, smoothing: float, rigidity: np.ndarray | None = None
+) -> _Evaluation:
+    """The evaluation of the (n, d) points; rigidity is the buffer that
+    _stiffness_geometry takes, or None for a new rigidity matrix."""
+    L, unit, lengths = _stiffness_geometry(g, points, rigidity)
     eigs = np.linalg.eigvalsh(L)
     gap = float(eigs[t])
     value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
@@ -157,14 +172,15 @@ def _objective_gradient(g: Graph, ev: _Evaluation, t: int) -> np.ndarray:
     if ev.gap > 1e-9:
         coef[0] += (ev.value - float(ev.weights @ ev.eigs[t:t + k])) / ev.gap
     n, d = ev.points.shape
-    uv = g.endpoints
-    vecs = np.linalg.eigh(ev.stiffness)[1][:, t:t + k].T.reshape(k, n, d)
-    w = vecs[:, uv[:, 0]] - vecs[:, uv[:, 1]]
+    coords = g.scatter_index(d)[0]
+    # the cluster eigenvectors' coordinates at the first endpoints, then at
+    # the second, gathered through the same index, as (2, m, d, k)
+    ends = np.linalg.eigh(ev.stiffness)[1][:, t:t + k].take(coords, axis=0).reshape(2, g.m, d, k)
+    w = (ends[0] - ends[1]).transpose(2, 0, 1)  # (k, m, d), k innermost in memory
     s = np.einsum("kmd,md->km", w, ev.unit)
     inv_len = np.divide(1.0, ev.lengths, out=np.zeros(g.m), where=ev.lengths > 0)
     per_edge = np.einsum("km,kmd->md", (2.0 * coef)[:, None] * s, w - s[..., None] * ev.unit)
     per_edge *= inv_len[:, None]
-    coords = g.scatter_index(d)[0]
     grad = np.bincount(coords, np.concatenate((per_edge, -per_edge)).ravel(), n * d)
     return grad.reshape(n, d)
 
@@ -203,7 +219,10 @@ class _RestartOutcome:
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
     t = trivial_motion_count(d)
-    cur = _evaluate(g, _normalized_points(start.points), t, SMOOTHING)
+    # One zeroed rigidity buffer for all of the restart's evaluations, on the
+    # R R^t path only (_stiffness_geometry)
+    rigidity = np.zeros(g.n * d * g.m) if g.n < BLOCK_ASSEMBLY_MIN_VERTICES else None
+    cur = _evaluate(g, _normalized_points(start.points), t, SMOOTHING, rigidity)
     grad = _objective_gradient(g, cur, t)
     best_gap, best_points = cur.gap, cur.points
     trace = [(0, best_gap)]
@@ -215,7 +234,7 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
         gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm(grad) without its wrapper
         if gnorm > 1e-14:
             moved = cur.points + (step / gnorm) * grad
-            trial = _evaluate(g, _normalized_points(moved), t, SMOOTHING)
+            trial = _evaluate(g, _normalized_points(moved), t, SMOOTHING, rigidity)
             if trial.value > cur.value:
                 cur = trial
                 grad = _objective_gradient(g, cur, t)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adconn import optimize
 from adconn.closedform import CANONICAL
-from adconn.framework import Placement, stiffness
+from adconn.framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _stiffness_geometry, stiffness
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
     OptimizerConfig,
@@ -84,6 +85,29 @@ def test_normalized_points_match_the_reference_bit_for_bit(rng):
         got = _normalized_points(points)
         want = reference_normalized_points(points)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_smoothed_objective(eigs, t, width):
+    """The softmin and its weights by the general arithmetic with method
+    reductions, also for a singleton cluster: the reference for
+    _smoothed_objective."""
+    tail = eigs[t:]
+    lam_t = float(tail[0])
+    z = np.exp((lam_t - tail[:tail.searchsorted(lam_t + width, "right")]) / width)
+    return lam_t - width * math.log(float(z.sum())), z / float(z.sum())
+
+
+def test_smoothed_objective_matches_the_reference_bit_for_bit(rng):
+    sizes = set()
+    for _ in range(300):
+        eigs = np.sort(rng.standard_normal(int(rng.integers(2, 20))) * 10.0 ** int(rng.integers(-3, 4)))
+        t = int(rng.integers(0, len(eigs)))
+        for width in (1e-9, 1e-6 * max(abs(eigs[t]), 1e-9), 0.1, 10.0):
+            value, weights = _smoothed_objective(eigs, t, width)
+            want_value, want_weights = reference_smoothed_objective(eigs, t, width)
+            assert value == want_value and weights.tobytes() == want_weights.tobytes()
+            sizes.add(len(weights))
+    assert 1 in sizes and max(sizes) >= 3
 
 
 def test_normalized_points_refuse_non_finite_and_constant_points():
@@ -394,3 +418,75 @@ def test_evaluation_reads_the_public_spectrum(rng):
         ev = _evaluate(g, p.points, t, 1e-6)
         assert np.array_equal(ev.eigs, symmetric_eigenvalues(stiffness(g, p)))
         assert ev.gap == spectral_gap(g, p)
+
+
+def _buffer_placements(rng, n, d):
+    """Placements of n points in R^d in an order that would expose an entry
+    of the rigidity buffer left over from an earlier one: plain, with a
+    coincident pair, with a pair 1e-200 apart, scaled by 1e200 and by
+    1e-200 (the last three take _rescaled_geometry), and plain again."""
+    plain = rng.standard_normal((n, d))
+    coincident = rng.standard_normal((n, d))
+    coincident[1] = coincident[0]
+    close = rng.standard_normal((n, d))
+    close[1] = close[0] + 1e-200 * rng.standard_normal(d)
+    return [plain, coincident, close, 1e200 * rng.standard_normal((n, d)),
+            1e-200 * rng.standard_normal((n, d)), rng.standard_normal((n, d))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_shared_rigidity_buffer_keeps_every_bit(rng):
+    """_stiffness_geometry and _evaluate give the same bits through one
+    rigidity buffer per graph and dimension, shared by a sequence of
+    placements, as with a new rigidity matrix each time."""
+    for n in range(2, BLOCK_ASSEMBLY_MIN_VERTICES):
+        full = complete_graph(n)
+        sub = make_graph(n, [e for e in full.edges if rng.random() < 0.6])
+        for d in range(1, 5):
+            t = trivial_motion_count(d) if trivial_motion_count(d) < n * d else 0
+            for g in (full, sub):
+                buffer = np.zeros(g.n * d * g.m)
+                for points in _buffer_placements(rng, n, d):
+                    got, want = _stiffness_geometry(g, points, buffer), _stiffness_geometry(g, points)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                    assert not np.shares_memory(got[0], buffer)  # a new matrix, not a view of the buffer
+                    got, want = _evaluate(g, points, t, 1e-6, buffer), _evaluate(g, points, t, 1e-6)
+                    for name in ("points", "unit", "lengths", "stiffness", "eigs", "weights"):
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                    assert (got.gap, got.value) == (want.gap, want.value)
+
+
+def _record_rigidity(monkeypatch, drop: bool) -> list:
+    """Route optimize's _stiffness_geometry through a recorder of the
+    rigidity argument of each call; with drop, the call gets no buffer."""
+    seen = []
+
+    def recorded(g, points, rigidity=None):
+        seen.append(rigidity)
+        return _stiffness_geometry(g, points, None if drop else rigidity)
+
+    monkeypatch.setattr(optimize, "_stiffness_geometry", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("n,d,seed", [(12, 3, 0), (7, 4, 1)])
+def test_gap_ascent_with_the_rigidity_buffer_keeps_every_bit(monkeypatch, n, d, seed):
+    g, config = complete_graph(n), OptimizerConfig(restarts=2, seed=seed)
+    with monkeypatch.context() as m:
+        _record_rigidity(m, drop=True)
+        want = gap_ascent(g, d, config)
+    with monkeypatch.context() as m:
+        seen = _record_rigidity(m, drop=False)
+        got = gap_ascent(g, d, config)
+    # one buffer per restart, passed to every evaluation
+    assert all(b is not None and b.shape == (n * d * g.m,) for b in seen)
+    assert len({id(b) for b in seen}) == config.restarts
+    assert got.traces == want.traces and got.best_restart == want.best_restart
+    assert got.best_gap == want.best_gap
+    assert got.best_placement.points.tobytes() == want.best_placement.points.tobytes()
+
+
+def test_gap_ascent_passes_no_rigidity_buffer_on_the_block_path(monkeypatch):
+    seen = _record_rigidity(monkeypatch, drop=False)
+    gap_ascent(complete_graph(BLOCK_ASSEMBLY_MIN_VERTICES), 3, OptimizerConfig(restarts=1, max_iters=3))
+    assert seen and all(b is None for b in seen)

@@ -26,14 +26,12 @@ _rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
 a stack of placements of one shape, (..., n, d), so that callers with many
 small frameworks assemble them in one call, and _stiffness_geometry chains
 them into the stiffness matrices for other modules, on the path that
-stiffness takes for that size.  A caller that assembles many placements of
-one graph below BLOCK_ASSEMBLY_MIN_VERTICES, as the optimizer does, can pass
-_stiffness_geometry one zeroed rigidity buffer for all of them: the nonzero
-positions of R are the same for every placement of the graph, so rewriting
-them leaves nothing of an earlier placement, and R R^t keeps its bits.  The
-block kernel fills its stack one member at a time, so its temporaries are
-one member's.  No arithmetic mixes placements, so each member of a stack
-gets the bits it would get alone.
+stiffness takes for that size.  _ascent_kernel binds that chain once per
+optimizer restart, with its bits, for one normalized placement at a time:
+an endpoint index and, below BLOCK_ASSEMBLY_MIN_VERTICES, one rigidity
+buffer.  The block kernel fills its stack one member at a time, so its
+temporaries are one member's.  No arithmetic mixes placements, so each
+member of a stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -117,17 +115,23 @@ def _check_match(g: Graph, p: Placement) -> None:
 _SAFE_LENGTHS = (1e-150, 1e150)
 
 
+def _edge_differences(ends: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unguarded core of _edge_geometry: the (..., m, d) differences
+    p(u) - p(v) and their (..., m) lengths through the (2, m) endpoint index
+    ends.  A squared difference above the largest float overflows."""
+    pair = points.take(ends, axis=-2)
+    diffs = pair[..., 0, :, :] - pair[..., 1, :, :]
+    return diffs, np.sqrt(np.add.reduce(diffs * diffs, axis=-1))  # np.linalg.norm without its wrapper
+
+
 def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., m, d) array of d_uv and (..., m) array of |p(u) - p(v)| for each
     edge (u, v), u < v, from the (..., n, d) points p: one placement, or a stack
     of placements on the leading axes.  Coincident endpoints give a zero row and
     length 0.  Every row is computed on its own, so a placement gives the same
     bits alone as in any stack."""
-    ends = points.take(g.endpoints.T, axis=-2)
-    pu, pv = ends[..., 0, :, :], ends[..., 1, :, :]
     with np.errstate(over="ignore"):
-        diffs = pu - pv
-        lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))  # np.linalg.norm without its wrapper
+        diffs, lengths = _edge_differences(g.endpoints.T, points)
     lo, hi = _SAFE_LENGTHS
     # min and max as ufunc reductions, without their wrappers; an empty reduction has no identity
     if not lengths.size or (
@@ -144,7 +148,8 @@ def _edge_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     unit = np.zeros_like(diffs)
     unit[safe] = diffs[safe] / lengths[safe, None]
     if far.any():
-        unit[far], lengths[far] = _rescaled_geometry(pu.reshape(-1, d)[far], pv.reshape(-1, d)[far])
+        pu, pv = np.moveaxis(points.take(g.endpoints.T, axis=-2), -3, 0).reshape(2, -1, d)[:, far]
+        unit[far], lengths[far] = _rescaled_geometry(pu, pv)
     return unit.reshape(shape), lengths.reshape(shape[:-1])
 
 
@@ -163,21 +168,20 @@ def _rescaled_geometry(pu: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, np.n
         return scaled / norms[:, None], np.ldexp(norms, exps + overflow)
 
 
-def _rigidity_from_directions(g: Graph, unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rigidity_entries(unit: np.ndarray) -> np.ndarray:
+    """The nonzero entries of the rigidity matrices in the order of
+    g.scatter_index(d)[1]: d_uv at the rows of each u, then -d_uv at those of v."""
+    return np.concatenate((unit, -unit), axis=-2)
+
+
+def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
     """The rigidity matrices, (..., n d, m), from the (..., m, d) edge
-    directions of _edge_geometry: d_uv at the rows of u and -d_uv at the rows
-    of v, written into zeroed flat arrays, one per placement, in one assignment
-    through g.scatter_index(d).  out, a (..., n d m) array that is zero off
-    the positions of g.scatter_index(d)[1], is written into and reshaped
-    instead of a new array: those positions are the same for every
-    placement of g in R^d, so the assignment leaves no entry of an earlier
-    placement behind."""
+    directions of _edge_geometry, written into zeroed flat arrays, one per
+    placement, in one assignment through g.scatter_index(d)."""
     *lead, m, d = unit.shape
-    R = np.zeros((*lead, g.n * d * m)) if out is None else out
+    R = np.zeros((*lead, g.n * d * m))
     # (idx,) alone for one placement: numpy's fast path for a flat fancy index
-    R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = (
-        np.concatenate((unit, -unit), axis=-2).reshape(*lead, -1)
-    )
+    R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = _rigidity_entries(unit).reshape(*lead, -1)
     return R.reshape(*lead, g.n * d, m)
 
 
@@ -205,26 +209,47 @@ def _block_stiffness(g: Graph, unit: np.ndarray, keep: np.ndarray | None = None)
     return L
 
 
-def _stiffness_geometry(
-    g: Graph, points: np.ndarray, rigidity: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stiffness_geometry(g: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stiffness matrices, (..., dn, dn), with the (..., m, d) edge
     directions and (..., m) lengths of _edge_geometry, from the (..., n, d)
     points of one placement or a stack: R R^t below BLOCK_ASSEMBLY_MIN_VERTICES
-    and _block_stiffness from there, as stiffness assembles them.
-
-    Without rigidity, the rigidity matrices are new arrays, freed before the
-    caller's eigensolve.  rigidity, a zeroed (..., n d m) buffer that a caller
-    passes to every call for one graph and dimension, holds them instead:
-    only the positions of g.scatter_index(d)[1] are rewritten, since the zero
-    pattern is the same for every placement, and R R^t is formed from the
-    same values in the same layout, so the matrices keep their bits.  The
-    block path reads no buffer."""
+    and _block_stiffness from there, as stiffness assembles them.  The
+    rigidity matrices are new arrays, freed before the caller's eigensolve."""
     unit, lengths = _edge_geometry(g, points)
     if g.n >= BLOCK_ASSEMBLY_MIN_VERTICES:
         return _block_stiffness(g, unit), unit, lengths
-    R = _rigidity_from_directions(g, unit, rigidity)
+    R = _rigidity_from_directions(g, unit)
     return R @ R.swapaxes(-1, -2), unit, lengths
+
+
+def _ascent_kernel(g: Graph, d: int):
+    """points -> _stiffness_geometry(g, points), bit for bit and from the same
+    kernels, for one (n, d) placement at a time, with its indexes and, below
+    BLOCK_ASSEMBLY_MIN_VERTICES, one zeroed rigidity buffer bound once per
+    optimizer restart: the nonzero positions of R are the same for every
+    placement, so rewriting them leaves nothing of an earlier one.  The points
+    must be normalized, so that no squared difference overflows and no
+    errstate is entered; an edge length outside _SAFE_LENGTHS, such as a
+    coincident pair's, sends the placement through _edge_geometry."""
+    ends, entries = np.ascontiguousarray(g.endpoints.T), g.scatter_index(d)[1]
+    block = g.n >= BLOCK_ASSEMBLY_MIN_VERTICES
+    rigidity = None if block else np.zeros(g.n * d * g.m)
+    R = None if block else rigidity.reshape(g.n * d, g.m)
+
+    def assemble(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        diffs, lengths = _edge_differences(ends, points)
+        # normalized points lie within sqrt(n) of the origin, so no length
+        # exceeds the upper end of _SAFE_LENGTHS
+        if not lengths.size or np.minimum.reduce(lengths) >= _SAFE_LENGTHS[0]:
+            unit = diffs / lengths[:, None]
+        else:
+            unit, lengths = _edge_geometry(g, points)
+        if block:
+            return _block_stiffness(g, unit), unit, lengths
+        rigidity[entries] = _rigidity_entries(unit).ravel()
+        return R @ R.T, unit, lengths
+
+    return assemble
 
 
 def stack_member_bytes(g: Graph, d: int, matrices: int = 1) -> int:

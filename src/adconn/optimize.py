@@ -14,12 +14,9 @@ step shrinks the step length and an accepted one grows it back, up to its
 initial value, so a restart whose steps shrank at a multiple gap eigenvalue
 (Overton, SIAM J. Optim. 1992) can lengthen them again once it is past it.
 Restarts mix jittered canonical placements with uniform sphere starts and
-draw from per-restart seeded streams, so a seed fixes the result.
-Below BLOCK_ASSEMBLY_MIN_VERTICES each restart allocates one zeroed rigidity
-buffer of n d m floats and passes it to every evaluation's
-_stiffness_geometry, which rewrites only the entries that every placement
-of the graph fills, so the stiffness matrices keep their bits; on the block
-path nothing reads a rigidity matrix and no buffer is allocated.
+draw from per-restart seeded streams, so a seed fixes the result.  Each
+restart binds one framework._ascent_kernel, which assembles every one of its
+evaluations' stiffness matrices with the bits of _stiffness_geometry.
 OptimizerConfig holds what a caller sets (restarts, max_iters, seed); the
 module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and JITTER
 fix the rest.
@@ -34,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closedform import canonical_placements
-from .framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _stiffness_geometry, placement_to_json
+from .framework import Placement, _ascent_kernel, placement_to_json
 from .graphs import Graph
 from .seeding import as_index, as_seed, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
@@ -51,6 +48,8 @@ JITTER = 1e-3       # applied to canonical starts to restore injectivity
 # coordinate, and at most 4 n d times its square, so it neither underflows nor
 # overflows.  Outside it the points are first scaled by a power of two.
 _SAFE_PEAK = (2.0 ** -450, 2.0 ** 480)
+_SINGLETON_WEIGHTS = np.ones(1)  # a singleton cluster's softmax weights, shared read-only
+_SINGLETON_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,11 @@ def _normalized_points(points: np.ndarray) -> np.ndarray:
     return pts / math.sqrt(np.add.reduce(np.add.reduce(pts * pts, axis=1)) / n)
 
 
+def _norm(grad: np.ndarray) -> float:
+    flat = grad.ravel()
+    return math.sqrt(flat.dot(flat))  # np.linalg.norm(grad) without its wrapper
+
+
 def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, np.ndarray]:
     """Softmin of positive width over the cluster of the ascending eigenvalues
     eigs that starts at index t, and its softmax weights over
@@ -114,12 +118,11 @@ def _smoothed_objective(eigs: np.ndarray, t: int, width: float) -> tuple[float, 
     cluster is a singleton."""
     tail = eigs[t:]
     lam_t = float(tail[0])
-    size = tail.searchsorted(lam_t + width, "right")
-    if size == 1:
+    if len(tail) == 1 or tail[1] > lam_t + width:
         # exp(0) = 1 and log(1) = 0 exactly, so these are the bits that the
         # arithmetic below gives a singleton
-        return lam_t, np.ones(1)
-    cluster = tail[:size]
+        return lam_t, _SINGLETON_WEIGHTS
+    cluster = tail[:tail.searchsorted(lam_t + width, "right")]
     z = np.exp((lam_t - cluster) / width)
     total = float(np.add.reduce(z))  # z.sum() without its wrapper
     return lam_t - width * math.log(total), z / total
@@ -141,12 +144,10 @@ class _Evaluation:
     weights: np.ndarray   # its softmax weights over eigs[t:t + len(weights)]
 
 
-def _evaluate(
-    g: Graph, points: np.ndarray, t: int, smoothing: float, rigidity: np.ndarray | None = None
-) -> _Evaluation:
-    """The evaluation of the (n, d) points; rigidity is the buffer that
-    _stiffness_geometry takes, or None for a new rigidity matrix."""
-    L, unit, lengths = _stiffness_geometry(g, points, rigidity)
+def _evaluate(assemble, points: np.ndarray, t: int, smoothing: float) -> _Evaluation:
+    """The evaluation of the normalized (n, d) points, assembled by a
+    framework._ascent_kernel."""
+    L, unit, lengths = assemble(points)
     eigs = np.linalg.eigvalsh(L)
     gap = float(eigs[t])
     value, weights = _smoothed_objective(eigs, t, smoothing * max(gap, 1e-9))
@@ -219,25 +220,23 @@ class _RestartOutcome:
 
 def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placement) -> _RestartOutcome:
     t = trivial_motion_count(d)
-    # One zeroed rigidity buffer for all of the restart's evaluations, on the
-    # R R^t path only (_stiffness_geometry)
-    rigidity = np.zeros(g.n * d * g.m) if g.n < BLOCK_ASSEMBLY_MIN_VERTICES else None
-    cur = _evaluate(g, _normalized_points(start.points), t, SMOOTHING, rigidity)
+    assemble = _ascent_kernel(g, d)
+    cur = _evaluate(assemble, _normalized_points(start.points), t, SMOOTHING)
     grad = _objective_gradient(g, cur, t)
+    gnorm = _norm(grad)
     best_gap, best_points = cur.gap, cur.points
     trace = [(0, best_gap)]
     step = STEP_INIT
     snapshot, stalled = best_gap, 0
 
     for it in range(1, config.max_iters + 1):
-        flat = grad.ravel()
-        gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm(grad) without its wrapper
         if gnorm > 1e-14:
             moved = cur.points + (step / gnorm) * grad
-            trial = _evaluate(g, _normalized_points(moved), t, SMOOTHING, rigidity)
+            trial = _evaluate(assemble, _normalized_points(moved), t, SMOOTHING)
             if trial.value > cur.value:
                 cur = trial
                 grad = _objective_gradient(g, cur, t)
+                gnorm = _norm(grad)
                 step = min(step / STEP_DECAY, STEP_INIT)
             else:
                 step *= STEP_DECAY

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adconn import optimize
+from adconn import framework, optimize
 from adconn.closedform import CANONICAL
-from adconn.framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _stiffness_geometry, stiffness
+from adconn.framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _ascent_kernel, _stiffness_geometry, stiffness
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
     OptimizerConfig,
@@ -99,10 +99,12 @@ def reference_smoothed_objective(eigs, t, width):
 
 def test_smoothed_objective_matches_the_reference_bit_for_bit(rng):
     sizes = set()
-    for _ in range(300):
+    for i in range(300):
         eigs = np.sort(rng.standard_normal(int(rng.integers(2, 20))) * 10.0 ** int(rng.integers(-3, 4)))
+        if i % 3 == 0:  # exact multiplicities, as at a symmetric placement
+            eigs = np.repeat(eigs, rng.integers(1, 4, len(eigs)))
         t = int(rng.integers(0, len(eigs)))
-        for width in (1e-9, 1e-6 * max(abs(eigs[t]), 1e-9), 0.1, 10.0):
+        for width in (1e-30, 1e-9, 1e-6 * max(abs(eigs[t]), 1e-9), 0.1, 10.0):
             value, weights = _smoothed_objective(eigs, t, width)
             want_value, want_weights = reference_smoothed_objective(eigs, t, width)
             assert value == want_value and weights.tobytes() == want_weights.tobytes()
@@ -310,7 +312,7 @@ def _gradient_error(g, pts, smoothing, h=1e-6):
     large: in the pinned example the plain central difference is off by
     1.4e-5."""
     t = trivial_motion_count(pts.shape[1])
-    ev = _evaluate(g, pts, t, smoothing)
+    ev = _evaluate(_ascent_kernel(g, pts.shape[1]), pts, t, smoothing)
     analytic = _objective_gradient(g, ev, t)
 
     def central(step):
@@ -354,8 +356,8 @@ def test_objective_gradient_ignores_coincident_edges():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.3, 1.1], [0.4, -0.9]])
     h = make_graph(5, [e for e in g.edges if e != (0, 1)])
     t = trivial_motion_count(2)
-    with_edge = _objective_gradient(g, _evaluate(g, pts, t, 1e-6), t)
-    without_edge = _objective_gradient(h, _evaluate(h, pts, t, 1e-6), t)
+    with_edge = _objective_gradient(g, _evaluate(_ascent_kernel(g, 2), pts, t, 1e-6), t)
+    without_edge = _objective_gradient(h, _evaluate(_ascent_kernel(h, 2), pts, t, 1e-6), t)
     assert np.all(np.isfinite(with_edge))
     np.testing.assert_allclose(with_edge, without_edge, atol=1e-12)
 
@@ -397,7 +399,7 @@ def test_objective_gradient_matches_add_at_bit_for_bit(rng):
     clusters = set()
     for g, points, smoothing in cases:
         t = trivial_motion_count(points.shape[1])
-        ev = _evaluate(g, points, t, smoothing)
+        ev = _evaluate(_ascent_kernel(g, points.shape[1]), points, t, smoothing)
         got, want = _objective_gradient(g, ev, t), add_at_gradient(g, ev, t)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         clusters.add(len(ev.weights))
@@ -415,78 +417,111 @@ def test_evaluation_reads_the_public_spectrum(rng):
     cases.append((complete_graph(12), crosspolytope_placement(12, 3)))
     for g, p in cases:
         t = trivial_motion_count(p.d)
-        ev = _evaluate(g, p.points, t, 1e-6)
+        ev = _evaluate(_ascent_kernel(g, p.d), p.points, t, 1e-6)
         assert np.array_equal(ev.eigs, symmetric_eigenvalues(stiffness(g, p)))
         assert ev.gap == spectral_gap(g, p)
 
 
-def _buffer_placements(rng, n, d):
-    """Placements of n points in R^d in an order that would expose an entry
-    of the rigidity buffer left over from an earlier one: plain, with a
-    coincident pair, with a pair 1e-200 apart, scaled by 1e200 and by
-    1e-200 (the last three take _rescaled_geometry), and plain again."""
+def _kernel_placements(rng, n, d):
+    """Normalized placements of n points in R^d in an order that would expose
+    an entry of the kernel's rigidity buffer left over from an earlier one:
+    plain, with a coincident pair, with a pair 1e-200 apart (the last two take
+    _edge_geometry, the second through _rescaled_geometry), and plain again.
+    The close pair stays 1e-200 apart through the normalization because it
+    sits at the origin among integer points of exact sum zero, which needs
+    n >= 4; with n = 2 the pair is the whole placement, so it gets the plain
+    ones only."""
     plain = rng.standard_normal((n, d))
     coincident = rng.standard_normal((n, d))
     coincident[1] = coincident[0]
-    close = rng.standard_normal((n, d))
-    close[1] = close[0] + 1e-200 * rng.standard_normal(d)
-    return [plain, coincident, close, 1e200 * rng.standard_normal((n, d)),
-            1e-200 * rng.standard_normal((n, d)), rng.standard_normal((n, d))]
+    close = np.zeros((n, d))
+    close[:2] = 1e-200 * rng.standard_normal((2, d))
+    half = (n - 2) // 2
+    close[2:2 + half] = rng.integers(1, 4, (half, d))
+    close[2 + half:2 + 2 * half] = -close[2:2 + half]
+    placements = (plain, coincident, close) if n > 2 else (plain,)
+    return [_normalized_points(p) for p in (*placements, rng.standard_normal((n, d)))]
+
+
+def _closure(kernel) -> dict:
+    """The names that a kernel binds, with their values."""
+    return dict(zip(kernel.__code__.co_freevars, (c.cell_contents for c in kernel.__closure__)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_shared_rigidity_buffer_keeps_every_bit(rng):
-    """_stiffness_geometry and _evaluate give the same bits through one
-    rigidity buffer per graph and dimension, shared by a sequence of
-    placements, as with a new rigidity matrix each time."""
-    for n in range(2, BLOCK_ASSEMBLY_MIN_VERTICES):
+def test_the_ascent_kernel_keeps_every_bit_of_stiffness_geometry(rng):
+    """One kernel per graph and dimension, on both sides of
+    BLOCK_ASSEMBLY_MIN_VERTICES, gives a sequence of normalized placements
+    the bits of _stiffness_geometry, and so _evaluate the bits it gets
+    through _stiffness_geometry."""
+    for n in range(2, 21):
         full = complete_graph(n)
         sub = make_graph(n, [e for e in full.edges if rng.random() < 0.6])
         for d in range(1, 5):
             t = trivial_motion_count(d) if trivial_motion_count(d) < n * d else 0
             for g in (full, sub):
-                buffer = np.zeros(g.n * d * g.m)
-                for points in _buffer_placements(rng, n, d):
-                    got, want = _stiffness_geometry(g, points, buffer), _stiffness_geometry(g, points)
+                kernel = _ascent_kernel(g, d)
+                rigidity = _closure(kernel)["rigidity"]
+                for points in _kernel_placements(rng, n, d):
+                    got, want = kernel(points), _stiffness_geometry(g, points)
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-                    assert not np.shares_memory(got[0], buffer)  # a new matrix, not a view of the buffer
-                    got, want = _evaluate(g, points, t, 1e-6, buffer), _evaluate(g, points, t, 1e-6)
+                    if rigidity is not None:  # a new matrix, not a view of the buffer
+                        assert not np.shares_memory(got[0], rigidity)
+                    got = _evaluate(kernel, points, t, 1e-6)
+                    want = _evaluate(lambda p: _stiffness_geometry(g, p), points, t, 1e-6)
                     for name in ("points", "unit", "lengths", "stiffness", "eigs", "weights"):
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
                     assert (got.gap, got.value) == (want.gap, want.value)
 
 
-def _record_rigidity(monkeypatch, drop: bool) -> list:
-    """Route optimize's _stiffness_geometry through a recorder of the
-    rigidity argument of each call; with drop, the call gets no buffer."""
-    seen = []
+def _record_kernels(monkeypatch, replace: bool) -> list:
+    """Route optimize's _ascent_kernel through a recorder of the kernels it
+    builds; with replace, each is a _stiffness_geometry closure instead."""
+    built = []
 
-    def recorded(g, points, rigidity=None):
-        seen.append(rigidity)
-        return _stiffness_geometry(g, points, None if drop else rigidity)
+    def recorded(g, d):
+        kernel = (lambda points: _stiffness_geometry(g, points)) if replace else _ascent_kernel(g, d)
+        built.append(kernel)
+        return kernel
 
-    monkeypatch.setattr(optimize, "_stiffness_geometry", recorded)
-    return seen
+    monkeypatch.setattr(optimize, "_ascent_kernel", recorded)
+    return built
 
 
 @pytest.mark.parametrize("n,d,seed", [(12, 3, 0), (7, 4, 1)])
-def test_gap_ascent_with_the_rigidity_buffer_keeps_every_bit(monkeypatch, n, d, seed):
+def test_gap_ascent_with_the_kernel_keeps_every_bit(monkeypatch, n, d, seed):
     g, config = complete_graph(n), OptimizerConfig(restarts=2, seed=seed)
     with monkeypatch.context() as m:
-        _record_rigidity(m, drop=True)
+        _record_kernels(m, replace=True)
         want = gap_ascent(g, d, config)
     with monkeypatch.context() as m:
-        seen = _record_rigidity(m, drop=False)
+        built = _record_kernels(m, replace=False)
         got = gap_ascent(g, d, config)
-    # one buffer per restart, passed to every evaluation
-    assert all(b is not None and b.shape == (n * d * g.m,) for b in seen)
-    assert len({id(b) for b in seen}) == config.restarts
+    # one kernel per restart, each with its own rigidity buffer
+    assert len(built) == config.restarts
+    buffers = [_closure(k)["rigidity"] for k in built]
+    assert all(b.shape == (n * d * g.m,) for b in buffers) and buffers[0] is not buffers[1]
     assert got.traces == want.traces and got.best_restart == want.best_restart
     assert got.best_gap == want.best_gap
     assert got.best_placement.points.tobytes() == want.best_placement.points.tobytes()
 
 
-def test_gap_ascent_passes_no_rigidity_buffer_on_the_block_path(monkeypatch):
-    seen = _record_rigidity(monkeypatch, drop=False)
+def test_the_kernel_allocates_no_rigidity_buffer_on_the_block_path(monkeypatch):
+    built = _record_kernels(monkeypatch, replace=False)
     gap_ascent(complete_graph(BLOCK_ASSEMBLY_MIN_VERTICES), 3, OptimizerConfig(restarts=1, max_iters=3))
-    assert seen and all(b is None for b in seen)
+    assert len(built) == 1 and _closure(built[0])["rigidity"] is None
+
+
+def test_the_reference_ascent_never_takes_the_guarded_edge_geometry(monkeypatch, rng):
+    """The restarts of the K12 reference run (seed 0) enter no errstate for
+    their edge geometry: no trial point has an edge outside _SAFE_LENGTHS."""
+    calls = []
+    guarded = framework._edge_geometry
+    monkeypatch.setattr(framework, "_edge_geometry", lambda g, points: calls.append(g) or guarded(g, points))
+    g, config = complete_graph(12), OptimizerConfig(restarts=2, seed=0)
+    for i, start in enumerate(seeded_restarts(g, 3, config)):
+        optimize._ascend(g, 3, config, i, start)
+    assert calls == []
+    # the count sees the guarded path: a coincident pair takes it
+    _ascent_kernel(g, 3)(_kernel_placements(rng, 12, 3)[1])
+    assert len(calls) == 1

@@ -13,8 +13,10 @@ BLAS thread count.  The artifacts:
 - ``run_suite("all")`` at seeds 0, 3 and 7, as ``json.dumps(report, indent=2)``;
 - ``gap_ascent(complete_graph(12), 3)`` with 2 restarts at seeds 0-3, and
   with 2 restarts at seed 0 ``gap_ascent(complete_graph(7), 4)``, which
-  covers d = 4, and ``gap_ascent(complete_graph(16), 3)``, whose stiffness
-  matrices are assembled from their blocks, each as its ``to_json_dict``;
+  covers d = 4, ``gap_ascent(complete_graph(6), 2)`` and
+  ``gap_ascent(complete_graph(5), 1)``, which cover d = 2 and d = 1, and
+  ``gap_ascent(complete_graph(16), 3)``, whose stiffness matrices are
+  assembled from their blocks, each as its ``to_json_dict``;
 - the stiffness and lower spectra of the ``spectra-large`` benchmark
   workload at seed 0, each as its ``to_json_dict``;
 - ``conjecture_probe("spherical-second-eig", {"n": 9})`` at seed 0, whose
@@ -53,7 +55,7 @@ from adconn.cli import main as cli_main  # noqa: E402
 VERIFY_SEEDS = (0, 3, 7)
 OPTIMIZE_SEEDS = (0, 1, 2, 3)
 # (n, d) of the complete graphs optimized at seed 0 besides K12 in R^3
-OPTIMIZE_EXTRA = ((7, 4), (16, 3))
+OPTIMIZE_EXTRA = ((7, 4), (6, 2), (5, 1), (16, 3))
 SPECTRUM_ARGS = (
     ("spectrum", "--graph", "complete:48", "--placement", "circle:48", "--lower"),
     ("spectrum", "--graph", "complete:12", "--placement", "random:12,3,0,centered", "--lower"),

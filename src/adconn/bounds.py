@@ -20,6 +20,7 @@ import numpy as np
 
 from .framework import Placement, _stiffness_geometry, edge_lengths, stack_member_bytes
 from .graphs import complete_graph
+from .seeding import as_count
 from .spectral import stack_chunks
 
 
@@ -30,8 +31,7 @@ def vertex_star_projection(n: int) -> np.ndarray:
     diagonal, (n-3)/((n-1)(n-2)) for edges sharing one vertex, and
     -1/C(n-1, 2) for disjoint edges.  Idempotent, symmetric, trace n.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    n = as_count(n, "n", 3)
     B = complete_graph(n).incidence
     adj = (n - 3) / ((n - 1) * (n - 2))
     disj = -1.0 / math.comb(n - 1, 2)

@@ -29,7 +29,7 @@ from .placements import (
     turan_simplex_placement,
     unit_circle_placement,
 )
-from .seeding import as_index
+from .seeding import as_count, as_index
 from .spectral import MultiplicitySpectrum, cluster_multiplicities
 
 MERGE_TOL = 1e-12
@@ -64,8 +64,7 @@ def simplex_spectrum_closed_form(d: int) -> MultiplicitySpectrum:
 
 def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced (d+1)-partite graph at the simplex placement."""
-    if float_sized(d, "d") < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = float_sized(as_count(d, "d", 2), "d")
     TuranPartition(float_sized(n, "n"), d + 1)  # refuses an n that is not d+1 equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
@@ -79,8 +78,7 @@ def turan_simplex_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
 
 def crosspolytope_spectrum_closed_form(n: int, d: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of the balanced 2d-partite graph at the crosspolytope placement."""
-    if float_sized(d, "d") < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = float_sized(as_count(d, "d", 2), "d")
     TuranPartition(float_sized(n, "n"), 2 * d)  # refuses an n that is not 2d equal blocks
     pairs = [
         (0.0, d * (d + 1) // 2),
@@ -115,8 +113,7 @@ def pyramid_spectrum_closed_form(apex_height: float) -> MultiplicitySpectrum:
 
 def circle_spectrum_closed_form(n: int) -> MultiplicitySpectrum:
     """Stiffness spectrum of K_n at any injective centered unit-circle placement."""
-    if float_sized(n, "n") < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    n = float_sized(as_count(n, "n", 3), "n")
     pairs = [(0.0, 3), (n / 2, 2 * n - 4), (float(n), 1)]
     return _predicted("circle", pairs, 2 * n)
 
@@ -178,8 +175,7 @@ CANONICAL: dict[str, CanonicalFramework] = {
 def canonical_placements(n: int, d: int) -> list[tuple[str, Placement]]:
     """(row name, placement) of the rows admitting (n, d), in table order, less
     repeats: at n = d+1 the Turán simplex placement is the regular simplex."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    d = as_count(d, "d", 1)
     out: list[tuple[str, Placement]] = []
     for name, row in CANONICAL.items():
         if row.admits(n, d):
@@ -238,9 +234,7 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int) -> BoundReport:
-    n, d = float_sized(n, "n"), as_index(d, "d")
-    if d < 3:
-        raise ValueError(f"bounds require d >= 3, got d={d}")
+    n, d = float_sized(n, "n"), as_count(d, "d", 3)
     if n <= d:
         raise ValueError(f"no bound formula applies to n={n}, d={d}")
     ceiling = n / (2 * d) if n >= 2 * d else None

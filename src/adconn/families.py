@@ -19,6 +19,7 @@ import numpy as np
 
 from .framework import Placement, edge_lengths, lower_stiffness_direct
 from .graphs import Graph, TuranPartition, complete_graph, turan_graph
+from .seeding import as_count
 
 
 def eigen_residual(M: np.ndarray, vecs: np.ndarray, eigenvalue: float) -> float:
@@ -213,8 +214,7 @@ def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     realizing the two nontrivial multiplicities of the simplex placement of
     the balanced (d+1)-partite graph.  Quads need four distinct parts, so they
     are empty for d < 3."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = as_count(d, "d", 2)
     g, partition = turan_graph(n, d + 1)
     r = d + 1
 
@@ -293,8 +293,7 @@ def crosspolytope_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     sets realizing the two nontrivial multiplicities of the crosspolytope
     placement; sign splits and vertex shifts are jointly independent and
     share the eigenvalue n/(2d)."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = as_count(d, "d", 2)
     g, partition = turan_graph(n, 2 * d)
 
     quad_labels = [(i, j) for i in range(d) for j in range(i + 1, d)]

@@ -185,19 +185,17 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
     return R.reshape(*lead, g.n * d, m)
 
 
-def _block_stiffness(g: Graph, unit: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def _block_stiffness(g: Graph, unit: np.ndarray) -> np.ndarray:
     """The stiffness matrices, (..., n d, n d), from the (..., m, d) edge
     directions of _edge_geometry, assembled from their d x d blocks through
     g.block_index(d), one member at a time into one preallocated array:
     -d_uv d_uv^t is written into the blocks (u, v) and (v, u) of each edge,
     and one bincount adds d_uv d_uv^t into the diagonal blocks of u and of v,
-    each vertex's sum in edge order.  With a mask keep over the edges, the
-    matrices of the spanning subgraph with the kept edges, with the bits of
-    that subgraph's own."""
+    each vertex's sum in edge order.  An edge whose direction is zeroed gives
+    the bits of the spanning subgraph without it: it adds +0.0 to diagonal
+    sums that start at +0.0 and writes 0.0 - 0.0 off the diagonal."""
     *lead, _, d = unit.shape
     diag, off = g.block_index(d)
-    if keep is not None:
-        unit, diag, off = unit[..., keep, :], diag[:, keep], off[:, keep]
     diag, off, side = diag.ravel(), off.ravel(), g.n * d
     L = np.empty((*lead, side, side))
     for member, u in zip(L.reshape(-1, side * side), unit.reshape(math.prod(lead), *unit.shape[-2:])):
@@ -286,9 +284,9 @@ def stiffness(g: Graph, p: Placement, keep: np.ndarray | None = None) -> np.ndar
         return np.stack([(R_h := R[:, mask]) @ R_h.T for mask in keep])
     _check_match(g, p)
     unit = _edge_geometry(g, p.points)[0]
-    if keep is None:
-        return _block_stiffness(g, unit)
-    return np.stack([_block_stiffness(g, unit, mask) for mask in keep])
+    if keep is not None:
+        unit = np.where(keep[..., None], unit, 0.0)
+    return _block_stiffness(g, unit)
 
 
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .seeding import as_index
+from .seeding import as_count, as_index
 
 Edge = tuple[int, int]
 
@@ -36,9 +36,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "n"))
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", as_count(self.n, "n", 1))
         prev = None
         for u, v in self.edges:
             u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
@@ -165,10 +163,8 @@ class TuranPartition:
     r: int
 
     def __post_init__(self):
-        for name in ("n", "r"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.r < 2:
-            raise ValueError(f"number of parts must be >= 2, got {self.r}")
+        object.__setattr__(self, "n", as_index(self.n, "n"))
+        object.__setattr__(self, "r", as_count(self.r, "r", 2))
         if not self.exists(self.n, self.r):
             raise ValueError(f"r={self.r} does not divide n={self.n} into nonempty blocks")
 

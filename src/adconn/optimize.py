@@ -33,7 +33,7 @@ import numpy as np
 from .closedform import canonical_placements
 from .framework import Placement, _ascent_kernel, placement_to_json
 from .graphs import Graph
-from .seeding import as_index, as_seed, rng_stream
+from .seeding import as_count, as_index, as_seed, rng_stream
 from .spectral import spectral_gap, trivial_motion_count
 
 STEP_INIT = 0.1     # first and longest step length
@@ -60,10 +60,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         object.__setattr__(self, "seed", as_seed(self.seed))
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .framework import Placement
 from .graphs import turan_partition
-from .seeding import as_index, rng_stream
+from .seeding import as_count, as_index, rng_stream
 
 
 def _helmert_basis(d: int) -> np.ndarray:
@@ -35,8 +35,7 @@ def regular_simplex(d: int) -> Placement:
     that hyperplane, so the Gram matrix is exactly 1 on the diagonal and -1/d
     off it, with no orthogonalization drift.
     """
-    if as_index(d, "d") < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = as_count(d, "d", 1)
     scale = math.sqrt((d + 1) / d)
     pts = -scale * _helmert_basis(d).T
     return Placement(pts)
@@ -53,8 +52,7 @@ def crosspolytope_placement(n: int, d: int) -> Placement:
 
     Each of the 2d unit vectors carries a block of turan_partition(n, 2d).
     """
-    if as_index(d, "d") < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = as_count(d, "d", 1)
     part_of = turan_partition(n, 2 * d).part_of
     verts = np.zeros((2 * d, d))
     for i in range(d):
@@ -78,8 +76,7 @@ def unit_circle_placement(angles) -> CirclePlacement:
 
 
 def roots_of_unity_angles(n: int) -> np.ndarray:
-    if as_index(n, "n") < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n", 1)
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -101,10 +98,7 @@ def triangular_pyramid(apex_height: float) -> Placement:
 def random_sphere_placement(n: int, d: int, seed: int) -> Placement:
     """n points uniform on the unit sphere in R^d, from the stream
     (seed, "sphere:n:d:0")."""
-    if as_index(n, "n") < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if as_index(d, "d") < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    n, d = as_count(n, "n", 1), as_count(d, "d", 1)
     rng = rng_stream(seed, f"sphere:{n}:{d}:0")
     return Placement(_unit_rows(rng.standard_normal((n, d))))
 
@@ -132,10 +126,10 @@ def centered_sphere_stack(n: int, d: int, k: int, rng: np.random.Generator) -> n
     step works on each sample alone, so k draws of one sample give the bits
     of one draw of k.
     """
-    if as_index(n, "n") < 2 or as_index(d, "d") < 1 or (n % 2 and d < 2):
+    n, d = as_index(n, "n"), as_index(d, "d")
+    if n < 2 or d < 1 or (n % 2 and d < 2):
         raise ValueError(f"need even n >= 2 and d >= 1, or odd n >= 3 and d >= 2, got n={n}, d={d}")
-    if as_index(k, "k") < 0:
-        raise ValueError(f"need k >= 0 samples, got {k}")
+    k = as_count(k, "k", 0)
     triple = 3 * (n % 2)
     pairs = (n - triple) // 2
     offset = (2 * d + 2) * (n % 2)  # a record's frame and angle values, before its pairs

@@ -9,7 +9,9 @@ A probe is a function of keyword parameters whose signature holds the only
 default of each one, plus the run-level seed; it returns its instances,
 summary and counterexample candidates.  conjecture_probe binds the caller's
 parameters against that signature, refuses any the probe does not read, and
-records the bound values as the record's params.
+records the bound values as the record's params.  Its counts pass
+seeding.as_count, but for the spherical probe's n >= 3 and d >= 3, whose
+message points d = 2 to verify --suite circle.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from .framework import Placement, stiffness
 from .graphs import complete_graph, random_regular_graph
 from .optimize import OptimizerConfig, gap_ascent
 from .placements import centered_sphere_points
-from .seeding import as_index, as_seed, rng_stream
+from .seeding import as_count, as_index, as_seed, rng_stream
 from .spectral import clustered_spectrum
-from .verify import bind_params, check_samples
+from .verify import bind_params
 
 
 def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, dict, list]:
     """Second-largest stiffness eigenvalue of K_n at centered spherical
     placements in R^d, d >= 3: conjectured to be n/2 with multiplicity exactly
     n-1 (at least n-1 is guaranteed; in R^2 the circle closed form gives 2n-4)."""
-    check_samples(samples, least=1)
-    if as_index(n, "n") < 3 or as_index(d, "d") < 3:
+    samples, n, d = as_count(samples, "samples", 1), as_index(n, "n"), as_index(d, "d")
+    if n < 3 or d < 3:
         raise ValueError(f"spherical-second-eig needs n >= 3 and d >= 3, got n = {n}, d = {d}; for d = 2 see verify --suite circle")
     g = complete_graph(n)
     instances, candidates = [], []
@@ -67,11 +69,9 @@ def _probe_spherical_second_eig(n=8, d=3, samples=50, *, seed) -> tuple[list, di
 def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tuple[list, dict, list]:
     """Sum of the n largest stiffness eigenvalues of K_n at injective
     placements, against the conjectured floor n(n+1)/2, stated for n >= 3."""
-    check_samples(samples, least=0)
-    ns = [as_index(n, "n") for n in ns]
+    samples = as_count(samples, "samples", 0)
+    ns = [as_count(n, "n", 3) for n in ns]
     ds = [as_index(d, "d") for d in ds]
-    if min(ns, default=3) < 3:
-        raise ValueError(f"top-n-sum needs n >= 3 for the floor n(n+1)/2, got n = {min(ns)}")
     pool = []
     for n in ns:
         for d in ds:
@@ -113,12 +113,10 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     """Best optimizer gaps of random 2d-regular graphs, each drawn by
     graphs.random_regular_graph from its own (seed, n, sample) stream; the
     conjecture is that the achievable gap vanishes as the vertex count grows."""
-    check_samples(samples, least=1)
+    samples, d = as_count(samples, "samples", 1), as_count(d, "d", 1)
     ns = [as_index(n, "n") for n in ns]
     if not ns:
         raise ValueError("regular-2d needs at least one vertex count n, got ns = []")
-    if as_index(d, "d") < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
     if min(ns) <= 2 * d:
         raise ValueError(f"regular-2d needs n > 2d for a 2d-regular graph on n vertices, got n = {min(ns)}, d = {d}")
     config = OptimizerConfig(restarts=restarts, seed=seed)

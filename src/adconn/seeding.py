@@ -9,9 +9,11 @@ any larger run.  Probes, optimizer restarts and CLI ``random:`` specs build one
 per draw, tagged with everything that fixes the draw, so any one draw (a
 counterexample candidate, a restart) can be redrawn alone.
 
-A seed is an integer: a bool, a float or anything else that operator.index
-refuses is a ValueError, so no run records a seed other than the one its
-stream was drawn from.
+A count passes as_count: a bool, a float or anything else that
+operator.index refuses is a ValueError (as_index), as is a value below the
+count's least, each naming the parameter; a rule that relates two values,
+such as r | n, keeps its own message.  A seed is a count of at least 0, so no
+run records a seed other than the one its stream was drawn from.
 """
 
 from __future__ import annotations
@@ -33,12 +35,17 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_count(value, name: str, least: int) -> int:
+    """value as a Python int (as_index); one below least is a ValueError that names it."""
+    value = as_index(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def as_seed(seed) -> int:
-    """seed as a Python int; a non-integer (as_index) or negative one is a ValueError."""
-    seed = as_index(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    """seed as a Python int; a non-integer or negative one is a ValueError (as_count)."""
+    return as_count(seed, "seed", 0)
 
 
 def rng_stream(seed: int, tag: str) -> np.random.Generator:

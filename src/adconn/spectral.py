@@ -46,6 +46,7 @@ import numpy as np
 
 from .framework import Placement, stiffness
 from .graphs import Graph
+from .seeding import as_count
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
 DEFAULT_RANK_TOL = 1e-9
@@ -184,11 +185,10 @@ class MultiplicitySpectrum:
     cluster_tol: float
 
     def __post_init__(self):
-        if self.total != sum(m for _, m in self.clusters):
+        object.__setattr__(self, "clusters", tuple((v, as_count(m, "multiplicity", 1)) for v, m in self.clusters))
+        object.__setattr__(self, "total", as_count(self.total, "total", 0))
+        if self.total != sum(self.multiplicities()):
             raise ValueError("total must equal the sum of multiplicities")
-        for _, m in self.clusters:
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
         vals = [v for v, _ in self.clusters]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("cluster values must be strictly increasing")
@@ -267,7 +267,7 @@ def stack_chunks(members: list, member_bytes: int) -> list[list]:
 
 def trivial_motion_count(d: int) -> int:
     """Dimension of the space of infinitesimal translations and rotations in R^d."""
-    return math.comb(d + 1, 2)
+    return math.comb(as_count(d, "d", 1) + 1, 2)
 
 
 def spectral_gap(g: Graph, p: Placement) -> float:

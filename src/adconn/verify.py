@@ -36,8 +36,10 @@ one eigen_residual call, one stacked matrix product, and the kyfan sweep
 the star errors of each n as one stacked product P b.  numpy forms each
 member of a stacked product or solve as it forms that member alone, so
 every report is that of one instance, vector or star at a time, bit for
-bit.  Before it builds anything, each sweep refuses an instance whose
-matrices would have a side above MAX_MATRIX_SIDE.
+bit.  Before it builds anything, each sweep takes every count it reads
+through seeding.as_count (its sample count, and the interlacing n, at least
+2 since each sample removes an edge) and refuses an instance whose matrices
+would have a side above MAX_MATRIX_SIDE.
 
 Each sweep yields uniform report entries
     {theorem, instance, predicted, computed, max_value_error,
@@ -58,7 +60,7 @@ from .families import edge_length_eigenvector, eigen_residual, weighted_length_v
 from .framework import Placement, _stiffness_geometry, lower_stiffness_direct, stack_member_bytes, stiffness
 from .graphs import complete_graph
 from .placements import centered_sphere_stack, regular_simplex, triangular_pyramid
-from .seeding import as_index, as_seed, rng_stream
+from .seeding import as_count, as_seed, rng_stream
 from .spectral import (
     cluster_multiplicities,
     clustered_spectrum,
@@ -178,7 +180,7 @@ def suite_tetra(h=PYRAMID_HEIGHTS, *, seed) -> list[dict]:
 
 
 def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
-    check_samples(samples, least=0)
+    samples = as_count(samples, "samples", 0)
     for k in n:
         _require_side(2 * k, f"circle at n = {k}")
     row = CANONICAL["circle"]
@@ -238,10 +240,8 @@ def _interlacing_cases(rng: np.random.Generator, ns: list, ds: list, samples: in
 
 
 def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> list[dict]:
-    check_samples(samples, least=0)
-    ns, ds = list(n), list(d)
-    if min(ns, default=2) < 2:  # each sample removes an edge of a graph on n vertices
-        raise ValueError(f"suite 'interlacing' needs n >= 2, got n = {min(ns)}")
+    samples = as_count(samples, "samples", 0)
+    ns, ds = [as_count(k, "n", 2) for k in n], list(d)
     if ns and ds:
         _require_side(max(ns) * max(ds), f"interlacing at n = {max(ns)}, d = {max(ds)}")
     elif samples:  # each sample draws its n and its d from these lists
@@ -262,7 +262,7 @@ def suite_interlacing(n=range(4, 11), d=range(2, 5), samples=100, *, seed) -> li
 
 
 def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
-    check_samples(samples, least=0)
+    samples = as_count(samples, "samples", 0)
     for k in n:
         _require_side(math.comb(k, 2), f"kyfan at n = {k}")
     entries = []
@@ -387,7 +387,7 @@ def _residual_entry(theorem, instance, eigenvalue, worst) -> dict:
 
 
 def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
-    check_samples(samples, least=1)
+    samples = as_count(samples, "samples", 1)
 
     def spherical_job(row, n, d):
         label, p = f"{row}:{n},{d}", CANONICAL[row].placement(n, d)
@@ -423,13 +423,6 @@ def suite_families(d=None, n=None, samples=20, *, seed) -> list[dict]:
 _SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
-def check_samples(samples: int, least: int) -> None:
-    """A sample count that is not an integer (seeding.as_index), or is below
-    least, is a ValueError."""
-    if as_index(samples, "samples") < least:
-        raise ValueError(f"samples must be >= {least}, got {samples}")
-
-
 def bind_params(fn, values: dict, what: str) -> dict:
     """The parameters of fn other than the run-level seed, in signature order,
     each with its value from values or else its signature default; tuples and
@@ -449,8 +442,9 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
 
     The grid maps parameters of the suite's function to value lists, and
     samples sets its sample count; either one is a ValueError for a suite
-    that does not read it, as is a grid d or n value below 1 or refused by
-    seeding.as_index.  'all' runs every suite at its default grid, passing
+    that does not read it, as is a grid d or n value that seeding.as_count
+    refuses below 1, as grid d or grid n; the values it takes are stored as
+    Python ints.  'all' runs every suite at its default grid, passing
     samples to the suites that read it, and refuses a grid.  A seed that
     seeding.as_seed refuses is a ValueError even for a seedless suite."""
     seed = as_seed(seed)
@@ -474,8 +468,8 @@ def run_suite(name: str, grid=None, samples=None, seed: int = 0) -> dict:
     given = grid if samples is None else {**grid, "samples": samples}
     params = bind_params(_SUITE_FUNCS[name], given, f"suite {name!r}")
     for key in ("d", "n"):
-        if any(as_index(v, f"grid {key}") < 1 for v in grid.get(key, ())):
-            raise ValueError(f"grid {key} values must be >= 1, got {grid[key]}")
+        if key in grid:
+            params[key] = [as_count(v, f"grid {key}", 1) for v in params[key]]
     entries = _SUITE_FUNCS[name](**params, seed=seed)
     if not entries:
         raise ValueError(f"suite {name!r} has no instances for this grid and sample count")

@@ -147,12 +147,17 @@ def test_verify_non_integer_grid_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "suite,grid,field",
-    [("cross", "d=0,n=4", "grid d"), ("turan", "d=-1", "grid d"), ("circle", "n=0", "grid n")],
+    "suite,grid,message",
+    [
+        ("cross", "d=0,n=4", "grid d must be >= 1, got 0"),
+        ("turan", "d=-1", "grid d must be >= 1, got -1"),
+        ("circle", "n=0", "grid n must be >= 1, got 0"),
+    ],
+    ids=["cross-d=0,n=4-grid d", "turan-d=-1-grid d", "circle-n=0-grid n"],
 )
-def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, field):
+def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, message):
     code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", grid, "--outdir", str(tmp_path))
-    assert code == 2 and f"{field} values must be >= 1" in err
+    assert code == 2 and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -162,16 +167,16 @@ def test_verify_grid_below_one_is_usage_error(tmp_path, capsys, suite, grid, fie
         (["verify", "--suite", "simplex", "--grid", "n=30..20"], "is empty"),
         (["verify", "--suite", "turan", "--grid", "n=31"], "no instances"),
         (["verify", "--suite", "interlacing", "--samples", "0"], "no instances"),
-        (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "suite 'interlacing' needs n >= 2, got n = 1"),
+        (["verify", "--suite", "interlacing", "--grid", "n=1,n=2"], "n must be >= 2, got 1"),
         (["verify", "--suite", "cross", "--grid", "d=1e3"], "grid d must be an integer, got 1000.0"),
         (["conjecture", "regular-2d", "--n", "5..4"], "is empty"),
         (["conjecture", "regular-2d", "--n", "4"], "n > 2d for a 2d-regular graph on n vertices, got n = 4, d = 2"),
         (["conjecture", "top-n-sum", "--d", "5..4"], "is empty"),
-        (["conjecture", "top-n-sum", "--n", "2..4"], "n >= 3 for the floor n(n+1)/2, got n = 2"),
+        (["conjecture", "top-n-sum", "--n", "2..4"], "n must be >= 3, got 2"),
         (["conjecture", "top-n-sum", "--n", "5", "--d", "3", "--samples", "0"], "no instances"),
         (["conjecture", "spherical-second-eig", "--d", "1"], "n >= 3 and d >= 3, got n = 8, d = 1"),
         (["conjecture", "spherical-second-eig", "--d", "2"], "got n = 8, d = 2; for d = 2 see verify --suite circle"),
-        (["bounds", "12", "3", "--observe", "--restarts", "0"], "restarts and max_iters must be positive"),
+        (["bounds", "12", "3", "--observe", "--restarts", "0"], "restarts must be >= 1, got 0"),
     ],
     ids=["verify-d-range", "verify-n-range", "verify-no-admitted-n", "verify-no-samples", "verify-interlacing-n1",
          "verify-d-float",
@@ -311,14 +316,14 @@ def test_removed_flags_are_usage_errors(tmp_path, argv):
 )
 def test_dimension_below_one_is_usage_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--outdir", str(tmp_path))
-    assert code == 2 and out == "" and "need d >= 1, got d=0" in err
+    assert code == 2 and out == "" and err == "error: d must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_regular_2d_refuses_d_below_one_before_sampling(tmp_path, capsys, d):
     # --d -1 used to fail inside the graph sampler, and --d 0 sampled graphs first
     code, out, err = run_cli(capsys, "conjecture", "regular-2d", "--d", d, "--outdir", str(tmp_path))
-    assert code == 2 and out == "" and f"need d >= 1, got d={d}" in err
+    assert code == 2 and out == "" and err == f"error: d must be >= 1, got {d}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -391,7 +396,7 @@ def test_bounds_observe_refuses_d_below_3_before_optimizing(tmp_path, capsys, mo
     monkeypatch.setattr("adconn.cli.gap_ascent", no_optimizer)
     code, out, err = run_cli(capsys, "bounds", str(n), str(d), "--observe", "--restarts", "2", "--outdir", str(tmp_path))
     assert code == 2 and out == "" and not any(tmp_path.iterdir())
-    assert f"bounds require d >= 3, got d={d}" in err
+    assert err == f"error: d must be >= 3, got {d}\n"
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -627,7 +632,7 @@ def test_bounds_manifest_records_the_settings_it_read(tmp_path, capsys):
 
 def test_bounds_out_of_range_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bounds", "12", "2", "--outdir", str(tmp_path))
-    assert code == 2 and "d >= 3" in err
+    assert code == 2 and err == "error: d must be >= 3, got 2\n"
 
 
 @pytest.mark.parametrize(

@@ -405,10 +405,13 @@ def test_edge_lengths():
 
 def _stack_members(rng, n, d, k):
     """k placements of n points in R^d: plain, one with a coincident pair, one
-    with a pair 1e-200 apart, one scaled by 1e200, and more plain ones."""
+    with a pair about 1e-200 apart near the origin, one scaled by 1e200, and
+    more plain ones.  On coordinates of order 1 an offset of 1e-200 would
+    vanish and leave a second coincident pair."""
     pts = rng.standard_normal((k, n, d))
     pts[1, 1] = pts[1, 0]
-    pts[2, 1] = pts[2, 0] + 1e-200 * rng.standard_normal(d)
+    pts[2, :2] = 1e-200 * rng.standard_normal((2, d))
+    assert 0.0 < math.hypot(*(pts[2, 1] - pts[2, 0])) < 1e-150
     pts[3] *= 1e200
     return pts
 
@@ -422,6 +425,8 @@ def test_stacked_kernels_equal_one_placement_at_a_time_bit_for_bit(d, rng):
         R = _rigidity_from_directions(g, unit)
         L = R @ R.swapaxes(-1, -2)
         assert unit.shape == (5, g.m, d) and lengths.shape == (5, g.m) and R.shape == (5, g.n * d, g.m)
+        if (0, 1) in g.edge_index:  # the short pair's edge, sent through _rescaled_geometry
+            assert 0.0 < lengths[2, g.index_of(0, 1)] < 1e-150
         for i, pts in enumerate(stack):
             unit_i, lengths_i = _edge_geometry(g, pts)
             assert bit_equal(unit[i], unit_i) and bit_equal(lengths[i], lengths_i)
@@ -461,6 +466,11 @@ def subgraph(g, keep):
     return Graph(g.n, tuple(e for e, k in zip(g.edges, keep) if k))
 
 
+def zeroed(unit, keep):
+    """The (..., m, d) directions with the rows of the edges that keep drops set to 0.0."""
+    return np.where(keep[:, None], unit, 0.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 30),
@@ -491,7 +501,7 @@ def test_block_assembly_matches_the_product(n, d, density, coincident, seed):
         assert np.abs(got[i] - want[i]).max(initial=0.0) <= 2 * g.m * np.finfo(float).eps * peak
         assert bit_equal(got[i], _block_stiffness(g, unit[i]))
     for mask in rng.random((2, g.m)) < 0.5:
-        assert bit_equal(_block_stiffness(g, unit[0], mask), _block_stiffness(subgraph(g, mask), unit[0][mask]))
+        assert bit_equal(_block_stiffness(g, zeroed(unit[0], mask)), _block_stiffness(subgraph(g, mask), unit[0][mask]))
 
 
 @pytest.mark.parametrize(
@@ -511,7 +521,7 @@ def test_block_assembly_fills_each_member_of_a_stack_with_its_own_bits(g, rng):
         assert bit_equal(L[i], _block_stiffness(g, unit[i]))
         assert bit_equal(L[i], stiffness(g, Placement(stack[i])))
     for mask in masks:
-        masked = _block_stiffness(g, unit, mask)
+        masked = _block_stiffness(g, zeroed(unit, mask))
         assert masked.shape == (2, 3, side, side)
         for i in np.ndindex(2, 3):
             assert bit_equal(masked[i], _block_stiffness(subgraph(g, mask), unit[i][mask]))

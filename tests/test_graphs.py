@@ -71,7 +71,7 @@ def test_complete_graph_refuses_a_float_that_equals_a_cached_int():
 @pytest.mark.parametrize("n", [0, -1])
 def test_complete_graph_refuses_n_below_one_on_every_call(n):
     for _ in range(2):
-        with pytest.raises(ValueError, match=f"vertex count must be >= 1, got {n}"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             complete_graph(n)
 
 
@@ -161,7 +161,7 @@ def test_turan_partition_is_the_contiguous_blocks_of_n_and_r():
 @pytest.mark.parametrize(
     "n,r,message",
     [
-        (6, 1, "number of parts must be >= 2, got 1"),
+        (6, 1, "r must be >= 2, got 1"),
         (10, 4, "r=4 does not divide n=10"),
         (0, 2, "r=2 does not divide n=0 into nonempty blocks"),
         (-6, 3, "r=3 does not divide n=-6 into nonempty blocks"),

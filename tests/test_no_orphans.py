@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package has a caller,
 modules share no private name but the stiffness assembly and the
-optimizer's per-restart binding of it, and the package imports nothing
-outside the standard library but numpy.
+optimizer's per-restart binding of it, no module but seeding writes out the
+count rule, and the package imports nothing outside the standard library
+but numpy.
 
 A name counts as used when code of the package other than its own definition
 names it (a re-export in __init__ does not count), or when the benchmark's
@@ -139,6 +140,46 @@ def test_only_the_stiffness_kernel_crosses_modules():
         ("optimize", "framework", "_ascent_kernel"),
         ("verify", "framework", "_stiffness_geometry"),
     }
+
+
+def count_comparisons(tree: ast.Module) -> list[int]:
+    """Line of each comparison that puts an as_index(...) call below a bound,
+    as_index(v) < least or least > as_index(v) (<= and >= alike): a
+    hand-written copy of seeding.as_count."""
+
+    def is_as_index(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "as_index" or getattr(node.func, "attr", None) == "as_index"
+        )
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                if (isinstance(op, (ast.Lt, ast.LtE)) and is_as_index(left)) or (
+                    isinstance(op, (ast.Gt, ast.GtE)) and is_as_index(right)
+                ):
+                    out.append(node.lineno)
+    return out
+
+
+def test_count_comparisons_are_found():
+    code = "a = as_index(n, 'n') < 1\nb = 0 <= seeding.as_index(k, 'k') <= 3\nc = 2 > as_index(d, 'd')\n"
+    assert count_comparisons(ast.parse(code)) == [1, 2, 3]
+    assert count_comparisons(ast.parse("n = as_index(n, 'n')\nok = as_index(k, 'k') > 0 and n < 1\n")) == []
+
+
+def test_only_seeding_writes_out_the_count_rule():
+    # "an integer of at least least" is seeding.as_count; a module that
+    # compares an as_index call with a bound itself writes a second copy
+    found = {
+        (path.stem, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "seeding"
+        for line in count_comparisons(_parse(path))
+    }
+    assert found == set()
 
 
 def absolute_imports() -> set[tuple[str, str]]:

@@ -173,9 +173,9 @@ def test_seeded_restarts_deterministic():
 
 
 def test_config_validation():
-    for bad in ({"restarts": 0}, {"max_iters": 0}):
-        with pytest.raises(ValueError, match="restarts and max_iters must be positive"):
-            OptimizerConfig(**bad)
+    for name in ("restarts", "max_iters"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            OptimizerConfig(**{name: 0})
     # refused before any restart draws a stream
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         OptimizerConfig(restarts=1, seed=-1)

@@ -175,7 +175,7 @@ CANONICAL: dict[str, CanonicalFramework] = {
 def canonical_placements(n: int, d: int) -> list[tuple[str, Placement]]:
     """(row name, placement) of the rows admitting (n, d), in table order, less
     repeats: at n = d+1 the Turán simplex placement is the regular simplex."""
-    d = as_count(d, "d", 1)
+    n, d = as_count(n, "n", 1), as_count(d, "d", 1)
     out: list[tuple[str, Placement]] = []
     for name, row in CANONICAL.items():
         if row.admits(n, d):

@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Graph
+from .seeding import as_count
 
 HYPOTHESIS_TOL = 1e-9  # on the unit norms and the zero sum of require_centered_unit
 # Vertex count from which stiffness matrices are assembled from their d x d
@@ -281,7 +282,8 @@ def stiffness(g: Graph, p: Placement, keep: np.ndarray | None = None) -> np.ndar
         R = rigidity_matrix(g, p)
         if keep is None:
             return R @ R.T
-        return np.stack([(R_h := R[:, mask]) @ R_h.T for mask in keep])
+        # the reshape gives no masks the (0, dn, dn) stack that the block path gives
+        return np.array([(R_h := R[:, mask]) @ R_h.T for mask in keep]).reshape(len(keep), len(R), len(R))
     _check_match(g, p)
     unit = _edge_geometry(g, p.points)[0]
     if keep is not None:
@@ -331,8 +333,7 @@ def placement_from_json(text: str) -> Placement:
         raise ValueError(f"placement JSON is malformed: {exc}") from None
     if not isinstance(obj, dict) or "d" not in obj or "points" not in obj:
         raise ValueError("placement JSON must be an object with fields 'd' and 'points'")
-    if type(obj["d"]) is not int or obj["d"] < 1:
-        raise ValueError(f"field 'd' must be a positive integer, got {obj['d']!r}")
+    d = as_count(obj["d"], "field 'd'", 1)
     points = np.asarray(obj["points"], dtype=object)
     # float() would also read a string or a bool; ragged rows stay lists here
     if not all(type(x) in (int, float) for x in points.flat):
@@ -341,10 +342,8 @@ def placement_from_json(text: str) -> Placement:
         pts = points.astype(float)
     except OverflowError:  # an integer beyond the float range, refused as 1e999 would be
         pts = np.full(points.shape, np.inf)
-    if pts.ndim != 2 or pts.shape[1] != obj["d"]:
-        raise ValueError(
-            f"field 'points' must be an n x d array with d={obj['d']}, got shape {pts.shape}"
-        )
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"field 'points' must be an n x d array with d={d}, got shape {pts.shape}")
     return Placement(pts)
 
 

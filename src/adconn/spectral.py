@@ -1,36 +1,37 @@
 """Symmetric eigenvalue computation, multiplicity clustering, and interlacing checks.
 
-``symmetric_eigenvalues`` takes one matrix or a stack of matrices of one
-size, shape (..., m, m), and answers with the ascending eigenvalues of each.
-It checks its input first (``_require_symmetric``), one member at a time,
-in pairs of mirrored SYMMETRY_TILE x SYMMETRY_TILE tiles (one tile when m
-is at most SYMMETRY_TILE): it refuses a non-finite entry anywhere before an
-asymmetry anywhere and finds max|M| of each member, which the later steps
-reuse and ``clustered_spectrum`` takes its default tolerance from
-(``default_cluster_tol``).  The package's own assemblies are finite and
-symmetric bit for bit (tests/test_framework.py holds them to it), so
-``spectral_gap`` and ``interlacing_checks`` solve them unchecked (``_eigenvalues``).
-``interlacing_checks`` solves the stiffness matrix pairs of a batch of
-edge removals as one stack per shape, built and solved in chunks of at most
-STACK_BUDGET_BYTES (``stack_chunks``).  Below LOW_RANK_MIN_SIZE the whole
-stack is one eigvalsh call, since per-call overhead, not reading the
-matrices, dominates at those sizes; numpy solves each member of a stack as
-it would solve that matrix alone, so stacking changes no bit.  A larger
-matrix first tries a certified low-rank route, built for edge-basis
-stiffness matrices R^t R, whose rank is at most dn - C(d+1, 2) and often far
-below their size.  A greedy
-diagonal-pivoted Cholesky factorization (Higham, "Analysis of the Cholesky
-decomposition of a semi-definite matrix", 1990) stops at the numerical rank
-k, when no remaining pivot exceeds m * eps * max|M|, and gives M ~ L L^t
-with L of shape (m, k); a matrix that would need more than its budget of
-m // LOW_RANK_PIVOT_DIVISOR pivots is handed to eigvalsh at that point.
-The residual E = L L^t - M is then formed one
-SYMMETRY_TILE-row panel of its lower block triangle at a time, each block
+One rule picks the solver.  A matrix the package assembled goes straight to
+numpy.linalg.eigvalsh: its assemblies are finite and symmetric bit for bit
+(tests/test_framework.py holds them to it), so ``spectral_gap`` and the pair
+stacks of ``interlacing_checks`` solve them unchecked, as ``bounds``, verify's
+circle sweep and ``optimize`` do.  numpy solves each member of a stack as it
+would solve that matrix alone, so stacking changes no bit.
+``interlacing_checks`` solves the stiffness matrix pairs of a batch of edge
+removals as one stack per shape, built and solved in chunks of at most
+STACK_BUDGET_BYTES (``stack_chunks``).
+
+Only the public checked solves, ``symmetric_eigenvalues`` and
+``clustered_spectrum``, take a matrix from outside.  Each takes one (m, m)
+matrix and refuses any other shape, a stack among them, before the symmetry
+walk.  It then checks the matrix (``_require_symmetric``) in pairs of
+mirrored SYMMETRY_TILE x SYMMETRY_TILE tiles (one tile when m is at most
+SYMMETRY_TILE): it refuses a non-finite entry anywhere before an asymmetry
+anywhere and finds max|M|, which the low-rank route reuses and
+``clustered_spectrum`` takes its default tolerance from
+(``default_cluster_tol``).  From LOW_RANK_MIN_SIZE on, the checked matrix
+first tries a certified low-rank route, built for edge-basis stiffness
+matrices R^t R, whose rank is at most dn - C(d+1, 2) and often far below
+their size.  A greedy diagonal-pivoted Cholesky factorization (Higham,
+"Analysis of the Cholesky decomposition of a semi-definite matrix", 1990)
+stops at the numerical rank k, when no remaining pivot exceeds
+m * eps * max|M|, and gives M ~ L L^t with L of shape (m, k); a matrix that
+would need more than its budget of m // LOW_RANK_PIVOT_DIVISOR pivots is
+handed to eigvalsh at that point.  The residual E = L L^t - M is then formed
+one SYMMETRY_TILE-row panel of its lower block triangle at a time, each block
 left of the diagonal counted twice for its mirror image, which halves the
 flops of the full product; it reads the lower triangle of M, the one that
-eigvalsh solves, which the symmetry check or the assembly has made the
-mirror of the upper one.  By
-Weyl's inequality no eigenvalue of L L^t is farther than ||E||_F from the
+eigvalsh solves, which the symmetry check has found to mirror the upper one.
+By Weyl's inequality no eigenvalue of L L^t is farther than ||E||_F from the
 matching eigenvalue of M.  Only when that bound is at most
 LOW_RANK_RESIDUAL_TOL * max(1, max|M|) does the route answer, with the
 eigenvalues of the k x k matrix L^t L and m - k zeros; every other matrix
@@ -51,9 +52,10 @@ from .seeding import as_count
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-8
 DEFAULT_RANK_TOL = 1e-9
 INTERLACING_SLACK = 1e-9
-# Below this size a low-rank attempt costs about as much as the full solve
-# (twice it at 36 x 36), so the optimizer's and verify's many small matrices
-# never try the route.
+# Size from which the checked solves try the low-rank route; below it an
+# attempt costs about as much as the full solve (twice it at 36 x 36).  What
+# the package assembled never tries it, at any size: a rigid stiffness matrix,
+# of rank dn - C(d+1, 2), always runs out of pivots.
 LOW_RANK_MIN_SIZE = 256
 # The factorization gives up after m // LOW_RANK_PIVOT_DIVISOR pivots, so a
 # matrix of nearly full rank wastes little on an aborted attempt: on the K96/d3
@@ -75,54 +77,43 @@ STACK_BUDGET_BYTES = 1 << 26
 SYMMETRY_TILE = 128
 
 
-def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M as a float array of shape (..., m, m) and the max|M| of each matrix in
-    it, after refusing a non-square stack, or a non-finite or non-symmetric
-    member, in one walk over the mirrored tile pairs of each member (see the
-    module docstring)."""
+def _require_symmetric(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """M as a float (m, m) array and its max|M|, after refusing any other
+    shape, a stack among them, and then a non-finite or non-symmetric matrix
+    in one walk over its mirrored tile pairs (see the module docstring)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    m, b = M.shape[-1], SYMMETRY_TILE
-    peak, asym = np.zeros(M.shape[:-2]), np.zeros(M.shape[:-2])
-    for i in np.ndindex(M.shape[:-2]):
-        for r in range(0, m, b):
-            for c in range(r, m, b):
-                upper, lower = M[i][r:r + b, c:c + b], M[i][c:c + b, r:r + b]
-                for tile in (upper, lower) if c > r else (upper,):
-                    # max propagates NaN and |inf| is inf; checked before inf - inf can form
-                    top = np.abs(tile).max(initial=0.0)
-                    if not math.isfinite(top):
-                        raise ValueError("matrix must be finite")
-                    peak[i] = max(peak[i], top)
-                diff = upper - lower.T
-                asym[i] = max(asym[i], np.abs(diff, out=diff).max(initial=0.0))
-                del diff  # freed before the next temporary
+    m, b = len(M), SYMMETRY_TILE
+    peak = asym = 0.0
+    for r in range(0, m, b):
+        for c in range(r, m, b):
+            upper, lower = M[r:r + b, c:c + b], M[c:c + b, r:r + b]
+            for tile in (upper, lower) if c > r else (upper,):
+                # max propagates NaN and |inf| is inf; checked before inf - inf can form
+                top = float(np.abs(tile).max(initial=0.0))
+                if not math.isfinite(top):
+                    raise ValueError("matrix must be finite")
+                peak = max(peak, top)
+            diff = upper - lower.T
+            asym = max(asym, float(np.abs(diff, out=diff).max(initial=0.0)))
+            del diff  # freed before the next temporary
     # every finite entry was read before any asymmetry is refused
-    refused = asym > 1e-12 * np.maximum(1.0, peak)
-    if refused.any():
-        raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym[refused].flat[0]:.3e}")
+    if asym > 1e-12 * max(1.0, peak):
+        raise ValueError(f"matrix is not symmetric: max |M - M^t| = {asym:.3e}")
     return M, peak
 
 
 def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a finite symmetric matrix, ascending, or of each
-    matrix of a (..., m, m) stack as a (..., m) array; certified low-rank when
-    that succeeds (see the module docstring)."""
-    return _eigenvalues(*_require_symmetric(M))
+    """All eigenvalues of a finite symmetric matrix from outside the package,
+    ascending; certified low-rank when that succeeds (see the module docstring)."""
+    return _checked_solve(*_require_symmetric(M))
 
 
-def _eigenvalues(M: np.ndarray, peak: np.ndarray | None = None) -> np.ndarray:
-    """symmetric_eigenvalues of a finite, symmetric stack, unchecked; without
-    peak, the max|M| of each member, the low-rank route finds it itself."""
-    if M.shape[-1] < LOW_RANK_MIN_SIZE:
-        return np.linalg.eigvalsh(M)
-    eigs = np.empty(M.shape[:-1])
-    for i in np.ndindex(M.shape[:-2]):
-        top = np.abs(M[i]).max() if peak is None else peak[i]
-        low_rank = _low_rank_eigenvalues(M[i], float(top))
-        eigs[i] = np.linalg.eigvalsh(M[i]) if low_rank is None else low_rank
-    return eigs
+def _checked_solve(M: np.ndarray, peak: float) -> np.ndarray:
+    """symmetric_eigenvalues of M, which _require_symmetric passed with max|M| = peak."""
+    low_rank = _low_rank_eigenvalues(M, peak) if len(M) >= LOW_RANK_MIN_SIZE else None
+    return np.linalg.eigvalsh(M) if low_rank is None else low_rank
 
 
 def _low_rank_eigenvalues(M: np.ndarray, peak: float) -> np.ndarray | None:
@@ -251,11 +242,9 @@ def clustered_spectrum(M: np.ndarray, tol: float | None = None) -> MultiplicityS
     """Eigenvalues of a symmetric matrix clustered at tol, by default
     default_cluster_tol of its max|M|."""
     M, peak = _require_symmetric(M)
-    if M.ndim != 2:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
     if tol is None:
         tol = default_cluster_tol(peak)
-    return cluster_multiplicities(_eigenvalues(M, peak), tol)
+    return cluster_multiplicities(_checked_solve(M, peak), tol)
 
 
 def stack_chunks(members: list, member_bytes: int) -> list[list]:
@@ -274,7 +263,7 @@ def spectral_gap(g: Graph, p: Placement) -> float:
     """The smallest eigenvalue of the stiffness matrix beyond the trivial-motion count."""
     if g.n <= p.d:
         raise ValueError(f"need n > d, got n={g.n}, d={p.d}")
-    return float(_eigenvalues(stiffness(g, p))[trivial_motion_count(p.d)])
+    return float(np.linalg.eigvalsh(stiffness(g, p))[trivial_motion_count(p.d)])
 
 
 def numeric_rank(M: np.ndarray) -> int:
@@ -333,6 +322,6 @@ def _worst_violations(cases, chunk, side: int) -> list[float]:
         minus = np.array(keep)
         minus[j] = False
         pair[:] = stiffness(g, p, np.stack((keep, minus)))
-    lam, lam_prime = _eigenvalues(pairs).swapaxes(0, 1)
+    lam, lam_prime = np.linalg.eigvalsh(pairs).swapaxes(0, 1)
     lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
     return np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1)).tolist()

@@ -489,10 +489,10 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
         ({"d": 2, "points": [["a", "b"]] * 3}, "array of numbers"),
         ({"d": 2, "points": [["1", "2"], [3, 4]]}, "array of numbers"),
         ({"d": 2, "points": [[True, False], [3, 4]]}, "array of numbers"),
-        ({"d": "2", "points": [[0.0, 0.0]] * 3}, "positive integer"),
-        ({"d": 2.0, "points": [[0.0, 0.0]] * 3}, "positive integer"),
-        ({"d": True, "points": [[0.0]] * 3}, "positive integer"),
-        ({"d": 0, "points": [[0.0, 0.0]] * 3}, "positive integer"),
+        ({"d": "2", "points": [[0.0, 0.0]] * 3}, "field 'd' must be an integer, got '2'"),
+        ({"d": 2.0, "points": [[0.0, 0.0]] * 3}, "field 'd' must be an integer, got 2.0"),
+        ({"d": True, "points": [[0.0]] * 3}, "field 'd' must be an integer, got True"),
+        ({"d": 0, "points": [[0.0, 0.0]] * 3}, "field 'd' must be >= 1, got 0"),
     ],
 )
 def test_malformed_placement_file_is_usage_error(tmp_path, capsys, payload, message):

@@ -560,6 +560,14 @@ def test_stiffness_refuses_masks_that_are_not_a_boolean_k_by_m_array(keep):
         stiffness(complete_graph(4), regular_simplex(3), keep)
 
 
+@pytest.mark.parametrize("n", [5, 17], ids=["product", "blocks"])
+def test_no_masks_give_an_empty_stack_on_both_paths(rng, n):
+    assert 5 < BLOCK_ASSEMBLY_MIN_VERTICES <= 17
+    g = complete_graph(n)
+    stack = stiffness(g, random_placement(rng, n, 3), np.zeros((0, g.m), dtype=bool))
+    assert stack.shape == (0, 3 * n, 3 * n) and stack.dtype == float
+
+
 def test_block_index_is_cached_read_only_and_addresses_the_blocks():
     g = turan_graph(6, 3)[0]
     for d in (1, 3):

@@ -240,6 +240,14 @@ def test_gap_ascent_flexible_graph_stays_near_zero():
     assert result.best_gap <= 1e-8
 
 
+def test_best_gap_of_a_large_flexible_graph_is_the_traced_eigensolve():
+    # side 86 x 3 = 258: the recomputed gap is eigvalsh's, as in the ascent's
+    # own trace, not the low-rank route's 0.0 next to a trace of about -5e-16
+    path = make_graph(86, [(i, i + 1) for i in range(40)])
+    result = gap_ascent(path, 3, OptimizerConfig(restarts=1, max_iters=2))
+    assert repr(result.best_gap) == repr(result.traces[result.best_restart][-1][1])
+
+
 def test_gap_ascent_rejects_small_n():
     with pytest.raises(ValueError):
         gap_ascent(complete_graph(3), 3, OptimizerConfig(restarts=1))

@@ -138,6 +138,7 @@ COUNT_ENTRY_POINTS = {
     "turan-simplex-closed-form-d": (lambda x: turan_simplex_spectrum_closed_form(12, x), "d", 2),
     "crosspolytope-closed-form-d": (lambda x: crosspolytope_spectrum_closed_form(12, x), "d", 2),
     "circle-closed-form-n": (lambda x: circle_spectrum_closed_form(x), "n", 3),
+    "canonical-placements-n": (lambda x: canonical_placements(x, 3), "n", 1),
     "canonical-placements-d": (lambda x: canonical_placements(4, x), "d", 1),
     "bound-report-d": (lambda x: bound_report(12, x), "d", 3),
     "turan-simplex-families-d": (lambda x: turan_simplex_families(12, x), "d", 2),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adconn import spectral
 from adconn.bounds import top_eigenvalue_sum_checks
-from adconn.framework import Placement, _stiffness_geometry, lower_stiffness_direct, stiffness
+from adconn.framework import Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import Graph, complete_graph, make_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
@@ -75,17 +75,20 @@ def _random_symmetric(m):
 
 
 # (row, column) pairs in a tile off the diagonal, and in the ragged last tile
-# (257 = 2 * 128 + 1, 300 = 2 * 128 + 44), on either side of the diagonal
+# (257 = 2 * 128 + 1, 300 = 2 * 128 + 44), on either side of the diagonal; at
+# two tiles (129 = 128 + 1, 200 = 128 + 72) the last row or column is ragged
 ASYMMETRIC_ENTRIES = {
     "off-diagonal-tile": (5, 200),
     "mirrored-off-diagonal-tile": (200, 5),
     "ragged-row": (256, 40),
     "ragged-column": (100, 256),
 }
-# sizes of one tile (m <= SYMMETRY_TILE) and of three; a 1 x 1 matrix has no
-# entry off the diagonal, so the asymmetry tests start at 2
+# sizes of one tile (m <= SYMMETRY_TILE), of two (below LOW_RANK_MIN_SIZE,
+# where the checked solve is one eigvalsh call) and of three; a 1 x 1 matrix
+# has no entry off the diagonal, so the asymmetry tests start at 2
 ONE_TILE_SIZES = [2, 12, SYMMETRY_TILE]
-TILED_SIZES = [257, 300]
+TWO_TILE_SIZES = [SYMMETRY_TILE + 1, 200]
+TILED_SIZES = TWO_TILE_SIZES + [257, 300]
 
 
 def _entry(entry, m):
@@ -106,7 +109,7 @@ def _asymmetry_message(M):
 @pytest.mark.parametrize("m", ONE_TILE_SIZES + TILED_SIZES)
 @pytest.mark.parametrize("entry", ASYMMETRIC_ENTRIES)
 def test_tiled_symmetry_check_reports_the_exact_asymmetry(m, entry):
-    assert m <= SYMMETRY_TILE or 2 * SYMMETRY_TILE < m < 3 * SYMMETRY_TILE
+    assert m <= SYMMETRY_TILE or SYMMETRY_TILE < m < LOW_RANK_MIN_SIZE or 2 * SYMMETRY_TILE < m < 3 * SYMMETRY_TILE
     M = _random_symmetric(m)
     M[_entry(entry, m)] += 1e-6
     with pytest.raises(ValueError, match=_asymmetry_message(M)):
@@ -127,9 +130,9 @@ def test_tiled_symmetry_threshold_scales_with_the_peak_of_any_tile(m):
 
 
 _NONFINITE = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}
-# (value, m): three tiles, or one tile where the id names the size
+# (value, m): three tiles, or one or two tiles where the id names the size
 NONFINITE_ENTRIES = {name: (v, 300) for name, v in _NONFINITE.items()} | {
-    f"{name}-m{m}": (v, m) for name, v in _NONFINITE.items() for m in (1, 12, SYMMETRY_TILE)
+    f"{name}-m{m}": (v, m) for name, v in _NONFINITE.items() for m in (1, 12, SYMMETRY_TILE, *TWO_TILE_SIZES)
 }
 
 
@@ -141,6 +144,23 @@ def test_tiled_check_refuses_a_nonfinite_entry_in_one_tile(case, entry):
     M[_entry(entry, m)] = value
     with pytest.raises(ValueError, match="^matrix must be finite$"):
         symmetric_eigenvalues(M)
+
+
+def _low_rank_psd(m, rank, seed):
+    A = np.random.default_rng(seed).standard_normal((m, rank))
+    return A @ A.T
+
+
+@pytest.mark.parametrize("m", [1, 12, SYMMETRY_TILE, *TWO_TILE_SIZES, LOW_RANK_MIN_SIZE - 1])
+def test_below_the_low_rank_size_the_checked_solve_is_one_eigvalsh_call(m):
+    # one matrix of each kind the route is built for or declines, at every
+    # scale, gets eigvalsh's bits from one call at its own size
+    for M in (_random_symmetric(m), _low_rank_psd(m, max(1, m // 10), m), np.zeros((m, m)),
+              1e200 * _low_rank_psd(m, 2, m + 1), 1e-200 * _random_symmetric(m)):
+        with eigvalsh_sizes() as sizes:
+            eigs = symmetric_eigenvalues(M)
+        assert sizes == [m]
+        assert eigs.tobytes() == np.linalg.eigvalsh(M).tobytes()
 
 
 LARGE_LOWER_FRAMEWORKS = {
@@ -607,75 +627,13 @@ def test_gap_continuity_under_perturbation(rng):
         assert diffs[1e-5] <= 1.25 * slope * 1e-5
 
 
-def _low_rank_psd(m, rank, seed):
-    A = np.random.default_rng(seed).standard_normal((m, rank))
-    return A @ A.T
-
-
-# one member per path of each size class: the one-tile check (m <= 128), the
-# tiled check (129..255), and the tiled check with the low-rank route (>= 256)
-STACK_SIZES = [1, 12, SYMMETRY_TILE, SYMMETRY_TILE + 1, 200, LOW_RANK_MIN_SIZE, 300]
-
-
-@pytest.mark.parametrize("m", STACK_SIZES)
-def test_a_stack_gives_each_member_the_bits_it_gets_alone(m):
-    members = [_random_symmetric(m), _low_rank_psd(m, max(1, m // 10), m), np.zeros((m, m)),
-               1e200 * _low_rank_psd(m, 2, m + 1), 1e-200 * _random_symmetric(m)]
-    stack = np.stack(members)
-    eigs = symmetric_eigenvalues(stack)
-    assert eigs.shape == (len(members), m)
-    for got, M in zip(eigs, members):
-        assert got.tobytes() == symmetric_eigenvalues(M).tobytes()
-    nested = symmetric_eigenvalues(stack[:4].reshape(2, 2, m, m))
-    assert nested.tobytes() == eigs[:4].tobytes()
-
-
-def test_stacks_below_the_low_rank_size_are_one_eigensolve():
-    for m, calls in ((SYMMETRY_TILE, 1), (SYMMETRY_TILE + 1, 1), (LOW_RANK_MIN_SIZE, 3)):
-        with eigvalsh_sizes() as sizes:
-            symmetric_eigenvalues(np.stack([_random_symmetric(m)] * 3))
-        assert sizes.count(m) == calls
-
-
-def test_empty_stacks():
-    assert symmetric_eigenvalues(np.zeros((0, 5, 5))).shape == (0, 5)
-    assert symmetric_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
-
-
-@pytest.mark.parametrize("m", [2, 12, SYMMETRY_TILE, 200, 300])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_a_stack_with_one_nonfinite_member_is_refused(m, value):
-    stack = np.stack([_random_symmetric(m) for _ in range(3)])
-    stack[1, m - 1, 0] = value
-    with pytest.raises(ValueError, match="^matrix must be finite$"):
-        symmetric_eigenvalues(stack)
-
-
-@pytest.mark.parametrize("m", [2, 12, SYMMETRY_TILE, 200, 300])
-def test_a_stack_with_one_asymmetric_member_is_refused_with_its_asymmetry(m):
-    stack = np.stack([_random_symmetric(m) for _ in range(3)])
-    stack[2, 0, m - 1] += 1e-6
-    with pytest.raises(ValueError, match=_asymmetry_message(stack[2])):
-        symmetric_eigenvalues(stack)
-
-
-@pytest.mark.parametrize("m", [12, 300])
-def test_each_member_is_held_to_its_own_peak(m):
-    # an asymmetry of 1e-9 passes next to max|M| = 1e6 (threshold 1e-6) but not
-    # in a member whose peak is below 1 (threshold 1e-12)
-    big = _random_symmetric(m)
-    big[0, 0] = 1e6
-    big[0, m - 1] += 1e-9
-    symmetric_eigenvalues(big)
-    small = 0.01 * _random_symmetric(m)
-    small[0, m - 1] += 1e-9
-    with pytest.raises(ValueError, match=_asymmetry_message(small)):
-        symmetric_eigenvalues(np.stack([big, small]))
-
-
-def test_clustered_spectrum_refuses_a_stack():
+@pytest.mark.parametrize("solve", [symmetric_eigenvalues, clustered_spectrum], ids=["eigenvalues", "clustered"])
+def test_checked_solves_refuse_a_stack_before_any_walk(solve):
+    # a stack is refused by its shape, before the walk could find its NaN
+    stack = np.zeros((2, 3, 3))
+    stack[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3, 3\)$"):
-        clustered_spectrum(np.zeros((2, 3, 3)))
+        solve(stack)
 
 
 def interlacing_check(g, e, p):
@@ -686,8 +644,8 @@ def interlacing_check(g, e, p):
 def _interlacing_oracle(g, e, p):
     """interlacing_checks' worst violation from two separate assemblies and
     eigensolves, one of them on the graph with e removed."""
-    lam = symmetric_eigenvalues(stiffness(g, p))
-    lam_prime = symmetric_eigenvalues(stiffness(without_edge(g, e), p))
+    lam = np.linalg.eigvalsh(stiffness(g, p))
+    lam_prime = np.linalg.eigvalsh(stiffness(without_edge(g, e), p))
     lam_shift = np.concatenate(([0.0], lam[:-1]))
     return float(max(np.max(lam_shift - lam_prime), np.max(lam_prime - lam)))
 
@@ -740,27 +698,19 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_symmetry_check_of_a_stack_of_one_tile_members_holds_one_member_temporary(rng):
-    # side 96 <= SYMMETRY_TILE: each member is one tile, and the stack takes
-    # 4.0 MiB; the pass walks the members one at a time and holds one
-    # temporary of one member's size at a time, beside numpy's iteration
-    # buffer of 8192 values, where the difference and its absolute values of
-    # all members at once would take two of the stack's size
-    M = _stiffness_geometry(complete_graph(32), rng.standard_normal((57, 32, 3)))[0]
-    (_, peak_of_each), peak = traced_peak(lambda: spectral._require_symmetric(M))
-    assert peak <= 2 * M[0].nbytes, f"peak {peak / 2**20:.2f} MiB"
-    assert peak_of_each.tolist() == [float(np.abs(member).max()) for member in M]
-
-
-def test_symmetry_walk_of_a_nested_stack_gives_each_peak_and_refuses_nonfinite_first(rng):
-    # a (7, 2) stack of matrices, walked one member at a time
-    M = _stiffness_geometry(complete_graph(10), rng.standard_normal((7, 2, 10, 4)))[0]
-    assert spectral._require_symmetric(M)[1].tolist() == np.abs(M).max(axis=(-2, -1)).tolist()
+def test_symmetry_walk_holds_one_tile_pair_of_temporaries_and_refuses_nonfinite_first():
+    # a 600 x 600 matrix takes 2.7 MiB, and M - M^t as one temporary would
+    # take as much again; the walk holds the absolute values of one tile and
+    # one tile's difference at a time, 128 KiB each, and returns max|M| as a float
+    M = _random_symmetric(600)
+    (_, peak_of_m), peak = traced_peak(lambda: spectral._require_symmetric(M))
+    assert peak <= 3 * SYMMETRY_TILE**2 * 8, f"peak {peak / 2**10:.0f} KiB"
+    assert type(peak_of_m) is float and peak_of_m == float(np.abs(M).max())
     bad = M.copy()
-    bad[5, 1, 0, 3] += 1e-3
+    bad[0, 599] += 1e-3
     with pytest.raises(ValueError, match="^" + re.escape("matrix is not symmetric: max |M - M^t| = 1.000e-03") + "$"):
         spectral._require_symmetric(bad)
-    bad[6, 0, 2, 2] = np.nan  # a later member's non-finite entry comes first
+    bad[590, 590] = np.nan  # a later tile's non-finite entry comes first
     with pytest.raises(ValueError, match="^matrix must be finite$"):
         spectral._require_symmetric(bad)
 
@@ -792,10 +742,10 @@ def test_interlacing_names_the_missing_edge():
 
 @pytest.mark.parametrize("masked", [False, True], ids=["not-in-g", "masked-out"])
 def test_a_missing_edge_anywhere_in_a_batch_is_refused_before_any_eigensolve(monkeypatch, masked):
-    def solved(M, peak=None):
+    def solved(M):
         raise AssertionError("eigensolve before the edge lookups")
 
-    monkeypatch.setattr(spectral, "_eigenvalues", solved)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solved)
     # the bad case's shape (4, 3) comes after a whole group of shape (4, 2)
     full, p, q = complete_graph(4), Placement(np.arange(8.0).reshape(4, 2)), Placement(np.arange(12.0).reshape(4, 3))
     good = [(full, (0, 1), p, np.ones(6, dtype=bool)), (make_graph(4, [(0, 1), (2, 3)]), (3, 2), p, [True, True])]
@@ -810,13 +760,13 @@ def test_a_missing_edge_anywhere_in_a_batch_is_refused_before_any_eigensolve(mon
 def test_assembled_stacks_are_solved_unchecked_with_the_checked_bits(monkeypatch, rng):
     # top-sum, interlacing, the circle sweep and spectral_gap solve matrices
     # that the package assembled, so none of them goes through the symmetry
-    # check.  A 40-edge graph at side 86 x 3 = 258 takes the low-rank route,
-    # which then finds each max|M| itself.
+    # check.  A 40-edge graph at side 86 x 3 = 258, from which the checked
+    # solves try the low-rank route, gets eigvalsh's answer all the same.
     sparse = make_graph(86, [(i, i + 1) for i in range(40)])
     frameworks = [(complete_graph(12), random_placement(rng, 12, 3)), (sparse, random_placement(rng, 86, 3))]
     cases = [(g, g.edges[1], p, np.ones(g.m, dtype=bool)) for g, p in frameworks]
     placements = [random_placement(rng, n, d) for n, d in ((4, 2), (12, 3), (20, 2))]
-    gaps = [repr(float(symmetric_eigenvalues(stiffness(g, p))[trivial_motion_count(p.d)])) for g, p in frameworks]
+    gaps = [repr(float(np.linalg.eigvalsh(stiffness(g, p))[trivial_motion_count(p.d)])) for g, p in frameworks]
     sandwiches = [(w <= 1e-9, w) for w in (_interlacing_oracle(g, e, p) for g, e, p, _ in cases)]
     top_sums = [float(np.sum(symmetric_eigenvalues(stiffness(complete_graph(p.n), p))[-p.n:])) for p in placements]
     circle = run_suite("circle", grid={"n": [5, 17]}, samples=2)
@@ -829,6 +779,17 @@ def test_assembled_stacks_are_solved_unchecked_with_the_checked_bits(monkeypatch
     assert interlacing_checks(cases) == sandwiches
     assert [c.total for c in top_eigenvalue_sum_checks(placements)] == top_sums
     assert run_suite("circle", grid={"n": [5, 17]}, samples=2) == circle
+
+
+def test_only_the_checked_solves_try_the_low_rank_route(low_rank_calls):
+    # at sides 288 and 256 the package's own matrices go straight to eigvalsh
+    k96, p = complete_graph(96), random_sphere_placement(96, 3, 0)
+    assert spectral_gap(k96, p) == float(np.linalg.eigvalsh(stiffness(k96, p))[6])
+    run_suite("interlacing", grid={"n": [64], "d": [4]}, samples=3)
+    assert low_rank_calls == []
+    # a matrix from outside of the same size tries the route
+    clustered_spectrum(stiffness(k96, p))
+    assert len(low_rank_calls) == 1
 
 
 @pytest.mark.parametrize(

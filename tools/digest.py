@@ -19,6 +19,10 @@ BLAS thread count.  The artifacts:
   assembled from their blocks, each as its ``to_json_dict``;
 - the stiffness and lower spectra of the ``spectra-large`` benchmark
   workload at seed 0, each as its ``to_json_dict``;
+- ``spectral_gap`` of the K96 framework of that workload (side 288) and
+  ``run_suite("interlacing", grid={"n": [64], "d": [4]}, samples=3)``
+  (pairs of side 256), sizes from which the checked solves try the low-rank
+  route and the package's own matrices do not, as ``repr`` and as JSON;
 - ``conjecture_probe("spherical-second-eig", {"n": 9})`` at seed 0, whose
   odd n draws both the equilateral triple and the antipodal pairs of
   ``centered_sphere_points``;
@@ -26,7 +30,7 @@ BLAS thread count.  The artifacts:
   circle:48 and for complete:12 at random:12,3,0,centered, other than its
   manifest, which records the wall time.
 
-Each line is ``<sha256>  <artifact>``.  The whole digest takes under two
+Each line is ``<sha256>  <artifact>``.  The whole digest takes about two
 seconds on one core, imports included: a K12 optimizer run about 0.1 s, and
 the K16 run, the longest artifact, about 0.2 s.
 """
@@ -61,6 +65,7 @@ SPECTRUM_ARGS = (
     ("spectrum", "--graph", "complete:12", "--placement", "random:12,3,0,centered", "--lower"),
 )
 PROBE_PARAMS = {"n": 9}
+INTERLACING_GRID = {"n": [64], "d": [4]}
 
 
 def _json(obj) -> bytes:
@@ -86,6 +91,10 @@ def artifacts():
         yield f"spectra-large {fw.label} stiffness", _json(spectra.stiffness.to_json_dict())
         if spectra.lower is not None:
             yield f"spectra-large {fw.label} lower", _json(spectra.lower.to_json_dict())
+    k96 = frameworks[-1]
+    yield f"spectral_gap({k96.label})", repr(adconn.spectral_gap(k96.graph, k96.placement)).encode()
+    interlacing = adconn.run_suite("interlacing", grid=INTERLACING_GRID, samples=3)
+    yield f"run_suite('interlacing', grid={INTERLACING_GRID}, samples=3)", _json(interlacing)
     probe = adconn.conjecture_probe("spherical-second-eig", PROBE_PARAMS, seed=0)
     yield f"conjecture_probe('spherical-second-eig', {PROBE_PARAMS}, seed=0)", _json(probe)
     for args in SPECTRUM_ARGS:

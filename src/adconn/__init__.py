@@ -45,7 +45,7 @@ from .graphs import (
     turan_graph,
     turan_partition,
 )
-from .optimize import OptimizeResult, OptimizerConfig, gap_ascent, seeded_restarts
+from .optimize import OptimizerConfig, Witness, gap_ascent, seeded_restarts
 from .placements import (
     CirclePlacement,
     crosspolytope_placement,

@@ -20,6 +20,13 @@ them).  A value that the function does not read or a grid d or n that is not
 an integer is a usage error (a ValueError), and so is a --restarts or --seed
 given to bounds without --observe.
 
+Every optimizer gap the CLI prints comes with the optimize.Witness that
+attains it, as the graph {"n": n, "edges": [[u, v], ...]}, d, the placement
+and the config: optimize writes the witness's full JSON and prints its
+summary(), the JSON without the traces; bounds --observe embeds that summary
+as "witness" and reads gap_observed and margin from it; conjecture
+regular-2d keeps one summary per instance.
+
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  A command only computes: it returns its exit code, its result files
 and its summary.  One writer, _run_and_record, times it, writes those files
@@ -199,9 +206,9 @@ def cmd_bounds(args) -> Outcome:
         args.restarts = 16 if args.restarts is None else args.restarts
         args.seed = 0 if args.seed is None else args.seed
         config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        gap = gap_ascent(complete_graph(args.n), args.d, config).best_gap
-        margin = None if report.ceiling is None else report.ceiling - gap
-        report = dataclasses.replace(report, gap_observed=gap, margin=margin)
+        witness = gap_ascent(complete_graph(args.n), args.d, config).summary()
+        margin = None if report.ceiling is None else report.ceiling - witness["best_gap"]
+        report = dataclasses.replace(report, gap_observed=witness["best_gap"], margin=margin, witness=witness)
     payload = report.to_json_dict()
     return 0, {"bounds.json": payload}, json.dumps(payload, indent=2)
 
@@ -209,9 +216,8 @@ def cmd_bounds(args) -> Outcome:
 def cmd_optimize(args) -> Outcome:
     g = parse_graph_spec(args.graph)
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    payload = gap_ascent(g, args.d, config).to_json_dict()
-    summary = {k: payload[k] for k in ("best_gap", "best_restart", "best_placement")}
-    return 0, {"optimize_result.json": payload}, json.dumps(summary, indent=2)
+    witness = gap_ascent(g, args.d, config)
+    return 0, {"optimize_result.json": witness.to_json_dict()}, json.dumps(witness.summary(), indent=2)
 
 
 def cmd_conjecture(args) -> Outcome:

@@ -202,7 +202,8 @@ def spectrum_matches(
         return SpectrumMatch(False, math.inf, False)
     mult_ok = predicted.multiplicities() == computed.multiplicities()
     max_err = max(
-        abs(pv - cv) for (pv, _), (cv, _) in zip(predicted.clusters, computed.clusters)
+        (abs(pv - cv) for (pv, _), (cv, _) in zip(predicted.clusters, computed.clusters)),
+        default=0.0,
     )
     return SpectrumMatch(mult_ok and max_err <= value_tol, max_err, mult_ok)
 
@@ -215,9 +216,10 @@ class BoundReport:
     The other formula fields are present only where they apply:
     lower_general = ceil(n/(2d)) - 2d + 1 needs n >= 2d, lower_divisible =
     n/(2d) needs 2d | n, and ceiling = n/(2d), conjectured, not proven, needs
-    n >= 2d.  gap_observed is an optimizer's best gap, and margin = ceiling -
-    gap_observed where both are present; a negative margin would be a
-    counterexample candidate to the ceiling.
+    n >= 2d.  witness is an optimizer's Witness summary (optimize.Witness),
+    gap_observed its best gap, and margin = ceiling - gap_observed where both
+    are present; a negative margin would be a counterexample candidate to the
+    ceiling.
     """
 
     n: int
@@ -228,6 +230,7 @@ class BoundReport:
     ceiling: float | None
     gap_observed: float | None = None
     margin: float | None = None
+    witness: dict | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)

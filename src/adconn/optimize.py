@@ -19,7 +19,10 @@ restart binds one framework._ascent_kernel, which assembles every one of its
 evaluations' stiffness matrices with the bits of _stiffness_geometry.
 OptimizerConfig holds what a caller sets (restarts, max_iters, seed); the
 module constants STEP_INIT, STEP_DECAY, SMOOTHING, TOL, PATIENCE and JITTER
-fix the rest.
+fix the rest.  gap_ascent returns one Witness, the record that every path
+printing an optimizer gap keeps whole: the graph, d, the best gap with the
+placement that attains it, and the config, plus the traces that only its full
+JSON holds.
 """
 
 from __future__ import annotations
@@ -68,7 +71,15 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class OptimizeResult:
+class Witness:
+    """What gap_ascent found: the graph and d, the best gap with the placement
+    and restart that attain it, every restart's trace of (iteration, best gap
+    so far) and the config.  The gap is a lower-bound witness for a_d(graph)
+    that to_json_dict holds whole: make_graph(n, edges) of its "graph" and
+    placement_from_json of its "best_placement" re-derive it bit for bit."""
+
+    graph: Graph
+    d: int
     best_gap: float
     best_placement: Placement
     best_restart: int
@@ -77,12 +88,18 @@ class OptimizeResult:
 
     def to_json_dict(self) -> dict:
         return {
+            "graph": {"n": self.graph.n, "edges": self.graph.endpoints.tolist()},
+            "d": self.d,
             "best_gap": self.best_gap,
             "best_restart": self.best_restart,
             "best_placement": json.loads(placement_to_json(self.best_placement)),
-            "traces": [[[i, g] for i, g in tr] for tr in self.traces],
             "config": self.config.to_json_dict(),
+            "traces": [[[i, g] for i, g in tr] for tr in self.traces],
         }
+
+    def summary(self) -> dict:
+        """to_json_dict without the traces: the witness and how it was sought."""
+        return {k: v for k, v in self.to_json_dict().items() if k != "traces"}
 
 
 def _normalized_points(points: np.ndarray) -> np.ndarray:
@@ -253,19 +270,20 @@ def _ascend(g: Graph, d: int, config: OptimizerConfig, index: int, start: Placem
     return _RestartOutcome(index, best_gap, Placement(best_points), trace)
 
 
-def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> OptimizeResult:
+def gap_ascent(g: Graph, d: int, config: OptimizerConfig | None = None) -> Witness:
     """Maximize the spectral gap of (g, p) over placements p in R^d.
 
-    Returns the best gap seen over all restarts together with the placement
-    attaining it; the reported value is a lower bound witness, never a claim
-    that the supremum is attained.
+    Returns the best gap seen over all restarts, recomputed by spectral_gap,
+    together with the placement attaining it; the reported value is a lower
+    bound witness, never a claim that the supremum is attained.
     """
     config = config or OptimizerConfig()
     outcomes = [_ascend(g, d, config, i, s) for i, s in enumerate(seeded_restarts(g, d, config))]
     best = max(outcomes, key=lambda r: (r.gap, -r.index))
-    recomputed = spectral_gap(g, best.placement)
-    return OptimizeResult(
-        best_gap=recomputed,
+    return Witness(
+        graph=g,
+        d=best.placement.d,
+        best_gap=spectral_gap(g, best.placement),
         best_placement=best.placement,
         best_restart=best.index,
         traces=tuple(tuple(o.trace) for o in outcomes),

@@ -111,8 +111,10 @@ def _probe_top_n_sum(ns=range(3, 11), ds=range(2, 5), samples=20, *, seed) -> tu
 
 def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tuple[list, dict, list]:
     """Best optimizer gaps of random 2d-regular graphs, each drawn by
-    graphs.random_regular_graph from its own (seed, n, sample) stream; the
-    conjecture is that the achievable gap vanishes as the vertex count grows."""
+    graphs.random_regular_graph from its own (seed, n, sample) stream and
+    kept as its optimize.Witness summary, which holds the graph and the
+    placement that attain the gap; the conjecture is that the achievable gap
+    vanishes as the vertex count grows."""
     samples, d = as_count(samples, "samples", 1), as_count(d, "d", 1)
     ns = [as_index(n, "n") for n in ns]
     if not ns:
@@ -124,10 +126,9 @@ def _probe_regular_2d(d=2, ns=(8, 12, 16), samples=3, restarts=4, *, seed) -> tu
     for n in ns:
         for s in range(samples):
             g = random_regular_graph(2 * d, n, rng_stream(seed, f"regular:{n}:{s}"))
-            result = gap_ascent(g, d, config)
-            instances.append({"n": n, "sample": s, "best_gap": result.best_gap})
+            instances.append({"n": n, "sample": s, "witness": gap_ascent(g, d, config).summary()})
     summary = {
-        "max_gap_by_n": {str(n): max(i["best_gap"] for i in instances if i["n"] == n) for n in ns},
+        "max_gap_by_n": {str(n): max(i["witness"]["best_gap"] for i in instances if i["n"] == n) for n in ns},
     }
     return instances, summary, []
 

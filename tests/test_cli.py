@@ -19,12 +19,12 @@ from adconn.cli import (
     parse_placement_spec,
 )
 from adconn.closedform import CANONICAL
-from adconn.framework import lower_stiffness_direct
-from adconn.graphs import complete_graph
+from adconn.framework import lower_stiffness_direct, placement_from_json
+from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import OptimizerConfig, gap_ascent
 from adconn.placements import roots_of_unity_angles, unit_circle_placement
 from adconn.probes import PROBE_TAGS, PROBES, conjecture_probe
-from adconn.spectral import cluster_multiplicities
+from adconn.spectral import cluster_multiplicities, spectral_gap
 from adconn.verify import SUITES, run_suite
 
 
@@ -686,6 +686,42 @@ def test_optimize_flexible_graph(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["best_gap"] <= 1e-8
+
+
+# argv; its result file; the n and d of its witness; where the witness sits
+# in that file; where the gap sits in the printed summary
+WITNESS_RUNS = {
+    "optimize": (
+        ["optimize", "--graph", "complete:5", "--d", "3", "--restarts", "2"],
+        "optimize_result.json", 5, 3,
+        lambda record: record,
+        lambda summary: summary["best_gap"],
+    ),
+    "bounds": (
+        ["bounds", "6", "3", "--observe", "--restarts", "2"],
+        "bounds.json", 6, 3,
+        lambda record: record["witness"],
+        lambda summary: summary["gap_observed"],
+    ),
+    "regular-2d": (
+        ["conjecture", "regular-2d", "--n", "8", "--samples", "1", "--restarts", "1"],
+        "conjecture_regular-2d.json", 8, 2,
+        lambda record: record["instances"][0]["witness"],
+        lambda summary: summary["summary"]["max_gap_by_n"]["8"],
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(WITNESS_RUNS))
+def test_every_printed_gap_is_rederived_from_its_written_witness(tmp_path, capsys, run):
+    argv, name, n, d, witness_of, gap_of = WITNESS_RUNS[run]
+    code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 0
+    witness = witness_of(json.loads((tmp_path / name).read_text()))
+    g = make_graph(witness["graph"]["n"], witness["graph"]["edges"])
+    p = placement_from_json(json.dumps(witness["best_placement"]))
+    assert g.n == p.n == n and p.d == witness["d"] == d
+    assert repr(spectral_gap(g, p)) == repr(gap_of(json.loads(out))) == repr(witness["best_gap"])
 
 
 def test_conjecture_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from adconn.closedform import (
     CANONICAL,
     MERGE_TOL,
     BoundReport,
+    SpectrumMatch,
     bound_report,
     canonical_placements,
     circle_spectrum_closed_form,
@@ -173,6 +174,12 @@ def test_spectrum_matches_detects_mismatch():
     assert not spectrum_matches(pred, wrong).ok
 
 
+def test_two_empty_spectra_match():
+    # the error over no clusters is 0.0, where max() of nothing used to raise
+    empty = MultiplicitySpectrum((), 0, 1e-8)
+    assert spectrum_matches(empty, empty) == SpectrumMatch(True, 0.0, True)
+
+
 def test_bound_report_json_dict_keys_in_field_order():
     assert list(bound_report(12, 3).to_json_dict().items()) == [
         ("n", 12),
@@ -183,6 +190,7 @@ def test_bound_report_json_dict_keys_in_field_order():
         ("ceiling", 2.0),
         ("gap_observed", None),
         ("margin", None),
+        ("witness", None),
     ]
 
 

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from adconn import framework, optimize
 from adconn.closedform import CANONICAL
-from adconn.framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, _ascent_kernel, _stiffness_geometry, stiffness
+from adconn.framework import (
+    BLOCK_ASSEMBLY_MIN_VERTICES,
+    Placement,
+    _ascent_kernel,
+    _stiffness_geometry,
+    placement_from_json,
+    stiffness,
+)
 from adconn.graphs import complete_graph, make_graph
 from adconn.optimize import (
     OptimizerConfig,
@@ -292,10 +299,39 @@ def test_gap_ascent_deterministic():
 def test_result_json_shape():
     result = gap_ascent(complete_graph(4), 2, OptimizerConfig(restarts=2, max_iters=30, seed=5))
     payload = result.to_json_dict()
-    assert set(payload) == {"best_gap", "best_restart", "best_placement", "traces", "config"}
+    assert list(payload) == ["graph", "d", "best_gap", "best_restart", "best_placement", "config", "traces"]
+    assert payload["graph"] == {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+    assert payload["d"] == 2
     assert payload["config"]["seed"] == 5
     assert payload["best_placement"]["d"] == 2
     assert len(payload["traces"]) == 2
+    assert result.summary() == {k: v for k, v in payload.items() if k != "traces"}
+
+
+@st.composite
+def _small_graphs(draw):
+    """(g, d): d in {1, 2, 3} and any graph on d+1 to 6 vertices, empty included."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=d + 1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True))), d
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph_d=_small_graphs(),
+    restarts=st.integers(min_value=1, max_value=2),
+    max_iters=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_witness_json_rederives_its_gap_bit_for_bit(graph_d, restarts, max_iters, seed):
+    g, d = graph_d
+    w = gap_ascent(g, d, OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed))
+    obj = json.loads(json.dumps(w.to_json_dict()))
+    graph = make_graph(obj["graph"]["n"], obj["graph"]["edges"])
+    placement = placement_from_json(json.dumps(obj["best_placement"]))
+    assert graph == g and obj["d"] == w.d == d
+    assert repr(obj["best_gap"]) == repr(spectral_gap(graph, placement)) == repr(w.best_gap)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -105,7 +105,7 @@ def test_regular_2d_probe():
         "regular-2d", {"d": 2, "ns": [8, 12], "samples": 1, "restarts": 2}, seed=2
     )
     assert len(record["instances"]) == 2
-    assert all(i["best_gap"] >= -1e-12 for i in record["instances"])
+    assert all(i["witness"]["best_gap"] >= -1e-12 for i in record["instances"])
     assert set(record["summary"]["max_gap_by_n"]) == {"8", "12"}
 
 
@@ -124,7 +124,7 @@ def test_regular_2d_graphs_are_pinned():
         n = inst["n"]
         g = random_regular_graph(4, n, rng_stream(2, f"regular:{n}:0"))
         assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == REGULAR_2D_EDGES_SHA256[n]
-        assert inst == {"n": n, "sample": 0, "best_gap": gap_ascent(g, 2, config).best_gap}
+        assert inst == {"n": n, "sample": 0, "witness": gap_ascent(g, 2, config).summary()}
     assert [i["n"] for i in record["instances"]] == [8, 12]
     assert conjecture_probe("regular-2d", params, seed=2) == record
 

@@ -26,9 +26,12 @@ BLAS thread count.  The artifacts:
 - ``conjecture_probe("spherical-second-eig", {"n": 9})`` at seed 0, whose
   odd n draws both the equilateral triple and the antipodal pairs of
   ``centered_sphere_points``;
-- the files that ``adconn spectrum --lower`` writes for complete:48 at
-  circle:48 and for complete:12 at random:12,3,0,centered, other than its
-  manifest, which records the wall time.
+- the files that the CLI writes, other than its manifest, which records the
+  wall time, for ``adconn spectrum --lower`` of complete:48 at circle:48 and
+  of complete:12 at random:12,3,0,centered, for
+  ``adconn bounds 12 3 --observe --restarts 2`` and for
+  ``adconn conjecture regular-2d --n 8 --samples 1 --restarts 1``, the last
+  two of which print optimizer gaps with their witnesses.
 
 Each line is ``<sha256>  <artifact>``.  The whole digest takes about two
 seconds on one core, imports included: a K12 optimizer run about 0.1 s, and
@@ -60,9 +63,11 @@ VERIFY_SEEDS = (0, 3, 7)
 OPTIMIZE_SEEDS = (0, 1, 2, 3)
 # (n, d) of the complete graphs optimized at seed 0 besides K12 in R^3
 OPTIMIZE_EXTRA = ((7, 4), (6, 2), (5, 1), (16, 3))
-SPECTRUM_ARGS = (
+CLI_ARGS = (
     ("spectrum", "--graph", "complete:48", "--placement", "circle:48", "--lower"),
     ("spectrum", "--graph", "complete:12", "--placement", "random:12,3,0,centered", "--lower"),
+    ("bounds", "12", "3", "--observe", "--restarts", "2"),
+    ("conjecture", "regular-2d", "--n", "8", "--samples", "1", "--restarts", "1"),
 )
 PROBE_PARAMS = {"n": 9}
 INTERLACING_GRID = {"n": [64], "d": [4]}
@@ -97,7 +102,7 @@ def artifacts():
     yield f"run_suite('interlacing', grid={INTERLACING_GRID}, samples=3)", _json(interlacing)
     probe = adconn.conjecture_probe("spherical-second-eig", PROBE_PARAMS, seed=0)
     yield f"conjecture_probe('spherical-second-eig', {PROBE_PARAMS}, seed=0)", _json(probe)
-    for args in SPECTRUM_ARGS:
+    for args in CLI_ARGS:
         with tempfile.TemporaryDirectory() as outdir:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main([*args, "--outdir", outdir])

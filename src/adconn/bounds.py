@@ -1,14 +1,16 @@
 """Trace and Rayleigh-quotient machinery behind the connectivity bounds:
 the vertex-star projection (the stars are the rows of the incidence matrix),
 the top-n eigenvalue sum, the 4-point gap witness, and the rank-one circle
-form circle_identity_matrices, whose hypotheses Placement.require_centered_unit
+form circle_identity_matrices, whose hypotheses framework.require_centered_unit
 checks.
 
 Both the top-n eigenvalue sum and the circle form are computed for many
-placements at once: the sum's placements of one shape share, per
-spectral.stack_chunks chunk, one framework._stiffness_geometry stack and one
-unchecked eigvalsh call, and the circle form of a list of n-point placements
-is one (k, 2n, 2n) stack.
+placements at once, and their hypotheses checked on stacks, not placement by
+placement: the sum's placements of one shape share, per spectral.stack_chunks
+chunk, one framework._stiffness_geometry stack, whose edge lengths show a
+repeated point, and one unchecked eigvalsh call, and the circle form of a
+list of n-point placements is one (k, 2n, 2n) stack, whose hypotheses one
+framework.require_centered_unit call checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, _stiffness_geometry, edge_lengths, stack_member_bytes
+from .framework import Placement, _stiffness_geometry, edge_lengths, require_centered_unit, stack_member_bytes
 from .graphs import complete_graph
 from .seeding import as_count
 from .spectral import stack_chunks
@@ -52,7 +54,7 @@ class TopSumCheck:
 
 def top_eigenvalue_sum_check(p: Placement) -> TopSumCheck:
     """Sum of the n largest stiffness eigenvalues of K_n at an injective
-    placement, against the guaranteed floor n^2/3 + n."""
+    placement of n >= 3 points, against the guaranteed floor n^2/3 + n."""
     return top_eigenvalue_sum_checks([p])[0]
 
 
@@ -63,23 +65,38 @@ def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
     matrices are assembled as one stack per stack_chunks chunk and solved by
     one np.linalg.eigvalsh call, and the top-n sums of the chunk's
     eigenvalues taken by one np.add.reduce, with the same bits as one
-    placement at a time.
+    placement at a time.  A placement of fewer than 3 points, or one with a
+    repeated point, is refused: the first in order, for the first of the
+    two.  Repeated points are found on each chunk's stack, as the edges of
+    length 0 of its assembly (framework._edge_geometry gives length 0 to
+    exactly the edges whose endpoints coincide); no chunk is solved once a
+    placement is refused.
     """
     placements = list(placements)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(placements):
-        if not p.is_injective():
-            raise ValueError("placement must be injective")
         groups.setdefault(p.points.shape, []).append(i)
+    refused = min((members[0] for (n, _), members in groups.items() if n < 3), default=len(placements))
     checks: list = [None] * len(placements)
     for (n, d), members in groups.items():
+        if n < 3:
+            continue
         g = complete_graph(n)
         bound = n * n / 3.0 + n
         for chunk in stack_chunks(members, stack_member_bytes(g, d)):
-            points = np.stack([placements[i].points for i in chunk])
-            eigs = np.linalg.eigvalsh(_stiffness_geometry(g, points)[0])
-            for i, total in zip(chunk, np.add.reduce(eigs[:, -n:], axis=1).tolist()):
-                checks[i] = TopSumCheck(total=total, bound=bound)
+            # the matrices and edge lengths; the edge directions are freed here
+            L, lengths = _stiffness_geometry(g, np.array([placements[i].points for i in chunk]))[::2]
+            repeats = np.flatnonzero(np.logical_or.reduce(lengths == 0.0, axis=1))
+            if repeats.size:
+                refused = min(refused, chunk[repeats[0]])
+            if refused == len(placements):
+                sums = np.add.reduce(np.linalg.eigvalsh(L)[:, -n:], axis=1)
+                for i, total in zip(chunk, sums.tolist()):
+                    checks[i] = TopSumCheck(total=total, bound=bound)
+            del L  # before the next chunk is assembled
+    if refused < len(placements):
+        as_count(placements[refused].n, "n", 3)  # the floor holds from 3 points on
+        raise ValueError("placement must be injective")
     return checks
 
 
@@ -112,16 +129,22 @@ def k4_gap_upper_bound(p: Placement) -> float:
 
 def circle_identity_matrices(placements) -> np.ndarray:
     """(n/2) I + (p p^t - x x^t - y y^t - r r^t) / 2 for each placement p of
-    a list of n-point placements, as a (k, 2n, 2n) stack.  It equals the
-    stiffness matrix of K_n at an injective unit-circle placement with zero
-    sum, where x and y indicate the two coordinates and r is the quarter-turn
-    rotation of p.  A placement outside those hypotheses is a ValueError.
-    The stack is formed in one pass over all members, each entry by the same
-    operations in the same order as for that placement alone."""
-    for p in placements:
-        if p.d != 2:
-            raise ValueError(f"identity requires d=2, got d={p.d}")
-        p.require_centered_unit(p.n)
+    a nonempty list of n-point placements, as a (k, 2n, 2n) stack.  It equals
+    the stiffness matrix of K_n at an injective unit-circle placement with
+    zero sum, where x and y indicate the two coordinates and r is the
+    quarter-turn rotation of p.  A placement outside those hypotheses is a
+    ValueError: the first one in order, for the first hypothesis it fails,
+    d = 2 before those of framework.require_centered_unit, which checks all
+    the placements in R^2 before it at once.  The stack is formed in one pass
+    over all members, each entry by the same operations in the same order as
+    for that placement alone."""
+    placements = list(placements)
+    if not placements:
+        raise ValueError("circle_identity_matrices needs at least one placement, got none")
+    planar = next((i for i, p in enumerate(placements) if p.d != 2), len(placements))
+    require_centered_unit(placements[:planar])
+    if planar < len(placements):
+        raise ValueError(f"identity requires d=2, got d={placements[planar].d}")
     points = np.stack([p.points for p in placements])
     k, n = points.shape[:2]
     pvec = points.reshape(k, -1)

@@ -30,7 +30,9 @@ regular-2d keeps one summary per instance.
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  A command only computes: it returns its exit code, its result files
 and its summary.  One writer, _run_and_record, times it, writes those files
-and <command>_manifest.json into --outdir, and prints the summary.  The
+and <command>_manifest.json into --outdir, and prints the summary, as
+summary_json lays it out: the files' layout with each list of numbers (an
+edge, a placement row, a cluster) on one line.  The
 manifest records the command once; its params hold the subcommand's flags.
 """
 
@@ -172,6 +174,23 @@ def parse_grid(text: str | None) -> dict | None:
 Outcome = tuple[int, dict, str]
 
 
+def summary_json(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) lays it out, except that a list
+    of numbers or strings, such as an edge [u, v], a placement row or a
+    cluster [value, multiplicity], takes one line; json.loads reads the same
+    value back.  The printed summaries use it; the written files keep
+    json.dumps(value, indent=2)."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        # a key that is not a string becomes the string json.dumps makes of it
+        keys = (k if isinstance(k, str) else json.dumps(k) for k in value)
+        items = (f"{inner}{json.dumps(k)}: {summary_json(v, inner)}" for k, v in zip(keys, value.values()))
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
+        return "[\n" + ",\n".join(inner + summary_json(v, inner) for v in value) + f"\n{pad}]"
+    return json.dumps(value)
+
+
 def cmd_spectrum(args) -> Outcome:
     g = parse_graph_spec(args.graph)
     p = parse_placement_spec(args.placement)
@@ -182,7 +201,7 @@ def cmd_spectrum(args) -> Outcome:
         lower = clustered_spectrum(lower_stiffness_direct(g, p), args.tol)
         result["lower_stiffness"] = lower.to_json_dict()
         files["lower_spectrum.csv"] = lower.to_csv()
-    return 0, files, json.dumps(result, indent=2)
+    return 0, files, summary_json(result)
 
 
 def cmd_verify(args) -> Outcome:
@@ -210,14 +229,14 @@ def cmd_bounds(args) -> Outcome:
         margin = None if report.ceiling is None else report.ceiling - witness["best_gap"]
         report = dataclasses.replace(report, gap_observed=witness["best_gap"], margin=margin, witness=witness)
     payload = report.to_json_dict()
-    return 0, {"bounds.json": payload}, json.dumps(payload, indent=2)
+    return 0, {"bounds.json": payload}, summary_json(payload)
 
 
 def cmd_optimize(args) -> Outcome:
     g = parse_graph_spec(args.graph)
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     witness = gap_ascent(g, args.d, config)
-    return 0, {"optimize_result.json": witness.to_json_dict()}, json.dumps(witness.summary(), indent=2)
+    return 0, {"optimize_result.json": witness.to_json_dict()}, summary_json(witness.summary())
 
 
 def cmd_conjecture(args) -> Outcome:
@@ -238,7 +257,7 @@ def cmd_conjecture(args) -> Outcome:
             params[flag] = getattr(args, flag)
     record = conjecture_probe(args.tag, params, seed=args.seed)
     summary = {"name": record["name"], "summary": record["summary"]}
-    return 0, {f"conjecture_{args.tag}.json": record}, json.dumps(summary, indent=2)
+    return 0, {f"conjecture_{args.tag}.json": record}, summary_json(summary)
 
 
 def _environment() -> dict:

@@ -4,8 +4,12 @@ Each family is a set of combinatorially defined edge vectors that are exact
 eigenvectors for the canonical Turán simplex / crosspolytope placements, with
 deterministic index sets whose sizes equal the predicted multiplicities, which
 each family carries as its expected count.  The two builders fill the families
-column of those closedform.CANONICAL rows.  The weighted-length vectors refuse,
-through Placement.require_centered_unit, a placement that is not centered unit.
+column of those closedform.CANONICAL rows, each family with one batched
+builder (part_quad_vectors, star_difference_vectors, sign_split_vectors): one
+array expression over all of the family's labels, described above the
+combinatorial builders below.  The one-label builders are one-row calls of
+them.  The weighted-length vectors refuse, through
+framework.require_centered_unit, a placement that is not centered unit.
 The sufficient-condition checker verifies eigenvector candidates directly
 from the entry rule, without an eigensolve, and eigen_residual checks a
 whole family, or a set of weighted-length vectors, in one stacked product.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, edge_lengths, lower_stiffness_direct
+from .framework import Placement, edge_lengths, lower_stiffness_direct, require_centered_unit
 from .graphs import Graph, TuranPartition, complete_graph, turan_graph
 from .seeding import as_count
 
@@ -59,7 +63,7 @@ def weighted_length_vectors(p: Placement, weights) -> np.ndarray:
     off = np.flatnonzero(np.abs(sums) > 1e-12)
     if off.size:
         raise ValueError(f"weights must sum to zero, got {sums[off[0]]:.3e}")
-    p.require_centered_unit(3)
+    require_centered_unit([p], 3)
     g = complete_graph(p.n)
     lengths = edge_lengths(g, p)
     u, v = g.endpoints.T
@@ -149,25 +153,78 @@ def eigenvector_condition_check(
 
 # ---------------------------------------------------------------------------
 # Combinatorial family vectors over a balanced partition
+#
+# A family is built as one array expression over its labels.  A quad, block
+# sign or sign split vector carries a sign on the edges between two parts:
+# one (k, r, r) stack of sign tables, a table per label, is read at the parts
+# of every edge's endpoints.  A star difference takes its rows of the
+# incidence matrix and of the (r, m) matrix whose row a counts each edge's
+# endpoints in part a.  Every entry is a small integer formed by the same
+# operations as for one label alone, so a row has the bits of the one-label
+# builder, signed zeros included; the one-label builders are one-row calls of
+# the batched ones.
 
 
-def _part_pair_vector(g: Graph, partition: TuranPartition, signs: dict) -> np.ndarray:
-    """Edge vector carrying signs[(a, b)] on every edge between parts a and b, either way round,
-    and 0 on the edges between parts that name no pair."""
-    table = np.zeros((partition.r, partition.r))
-    for (a, b), sign in signs.items():
-        table[a, b] = table[b, a] = sign
+def _labels(labels, width: int) -> np.ndarray:
+    """labels as a (k, width) index array; no labels give shape (0, width)."""
+    return np.asarray(labels, dtype=np.intp).reshape(-1, width)
+
+
+def _part_pair_vectors(g: Graph, partition: TuranPartition, k: int, signs) -> np.ndarray:
+    """The (k, m) edge vectors whose row s carries sign on every edge between
+    parts a[s] and b[s], either way round, for each (a, b, sign) of signs, and
+    0 on the edges between parts that no pair names: one lookup in a stack of
+    k sign tables, written in the order of signs."""
+    tables = np.zeros((k, partition.r, partition.r))
+    rows = np.arange(k)
+    for a, b, sign in signs:
+        tables[rows, a, b] = tables[rows, b, a] = sign
     parts = np.asarray(partition.part_of)[g.endpoints]
-    return table[parts[:, 0], parts[:, 1]]
+    return tables[:, parts[:, 0], parts[:, 1]]
+
+
+def part_quad_vectors(g: Graph, partition: TuranPartition, quads) -> np.ndarray:
+    """part_quad_vector of each quad, as the rows of one (k, m) array.  The
+    first quad whose indices repeat is refused."""
+    q = _labels(quads, 4)
+    ordered = np.sort(q, axis=1)
+    repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if repeats.size:
+        raise ValueError(f"quad indices must be distinct, got {tuple(q[repeats[0]].tolist())}")
+    q1, q2, q3, q4 = q.T
+    return _part_pair_vectors(g, partition, len(q), [(q1, q2, 1.0), (q3, q4, 1.0), (q2, q3, -1.0), (q1, q4, -1.0)])
 
 
 def part_quad_vector(g: Graph, partition: TuranPartition, quad: tuple[int, int, int, int]) -> np.ndarray:
     """+1 on edges between parts (q1, q2) and (q3, q4), -1 on (q2, q3) and (q1, q4)."""
-    q1, q2, q3, q4 = quad
-    if len({q1, q2, q3, q4}) != 4:
-        raise ValueError(f"quad indices must be distinct, got {quad}")
-    signs = {(q1, q2): 1.0, (q3, q4): 1.0, (q2, q3): -1.0, (q1, q4): -1.0}
-    return _part_pair_vector(g, partition, signs)
+    return part_quad_vectors(g, partition, [quad])[0]
+
+
+def star_difference_vectors(g: Graph, partition: TuranPartition, labels) -> np.ndarray:
+    """star_difference_vector of each label (u, v, j, k), as the rows of one
+    (k, m) array: (B[u] - B[v]) * (E[j] - E[k]), with B the incidence matrix
+    of g and E[a] the count of each edge's endpoints in part a.  The first
+    label that breaks a hypothesis is refused, with the message of the first
+    hypothesis it breaks."""
+    labels = _labels(labels, 4)
+    u, v, j, k = labels.T
+    part_of = np.asarray(partition.part_of)
+    i = part_of[u]
+    common = (part_of[v] == i) & (u != v)
+    broken = np.flatnonzero(~common | (j == k) | (j == i) | (k == i))
+    valid = broken[0] if broken.size else len(labels)  # the labels before it pass both part rules
+    parts = part_of[g.endpoints]
+    # (r, m): row a counts the endpoints of each edge that lie in part a
+    into = np.add.reduce(parts.T[:, None] == np.arange(partition.r)[:, None], axis=0, dtype=float)
+    B = g.incidence
+    reached = np.add.reduce((B[u[:valid]] + B[v[:valid]]) * (into[j[:valid]] + into[k[:valid]]), axis=1)
+    if np.any(reached != 4 * (partition.n // partition.r)):  # u and v each joined to both parts
+        raise ValueError("g must join u and v to every vertex of parts j and k")
+    if broken.size and not common[valid]:
+        raise ValueError("u and v must be distinct vertices of a common part")
+    if broken.size:
+        raise ValueError("parts j and k must be distinct and different from the part of u, v")
+    return (B[u] - B[v]) * (into[j] - into[k])
 
 
 def star_difference_vector(
@@ -175,19 +232,10 @@ def star_difference_vector(
 ) -> np.ndarray:
     """Difference of the u- and v-stars into part j, reversed into part k.
 
-    u and v must lie in a common part distinct from parts j != k.
+    u and v must lie in a common part distinct from parts j != k, and g must
+    join each of them to every vertex of parts j and k.
     """
-    part_of = partition.part_of
-    i = part_of[u]
-    if part_of[v] != i or u == v:
-        raise ValueError("u and v must be distinct vertices of a common part")
-    if j == k or i in (j, k):
-        raise ValueError("parts j and k must be distinct and different from the part of u, v")
-    B = g.incidence
-    in_j, in_k = B[list(partition.parts[j])].sum(axis=0), B[list(partition.parts[k])].sum(axis=0)
-    if (B[u] + B[v]) @ (in_j + in_k) != 2 * (len(partition.parts[j]) + len(partition.parts[k])):
-        raise ValueError("g must join u and v to every vertex of parts j and k")
-    return (B[u] - B[v]) * (in_j - in_k)
+    return star_difference_vectors(g, partition, [(u, v, j, k)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,17 +251,11 @@ class EigenvectorFamily:
         return self.vectors.shape[0]
 
 
-def _family(eigenvalue: float, expected: int, g: Graph, labels: list, vector) -> EigenvectorFamily:
-    """The rows vector(label) over labels, shaped (0, m) when labels is empty."""
-    vectors = np.array([vector(label) for label in labels]).reshape(len(labels), g.m)
-    return EigenvectorFamily(eigenvalue, vectors, expected)
-
-
 def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     """The quad and star-difference families: deterministic index sets
     realizing the two nontrivial multiplicities of the simplex placement of
-    the balanced (d+1)-partite graph.  Quads need four distinct parts, so they
-    are empty for d < 3."""
+    the balanced (d+1)-partite graph, each family built by one batched
+    builder.  Quads need four distinct parts, so they are empty for d < 3."""
     d = as_count(d, "d", 2)
     g, partition = turan_graph(n, d + 1)
     r = d + 1
@@ -236,13 +278,9 @@ def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
                     star_labels.append((anchor, v, j_i, k))
 
     return (
-        _family(n / (d + 1), (d - 2) * (d + 1) // 2, g, quad_labels, lambda q: part_quad_vector(g, partition, q)),
-        _family(
-            n / (2 * (d + 1)),
-            (n - d - 1) * (d - 1),
-            g,
-            star_labels,
-            lambda s: star_difference_vector(g, partition, *s),
+        EigenvectorFamily(n / (d + 1), part_quad_vectors(g, partition, quad_labels), (d - 2) * (d + 1) // 2),
+        EigenvectorFamily(
+            n / (2 * (d + 1)), star_difference_vectors(g, partition, star_labels), (n - d - 1) * (d - 1)
         ),
     )
 
@@ -251,8 +289,16 @@ def turan_simplex_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
 # Crosspolytope families: parts are (axis, sign) blocks, part index 2*axis + (sign < 0)
 
 
-def _axis_parts(axis: int) -> tuple[int, int]:
+def _axis_parts(axis):
+    """The positive and negative blocks of an axis, or of an array of axes."""
     return 2 * axis, 2 * axis + 1
+
+
+def _block_signs(i, j, sign: float) -> list:
+    """The sign-table pairs of sign times block_sign_vector(i, j)."""
+    ip, im = _axis_parts(i)
+    jp, jm = _axis_parts(j)
+    return [(ip, jp, sign), (im, jp, sign), (ip, jm, -sign), (im, jm, -sign)]
 
 
 def axis_quad_vector(g: Graph, partition: TuranPartition, i: int, j: int) -> np.ndarray:
@@ -266,17 +312,25 @@ def block_sign_vector(g: Graph, partition: TuranPartition, i: int, j: int) -> np
     """+1 on edges from axis i into the positive block of axis j, -1 into the negative."""
     if i == j:
         raise ValueError("axes must be distinct")
-    ip, im = _axis_parts(i)
-    jp, jm = _axis_parts(j)
-    signs = {(ip, jp): 1.0, (im, jp): 1.0, (ip, jm): -1.0, (im, jm): -1.0}
-    return _part_pair_vector(g, partition, signs)
+    return _part_pair_vectors(g, partition, 1, _block_signs(i, j, 1.0))[0]
+
+
+def sign_split_vectors(g: Graph, partition: TuranPartition, labels) -> np.ndarray:
+    """sign_split_vector of each label (i, j, k), as the rows of one (k, m)
+    array from one sign-table lookup: the block signs from axis i into axis
+    j, and their negatives from axis k.  The first label whose axes repeat is
+    refused."""
+    labels = _labels(labels, 3)
+    i, j, k = labels.T
+    repeats = np.flatnonzero((i == j) | (j == k) | (i == k))
+    if repeats.size:
+        raise ValueError(f"axes must be distinct, got {tuple(labels[repeats[0]].tolist())}")
+    return _part_pair_vectors(g, partition, len(labels), _block_signs(i, j, 1.0) + _block_signs(k, j, -1.0))
 
 
 def sign_split_vector(g: Graph, partition: TuranPartition, i: int, j: int, k: int) -> np.ndarray:
     """Difference of two block sign vectors into axis j, sourced at axes i and k."""
-    if len({i, j, k}) != 3:
-        raise ValueError(f"axes must be distinct, got {(i, j, k)}")
-    return block_sign_vector(g, partition, i, j) - block_sign_vector(g, partition, k, j)
+    return sign_split_vectors(g, partition, [(i, j, k)])[0]
 
 
 def vertex_shift_vector(g: Graph, partition: TuranPartition, u: int, v: int, j: int) -> np.ndarray:
@@ -291,12 +345,12 @@ def vertex_shift_vector(g: Graph, partition: TuranPartition, u: int, v: int, j: 
 def crosspolytope_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
     """The axis-quad, sign-split and vertex-shift families: deterministic index
     sets realizing the two nontrivial multiplicities of the crosspolytope
-    placement; sign splits and vertex shifts are jointly independent and
-    share the eigenvalue n/(2d)."""
+    placement, each family built by one batched builder; sign splits and
+    vertex shifts are jointly independent and share the eigenvalue n/(2d)."""
     d = as_count(d, "d", 2)
     g, partition = turan_graph(n, 2 * d)
 
-    quad_labels = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    quad_labels = [(2 * i, 2 * j, 2 * i + 1, 2 * j + 1) for i in range(d) for j in range(i + 1, d)]
 
     split_labels = []
     for j in range(d):
@@ -312,16 +366,14 @@ def crosspolytope_families(n: int, d: int) -> tuple[EigenvectorFamily, ...]:
         for j in range(d):
             if j != axis:
                 for v in members[1:]:
-                    shift_labels.append((anchor, v, j))
+                    shift_labels.append((anchor, v, *_axis_parts(j)))
 
     return (
-        _family(n / d, d * (d - 1) // 2, g, quad_labels, lambda lab: axis_quad_vector(g, partition, *lab)),
-        _family(n / (2 * d), d * (d - 2), g, split_labels, lambda lab: sign_split_vector(g, partition, *lab)),
-        _family(
+        EigenvectorFamily(n / d, part_quad_vectors(g, partition, quad_labels), d * (d - 1) // 2),
+        EigenvectorFamily(n / (2 * d), sign_split_vectors(g, partition, split_labels), d * (d - 2)),
+        EigenvectorFamily(
             n / (2 * d),
+            star_difference_vectors(g, partition, shift_labels),
             2 * d * (d - 1) * (n // (2 * d) - 1),
-            g,
-            shift_labels,
-            lambda lab: vertex_shift_vector(g, partition, *lab),
         ),
     )

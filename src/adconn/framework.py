@@ -17,9 +17,11 @@ is assembled from its entry rule.
 Coincident endpoints contribute zero columns and zero blocks: coincidence is
 detected by exact coordinate equality, never by a tolerance.  Directions do
 not depend on the scale of the placement, down to the smallest and up to the
-largest floats.  Placement.require_centered_unit is the one check of the
+largest floats.  require_centered_unit is the one check of the
 unit-norm, zero-sum and image-size hypotheses that the centered-unit n/2
-facts rest on.
+facts rest on; it checks a list of placements on one stack per shape, and
+image_sizes counts the distinct points of a stack of placements with one
+sort, the count Placement.image_size takes of one.
 
 The direction, rigidity and block kernels (_edge_geometry,
 _rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
@@ -86,24 +88,56 @@ class Placement:
         return self.image_size() == self.n
 
     def image_size(self) -> int:
-        """Number of distinct points; -0.0 and 0.0 are the same coordinate."""
-        return len(set(map(tuple, self.points.tolist())))
+        """Number of distinct points (image_sizes of this placement alone)."""
+        return int(image_sizes(self.points[None])[0])
 
     def is_constant(self) -> bool:
         return bool(np.all(self.points == self.points[0]))
 
-    def require_centered_unit(self, min_image: int) -> None:
-        """ValueError unless the points are unit-norm and sum to zero, within
-        HYPOTHESIS_TOL, and at least min_image of them are distinct."""
-        pts = self.points
-        norms = np.sqrt(np.add.reduce(pts * pts, axis=1))  # np.linalg.norm without its wrapper
-        if np.maximum.reduce(np.abs(norms - 1.0)) > HYPOTHESIS_TOL:
-            raise ValueError("placement must have unit-norm points")
-        total = np.add.reduce(pts, axis=0)
-        if math.sqrt(np.add.reduce(total * total)) > HYPOTHESIS_TOL:
-            raise ValueError("placement must sum to zero")
-        if self.image_size() < min_image:
-            raise ValueError(f"placement image must have at least {min_image} distinct points")
+
+def image_sizes(points: np.ndarray) -> np.ndarray:
+    """The number of distinct points of each placement of a (k, n, d) stack;
+    -0.0 and 0.0 are the same coordinate.  One lexicographic sort of each
+    member's rows leaves equal points next to each other."""
+    k, n, _ = points.shape
+    order = np.lexsort(points.transpose(2, 0, 1)[::-1], axis=-1)
+    ordered = points[np.arange(k)[:, None], order]
+    repeats = np.logical_and.reduce(ordered[:, 1:] == ordered[:, :-1], axis=2)
+    return n - np.add.reduce(repeats, axis=1)
+
+
+def require_centered_unit(placements, min_image: int | None = None) -> None:
+    """ValueError unless the points of each placement are unit-norm and sum
+    to zero, within HYPOTHESIS_TOL, and at least min_image of them (all of
+    them when min_image is None) are distinct.  The placements of each shape
+    are checked together, on one stack, with the bits of one placement alone;
+    the first failing placement in order is refused, for the first of these
+    hypotheses that it fails."""
+    placements = list(placements)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(placements):
+        groups.setdefault(p.points.shape, []).append(i)
+    refused = None  # (position, message) of the first placement refused
+    for (n, _), members in groups.items():
+        pts = np.array([placements[i].points for i in members])
+        norms = np.sqrt(np.add.reduce(pts * pts, axis=2))  # np.linalg.norm without its wrapper
+        totals = np.add.reduce(pts, axis=1)
+        floor = n if min_image is None else min_image
+        failed = (
+            np.maximum.reduce(np.abs(norms - 1.0), axis=1) > HYPOTHESIS_TOL,
+            np.sqrt(np.add.reduce(totals * totals, axis=1)) > HYPOTHESIS_TOL,
+            image_sizes(pts) < floor,
+        )
+        bad = np.flatnonzero(failed[0] | failed[1] | failed[2])
+        if bad.size and (refused is None or members[bad[0]] < refused[0]):
+            messages = (
+                "placement must have unit-norm points",
+                "placement must sum to zero",
+                f"placement image must have at least {floor} distinct points",
+            )
+            refused = members[bad[0]], next(m for m, f in zip(messages, failed) if f[bad[0]])
+    if refused is not None:
+        raise ValueError(refused[1])
 
 
 def _check_match(g: Graph, p: Placement) -> None:

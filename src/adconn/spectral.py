@@ -176,11 +176,18 @@ class MultiplicitySpectrum:
     cluster_tol: float
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple((v, as_count(m, "multiplicity", 1)) for v, m in self.clusters))
+        # a Python int of at least 1 is already what as_count would return
+        clusters = tuple(
+            (v, m if type(m) is int and m >= 1 else as_count(m, "multiplicity", 1)) for v, m in self.clusters
+        )
+        object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "total", as_count(self.total, "total", 0))
-        if self.total != sum(self.multiplicities()):
+        _require_cluster_tol(self.cluster_tol)
+        if self.total != sum(m for _, m in clusters):
             raise ValueError("total must equal the sum of multiplicities")
-        vals = [v for v, _ in self.clusters]
+        vals = [v for v, _ in clusters]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("cluster values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("cluster values must be strictly increasing")
 
@@ -201,21 +208,26 @@ class MultiplicitySpectrum:
         }
 
 
+def _require_cluster_tol(tol) -> None:
+    """ValueError unless tol is a finite clustering tolerance >= 0 (a NaN fails every comparison)."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"clustering tolerance must be finite and >= 0, got {tol}")
+
+
 def cluster_multiplicities(eigs, tol: float) -> MultiplicitySpectrum:
     """Greedy left-to-right clustering of a sorted eigenvalue list.
 
     A value joins the current cluster iff it lies within tol of the cluster's
     running mean; the reported cluster value is the mean of its members.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"clustering tolerance must be finite and >= 0, got {tol}")
+    _require_cluster_tol(tol)
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d sequence")
     # a NaN would pass the sortedness test, which compares it to nothing
-    if not np.all(np.isfinite(eigs)):
+    if not np.logical_and.reduce(np.isfinite(eigs)):
         raise ValueError("eigenvalues must be finite")
-    if np.any(np.diff(eigs) < 0):
+    if np.logical_or.reduce(eigs[1:] < eigs[:-1]):
         raise ValueError("eigenvalues must be sorted ascending")
     clusters: list[tuple[float, int]] = []
     run_sum = 0.0

@@ -25,15 +25,19 @@ one stack per shape, built and solved in chunks of at most
 spectral.STACK_BUDGET_BYTES (spectral.stack_chunks, with
 framework.stack_member_bytes; the default sweeps are one chunk per shape):
 the circle sweep each n's stiffness matrices, each chunk of them assembled
-by one framework._stiffness_geometry call and solved unchecked by one
-eigvalsh call, and circle forms; the interlacing sweep each (n, d)'s pairs
-(interlacing_checks, which reads each sample's subgraph as a mask over the
-edges of K_n); and the kyfan sweep each (n, d)'s placements
-(top_eigenvalue_sum_checks, which also sums each stack's top n eigenvalues
-with one reduction).  The families sweep takes the residuals of
-each family, and of each spherical placement's weighted-length vectors, as
-one eigen_residual call, one stacked matrix product, and the kyfan sweep
-the star errors of each n as one stacked product P b.  numpy forms each
+by one framework._stiffness_geometry call, solved unchecked by one eigvalsh
+call and reduced to its max|M| values by one reduction, and circle forms,
+whose hypotheses one framework.require_centered_unit call checks per chunk;
+the interlacing sweep each (n, d)'s pairs (interlacing_checks, which reads
+each sample's subgraph as a mask over the edges of K_n); and the kyfan sweep
+each (n, d)'s placements (top_eigenvalue_sum_checks, which finds repeated
+points in the edge lengths of each stack's assembly and sums each stack's
+top n eigenvalues with one reduction).  The families sweep builds each family with one
+batched builder of the families module, one array expression over all its
+labels, and takes the residuals of each family, and of each spherical
+placement's weighted-length vectors, as one eigen_residual call, one
+stacked matrix product, and the kyfan sweep the star errors of each n as
+one stacked product P b.  numpy forms each
 member of a stacked product or solve as it forms that member alone, so
 every report is that of one instance, vector or star at a time, bit for
 bit.  Before it builds anything, each sweep takes every count it reads
@@ -192,13 +196,14 @@ def suite_circle(n=range(3, 21), samples=5, *, seed) -> list[dict]:
         members = list(zip(labels, [row.placement(k, 2).points, *drawn]))
         # a member's stiffness matrix, and up to three more while its circle form is built
         for chunk in stack_chunks(members, stack_member_bytes(g, 2, matrices=4)):
-            points = np.stack([p for _, p in chunk])
+            points = np.array([p for _, p in chunk])
             L = _stiffness_geometry(g, points)[0]
+            peaks = np.abs(L).max(axis=(1, 2)).tolist()
             # circle_identity_matrices refuses a placement not centered, unit-norm and injective
             forms = circle_identity_matrices([Placement(p) for p in points])
             residuals = np.abs(np.subtract(L, forms, out=forms), out=forms).max(axis=(1, 2)).tolist()
-            for (label, _), M, eigs, residual in zip(chunk, L, np.linalg.eigvalsh(L), residuals):
-                computed = cluster_multiplicities(eigs, default_cluster_tol(np.abs(M).max()))
+            for (label, _), peak, eigs, residual in zip(chunk, peaks, np.linalg.eigvalsh(L), residuals):
+                computed = cluster_multiplicities(eigs, default_cluster_tol(peak))
                 entry = _spectrum_entry("circle", {"n": k, "instance": label}, predicted, computed)
                 entry["identity_residual"] = residual
                 entry["pass"] = entry["pass"] and residual <= RESIDUAL_TOL

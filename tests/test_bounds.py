@@ -22,6 +22,7 @@ from adconn.placements import (
     roots_of_unity_angles,
     unit_circle_placement,
 )
+from adconn.seeding import rng_stream
 from adconn.spectral import spectral_gap, symmetric_eigenvalues
 
 from conftest import random_placement
@@ -160,6 +161,26 @@ def test_batched_top_sums_refuse_any_non_injective_member(rng):
         top_eigenvalue_sum_checks([good, Placement(np.zeros((5, 3))), good])
 
 
+def test_top_sums_refuse_fewer_than_three_points():
+    # n^2/3 + n is no floor at n = 2: the segment's top-2 sum is 2 < 10/3
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
+        top_eigenvalue_sum_check(Placement([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^n must be >= 3, got 1$"):
+        top_eigenvalue_sum_check(Placement([[0.0, 0.0]]))
+
+
+def test_batched_top_sums_refuse_the_first_bad_member_in_order(rng):
+    good, pair, repeated = random_placement(rng, 4, 2), Placement([[0.0, 0.0], [1.0, 0.0]]), Placement(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
+        top_eigenvalue_sum_checks([good, pair, repeated, good])
+    with pytest.raises(ValueError, match="^placement must be injective$"):
+        top_eigenvalue_sum_checks([good, repeated, pair])
+    # a repeated point late in a shape's stack is found; -0.0 and 0.0 are one coordinate
+    late = [random_placement(rng, 6, 3) for _ in range(4)] + [Placement(np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0]]))]
+    with pytest.raises(ValueError, match="^placement must be injective$"):
+        top_eigenvalue_sum_checks(late)
+
+
 def triangle_cosine_sum(p: Placement) -> float:
     """Sum of the three off-diagonal entries of the edge-basis stiffness
     matrix of K_3: each is the cosine of the angle at the vertex its two edges
@@ -280,6 +301,49 @@ def test_circle_identity_rejects_violations():
         )
     with pytest.raises(ValueError, match="d=2"):
         circle_identity_matrix(regular_simplex(3))
+
+
+CIRCLE_REFUSALS = {
+    "off-sphere": (2 * unit_circle_placement(roots_of_unity_angles(4)).placement.points, "placement must have unit-norm points"),
+    "off-center": (unit_circle_placement([0.0, 0.1, 0.2, 0.3]).placement.points, "placement must sum to zero"),
+    "image-2": ([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]], "placement image must have at least 4 distinct points"),
+    "both": (2 * unit_circle_placement([0.0, 0.1, 0.2, 0.3]).placement.points, "placement must have unit-norm points"),
+    "in-R3": (regular_simplex(3).points, "identity requires d=2, got d=3"),
+}
+
+
+@pytest.mark.parametrize("at", ["first", "last", "alone"])
+@pytest.mark.parametrize("refusal", list(CIRCLE_REFUSALS))
+def test_a_circle_stack_refuses_a_bad_member_wherever_it_stands(refusal, at):
+    points, message = CIRCLE_REFUSALS[refusal]
+    bad = Placement(points)
+    good = [unit_circle_placement(roots_of_unity_angles(4)).placement, centered_sphere_points(4, 2, rng_stream(0, "c"))]
+    placements = {"first": [bad, *good], "last": [*good, bad], "alone": [bad]}[at]
+    with pytest.raises(ValueError) as exc:
+        circle_identity_matrices(placements)
+    assert str(exc.value) == message
+
+
+def test_a_circle_stack_refuses_its_first_bad_member_for_its_first_failed_hypothesis():
+    off_sphere, off_center, image_2, in_r3 = (
+        Placement(CIRCLE_REFUSALS[k][0]) for k in ("off-sphere", "off-center", "image-2", "in-R3")
+    )
+    for placements, message in [
+        ([off_center, off_sphere], "placement must sum to zero"),
+        ([image_2, off_center], "placement image must have at least 4 distinct points"),
+        ([off_sphere, in_r3], "placement must have unit-norm points"),
+        ([in_r3, off_sphere], "identity requires d=2, got d=3"),
+        # a member of another n, refused before the stack of mixed shapes is tried
+        ([unit_circle_placement(roots_of_unity_angles(5)).placement, image_2], "placement image must have at least 4 distinct points"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            circle_identity_matrices(placements)
+        assert str(exc.value) == message
+
+
+def test_an_empty_circle_stack_is_refused_by_name():
+    with pytest.raises(ValueError, match="^circle_identity_matrices needs at least one placement, got none$"):
+        circle_identity_matrices([])
 
 
 @pytest.mark.parametrize(

@@ -676,6 +676,20 @@ def test_optimize_command_deterministic(tmp_path, capsys):
     assert json.loads(result)["config"]["restarts"] == 2
 
 
+def test_optimize_prints_each_edge_and_placement_row_on_one_line(tmp_path, capsys):
+    # with json.dumps(indent=2) the 66 edges of K12 alone took 264 of 344 lines
+    code, out, _ = run_cli(capsys, "optimize", "--graph", "complete:12", "--d", "3", "--restarts", "2",
+                           "--outdir", str(tmp_path))
+    witness = gap_ascent(complete_graph(12), 3, OptimizerConfig(restarts=2, seed=0))
+    assert code == 0 and json.loads(out) == witness.summary()
+    lines = out.splitlines()
+    assert len(lines) <= 66 + 12 + 30, len(lines)
+    assert "      [0, 1]," in lines and "      [10, 11]" in lines
+    # the written witness keeps its layout
+    written = (tmp_path / "optimize_result.json").read_text()
+    assert written == json.dumps(witness.to_json_dict(), indent=2) + "\n"
+
+
 def test_optimize_flexible_graph(tmp_path, capsys):
     path = tmp_path / "path.edges"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")

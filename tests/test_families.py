@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from adconn.families import (
     eigen_residual,
     eigenvector_condition_check,
     part_quad_vector,
+    part_quad_vectors,
     sign_split_vector,
+    sign_split_vectors,
     star_difference_vector,
+    star_difference_vectors,
     turan_simplex_families,
     vertex_shift_vector,
     weighted_length_vector,
@@ -31,6 +35,7 @@ from adconn.placements import (
 )
 from adconn.seeding import rng_stream
 from adconn.spectral import numeric_rank
+from adconn.verify import GRIDS
 
 from conftest import random_placement, without_edge
 
@@ -384,3 +389,110 @@ def test_family_counts_are_the_closed_form_multiplicities(row, d):
             else:
                 assert count == mult, (n, value)
     assert merged == (15 if (row, d) == ("crosspolytope", 2) else 0)
+
+
+def reference_sign_vector(g, partition, signs):
+    """One label's vector from its own (r, r) sign table, the pairs written in order."""
+    table = np.zeros((partition.r, partition.r))
+    for (a, b), sign in signs:
+        table[a, b] = table[b, a] = sign
+    parts = np.asarray(partition.part_of)[g.endpoints]
+    return table[parts[:, 0], parts[:, 1]]
+
+
+def reference_block_sign(g, partition, i, j):
+    """+1 from axis i into the positive block of axis j, -1 into the negative, from one sign table."""
+    signs = [((2 * i, 2 * j), 1.0), ((2 * i + 1, 2 * j), 1.0), ((2 * i, 2 * j + 1), -1.0), ((2 * i + 1, 2 * j + 1), -1.0)]
+    return reference_sign_vector(g, partition, signs)
+
+
+def reference_star_difference(g, partition, u, v, j, k):
+    """One label's star difference from rows of the incidence matrix."""
+    B = g.incidence
+    into_j, into_k = B[list(partition.parts[j])].sum(axis=0), B[list(partition.parts[k])].sum(axis=0)
+    return (B[u] - B[v]) * (into_j - into_k)
+
+
+GRID_PARTITIONS = [("turan-simplex", d, n, d + 1) for d, n in GRIDS["turan-simplex"]]
+GRID_PARTITIONS += [("crosspolytope", d, n, 2 * d) for d, n in GRIDS["crosspolytope"]]
+
+
+def assert_rows_are(rows, vectors):
+    assert rows.shape == (len(vectors), rows.shape[1])
+    for row, vec in zip(rows, vectors):
+        assert row.tobytes() == vec.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("row,d,n,r", GRID_PARTITIONS, ids=[f"{row}-{n},{d}" for row, d, n, _ in GRID_PARTITIONS])
+def test_batched_builders_equal_the_per_label_vectors_bit_for_bit(row, d, n, r):
+    # every label a builder admits on the partitions of verify's grids, d = 2
+    # among them, against one label at a time from its own table or incidence rows
+    g, partition = turan_graph(n, r)
+    quads = list(itertools.permutations(range(r), 4))  # none at r = 3 (the Turan rows at d = 2)
+    expected = [
+        reference_sign_vector(g, partition, [((q1, q2), 1.0), ((q3, q4), 1.0), ((q2, q3), -1.0), ((q1, q4), -1.0)])
+        for q1, q2, q3, q4 in quads
+    ]
+    assert_rows_are(part_quad_vectors(g, partition, quads), expected)
+    assert_rows_are(part_quad_vectors(g, partition, quads), [part_quad_vector(g, partition, q) for q in quads])
+    stars = [
+        (a, b, j, k)
+        for a, b in same_part_pairs(partition)
+        for j, k in itertools.permutations(set(range(r)) - {partition.part_of[a]}, 2)
+    ]
+    expected = [reference_star_difference(g, partition, *label) for label in stars]
+    assert_rows_are(star_difference_vectors(g, partition, stars), expected)
+    assert_rows_are(star_difference_vectors(g, partition, stars), [star_difference_vector(g, partition, *s) for s in stars])
+    if row == "crosspolytope":
+        splits = list(itertools.permutations(range(d), 3))  # none at d = 2
+        expected = [reference_block_sign(g, partition, i, j) - reference_block_sign(g, partition, k, j) for i, j, k in splits]
+        assert_rows_are(sign_split_vectors(g, partition, splits), expected)
+        assert_rows_are(sign_split_vectors(g, partition, splits), [sign_split_vector(g, partition, *s) for s in splits])
+    for builder in (part_quad_vectors, star_difference_vectors, sign_split_vectors):
+        assert builder(g, partition, []).shape == (0, g.m)
+
+
+STAR_REFUSALS = [
+    ((0, 0, 1, 2), "u and v must be distinct vertices of a common part"),
+    ((0, 3, 1, 2), "u and v must be distinct vertices of a common part"),
+    ((0, 1, 2, 2), "parts j and k must be distinct and different from the part of u, v"),
+    ((0, 1, 0, 2), "parts j and k must be distinct and different from the part of u, v"),
+]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last", "alone"])
+def test_batched_builders_refuse_each_invalid_label_with_the_one_label_message(at):
+    g, partition = turan_graph(12, 4)  # parts of 3 vertices
+    crosspolytope = turan_graph(12, 6)
+    # (graph, partition, builder, a valid label, an invalid one, its message)
+    cases = [(g, partition, star_difference_vectors, (0, 1, 1, 3), *refusal) for refusal in STAR_REFUSALS]
+    cases += [
+        # the graph misses the edge from 0 into part 1
+        (without_edge(g, (0, 4)), partition, star_difference_vectors, (3, 5, 0, 2), (0, 1, 1, 3),
+         "g must join u and v to every vertex of parts j and k"),
+        (g, partition, part_quad_vectors, (0, 1, 2, 3), (0, 1, 2, 0), "quad indices must be distinct, got (0, 1, 2, 0)"),
+        (*crosspolytope, sign_split_vectors, (0, 1, 2), (1, 1, 2), "axes must be distinct, got (1, 1, 2)"),
+    ]
+    for graph, parts, builder, valid, invalid, message in cases:
+        labels = {
+            "first": [invalid, valid, valid],
+            "middle": [valid, invalid, valid],
+            "last": [valid, valid, invalid],
+            "alone": [invalid],
+        }[at]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builder(graph, parts, labels)
+
+
+def test_a_batched_builder_reports_the_first_invalid_label():
+    g, partition = turan_graph(12, 4)
+    missing = without_edge(g, (0, 4))
+    # the join fails for the first label, a part rule for the second
+    with pytest.raises(ValueError, match="^g must join u and v"):
+        star_difference_vectors(missing, partition, [(0, 1, 1, 3), (0, 1, 2, 2)])
+    with pytest.raises(ValueError, match="^parts j and k must be distinct"):
+        star_difference_vectors(missing, partition, [(0, 1, 2, 2), (0, 1, 1, 3)])
+    with pytest.raises(ValueError, match="^u and v must be distinct"):
+        star_difference_vectors(g, partition, [(0, 1, 1, 3), (0, 0, 2, 2), (0, 1, 2, 2)])
+    with pytest.raises(ValueError, match=r"got \(1, 1, 2, 3\)$"):
+        part_quad_vectors(g, partition, [(0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 0, 1)])

@@ -32,12 +32,17 @@ LIBRARY_ONLY = {"k4_gap_upper_bound"}
 # them, nothing in the package calls them.  ROADMAP item 1 (the next change to
 # the benchmark) can retire the first three.  symmetric_eigenvalues stays the
 # public, checked eigensolve; the package solves only matrices it assembled,
-# unchecked.
+# unchecked.  The four one-label family builders stay as one-row calls of the
+# batched builders that the families are built with.
 BENCHMARK_ONLY = {
     "top_eigenvalue_sum_check",
     "weighted_length_vector",
     "eigenvector_condition_check",
     "symmetric_eigenvalues",
+    "axis_quad_vector",
+    "block_sign_vector",
+    "sign_split_vector",
+    "vertex_shift_vector",
 }
 
 

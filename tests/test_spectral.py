@@ -23,6 +23,7 @@ from adconn.spectral import (
     LOW_RANK_MIN_SIZE,
     LOW_RANK_PIVOT_DIVISOR,
     SYMMETRY_TILE,
+    MultiplicitySpectrum,
     cluster_multiplicities,
     clustered_spectrum,
     interlacing_checks,
@@ -412,6 +413,34 @@ def test_cluster_merges_coinciding_crosspolytope_values():
 def test_cluster_rejects_unsorted():
     with pytest.raises(ValueError, match="sorted"):
         cluster_multiplicities([1.0, 0.0], tol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "clusters", [((np.nan, 1),), ((0.0, 1), (np.inf, 1)), ((-np.inf, 2), (1.0, 1))], ids=["nan", "inf", "minus-inf"]
+)
+def test_a_spectrum_refuses_nonfinite_values(clusters):
+    # a NaN passes the increasing test, which compares it to nothing
+    with pytest.raises(ValueError, match="^cluster values must be finite$"):
+        MultiplicitySpectrum(clusters, sum(m for _, m in clusters), 0.0)
+
+
+@pytest.mark.parametrize("tol", [-5.0, -1e-300, np.nan, np.inf])
+def test_a_spectrum_refuses_the_tolerances_that_clustering_refuses(tol):
+    message = f"clustering tolerance must be finite and >= 0, got {tol}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiplicitySpectrum(((1.0, 1),), 1, tol)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cluster_multiplicities([1.0], tol)
+
+
+def test_a_spectrum_keeps_the_multiplicities_it_is_given():
+    spectrum = MultiplicitySpectrum(((0.0, 3), (1.5, 1)), 4, 1e-8)
+    assert spectrum.clusters == ((0.0, 3), (1.5, 1))
+    assert [type(m) for m in spectrum.multiplicities()] == [int, int]
+    for m, message in [(0, "multiplicity must be >= 1, got 0"), (-2, "multiplicity must be >= 1, got -2"),
+                       (True, "multiplicity must be an integer, got True")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MultiplicitySpectrum(((1.0, m),), 1, 0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,11 +6,13 @@ checks.
 
 Both the top-n eigenvalue sum and the circle form are computed for many
 placements at once, and their hypotheses checked on stacks, not placement by
-placement: the sum's placements of one shape share, per spectral.stack_chunks
-chunk, one framework._stiffness_geometry stack, whose edge lengths show a
-repeated point, and one unchecked eigvalsh call, and the circle form of a
-list of n-point placements is one (k, 2n, 2n) stack, whose hypotheses one
-framework.require_centered_unit call checks.
+placement.  top_eigenvalue_sums takes a bare (k, n, d) stack of points: per
+spectral.stack_chunks chunk, one framework._stiffness_geometry stack, whose
+edge lengths show a repeated point, and one unchecked eigvalsh call;
+top_eigenvalue_sum_checks hands it the placements of each shape as one
+stack, and verify's kyfan sweep its draw records of each shape.  The circle
+form of a list of n-point placements is one (k, 2n, 2n) stack, whose
+hypotheses one framework.require_centered_unit call checks.
 """
 
 from __future__ import annotations
@@ -59,45 +61,60 @@ def top_eigenvalue_sum_check(p: Placement) -> TopSumCheck:
 
 
 def top_eigenvalue_sum_checks(placements) -> list[TopSumCheck]:
-    """top_eigenvalue_sum_check of each placement, in order.
-
-    The placements are grouped by shape (n, d); each group's stiffness
-    matrices are assembled as one stack per stack_chunks chunk and solved by
-    one np.linalg.eigvalsh call, and the top-n sums of the chunk's
-    eigenvalues taken by one np.add.reduce, with the same bits as one
-    placement at a time.  A placement of fewer than 3 points, or one with a
-    repeated point, is refused: the first in order, for the first of the
-    two.  Repeated points are found on each chunk's stack, as the edges of
-    length 0 of its assembly (framework._edge_geometry gives length 0 to
-    exactly the edges whose endpoints coincide); no chunk is solved once a
-    placement is refused.
+    """top_eigenvalue_sum_check of each placement, in order: the placements
+    of each shape (n, d) as one top_eigenvalue_sums stack, with the same bits
+    as one placement at a time.  A placement of fewer than 3 points, or one
+    with a repeated point, is refused: the first in order, for the first of
+    the two, before any stack is solved when a placement has fewer than 3
+    points, and otherwise as top_eigenvalue_sums refuses its stack.
     """
     placements = list(placements)
+    few = next((i for i, p in enumerate(placements) if p.n < 3), len(placements))
+    if few < len(placements):
+        if not all(p.is_injective() for p in placements[:few]):
+            raise ValueError("placement must be injective")
+        as_count(placements[few].n, "n", 3)  # the floor holds from 3 points on
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(placements):
         groups.setdefault(p.points.shape, []).append(i)
-    refused = min((members[0] for (n, _), members in groups.items() if n < 3), default=len(placements))
     checks: list = [None] * len(placements)
-    for (n, d), members in groups.items():
-        if n < 3:
-            continue
-        g = complete_graph(n)
+    for (n, _), members in groups.items():
         bound = n * n / 3.0 + n
-        for chunk in stack_chunks(members, stack_member_bytes(g, d)):
-            # the matrices and edge lengths; the edge directions are freed here
-            L, lengths = _stiffness_geometry(g, np.array([placements[i].points for i in chunk]))[::2]
-            repeats = np.flatnonzero(np.logical_or.reduce(lengths == 0.0, axis=1))
-            if repeats.size:
-                refused = min(refused, chunk[repeats[0]])
-            if refused == len(placements):
-                sums = np.add.reduce(np.linalg.eigvalsh(L)[:, -n:], axis=1)
-                for i, total in zip(chunk, sums.tolist()):
-                    checks[i] = TopSumCheck(total=total, bound=bound)
-            del L  # before the next chunk is assembled
-    if refused < len(placements):
-        as_count(placements[refused].n, "n", 3)  # the floor holds from 3 points on
-        raise ValueError("placement must be injective")
+        totals = top_eigenvalue_sums(np.array([placements[i].points for i in members]))
+        for i, total in zip(members, totals.tolist()):
+            checks[i] = TopSumCheck(total=total, bound=bound)
     return checks
+
+
+def top_eigenvalue_sums(points) -> np.ndarray:
+    """The sum of the n largest stiffness eigenvalues of K_n at each
+    placement of a (k, n, d) stack of finite, injective placements of n >= 3
+    points, with the bits of top_eigenvalue_sum_check of that placement
+    alone.  The stack's stiffness matrices are assembled in stack_chunks
+    chunks, one framework._stiffness_geometry call each, solved by one
+    np.linalg.eigvalsh call and summed by one np.add.reduce.  Fewer than 3
+    points are refused first, then a non-finite coordinate anywhere in the
+    stack (one reduction), then a repeated point, found as an edge of length
+    0 in a chunk's assembly (framework._edge_geometry gives length 0 to
+    exactly the edges whose endpoints coincide) before that chunk is solved.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3:
+        raise ValueError(f"points must be a (k, n, d) stack of placements, got shape {points.shape}")
+    k, n, d = points.shape
+    as_count(n, "n", 3)  # the floor holds from 3 points on
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
+        raise ValueError("points must be finite")
+    g = complete_graph(n)
+    sums = np.empty(k)
+    for chunk in stack_chunks(range(k), stack_member_bytes(g, d)):
+        # the matrices and edge lengths; the edge directions are freed here
+        L, lengths = _stiffness_geometry(g, points[chunk.start:chunk.stop])[::2]
+        if np.logical_or.reduce(lengths == 0.0, axis=None):
+            raise ValueError("placement must be injective")
+        sums[chunk.start:chunk.stop] = np.add.reduce(np.linalg.eigvalsh(L)[:, -n:], axis=1)
+        del L  # before the next chunk is assembled
+    return sums
 
 
 # the three pairings of K_4 into opposite edges, as positions in its canonical

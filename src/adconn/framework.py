@@ -28,7 +28,12 @@ _rigidity_from_directions, _block_stiffness) take one placement, (n, d), or
 a stack of placements of one shape, (..., n, d), so that callers with many
 small frameworks assemble them in one call, and _stiffness_geometry chains
 them into the stiffness matrices for other modules, on the path that
-stiffness takes for that size.  _ascent_kernel binds that chain once per
+stiffness takes for that size.  masked_stiffness is the one assembly of
+spanning subgraphs named by edge masks: one direction call for a (k, n, d)
+stack, then below BLOCK_ASSEMBLY_MIN_VERTICES one rigidity stack and R_h R_h^t
+from the kept columns of each mask, and from there one block assembly of the
+directions with the dropped edges' rows zeroed; stiffness with masks is its
+call on one placement.  _ascent_kernel binds the _stiffness_geometry chain once per
 optimizer restart, with its bits, for one normalized placement at a time:
 an endpoint index and, below BLOCK_ASSEMBLY_MIN_VERTICES, one rigidity
 buffer.  The block kernel fills its stack one member at a time, so its
@@ -216,7 +221,7 @@ def _rigidity_from_directions(g: Graph, unit: np.ndarray) -> np.ndarray:
     *lead, m, d = unit.shape
     R = np.zeros((*lead, g.n * d * m))
     # (idx,) alone for one placement: numpy's fast path for a flat fancy index
-    R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = _rigidity_entries(unit).reshape(*lead, -1)
+    R[(slice(None),) * len(lead) + (g.scatter_index(d)[1],)] = _rigidity_entries(unit).reshape(*lead, 2 * m * d)
     return R.reshape(*lead, g.n * d, m)
 
 
@@ -286,9 +291,11 @@ def _ascent_kernel(g: Graph, d: int):
 
 
 def stack_member_bytes(g: Graph, d: int, matrices: int = 1) -> int:
-    """Bytes that one member of a _stiffness_geometry stack of g in R^d holds:
-    its edge geometry, below BLOCK_ASSEMBLY_MIN_VERTICES its rigidity matrix,
-    and matrices float matrices of side dn (its own and its caller's)."""
+    """Bytes that one member of a _stiffness_geometry or masked_stiffness
+    stack of g in R^d holds: its edge geometry, below
+    BLOCK_ASSEMBLY_MIN_VERTICES its rigidity matrix, and matrices float
+    matrices of side dn: its own, or one per mask, and those that its caller
+    forms beside them."""
     side = g.n * d
     rigidity = side * g.m if g.n < BLOCK_ASSEMBLY_MIN_VERTICES else 0
     return 8 * (matrices * side * side + g.m * (d + 1) + rigidity)
@@ -306,23 +313,51 @@ def stiffness(g: Graph, p: Placement, keep: np.ndarray | None = None) -> np.ndar
 
     keep, a boolean (k, m) array, gives instead the (k, dn, dn) stack of the
     stiffness matrices of the k spanning subgraphs of g whose edges each row
-    keeps, each with the bits of stiffness of that subgraph built as a Graph.
+    keeps, each with the bits of stiffness of that subgraph built as a Graph:
+    masked_stiffness of this one placement.
     """
-    if keep is not None:
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.ndim != 2 or keep.shape[1] != g.m:
-            raise ValueError(f"keep must be a (k, {g.m}) boolean array of masks over the edges of g")
-    if g.n < BLOCK_ASSEMBLY_MIN_VERTICES:
-        R = rigidity_matrix(g, p)
-        if keep is None:
+    if keep is None:
+        if g.n < BLOCK_ASSEMBLY_MIN_VERTICES:
+            R = rigidity_matrix(g, p)
             return R @ R.T
-        # the reshape gives no masks the (0, dn, dn) stack that the block path gives
-        return np.array([(R_h := R[:, mask]) @ R_h.T for mask in keep]).reshape(len(keep), len(R), len(R))
+        _check_match(g, p)
+        return _block_stiffness(g, _edge_geometry(g, p.points)[0])
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.ndim != 2 or keep.shape[1] != g.m:
+        raise ValueError(f"keep must be a (k, {g.m}) boolean array of masks over the edges of g")
     _check_match(g, p)
-    unit = _edge_geometry(g, p.points)[0]
-    if keep is not None:
-        unit = np.where(keep[..., None], unit, 0.0)
-    return _block_stiffness(g, unit)
+    return masked_stiffness(g, p.points[None], keep[None])[0]
+
+
+def masked_stiffness(g: Graph, points: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (k, j, dn, dn) stiffness matrices of the spanning subgraphs of g
+    that the (k, j, m) boolean masks keep over its edges, the j masks of each
+    member at that member of the (k, n, d) stack of placements, each with the
+    bits of stiffness of that subgraph built as a Graph.  One _edge_geometry
+    call gives the directions of the whole stack; below
+    BLOCK_ASSEMBLY_MIN_VERTICES one rigidity stack follows, and each subgraph
+    is R_h R_h^t from the columns R_h of R that its mask keeps, written into
+    its place in the result; from there one _block_stiffness call assembles
+    every subgraph from the directions with those of its dropped edges zeroed.
+    """
+    points, keep = np.asarray(points, dtype=float), np.asarray(keep)
+    if points.ndim != 3 or points.shape[1] != g.n or points.shape[2] < 1:
+        raise ValueError(f"points must be a (k, {g.n}, d) stack of placements with d >= 1, got shape {points.shape}")
+    k, _, d = points.shape
+    if keep.dtype != bool or keep.ndim != 3 or keep.shape[0] != k or keep.shape[2] != g.m:
+        raise ValueError(f"keep must be a ({k}, j, {g.m}) boolean array of masks over the edges of g")
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
+        raise ValueError("points must be finite")
+    unit = _edge_geometry(g, points)[0]
+    if g.n >= BLOCK_ASSEMBLY_MIN_VERTICES:
+        return _block_stiffness(g, np.where(keep[..., None], unit[:, None], 0.0))
+    side = g.n * d
+    L = np.empty((*keep.shape[:2], side, side))
+    for member, R, masks in zip(L, _rigidity_from_directions(g, unit), keep):
+        for matrix, mask in zip(member, masks):
+            R_h = R[:, mask]
+            np.matmul(R_h, R_h.T, out=matrix)
+    return L
 
 
 def lower_stiffness_direct(g: Graph, p: Placement) -> np.ndarray:

@@ -7,8 +7,10 @@ stacks of ``interlacing_checks`` solve them unchecked, as ``bounds``, verify's
 circle sweep and ``optimize`` do.  numpy solves each member of a stack as it
 would solve that matrix alone, so stacking changes no bit.
 ``interlacing_checks`` solves the stiffness matrix pairs of a batch of edge
-removals as one stack per shape, built and solved in chunks of at most
-STACK_BUDGET_BYTES (``stack_chunks``).
+removals as one stack per graph and shape, built and solved in chunks of at
+most STACK_BUDGET_BYTES (``stack_chunks``, with
+``framework.stack_member_bytes``); each chunk's pairs are one
+``framework.masked_stiffness`` assembly, two masks per case.
 
 Only the public checked solves, ``symmetric_eigenvalues`` and
 ``clustered_spectrum``, take a matrix from outside.  Each takes one (m, m)
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Placement, stiffness
+from .framework import Placement, masked_stiffness, stack_member_bytes, stiffness
 from .graphs import Graph
 from .seeding import as_count
 
@@ -65,7 +67,7 @@ LOW_RANK_PIVOT_DIVISOR = 4
 # Largest certified eigenvalue error of the route, relative to max(1, max|M|).
 LOW_RANK_RESIDUAL_TOL = 1e-10
 # Largest stack, in bytes, that interlacing_checks,
-# bounds.top_eigenvalue_sum_checks and verify's circle sweep build and solve
+# bounds.top_eigenvalue_sums and verify's circle sweep build and solve
 # at once, in chunks per shape (stack_chunks), with what each member holds
 # while its stack is built (framework.stack_member_bytes); a larger member is
 # a chunk of its own, and verify's default sweeps are one chunk per shape,
@@ -297,43 +299,47 @@ def interlacing_checks(cases) -> list[tuple[bool, float]]:
 
     keep is a boolean mask over the edges of g that leaves the spanning
     subgraph h of g whose framework (h, p) is checked; the stiffness
-    matrices of h and of h minus e come from one stiffness call with the two
-    masks, with the bits of the two subgraphs' own.  With ascending stiffness
-    eigenvalues lam (of h) and lam' (of h minus e) and lam_0 := 0, checks
-    lam_{i-1} <= lam'_i <= lam_i for all i up to INTERLACING_SLACK, and
-    returns (holds, worst signed violation).  Every mask is checked and
-    every edge looked up, one missing from its h refused, before the first
-    eigensolve; then the stiffness matrix pairs of each shape (n, d) are
-    written into one (k, 2, dn, dn) array per stack_chunks chunk of k
-    cases and solved as one stack.
+    matrices of h and of h minus e are those of the two masks, with the bits
+    of the two subgraphs' own.  With ascending stiffness eigenvalues lam (of
+    h) and lam' (of h minus e) and lam_0 := 0, checks lam_{i-1} <= lam'_i <=
+    lam_i for all i up to INTERLACING_SLACK, and returns (holds, worst signed
+    violation).  Every mask is checked, every edge looked up, one missing
+    from its h refused, and every placement's point count matched with its
+    graph, the first failing case refused, before the first eigensolve.  The
+    cases are then grouped by graph (the object) and shape (n, d), and each
+    group cut into stack_chunks chunks, at framework.stack_member_bytes of a
+    pair each; a chunk of k cases is one framework.masked_stiffness call on
+    its (k, n, d) points with two masks per case, whose (k, 2, dn, dn) pairs
+    are solved as one stack.
     """
     cases = list(cases)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    groups: dict[tuple[int, tuple[int, int]], list[tuple[int, int]]] = {}
     for i, (g, e, p, keep) in enumerate(cases):
         if np.asarray(keep).dtype != bool or np.shape(keep) != (g.m,):
             raise ValueError(f"keep must be a boolean mask over the {g.m} edges of g")
         j = g.index_of(*e)
         if not keep[j]:
             raise ValueError(f"edge {{{e[0]}, {e[1]}}} not in graph")
-        groups.setdefault(p.points.shape, []).append((i, j))
+        if p.n != g.n:
+            raise ValueError(f"placement has {p.n} points but graph has {g.n} vertices")
+        groups.setdefault((id(g), p.points.shape), []).append((i, j))
     results: list = [None] * len(cases)
-    for (n, d), members in groups.items():
-        for chunk in stack_chunks(members, 2 * (n * d) ** 2 * 8):  # two float matrices of side dn
-            for (i, _), w in zip(chunk, _worst_violations(cases, chunk, n * d)):
+    for (_, (_, d)), members in groups.items():
+        g = cases[members[0][0]][0]
+        for chunk in stack_chunks(members, stack_member_bytes(g, d, matrices=2)):
+            for (i, _), w in zip(chunk, _worst_violations(g, cases, chunk)):
                 results[i] = (w <= INTERLACING_SLACK, w)
     return results
 
 
-def _worst_violations(cases, chunk, side: int) -> list[float]:
+def _worst_violations(g: Graph, cases, chunk) -> list[float]:
     """The worst signed interlacing violation of each (case, edge position)
-    of a chunk, from the chunk's stiffness matrix pairs of side side, written
-    into one (k, 2, side, side) stack that is freed on return."""
-    pairs = np.empty((len(chunk), 2, side, side))
-    for pair, (i, j) in zip(pairs, chunk):
-        g, _, p, keep = cases[i]
-        minus = np.array(keep)
-        minus[j] = False
-        pair[:] = stiffness(g, p, np.stack((keep, minus)))
-    lam, lam_prime = np.linalg.eigvalsh(pairs).swapaxes(0, 1)
+    of a chunk of cases on g, from the chunk's stiffness matrix pairs, one
+    (k, 2, dn, dn) masked_stiffness stack that is freed on return."""
+    points = np.array([cases[i][2].points for i, _ in chunk])
+    keeps = np.array([cases[i][3] for i, _ in chunk], dtype=bool)
+    masks = np.stack((keeps, keeps), axis=1)
+    masks[np.arange(len(chunk)), 1, [j for _, j in chunk]] = False
+    lam, lam_prime = np.linalg.eigvalsh(masked_stiffness(g, points, masks)).swapaxes(0, 1)
     lam_shift = np.concatenate((np.zeros((len(chunk), 1)), lam[:, :-1]), axis=1)
     return np.maximum((lam_shift - lam_prime).max(axis=1), (lam_prime - lam).max(axis=1)).tolist()

@@ -29,10 +29,13 @@ by one framework._stiffness_geometry call, solved unchecked by one eigvalsh
 call and reduced to its max|M| values by one reduction, and circle forms,
 whose hypotheses one framework.require_centered_unit call checks per chunk;
 the interlacing sweep each (n, d)'s pairs (interlacing_checks, which reads
-each sample's subgraph as a mask over the edges of K_n); and the kyfan sweep
-each (n, d)'s placements (top_eigenvalue_sum_checks, which finds repeated
-points in the edge lengths of each stack's assembly and sums each stack's
-top n eigenvalues with one reduction).  The families sweep builds each family with one
+each sample's subgraph as a mask over the edges of K_n and assembles each
+chunk's pairs with one framework.masked_stiffness call); and the kyfan sweep
+each (n, d)'s draws, gathered from its point records as one (k, n, d)
+array with no Placement per sample (bounds.top_eigenvalue_sums, which
+checks the stack's coordinates with one reduction, finds repeated points in
+the edge lengths of each chunk's assembly and sums each chunk's top n
+eigenvalues with one reduction).  The families sweep builds each family with one
 batched builder of the families module, one array expression over all its
 labels, and takes the residuals of each family, and of each spherical
 placement's weighted-length vectors, as one eigen_residual call, one
@@ -58,7 +61,7 @@ import math
 
 import numpy as np
 
-from .bounds import circle_identity_matrices, top_eigenvalue_sum_checks, vertex_star_projection
+from .bounds import circle_identity_matrices, top_eigenvalue_sums, vertex_star_projection
 from .closedform import CANONICAL, PYRAMID_START_HEIGHT, float_sized, pyramid_spectrum_closed_form, spectrum_matches
 from .families import edge_length_eigenvector, eigen_residual, weighted_length_vectors
 from .framework import Placement, _stiffness_geometry, lower_stiffness_direct, stack_member_bytes, stiffness
@@ -293,46 +296,62 @@ def suite_kyfan(n=range(3, 21), samples=500, *, seed) -> list[dict]:
             )
         )
 
-    placements = _kyfan_placements(rng_stream(seed, "topsum"), samples)
-    *checks, equilateral = top_eigenvalue_sum_checks([*placements, regular_simplex(2)])
-    for s, (p, check) in enumerate(zip(placements, checks)):
+    # the equilateral triangle joins the samples of shape (3, 2), as the last member of their stack
+    picks, records = _kyfan_draws(rng_stream(seed, "topsum"), samples)
+    groups: dict[tuple[int, int], list[int]] = {(3, 2): []}
+    for s, shape in enumerate(picks):
+        groups.setdefault(shape, []).append(s)
+    totals = np.empty(samples)
+    for (pn, pd), members in groups.items():
+        stack = records[members, :pn, :pd]
+        if (pn, pd) == (3, 2):
+            stack = np.concatenate((stack, regular_simplex(2).points[None]))
+        sums = top_eigenvalue_sums(stack)
+        totals[members] = sums[: len(members)]
+        if (pn, pd) == (3, 2):
+            equilateral = float(sums[-1])
+    for s, ((pn, pd), total) in enumerate(zip(picks, totals.tolist())):
+        bound = pn * pn / 3.0 + pn  # the floor of top_eigenvalue_sum_check
         entries.append(
             _entry(
                 "top-n-eigenvalue-sum",
-                {"sample": s, "n": p.n, "d": p.d},
-                check.bound,
-                check.total,
-                max(-check.margin, 0.0),
+                {"sample": s, "n": pn, "d": pd},
+                bound,
+                total,
+                max(-(total - bound), 0.0),
                 True,
-                check.margin >= -1e-9,
+                total - bound >= -1e-9,
             )
         )
 
+    bound = 3 * 3 / 3.0 + 3
     entries.append(
         _entry(
             "top-n-eigenvalue-sum",
             {"instance": "equilateral-triangle", "n": 3, "d": 2},
-            equilateral.bound,
-            equilateral.total,
-            abs(equilateral.margin),
+            bound,
+            equilateral,
+            abs(equilateral - bound),
             True,
-            abs(equilateral.margin) <= 1e-12,
+            abs(equilateral - bound) <= 1e-12,
         )
     )
     return entries
 
 
-def _kyfan_placements(rng: np.random.Generator, samples: int) -> list[Placement]:
-    """The kyfan sweep's samples: Gaussian placements of n in 3..12 points in
-    R^d, d in 2..4, drawn in blocks as the module docstring says; a sample
-    reads the first n rows and d columns of its 12 x 4 point record."""
+def _kyfan_draws(rng: np.random.Generator, samples: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The kyfan sweep's samples: the (n, d) pick of each, n in 3..12 and d
+    in 2..4, and its 12 x 4 record of standard normals, as one (samples, 12,
+    4) array, drawn in blocks as the module docstring says; a sample's
+    Gaussian placement is the first n rows and d columns of its record."""
     block = _block_size(12 * 4 * 8)
-    placements = []
+    picks, records = [], np.empty((samples, 12, 4))
     for start in range(0, samples, block):
-        picks = rng.integers((3, 2), (13, 5), size=(block, 2))
+        shapes = rng.integers((3, 2), (13, 5), size=(block, 2)).tolist()
         points = rng.standard_normal((block, 12, 4))
-        placements += [Placement(pts[:n, :d]) for (n, d), pts in zip(picks.tolist()[: samples - start], points)]
-    return placements
+        picks += map(tuple, shapes[: samples - start])
+        records[start:start + block] = points[: samples - start]
+    return picks, records
 
 
 def _family_entries(row: str, n: int, d: int) -> list[dict]:

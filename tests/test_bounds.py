@@ -11,6 +11,7 @@ from adconn.bounds import (
     k4_gap_upper_bound,
     top_eigenvalue_sum_check,
     top_eigenvalue_sum_checks,
+    top_eigenvalue_sums,
     vertex_star_projection,
 )
 from adconn.families import weighted_length_vectors
@@ -111,6 +112,33 @@ def test_batched_top_sums_on_mixed_shapes_in_shuffled_order_equal_single_calls(r
         assert repr(check.total) == repr(_top_sum_oracle(p))
         assert check == top_eigenvalue_sum_check(p)
         assert check.bound == p.n * p.n / 3.0 + p.n
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (12, 3), (20, 2)], ids=["triangle", "product", "blocks"])
+def test_each_member_of_a_top_sum_stack_has_the_bits_of_its_check_alone(rng, n, d):
+    # members at 1e-200, 1 and 1e200 in one stack, on both assembly paths
+    points = rng.standard_normal((9, n, d)) * 10.0 ** np.array([-200, 0, 200] * 3)[:, None, None]
+    totals = top_eigenvalue_sums(points)
+    assert totals.shape == (9,) and totals.dtype == float
+    for pts, total in zip(points, totals.tolist()):
+        p = Placement(pts)
+        assert repr(total) == repr(top_eigenvalue_sum_check(p).total) == repr(_top_sum_oracle(p))
+    assert top_eigenvalue_sums(np.zeros((0, n, d))).shape == (0,)
+
+
+def test_a_top_sum_stack_is_refused_for_its_shape_then_its_values(rng):
+    with pytest.raises(ValueError, match=r"^points must be a \(k, n, d\) stack of placements, got shape \(4, 2\)$"):
+        top_eigenvalue_sums(np.zeros((4, 2)))
+    # fewer than 3 points before a non-finite coordinate, that before a repeated point
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
+        top_eigenvalue_sums(np.full((1, 2, 2), np.nan))
+    stack = rng.standard_normal((5, 4, 2))
+    stack[1, 3] = stack[1, 0]
+    stack[4, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        top_eigenvalue_sums(stack)
+    with pytest.raises(ValueError, match="^placement must be injective$"):
+        top_eigenvalue_sums(stack[:4])
 
 
 def test_top_sum_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):

@@ -1,12 +1,13 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adconn.framework import (
@@ -18,6 +19,7 @@ from adconn.framework import (
     _stiffness_geometry,
     edge_lengths,
     lower_stiffness_direct,
+    masked_stiffness,
     placement_from_json,
     placement_to_json,
     rigidity_matrix,
@@ -568,6 +570,66 @@ def test_no_masks_give_an_empty_stack_on_both_paths(rng, n):
     assert stack.shape == (0, 3 * n, 3 * n) and stack.dtype == float
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 20),
+    d=st.integers(1, 4),
+    k=st.integers(0, 3),
+    j=st.integers(0, 3),
+    coincident=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=17, d=2, k=0, j=2, coincident=False, seed=0)
+@example(n=5, d=3, k=0, j=0, coincident=False, seed=0)
+@example(n=17, d=3, k=2, j=0, coincident=True, seed=1)
+@example(n=4, d=2, k=3, j=2, coincident=True, seed=2)
+def test_masked_stiffness_equals_stiffness_of_each_case_bit_for_bit(n, d, k, j, coincident, seed):
+    """n = 2..20 takes both assembly paths; K_n and a random spanning
+    subgraph of it share the shape (n, d); each member is at its own scale,
+    1e-200, 1 or 1e200, and may repeat a point."""
+    rng = np.random.default_rng(seed)
+    full = complete_graph(n)
+    for g in (full, subgraph(full, rng.random(full.m) < 0.5)):
+        points = rng.standard_normal((k, n, d)) * 10.0 ** rng.choice([-200, 0, 200], size=(k, 1, 1))
+        if coincident:
+            points[:, -1] = points[:, 0]
+        keep = rng.random((k, j, g.m)) < 0.5
+        L = masked_stiffness(g, points, keep)
+        assert L.shape == (k, j, n * d, n * d) and L.dtype == float
+        for i in range(k):
+            p = Placement(points[i])
+            assert bit_equal(L[i], stiffness(g, p, keep[i]))
+            for h in range(j):
+                assert bit_equal(L[i, h], stiffness(subgraph(g, keep[i, h]), p))
+
+
+def _stack_refusal(shape: str) -> str:
+    return f"points must be a (k, 4, d) stack of placements with d >= 1, got shape {shape}"
+
+
+def _mask_refusal(k: int) -> str:
+    return f"keep must be a ({k}, j, 6) boolean array of masks over the edges of g"
+
+
+@pytest.mark.parametrize(
+    "points,keep,message",
+    [
+        (np.zeros((4, 2)), np.ones((1, 1, 6), dtype=bool), _stack_refusal("(4, 2)")),
+        (np.zeros((1, 5, 2)), np.ones((1, 1, 6), dtype=bool), _stack_refusal("(1, 5, 2)")),
+        (np.zeros((1, 4, 0)), np.ones((1, 1, 6), dtype=bool), _stack_refusal("(1, 4, 0)")),
+        (np.zeros((2, 4, 2)), np.ones((1, 1, 6), dtype=bool), _mask_refusal(2)),
+        (np.zeros((1, 4, 2)), np.ones((1, 6), dtype=bool), _mask_refusal(1)),
+        (np.zeros((1, 4, 2)), np.ones((1, 1, 6), dtype=int), _mask_refusal(1)),
+        (np.zeros((1, 4, 2)), np.ones((1, 1, 5), dtype=bool), _mask_refusal(1)),
+        (np.full((1, 4, 2), np.nan), np.ones((1, 1, 6), dtype=bool), "points must be finite"),
+    ],
+    ids=["one-placement", "n-5", "d-0", "k-mismatch", "no-j-axis", "int", "m-5", "nan"],
+)
+def test_masked_stiffness_refuses_a_stack_that_does_not_fit_g(points, keep, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        masked_stiffness(complete_graph(4), points, keep)
+
+
 def test_block_index_is_cached_read_only_and_addresses_the_blocks():
     g = turan_graph(6, 3)[0]
     for d in (1, 3):
@@ -595,7 +657,8 @@ def assert_assemblies_bit_symmetric(n, d, seed):
     spanning subgraph of it, at _stack_members placements in R^d (coincident
     points included), is finite and equal to its transpose bit for bit: each
     member of a _stiffness_geometry stack, stiffness alone and under two
-    masks, and lower_stiffness_direct."""
+    masks, lower_stiffness_direct, and the stack under those two masks
+    (masked_stiffness)."""
     rng = np.random.default_rng(seed)
     full = complete_graph(n)
     stack = _stack_members(rng, n, d, 4)
@@ -605,6 +668,7 @@ def assert_assemblies_bit_symmetric(n, d, seed):
         for pts in stack:
             p = Placement(pts)
             matrices += [stiffness(g, p), *stiffness(g, p, masks), lower_stiffness_direct(g, p)]
+        matrices += list(masked_stiffness(g, stack, np.stack([masks] * len(stack))).reshape(-1, n * d, n * d))
         for M in matrices:
             assert np.isfinite(M).all()
             assert bit_equal(M, M.T)

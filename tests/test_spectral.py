@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adconn import spectral
 from adconn.bounds import top_eigenvalue_sum_checks
-from adconn.framework import Placement, lower_stiffness_direct, stiffness
+from adconn.framework import BLOCK_ASSEMBLY_MIN_VERTICES, Placement, lower_stiffness_direct, stiffness
 from adconn.graphs import Graph, complete_graph, make_graph, turan_graph
 from adconn.placements import (
     crosspolytope_placement,
@@ -35,7 +35,7 @@ from adconn.spectral import (
 from adconn.verify import run_suite
 
 from conftest import random_placement, without_edge
-from test_framework import random_graph
+from test_framework import random_graph, subgraph
 
 
 def test_stack_chunks_keep_the_order_within_the_budget_and_one_member_at_least(monkeypatch):
@@ -760,6 +760,90 @@ def test_interlacing_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
     results, peak = traced_peak(lambda: interlacing_checks(cases))
     assert peak <= 2 * budget, f"peak {peak / 2**20:.2f} MiB"
     assert results[:2] == first
+
+
+def test_block_assembled_interlacing_chunks_peak_under_twice_the_stack_budget(monkeypatch, rng):
+    # 120 K16/d3 cases under a 1 MiB budget: framework.stack_member_bytes
+    # counts a case's two matrices of side 48 and its edge geometry, 40704
+    # bytes, so chunks of 25 cases; each chunk's masked directions, (25, 2,
+    # m, d), and one member's block temporaries are small next to its pairs
+    budget = 1 << 20
+    monkeypatch.setattr(spectral, "STACK_BUDGET_BYTES", budget)
+    full = complete_graph(16)
+    assert full.n >= BLOCK_ASSEMBLY_MIN_VERTICES
+    cases = []
+    for _ in range(120):
+        keep = rng.random(full.m) < 0.5
+        keep[0] = True
+        cases.append((full, full.edges[0], random_placement(rng, 16, 3), keep))
+    first = interlacing_checks(cases[:2])  # and K16's index arrays, cached on the graph
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(M):
+        sizes.append(M.nbytes)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    results, peak = traced_peak(lambda: interlacing_checks(cases))
+    assert peak <= 2 * budget, f"peak {peak / 2**20:.2f} MiB"
+    assert len(sizes) == 5 and max(sizes) <= budget
+    assert results[:2] == first
+
+
+def test_a_placement_that_does_not_fit_its_graph_is_refused_before_any_eigensolve(monkeypatch):
+    def solved(M):
+        raise AssertionError("eigensolve before the point counts are matched")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solved)
+    # the bad case's shape (5, 2) comes after a whole group of shape (4, 2)
+    full, p = complete_graph(4), Placement(np.arange(8.0).reshape(4, 2))
+    good = [(full, (0, 1), p, np.ones(6, dtype=bool)), (full, (2, 3), p, np.ones(6, dtype=bool))]
+    bad = (full, (0, 1), Placement(np.arange(10.0).reshape(5, 2)), np.ones(6, dtype=bool))
+    with pytest.raises(ValueError, match="^placement has 5 points but graph has 4 vertices$"):
+        interlacing_checks([*good, bad, *good])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 18), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=17, d=2, seed=0)
+def test_a_batch_on_two_graphs_of_one_shape_equals_each_case_alone(n, d, seed):
+    # K_n and a random spanning subgraph of it take turns in one batch of one
+    # shape (n, d); n = 2..18 takes both assembly paths, and the placements
+    # take 1e+-200 scales and coincident points
+    rng = np.random.default_rng(seed)
+    graphs = (complete_graph(n), random_graph(rng, n))
+    cases = []
+    for s in range(6):
+        g = graphs[s % 2]
+        j = int(rng.integers(g.m))
+        keep = rng.random(g.m) < 0.6
+        keep[j] = True
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.choice([-200, 0, 200])
+        if rng.random() < 0.3:
+            pts[-1] = pts[0]
+        cases.append((g, g.edges[j], Placement(pts), keep))
+    for (g, e, p, keep), (ok, worst) in zip(cases, interlacing_checks(cases)):
+        want = _interlacing_oracle(subgraph(g, keep), e, p)
+        assert repr(worst) == repr(want) and ok == (want <= 1e-9)
+
+
+def test_a_batch_solves_one_stack_per_graph_and_shape(monkeypatch, rng):
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(M):
+        solved.append(M.shape[0])
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    # two graph objects on 6 vertices in R^2, then K_6 again in R^3
+    graphs = (complete_graph(6), random_graph(rng, 6), complete_graph(6))
+    cases = [
+        (g, g.edges[0], random_placement(rng, 6, d), np.ones(g.m, dtype=bool))
+        for _ in range(3)
+        for g, d in zip(graphs, (2, 2, 3))
+    ]
+    interlacing_checks(cases)
+    assert solved == [3, 3, 3]
 
 
 def test_interlacing_names_the_missing_edge():

@@ -290,8 +290,9 @@ def test_interlacing_sweep_equals_removing_each_edge():
 
 
 def test_kyfan_draws_cover_every_shape():
-    placements = verify._kyfan_placements(rng_stream(0, "topsum"), 500)
-    assert {(p.n, p.d) for p in placements} == set(itertools.product(range(3, 13), range(2, 5)))
+    picks, records = verify._kyfan_draws(rng_stream(0, "topsum"), 500)
+    assert len(picks) == 500 and records.shape == (500, 12, 4)
+    assert set(picks) == set(itertools.product(range(3, 13), range(2, 5)))
 
 
 def test_interlacing_draws_keep_their_edge_and_at_least_one_edge():
@@ -308,7 +309,8 @@ def test_interlacing_draws_keep_their_edge_and_at_least_one_edge():
 def test_fewer_samples_are_the_first_ones_across_draw_blocks():
     # 70 samples end inside the second block, which is drawn whole
     def kyfan(k):
-        return [p.points.tobytes() for p in verify._kyfan_placements(rng_stream(4, "topsum"), k)]
+        picks, records = verify._kyfan_draws(rng_stream(4, "topsum"), k)
+        return [(n, d, records[s, :n, :d].tobytes()) for s, (n, d) in enumerate(picks)]
 
     def interlacing(k):
         cases = verify._interlacing_cases(rng_stream(4, "interlacing"), [4, 7], [2, 3], k)
